@@ -57,13 +57,11 @@ from repro.core import (
     MappingJob,
     OnionJob,
     OnionResult,
-    ParallelPlanner,
     PlannerJob,
     PlanStats,
     PresolvedDemand,
     RushPlanner,
     SchedulePlan,
-    SqliteWcdeStore,
     WcdeCache,
     WcdeResult,
     map_time_slots,
@@ -171,8 +169,6 @@ __all__ = [
     "SchedulePlan",
     "RushPlanner",
     "IncrementalPlanner",
-    "ParallelPlanner",
-    "SqliteWcdeStore",
     "DegradationPolicy",
     "DegradationOutcome",
     # estimation

@@ -57,7 +57,7 @@ from repro.analysis.chaos import chaos_sweep
 from repro.analysis.experiment import Experiment
 from repro.analysis.report import format_table
 from repro.core.planner import PlannerJob, RushPlanner
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.estimation.gaussian import GaussianEstimator
 from repro.faults import FaultPlan, default_chaos_plan, load_fault_plan
 from repro.lint.cli import add_lint_arguments, run_lint_command
@@ -149,20 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="track predicted-vs-actual completions "
                                "and print the calibration report "
                                "(RUSH policy only)")
-    simulate.add_argument("--parallel", type=int, default=0, metavar="N",
-                          help="shard RUSH's WCDE presolve across N "
-                               "worker processes (0 = serial; plans are "
-                               "byte-identical either way; RUSH policy "
-                               "only)")
-    simulate.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                          default=True,
-                          help="vectorized batch WCDE stage (default); "
-                               "--no-batch restores the scalar per-job "
-                               "solve for A/B runs (RUSH policy only)")
-    simulate.add_argument("--wcde-store", metavar="PATH",
-                          help="sqlite file backing the parallel WCDE "
-                               "cache so solves are shared across runs "
-                               "(requires --parallel)")
 
     metrics = sub.add_parser(
         "metrics", help="run a seeded simulation with the metrics "
@@ -346,21 +332,7 @@ def _build_fault_plan(args: argparse.Namespace,
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     specs = load_trace(args.trace)
-    wants_planner_knobs = bool(args.parallel or not args.batch
-                               or args.wcde_store)
-    if wants_planner_knobs and args.policy != "rush":
-        raise ReproError(
-            "--parallel/--no-batch/--wcde-store tune the RUSH planner; "
-            f"they do nothing under --policy {args.policy}")
-    if args.wcde_store and not args.parallel:
-        raise ReproError("--wcde-store requires --parallel N")
-    if wants_planner_knobs:
-        policy = RushScheduler(parallel_workers=max(args.parallel, 0),
-                               batch_wcde=args.batch,
-                               wcde_store_path=args.wcde_store,
-                               parallel_seed=args.seed)
-    else:
-        policy = POLICY_FACTORIES[args.policy]()
+    policy = POLICY_FACTORIES[args.policy]()
     scheduler = SpeculativeScheduler(policy) if args.speculative else policy
     faults = _build_fault_plan(args)
     want_metrics = bool(args.metrics or args.metrics_out)
@@ -376,9 +348,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                 faults=faults)
         return _report_simulate(args, result, policy, faults, handle)
     finally:
-        closer = getattr(policy, "close", None)
-        if closer is not None:
-            closer()
         if want_obs:
             obs.reset()
 
@@ -584,9 +553,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "--restore and --journal-dir are mutually exclusive: the "
             "journal directory carries its own recovery anchor")
 
-    options = json.loads(args.scheduler_options) \
+    def parsed(flag: str, text: str) -> object:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(
+                f"{flag} is not valid JSON: {exc}") from None
+
+    options = parsed("--scheduler-options", args.scheduler_options) \
         if args.scheduler_options else {}
-    tenants = tenants_from_dicts(json.loads(args.tenants)) \
+    tenants = tenants_from_dicts(parsed("--tenants", args.tenants)) \
         if args.tenants else ()
     config = ServiceConfig(capacity=args.capacity, policy=args.policy,
                            seed=args.seed, scheduler_options=options,

@@ -15,7 +15,6 @@ from repro.core.feasibility import (
     staircase_feasible,
 )
 from repro.core.mapping import ContainerPlan, MappingJob, Segment, map_time_slots
-from repro.core.parallel import ParallelPlanner, SqliteWcdeStore
 from repro.core.onion import (
     JobTarget,
     LayerHint,
@@ -84,6 +83,4 @@ __all__ = [
     "SchedulePlan",
     "RushPlanner",
     "IncrementalPlanner",
-    "ParallelPlanner",
-    "SqliteWcdeStore",
 ]

@@ -44,8 +44,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, SolverBudgetError
 from repro.core.mapping import ContainerPlan, MappingJob, map_time_slots
 from repro.core.onion import LayerHint, OnionJob, solve_onion
-from repro.core.wcde import WcdeCache, solve_wcde, solve_wcde_batch
+from repro.core.wcde import WcdeCache, WcdeResult, solve_wcde_batch
 from repro.estimation.base import DemandEstimate
+from repro.estimation.pmf import Pmf
 from repro.obs import get_metrics, get_tracer
 from repro.utility.base import UtilityFunction
 
@@ -266,17 +267,11 @@ class RushPlanner:
         memoization (every solve pays the full bisection).  The cache
         never changes results — an entry is keyed by everything the solve
         depends on — so this is purely a speed/memory dial.
-    batch_wcde:
-        Route stage 1 through the vectorized :func:`~repro.core.wcde
-        .solve_wcde_batch` sweep (the default).  ``False`` falls back to
-        the scalar per-job solve — element-wise identical by the batch
-        equivalence property, kept as an A/B and debugging lever
-        (surfaced as ``rush simulate --no-batch``).
     """
 
     def __init__(self, capacity: int, *, theta: float = 0.9, delta: float = 0.7,
                  tolerance: float = 0.01, compensate_runtime: bool = True,
-                 wcde_cache_size: int = 4096, batch_wcde: bool = True) -> None:
+                 wcde_cache_size: int = 4096) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity}")
         if not 0.0 <= theta <= 1.0:
@@ -293,20 +288,21 @@ class RushPlanner:
         self.delta = delta
         self.tolerance = tolerance
         self.compensate_runtime = compensate_runtime
-        self.batch_wcde = batch_wcde
         self.wcde_cache: Optional[WcdeCache] = (
             WcdeCache(wcde_cache_size) if wcde_cache_size else None)
+
+    def _solve_batch(self, pmfs: Sequence[Pmf],
+                     delta: float) -> List[WcdeResult]:
+        """Stage 1 for one delta group, through the memo when there is one."""
+        if self.wcde_cache is not None:
+            return self.wcde_cache.solve_batch(pmfs, self.theta, delta)
+        return solve_wcde_batch(pmfs, self.theta, delta)
 
     def robust_demand(self, estimate: DemandEstimate,
                       delta: Optional[float] = None) -> tuple[float, float, int]:
         """WCDE for one job: (eta, reference quantile, iterations), in slots."""
-        theta = self.theta
-        resolved_delta = self.delta if delta is None else delta
-        if self.wcde_cache is not None:
-            result = self.wcde_cache.solve(estimate.pmf, theta, resolved_delta)
-        else:
-            result = solve_wcde(estimate.pmf, theta, resolved_delta,
-                                need_worst_pmf=False)
+        result = self._solve_batch(
+            [estimate.pmf], self.delta if delta is None else delta)[0]
         return (estimate.demand_at(result.eta_bin),
                 estimate.demand_at(result.reference_quantile),
                 result.iterations)
@@ -354,8 +350,7 @@ class RushPlanner:
             # Stage 1, batched: presolved jobs skip the solve entirely;
             # everything else is grouped by resolved delta (theta is
             # planner-wide) and handed to the vectorized batch solver in
-            # one call per group — element-wise identical to the scalar
-            # per-job path, without its per-job Python bisection loops.
+            # one call per group.
             dirty: List[PlannerJob] = []
             for job in jobs:
                 pre = presolved.get(job.job_id) if presolved else None
@@ -375,20 +370,8 @@ class RushPlanner:
                     raise SolverBudgetError(
                         "planning round exceeded its time budget during the "
                         "WCDE stage")
-                pmfs = [job.estimate.pmf for job in group]
-                if not self.batch_wcde:
-                    # Scalar A/B path: one solve per job, same answers.
-                    if cache is not None:
-                        solved = [cache.solve(pmf, self.theta, resolved)
-                                  for pmf in pmfs]
-                    else:
-                        solved = [solve_wcde(pmf, self.theta, resolved,
-                                             need_worst_pmf=False)
-                                  for pmf in pmfs]
-                elif cache is not None:
-                    solved = cache.solve_batch(pmfs, self.theta, resolved)
-                else:
-                    solved = solve_wcde_batch(pmfs, self.theta, resolved)
+                solved = self._solve_batch(
+                    [job.estimate.pmf for job in group], resolved)
                 for job, result in zip(group, solved):
                     presolved_out[job.job_id] = PresolvedDemand(
                         eta=job.estimate.demand_at(result.eta_bin),
@@ -515,23 +498,6 @@ class IncrementalPlanner:
     def forget(self, job_id: str) -> None:
         """Drop a departed job's state."""
         self._memo.pop(job_id, None)
-
-    def pending_jobs(self, jobs: Sequence[PlannerJob]) -> List[PlannerJob]:
-        """The jobs the next :meth:`plan` call will *not* presolve.
-
-        Pure query (no counter or memo changes): a job is pending unless
-        the memo holds the identical estimate object under the same
-        per-job delta.  :class:`~repro.core.parallel.ParallelPlanner`
-        uses this to ship exactly the to-be-solved set to its worker
-        pool ahead of the round.
-        """
-        pending: List[PlannerJob] = []
-        for job in jobs:
-            memo = self._memo.get(job.job_id)
-            if not (memo is not None and memo.estimate is job.estimate
-                    and memo.delta == job.delta):
-                pending.append(job)
-        return pending
 
     def reset(self) -> None:
         """Drop all incremental state (presolves and warm-start hints)."""

@@ -40,8 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.rem import (rem_min_kl_from_cdf, rem_min_kl_from_cdf_array,
-                            solve_rem)
+from repro.core.rem import rem_min_kl_from_cdf_array, solve_rem
 from repro.estimation.pmf import Pmf
 from repro.obs import get_metrics, get_tracer
 
@@ -153,7 +152,10 @@ class WcdeResult:
 
 def solve_wcde(reference: Pmf, theta: float, delta: float, *,
                need_worst_pmf: bool = True) -> WcdeResult:
-    """Solve the WCDE problem by bisection (Algorithm 2).
+    """Solve the WCDE problem for one reference (Algorithm 2).
+
+    A batch of one: :func:`solve_wcde_batch` is the only solver, so the
+    scalar entry point cannot drift from the path the planner runs.
 
     Parameters
     ----------
@@ -172,66 +174,9 @@ def solve_wcde(reference: Pmf, theta: float, delta: float, *,
         ``worst_kl`` attributes then run the REM solve lazily on first
         access.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ConfigurationError(f"theta={theta} outside [0, 1]")
-    if delta < 0.0 or math.isnan(delta):
-        raise ConfigurationError(f"delta={delta} must be >= 0")
-
-    with get_tracer().span("wcde.solve", theta=theta, delta=delta) as span:
-        anchor = reference.quantile(theta)
-        ceiling = reference.support_max()
-
-        # Exact semantics: the adversary's quantile exceeds a bin L iff it
-        # can push CDF(L) strictly below theta, which costs (arbitrarily
-        # close to) the REM value g(L) whenever the reference keeps some
-        # mass above L.  Hence eta = 1 + max{ L < support_max : g(L) <=
-        # delta }, clamped to at least the reference quantile.  Two
-        # boundary regimes short-circuit: theta = 1 demands covering the
-        # whole support, and delta = 0 leaves the adversary no room at all
-        # (strict improvement has positive cost).
-        if theta >= 1.0:
-            eta = ceiling
-            iterations = 0
-        # rushlint: disable=RL003 (exact-zero sentinel: delta=0 means the
-        # adversary has literally no KL budget; any positive delta, however
-        # small, must take the search path)
-        elif delta == 0.0 or anchor >= ceiling:
-            eta = anchor
-            iterations = 0
-        else:
-            cdf = reference.cdf()
-            low = anchor - 1    # CDF(anchor - 1) < theta, so g = 0: feasible
-            high = ceiling      # g(support_max) = inf: infeasible
-            if high - low <= _SCAN_WIDTH:
-                # One vectorized REM sweep over the whole candidate range:
-                # feasibility is a prefix property (g is non-decreasing), so
-                # the last feasible level is the bisection's fixed point.
-                g = rem_min_kl_from_cdf_array(cdf[low + 1: high], theta)
-                feasible = np.nonzero(g <= delta + 1e-12)[0]
-                low = low + 1 + int(feasible[-1]) if feasible.size else low
-                iterations = 1
-            else:
-                def feasible_at(level: int) -> bool:
-                    return (rem_min_kl_from_cdf(float(cdf[level]), theta)
-                            <= delta + 1e-12)
-
-                iterations = 0
-                while high - low > 1:
-                    mid = (low + high) // 2
-                    iterations += 1
-                    if feasible_at(mid):
-                        low = mid
-                    else:
-                        high = mid
-            eta = max(low + 1, anchor)
-
-        result = WcdeResult(eta_bin=eta, reference_quantile=anchor,
-                            iterations=iterations, reference=reference,
-                            theta=theta)
-        if need_worst_pmf:
-            result._materialize()
-        span.note(eta_bin=eta, anchor=anchor, iterations=iterations)
-    _note_solve(iterations)
+    result = solve_wcde_batch([reference], theta, delta)[0]
+    if need_worst_pmf:
+        result._materialize()
     return result
 
 
@@ -268,10 +213,18 @@ def solve_wcde_batch(references: Sequence[Pmf], theta: float,
                      delta: float) -> List[WcdeResult]:
     """Solve the WCDE problem for a whole batch of references at once.
 
-    Element-wise identical to calling :func:`solve_wcde` per reference —
-    same ``eta_bin``, ``reference_quantile``, ``iterations`` and (lazily
-    materialized) worst-case distribution — but the per-job Python
-    bisection loops collapse into vectorized numpy passes:
+    The only WCDE solver (scalar :func:`solve_wcde` is a batch of one).
+    Each row's answer depends on that row's own CDF alone — batch
+    composition never changes it — and is checked against a brute-force
+    linear scan in the tests.  Per row: the adversary's quantile exceeds
+    a bin ``L`` iff it can push ``CDF(L)`` strictly below ``theta``,
+    which costs (arbitrarily close to) the REM value ``g(L)`` whenever
+    the reference keeps mass above ``L``; hence ``eta = 1 + max{L <
+    support_max : g(L) <= delta}``, clamped to at least the reference
+    quantile.  Two boundary regimes short-circuit: ``theta = 1`` demands
+    covering the whole support, and ``delta = 0`` leaves the adversary
+    no room at all (strict improvement has positive cost).  The search
+    itself runs as vectorized numpy passes over the batch:
 
     * *narrow* rows (candidate range at most ``_SCAN_WIDTH`` wide, the
       overwhelmingly common case for calibrated estimators) are stacked
@@ -283,7 +236,9 @@ def solve_wcde_batch(references: Sequence[Pmf], theta: float,
       gathers one CDF value per still-open row and evaluates the REM
       objective for all of them in one vectorized call, so a batch of
       ``k`` rows costs ``O(log tau_max)`` numpy passes instead of
-      ``O(k log tau_max)`` scalar evaluations.
+      ``O(k log tau_max)`` scalar evaluations.  ``low`` starts feasible
+      (``CDF(anchor - 1) < theta``, so ``g = 0``) and ``high`` infeasible
+      (``g(support_max) = inf``).
 
     Results are returned in input order.  Like :class:`WcdeCache`, the
     hot path never materializes ``worst_pmf`` (lazy on first access).
@@ -309,8 +264,9 @@ def solve_wcde_batch(references: Sequence[Pmf], theta: float,
                                         iterations=0, reference=reference,
                                         theta=theta)
                 shortcuts += 1
-            # rushlint: disable=RL003 (exact-zero sentinel, same convention
-            # as the scalar solve above)
+            # rushlint: disable=RL003 (exact-zero sentinel: delta=0 means the
+            # adversary has literally no KL budget; any positive delta, however
+            # small, must take the search path)
             elif delta == 0.0 or anchor >= ceiling:
                 results[i] = WcdeResult(eta_bin=anchor,
                                         reference_quantile=anchor,
@@ -445,60 +401,20 @@ class WcdeCache:
                             labels=("outcome",)).labels(
                                 "presolve_reuse").inc(count)
 
-    def peek(self, reference: Pmf, theta: float,
-             delta: float) -> Optional[WcdeResult]:
-        """Return the cached entry without touching counters or LRU order.
-
-        Used by :class:`~repro.core.parallel.ParallelPlanner` to decide
-        what to ship to the worker pool; a peek is not a lookup the
-        planning round performs, so it must not skew hit-rate telemetry.
-        """
-        return self._entries.get(
-            (reference.fingerprint(), float(theta), float(delta)))
-
-    def install(self, reference: Pmf, theta: float, delta: float,
-                result: WcdeResult) -> None:
-        """Insert an externally computed solve (no counter changes).
-
-        The entry point for pool workers and the sqlite store: results
-        proven identical to a fresh solve are seeded into the LRU so the
-        serial round that follows hits them.  Counters are untouched —
-        the install is attributed by the ``rush_parallel_*`` metrics
-        instead.
-        """
-        key = (reference.fingerprint(), float(theta), float(delta))
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
     def solve(self, reference: Pmf, theta: float, delta: float) -> WcdeResult:
-        """Memoized :func:`solve_wcde` with the lazy-``worst_pmf`` path."""
-        key = (reference.fingerprint(), float(theta), float(delta))
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            _note_cache_outcome("hit", theta, delta)
-            return entry
-        self.misses += 1
-        _note_cache_outcome("miss", theta, delta)
-        entry = solve_wcde(reference, theta, delta, need_worst_pmf=False)
-        self._entries[key] = entry
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return entry
+        """Memoized :func:`solve_wcde`: :meth:`solve_batch` of one."""
+        return self.solve_batch([reference], theta, delta)[0]
 
     def solve_batch(self, references: Sequence[Pmf], theta: float,
                     delta: float) -> List[WcdeResult]:
         """Memoized :func:`solve_wcde_batch`: only cache misses are solved.
 
-        Lookup accounting matches a sequential loop over :meth:`solve`
-        exactly: the first occurrence of a fingerprint missing from the
+        Lookup accounting is that of a sequential loop of one-reference
+        lookups: the first occurrence of a fingerprint missing from the
         cache counts as a miss, and every later duplicate in the same
-        batch counts as a hit (a scalar loop would have populated the
-        entry by then).  Only the deduplicated misses enter the vectorized
-        batch solve.
+        batch counts as a hit (the first occurrence would have populated
+        the entry by then).  Only the deduplicated misses enter the
+        vectorized batch solve.
         """
         t, d = float(theta), float(delta)
         n = len(references)
@@ -516,8 +432,8 @@ class WcdeCache:
                 continue
             positions = pending.get(key)
             if positions is not None:
-                # Duplicate within the batch: a scalar loop would hit the
-                # entry created by the first occurrence.
+                # Duplicate within the batch: a one-at-a-time loop would
+                # hit the entry created by the first occurrence.
                 self.hits += 1
                 _note_cache_outcome("hit", t, d)
             else:
@@ -540,4 +456,4 @@ class WcdeCache:
 
 def worst_case_demand(reference: Pmf, theta: float, delta: float) -> int:
     """Convenience wrapper returning only the robust demand bin."""
-    return solve_wcde(reference, theta, delta, need_worst_pmf=False).eta_bin
+    return solve_wcde_batch([reference], theta, delta)[0].eta_bin

@@ -8,8 +8,8 @@ the CLI.
 
 Two modes share the flags:
 
-* the default per-file mode runs rules RL001–RL010 one file at a time;
-* ``--flow`` runs the project-wide rules RL011–RL014 over the whole
+* the default per-file mode runs rules RL001–RL009 and RL015 one file at a time;
+* ``--flow`` runs the project-wide rules RL011, RL012 and RL014 over the whole
   tree at once (symbol index + call graph), optionally against a
   committed ``--baseline`` ratchet and with a ``--flow-cache`` keyed on
   file content hashes so warm runs skip parsing.
@@ -54,7 +54,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "(forces RL008 context)")
     parser.add_argument("--flow", action="store_true",
                         help="run the project-wide dataflow rules "
-                             "(RL011-RL014) instead of the per-file rules")
+                             "(RL011, RL012, RL014) instead of the "
+                             "per-file rules")
     parser.add_argument("--baseline", metavar="FILE",
                         help="with --flow: ratchet findings against this "
                              "baseline file (new findings fail; counts may "

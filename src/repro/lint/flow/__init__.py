@@ -1,6 +1,6 @@
 """Project-wide dataflow analysis for rushlint (the ``--flow`` engine).
 
-The per-file rules (RL001–RL010) see one AST at a time, so an unseeded
+The per-file rules (RL001–RL009, RL015) see one AST at a time, so an unseeded
 generator laundered through a helper module, a mutable global touched
 two call hops below a planner entry point, or a swallowed
 ``SolverBudgetError`` caught under a different import alias all slip
@@ -8,7 +8,7 @@ through.  This subpackage closes that gap with a whole-program pass:
 
 * :mod:`~repro.lint.flow.symbols` parses every file once into a
   serializable per-module summary (imports, functions, call sites with
-  taint dependencies, globals, raises/handlers, pool submissions) and
+  taint dependencies, globals, raises/handlers) and
   caches the index keyed on file content hashes so warm runs re-parse
   only what changed;
 * :mod:`~repro.lint.flow.callgraph` resolves dotted names through
@@ -19,7 +19,7 @@ through.  This subpackage closes that gap with a whole-program pass:
 * :mod:`~repro.lint.flow.purity` infers purity for everything reachable
   from the solve roots;
 * :mod:`~repro.lint.flow.rules_flow` lands the results as rules
-  RL011–RL014 on the ordinary :class:`~repro.lint.framework.Finding`
+  RL011, RL012 and RL014 on the ordinary :class:`~repro.lint.framework.Finding`
   plumbing, so ``--select``, suppressions and the JSON reporter work
   unchanged;
 * :mod:`~repro.lint.flow.baseline` implements the committed

@@ -1,4 +1,4 @@
-"""Flow rules RL011–RL014 and the project-level lint engine.
+"""Flow rules RL011, RL012, RL014 and the project-level lint engine.
 
 These rules subclass :class:`FlowRule`, a :class:`~repro.lint.
 framework.Rule` whose per-file ``check`` is a no-op: they only fire
@@ -8,7 +8,7 @@ the ordinary ``RULE_REGISTRY`` and emit ordinary ``Finding`` objects,
 ``--select``/``--ignore``, suppression comments, and both reporters
 work on them unchanged.
 
-The four invariants:
+The three invariants (RL013 was retired with the process pool):
 
 * **RL011 rng-provenance** — every value drawn in a deterministic
   package must derive from a seeded generator; violations render the
@@ -17,9 +17,6 @@ The four invariants:
   point (``plan``/``solve_*``/``map_time_slots``/``robust_demand`` in a
   deterministic package) may write module globals, read the wall
   clock, or perform I/O — wherever it lives.
-* **RL013 pool-escape** — workers submitted to a ``ProcessPoolExecutor``
-  must be picklable top-level functions touching no mutable module
-  globals, and RNG-drawing workers need a seeding initializer.
 * **RL014 solver-exception-flow** — ``SolverBudgetError``-family raises
   must have a recording path into the degradation ladder, and no
   ``except`` in ``core``/``schedulers`` may swallow the family
@@ -154,109 +151,8 @@ class SolvePathPurityRule(FlowRule):
                 f"[reached via {chain}]")
 
 
-@register_rule
-class PoolEscapeRule(FlowRule):
-    """RL013: process-pool workers must not smuggle shared state."""
-
-    rule_id = "RL013"
-    name = "pool-escape"
-    rationale = ("Workers run in forked interpreters: closures over "
-                 "mutable module globals silently diverge per process, "
-                 "and an RNG-drawing worker without a seeding "
-                 "initializer destroys run-to-run determinism.")
-
-    def project_check(self, ctx: ProjectContext) -> Iterator[Finding]:
-        for module in sorted(ctx.index.modules):
-            summary = ctx.index.modules[module]
-            if not ctx.config.is_deterministic(summary.path):
-                continue
-            for qual in sorted(summary.functions):
-                info = summary.functions[qual]
-                for submit in info.get("pool_submits", ()):
-                    yield from self._check_submit(ctx, summary, submit)
-
-    def _check_submit(self, ctx: ProjectContext, summary: ModuleSummary,
-                      submit: Dict[str, Any]) -> Iterator[Finding]:
-        worker = submit["worker"]
-        line = submit["line"]
-        if worker == "<lambda>" or worker.startswith("<nested>"):
-            label = ("a lambda" if worker == "<lambda>"
-                     else f"nested function "
-                          f"'{worker[len('<nested>'):]}'")
-            yield self.project_finding(
-                summary.path, line,
-                f"pool worker is {label}: not picklable and its "
-                f"closure escapes analysis; submit a module-level "
-                f"function")
-            return
-        node = ctx.graph.resolve(worker)
-        if node is None:
-            return  # external callable; nothing to inspect
-        closure = ctx.graph.reachable_from([node])
-        draws_rng = False
-        for fq in sorted(closure):
-            wsummary, winfo = ctx.graph.functions[fq]
-            chain = " -> ".join(ctx.graph.chain_to_root(fq, closure))
-            for read in winfo.get("global_reads", ()):
-                owner = ctx.graph.functions[fq][0]
-                if owner.globals.get(read["name"]) != "mutable":
-                    continue
-                yield self.project_finding(
-                    summary.path, line,
-                    f"pool worker {_terminal(node)}() reads mutable "
-                    f"module global '{read['name']}' at "
-                    f"{wsummary.path}:{read['line']} [via {chain}]; "
-                    f"per-process copies will diverge")
-            for write in winfo.get("global_writes", ()):
-                yield self.project_finding(
-                    summary.path, line,
-                    f"pool worker {_terminal(node)}() writes module "
-                    f"global '{write['name']}' at "
-                    f"{wsummary.path}:{write['line']} [via {chain}]; "
-                    f"the write is lost in the parent process")
-            if _draws_rng(winfo):
-                draws_rng = True
-        if draws_rng and not self._has_initializer(ctx, summary, node):
-            yield self.project_finding(
-                summary.path, line,
-                f"pool worker {_terminal(node)}() draws from an RNG "
-                f"but no ProcessPoolExecutor in this module passes a "
-                f"seeding initializer=; child processes inherit "
-                f"unseeded state")
-
-    @staticmethod
-    def _has_initializer(ctx: ProjectContext, summary: ModuleSummary,
-                         worker: str) -> bool:
-        pools = list(summary.pools)
-        worker_summary = ctx.graph.functions[worker][0]
-        if worker_summary.module != summary.module:
-            pools += worker_summary.pools
-        if not pools:
-            return True  # pool constructed elsewhere; RL010 owns that
-        return all(pool.get("has_initializer") for pool in pools)
-
-
 def _terminal(fq: str) -> str:
     return fq.rsplit(".", 1)[-1]
-
-
-def _draws_rng(info: Dict[str, Any]) -> bool:
-    """Whether a function contains any RNG draw or entropy source."""
-    if info.get("sinks"):
-        return True
-
-    def _is_source(dep: Optional[Dict[str, Any]]) -> bool:
-        return bool(dep) and dep.get("kind") == "source"
-
-    for ret in info.get("returns", ()):
-        if _is_source(ret):
-            return True
-    for call in info.get("calls", ()):
-        if any(_is_source(d) for d in call.get("args", ())):
-            return True
-        if any(_is_source(d) for d in call.get("kwargs", {}).values()):
-            return True
-    return False
 
 
 @register_rule

@@ -4,8 +4,8 @@ One parse of each file produces a :class:`ModuleSummary`: a JSON-
 serializable digest of everything the interprocedural passes need —
 import bindings, module globals (with mutability classification), class
 structure, and per-function facts (call sites with taint dependencies,
-return taint, RNG sinks, global reads/writes, wall-clock and I/O calls,
-raise/except structure, process-pool submissions, suppression index).
+return taint, RNG sinks, global writes, wall-clock and I/O calls,
+raise/except structure, suppression index).
 
 Because a summary is a pure function of the file's bytes, the whole
 index caches cleanly: :func:`build_index` keys each entry on the
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate cached summaries when the extraction logic changes.
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 Dep = Optional[Dict[str, Any]]
 
@@ -162,7 +162,6 @@ class ModuleSummary:
     globals: Dict[str, str] = field(default_factory=dict)
     classes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     functions: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    pools: List[Dict[str, Any]] = field(default_factory=list)
     suppress_lines: Dict[str, List[str]] = field(default_factory=dict)
     suppress_file: List[str] = field(default_factory=list)
 
@@ -171,7 +170,7 @@ class ModuleSummary:
             "module": self.module, "path": self.path, "sha": self.sha,
             "imports": self.imports, "globals": self.globals,
             "classes": self.classes, "functions": self.functions,
-            "pools": self.pools, "suppress_lines": self.suppress_lines,
+            "suppress_lines": self.suppress_lines,
             "suppress_file": self.suppress_file,
         }
 
@@ -216,13 +215,11 @@ class _FunctionExtractor:
                 self.global_decls |= set(sub.names)
         self.env: Dict[str, Dep] = {}
         self.local_types: Dict[str, str] = {}
-        self.nested_defs: Set[str] = set()
         self.info: Dict[str, Any] = {
             "name": fn.name, "qualname": qualname, "line": fn.lineno,
             "params": self._param_names(), "calls": [], "returns": [],
-            "sinks": [], "global_reads": [], "global_writes": [],
+            "sinks": [], "global_writes": [],
             "wall_clock": [], "io": [], "raises": [], "handlers": [],
-            "pool_submits": [],
         }
 
     def _param_names(self) -> List[str]:
@@ -319,7 +316,6 @@ class _FunctionExtractor:
                 return {"kind": "param",
                         "index": self.info["params"].index(node.id),
                         "chain": []}
-            self._note_global_read(node)
             return None
         if isinstance(node, ast.Call):
             return self._eval_call(node)
@@ -406,11 +402,9 @@ class _FunctionExtractor:
                     "cause": recv,
                 })
                 self._eval_arguments_only(call)
-                self._note_pool_submit(call, func)
                 self._note_mutator(call, func)
                 return _dep_with_hop(recv, call.lineno,
                                      f"result of .{func.attr}()")
-            self._note_pool_submit(call, func)
             self._note_mutator(call, func)
 
         arg_deps = [self._eval(a) for a in call.args]
@@ -445,14 +439,6 @@ class _FunctionExtractor:
 
     # -- side-effect bookkeeping --------------------------------------
 
-    def _note_global_read(self, node: ast.Name) -> None:
-        name = node.id
-        if (name in self.mod.globals and name not in self.locals
-                and name not in self.all_params
-                and name not in self.global_decls):
-            self.info["global_reads"].append(
-                {"name": name, "line": node.lineno})
-
     def _note_mutator(self, call: ast.Call, func: ast.Attribute) -> None:
         if func.attr not in _MUTATORS:
             return
@@ -463,25 +449,6 @@ class _FunctionExtractor:
             self.info["global_writes"].append(
                 {"name": base.id, "line": call.lineno,
                  "note": f".{func.attr}() mutates module global"})
-
-    def _note_pool_submit(self, call: ast.Call, func: ast.Attribute) -> None:
-        if func.attr not in ("submit", "map") or not call.args:
-            return
-        if not self.mod.imports_pool_executor:
-            return
-        worker = call.args[0]
-        if isinstance(worker, ast.Lambda):
-            name = "<lambda>"
-        else:
-            dotted = _dotted(worker)
-            if dotted is None:
-                name = "<expr>"
-            elif dotted in self.nested_defs:
-                name = f"<nested>{dotted}"
-            else:
-                name = self._resolve(dotted)
-        self.info["pool_submits"].append(
-            {"worker": name, "line": call.lineno})
 
     def _bind(self, name: str, dep: Dep) -> None:
         if dep is None:
@@ -501,7 +468,6 @@ class _FunctionExtractor:
 
     def _walk_stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.nested_defs.add(stmt.name)
             return  # nested defs are summarized separately
         if isinstance(stmt, ast.ClassDef):
             return
@@ -719,8 +685,6 @@ class _ModuleExtractor:
         self.globals: Dict[str, str] = {}
         self.classes: Dict[str, Dict[str, Any]] = {}
         self.module_defs: Set[str] = set()
-        self.pools: List[Dict[str, Any]] = []
-        self.imports_pool_executor = False
         self._collect_imports()
         self._collect_module_scope()
         per_line, whole_file = _parse_suppressions(source)
@@ -739,8 +703,6 @@ class _ModuleExtractor:
                     target = (alias.name if alias.asname
                               else alias.name.split(".")[0])
                     self.imports[bound] = target
-                    if alias.name.endswith("ProcessPoolExecutor"):
-                        self.imports_pool_executor = True
             elif isinstance(node, ast.ImportFrom):
                 base = node.module or ""
                 if node.level:
@@ -757,8 +719,6 @@ class _ModuleExtractor:
                     bound = alias.asname or alias.name
                     self.imports[bound] = (f"{base}.{alias.name}"
                                            if base else alias.name)
-                    if alias.name == "ProcessPoolExecutor":
-                        self.imports_pool_executor = True
 
     def _collect_module_scope(self) -> None:
         for node in self.tree.body:
@@ -821,11 +781,10 @@ class _ModuleExtractor:
                         info = _FunctionExtractor(
                             self, item, qual, node.name).run()
                         functions[qual] = info
-        self._collect_pools()
         return ModuleSummary(
             module=self.module, path=self.path, sha=sha,
             imports=self.imports, globals=self.globals,
-            classes=self.classes, functions=functions, pools=self.pools,
+            classes=self.classes, functions=functions,
             suppress_lines=self.suppress_lines,
             suppress_file=self.suppress_file)
 
@@ -852,34 +811,8 @@ class _ModuleExtractor:
                             and target.value.id == "self"):
                         info["attr_types"][target.attr] = fq
 
-    def _collect_pools(self) -> None:
-        """Every ``ProcessPoolExecutor(...)`` construction in the file."""
-        for node in ast.walk(self.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            terminal = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None)
-            if terminal != "ProcessPoolExecutor":
-                continue
-            has_initializer = any(kw.arg == "initializer"
-                                  for kw in node.keywords)
-            has_splat = any(kw.arg is None for kw in node.keywords)
-            initializer = None
-            for kw in node.keywords:
-                if kw.arg == "initializer":
-                    dotted = _dotted(kw.value)
-                    if dotted is not None:
-                        initializer = self.resolve(dotted)
-            self.pools.append({
-                "line": node.lineno,
-                "has_initializer": bool(has_initializer or has_splat),
-                "initializer": initializer,
-            })
-
-
 def _mutability(value: Optional[ast.expr]) -> str:
-    """``"mutable"`` for containers a worker/global write could corrupt."""
+    """``"mutable"`` for containers a module-global write could corrupt."""
     if value is None:
         return "other"
     if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,

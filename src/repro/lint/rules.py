@@ -1,4 +1,4 @@
-"""The rushlint domain rules, RL001–RL010 and RL015.
+"""The rushlint domain rules, RL001–RL009 and RL015.
 
 Each rule mechanizes one invariant that RUSH's guarantees (Theorems 1–3
 of the paper) lean on but the type system cannot express.  The catalog
@@ -29,7 +29,6 @@ __all__ = [
     "PublicAnnotationRule",
     "BenchmarkDeterminismRule",
     "ObsClockFreeRule",
-    "SeededPoolInitializerRule",
     "DurableWriteDisciplineRule",
 ]
 
@@ -700,46 +699,6 @@ class ObsClockFreeRule(Rule):
                         f"from {node.module} import {names} in "
                         "repro.obs; telemetry is slot-indexed — no "
                         "clock module may be imported here")
-
-
-@register_rule
-class SeededPoolInitializerRule(Rule):
-    """RL010 — process pools in deterministic packages seed their workers.
-
-    A ``ProcessPoolExecutor`` forks (or spawns) interpreters whose
-    global RNG state is inherited from the parent or freshly
-    entropy-seeded — either way it is hidden state RL001's discipline
-    never sees, because the call sites live in the worker.  Every pool
-    constructed inside a deterministic package must therefore install a
-    seeding ``initializer=`` (e.g. :func:`repro.core.parallel
-    .seed_worker`) that pins the stdlib and numpy global streams before
-    any task runs.  The check is syntactic: a call whose terminal name
-    is ``ProcessPoolExecutor`` without an ``initializer`` keyword is
-    flagged; a ``**kwargs`` splat is given the benefit of the doubt.
-    """
-
-    rule_id = "RL010"
-    name = "unseeded-pool-worker"
-    rationale = ("RL001's seeded-RNG discipline must survive the fork "
-                 "boundary: pool workers start with hidden global RNG "
-                 "state unless an initializer pins it")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.is_deterministic:
-            return
-        for call in _walk_calls(ctx.tree):
-            if _call_name(call.func) != "ProcessPoolExecutor":
-                continue
-            has_initializer = any(kw.arg == "initializer"
-                                  for kw in call.keywords)
-            has_splat = any(kw.arg is None for kw in call.keywords)
-            if not (has_initializer or has_splat):
-                yield self.finding(
-                    ctx, call,
-                    "ProcessPoolExecutor(...) without initializer= "
-                    "forks hidden global RNG state into workers; pass "
-                    "a seeding initializer (see repro.core.parallel"
-                    ".seed_worker)")
 
 
 @register_rule

@@ -50,7 +50,6 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.cluster.job import JobSpec
 from repro.core.degradation import DegradationPolicy
-from repro.core.parallel import ParallelPlanner, SqliteWcdeStore
 from repro.core.planner import (IncrementalPlanner, PlannerJob, RushPlanner,
                                 SchedulePlan)
 from repro.errors import SolverBudgetError
@@ -114,22 +113,6 @@ class RushScheduler(Scheduler):
     wcde_cache_size:
         Entry bound of the planner's content-addressed WCDE memo
         (0 disables it).
-    batch_wcde:
-        Route the WCDE stage through the vectorized batch sweep
-        (default).  ``False`` restores the scalar per-job solve — same
-        answers, kept as an A/B lever (``rush simulate --no-batch``).
-    parallel_workers:
-        When > 0 (and ``incremental``), wrap the planner in a
-        :class:`~repro.core.parallel.ParallelPlanner` that shards WCDE
-        presolve across that many worker processes.  Plans stay
-        byte-identical to the serial path; worth it only when rounds
-        carry thousands of dirty jobs (``rush simulate --parallel N``).
-    wcde_store_path:
-        Optional sqlite path backing the parallel planner's cache so
-        solves survive restarts and are shared across planners.  Only
-        consulted when ``parallel_workers > 0``.
-    parallel_seed:
-        Seed handed to each pool worker's RNG initializer (RL010).
     plan_time_budget:
         Wall-clock seconds allowed per planning round (None = unlimited).
         Overruns raise inside the solver and are absorbed by the
@@ -153,10 +136,6 @@ class RushScheduler(Scheduler):
                  incremental: bool = True,
                  warm_start: bool = False,
                  wcde_cache_size: int = 4096,
-                 batch_wcde: bool = True,
-                 parallel_workers: int = 0,
-                 wcde_store_path: Optional[str] = None,
-                 parallel_seed: int = 0,
                  plan_time_budget: Optional[float] = None,
                  degradation: Optional[DegradationPolicy] = None) -> None:
         super().__init__()
@@ -171,14 +150,9 @@ class RushScheduler(Scheduler):
         self._incremental_enabled = incremental
         self._warm_start = warm_start
         self._wcde_cache_size = wcde_cache_size
-        self._batch_wcde = batch_wcde
-        self._parallel_workers = parallel_workers
-        self._wcde_store_path = wcde_store_path
-        self._parallel_seed = parallel_seed
-        self._wcde_store: Optional[SqliteWcdeStore] = None
         self._estimators: Dict[str, DistributionEstimator] = {}
         self._planner: Optional[RushPlanner] = None
-        self._incremental: Optional[IncrementalPlanner | ParallelPlanner] = None
+        self._incremental: Optional[IncrementalPlanner] = None
         self._plan: Optional[SchedulePlan] = None
         self._plan_epoch: Optional[tuple] = None
         self._completions = 0
@@ -207,28 +181,11 @@ class RushScheduler(Scheduler):
         self._planner = RushPlanner(sim.capacity, theta=self._theta,
                                     delta=self._delta, tolerance=self._tolerance,
                                     compensate_runtime=self._compensate_runtime,
-                                    wcde_cache_size=self._wcde_cache_size,
-                                    batch_wcde=self._batch_wcde)
+                                    wcde_cache_size=self._wcde_cache_size)
         if self._incremental_enabled:
-            if self._parallel_workers > 0:
-                if self._wcde_store_path is not None:
-                    self._wcde_store = SqliteWcdeStore(self._wcde_store_path)
-                self._incremental = ParallelPlanner(
-                    self._planner, workers=self._parallel_workers,
-                    warm_start=self._warm_start, store=self._wcde_store,
-                    seed=self._parallel_seed)
-            else:
-                self._incremental = IncrementalPlanner(
-                    self._planner, warm_start=self._warm_start)
+            self._incremental = IncrementalPlanner(
+                self._planner, warm_start=self._warm_start)
         self._fault_log = getattr(sim, "fault_log", None)
-
-    def close(self) -> None:
-        """Release the worker pool and sqlite store, if any (idempotent)."""
-        if isinstance(self._incremental, ParallelPlanner):
-            self._incremental.close()
-        if self._wcde_store is not None:
-            self._wcde_store.close()
-            self._wcde_store = None
 
     def on_job_arrival(self, job) -> None:
         if self._spec_estimator_factory is not None:

