@@ -572,8 +572,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         # Enabled before the engine exists so journal recovery lands in
-        # the metrics/span registries the daemon will serve.
-        obs.enable(trace=True, metrics=True, ledger=True)
+        # the registry /metrics serves.  No tracer: the daemon has no
+        # reader for spans, so recording them would only grow memory.
+        obs.enable(trace=False, metrics=True, ledger=True)
         if args.restore:
             if not args.snapshot:
                 raise ReproError("--restore requires --snapshot PATH")

@@ -6,27 +6,20 @@ path).  Wired into the main parser by :mod:`repro.cli`; kept here so
 the lint subsystem is self-contained and importable without the rest of
 the CLI.
 
-Two modes share the flags:
-
-* the default per-file mode runs rules RL001–RL009 and RL015 one file at a time;
-* ``--flow`` runs the project-wide rules RL011, RL012 and RL014 over the whole
-  tree at once (symbol index + call graph), optionally against a
-  committed ``--baseline`` ratchet and with a ``--flow-cache`` keyed on
-  file content hashes so warm runs skip parsing.
+One invocation runs every registered rule: the per-file rules
+(RL001–RL009, RL015) on each file, then the project-wide rules (RL011,
+RL012, RL014) once over the same file set, in one sorted report.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.lint.config import LintConfig
-from repro.lint.framework import (RULE_REGISTRY, Finding, iter_python_files,
-                                  lint_file)
-from repro.lint.flow import lint_project
-from repro.lint.flow.baseline import (compare_to_baseline, load_baseline,
-                                      write_baseline)
+from repro.lint.framework import RULE_REGISTRY, iter_python_files
+from repro.lint.flow import lint_paths
 from repro.lint.reporters import render_json, render_rule_catalog, render_text
 
 __all__ = ["add_lint_arguments", "run_lint_command"]
@@ -52,21 +45,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--as-benchmark", action="store_true",
                         help="treat every file as a benchmark fixture "
                              "(forces RL008 context)")
-    parser.add_argument("--flow", action="store_true",
-                        help="run the project-wide dataflow rules "
-                             "(RL011, RL012, RL014) instead of the "
-                             "per-file rules")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="with --flow: ratchet findings against this "
-                             "baseline file (new findings fail; counts may "
-                             "only go down)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="with --flow --baseline: rewrite the baseline "
-                             "from the current findings, preserving "
-                             "justifications, and exit 0")
-    parser.add_argument("--flow-cache", metavar="FILE",
-                        help="with --flow: cache the symbol index here, "
-                             "keyed on file content hashes")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
 
@@ -90,31 +68,6 @@ def _selected_files(paths: Sequence[str],
     return files
 
 
-def _run_flow(args: argparse.Namespace, config: LintConfig,
-              files: List[str]) -> int:
-    findings = lint_project(files, config=config,
-                            cache_path=args.flow_cache)
-    if args.baseline and args.update_baseline:
-        previous = load_baseline(args.baseline)
-        baseline = write_baseline(findings, args.baseline,
-                                  previous=previous)
-        print(f"baseline written: {args.baseline} "
-              f"({len(baseline.counts)} entrie(s), "
-              f"{len(findings)} finding(s))")
-        return 0
-    notes: List[str] = []
-    if args.baseline:
-        baseline = load_baseline(args.baseline)
-        findings, notes = compare_to_baseline(findings, baseline)
-    if args.format == "json":
-        print(render_json(findings, checked_files=len(files)))
-    else:
-        print(render_text(findings, checked_files=len(files)))
-        for note in notes:
-            print(f"note: {note}")
-    return 1 if findings else 0
-
-
 def run_lint_command(args: argparse.Namespace) -> int:
     """Execute ``rush lint`` for parsed arguments; returns the exit code."""
     if args.list_rules:
@@ -126,12 +79,6 @@ def run_lint_command(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    if args.update_baseline and not (args.flow and args.baseline):
-        print("error: --update-baseline requires --flow and --baseline")
-        return 2
-    if (args.baseline or args.flow_cache) and not args.flow:
-        print("error: --baseline/--flow-cache only apply to --flow mode")
-        return 2
     config = LintConfig(select=select, ignore=ignore,
                         package_override=args.as_package,
                         benchmark_override=args.as_benchmark)
@@ -140,12 +87,7 @@ def run_lint_command(args: argparse.Namespace) -> int:
         print("error: no such path(s): " + ", ".join(missing))
         return 2
     files = _selected_files(args.paths, args.exclude)
-    if args.flow:
-        return _run_flow(args, config, files)
-    findings: List[Finding] = []
-    for path in files:
-        findings.extend(lint_file(path, config=config))
-    findings.sort()
+    findings = lint_paths(files, config=config)
     if args.format == "json":
         print(render_json(findings, checked_files=len(files)))
     else:

@@ -1,4 +1,4 @@
-"""Project-wide dataflow analysis for rushlint (the ``--flow`` engine).
+"""Project-wide dataflow analysis for rushlint (rules RL011, RL012, RL014).
 
 The per-file rules (RL001–RL009, RL015) see one AST at a time, so an unseeded
 generator laundered through a helper module, a mutable global touched
@@ -7,10 +7,8 @@ two call hops below a planner entry point, or a swallowed
 through.  This subpackage closes that gap with a whole-program pass:
 
 * :mod:`~repro.lint.flow.symbols` parses every file once into a
-  serializable per-module summary (imports, functions, call sites with
-  taint dependencies, globals, raises/handlers) and
-  caches the index keyed on file content hashes so warm runs re-parse
-  only what changed;
+  per-module summary (imports, functions, call sites with taint
+  dependencies, globals, raises/handlers);
 * :mod:`~repro.lint.flow.callgraph` resolves dotted names through
   import chains and re-exports into a project call graph with
   reachability queries;
@@ -21,18 +19,16 @@ through.  This subpackage closes that gap with a whole-program pass:
 * :mod:`~repro.lint.flow.rules_flow` lands the results as rules
   RL011, RL012 and RL014 on the ordinary :class:`~repro.lint.framework.Finding`
   plumbing, so ``--select``, suppressions and the JSON reporter work
-  unchanged;
-* :mod:`~repro.lint.flow.baseline` implements the committed
-  ``lint_baseline.json`` ratchet (no new findings; count may only go
-  down).
+  unchanged.
 
-Entry point: :func:`~repro.lint.flow.rules_flow.lint_project`.
+Entry points: :func:`~repro.lint.flow.rules_flow.lint_paths` (every
+rule, what ``rush lint`` runs) and
+:func:`~repro.lint.flow.rules_flow.lint_project` (the flow rules alone).
 """
 
-from repro.lint.flow.baseline import (Baseline, compare_to_baseline,
-                                      load_baseline, write_baseline)
 from repro.lint.flow.callgraph import CallGraph
-from repro.lint.flow.rules_flow import FlowRule, ProjectContext, lint_project
+from repro.lint.flow.rules_flow import (FlowRule, ProjectContext, lint_paths,
+                                        lint_project)
 from repro.lint.flow.symbols import FlowIndex, ModuleSummary, build_index
 
 __all__ = [
@@ -42,9 +38,6 @@ __all__ = [
     "CallGraph",
     "FlowRule",
     "ProjectContext",
+    "lint_paths",
     "lint_project",
-    "Baseline",
-    "load_baseline",
-    "write_baseline",
-    "compare_to_baseline",
 ]

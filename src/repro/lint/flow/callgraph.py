@@ -141,29 +141,6 @@ class CallGraph:
             return self._resolve_class(".".join([forwarded] + parts[1:]))
         return None
 
-    # -- class hierarchy ----------------------------------------------
-
-    def is_subclass_of(self, class_fq: str, ancestor_fq: str) -> bool:
-        """Whether ``class_fq`` is ``ancestor_fq`` or derives from it."""
-        resolved = self._resolve_class(class_fq)
-        target = self._resolve_class(ancestor_fq) or ancestor_fq
-        if resolved is None:
-            return class_fq == ancestor_fq
-        seen: Set[str] = set()
-        queue = deque([resolved])
-        while queue:
-            current = queue.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            if current == target:
-                return True
-            if current in self.classes:
-                for base in self.classes[current][1].get("bases", ()):
-                    base_fq = self._resolve_class(base)
-                    queue.append(base_fq if base_fq is not None else base)
-        return False
-
     # -- reachability -------------------------------------------------
 
     def reachable_from(self, roots: Iterable[Node]) -> Dict[Node,
@@ -196,12 +173,3 @@ class CallGraph:
             chain.append(current)
             current = parent.get(current)
         return list(reversed(chain))
-
-    def callers_of(self, target: Node) -> List[Tuple[Node, int]]:
-        """Every (caller, line) with an edge into ``target``."""
-        out: List[Tuple[Node, int]] = []
-        for caller, callees in self.edges.items():
-            for callee, line in callees:
-                if callee == target:
-                    out.append((caller, line))
-        return sorted(out)

@@ -1,12 +1,14 @@
 """Flow rules RL011, RL012, RL014 and the project-level lint engine.
 
 These rules subclass :class:`FlowRule`, a :class:`~repro.lint.
-framework.Rule` whose per-file ``check`` is a no-op: they only fire
-from :func:`lint_project`, which hands them a :class:`ProjectContext`
-(symbol index + call graph + shared analyses).  Because they live in
-the ordinary ``RULE_REGISTRY`` and emit ordinary ``Finding`` objects,
+framework.Rule` whose per-file ``check`` is a no-op: they fire once per
+run over the whole file set, handed a :class:`ProjectContext` (symbol
+index + call graph + shared analyses).  Because they live in the
+ordinary ``RULE_REGISTRY`` and emit ordinary ``Finding`` objects,
 ``--select``/``--ignore``, suppression comments, and both reporters
-work on them unchanged.
+work on them unchanged.  :func:`lint_paths` is the one engine behind
+``rush lint``: every per-file rule on each file, then every flow rule
+over the same files, one sorted report.
 
 The three invariants (RL013 was retired with the process pool):
 
@@ -25,19 +27,19 @@ The three invariants (RL013 was retired with the process pool):
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.framework import (RULE_REGISTRY, SYNTAX_ERROR_ID, Finding,
-                                  FileContext, Rule, register_rule)
+                                  FileContext, Rule, iter_python_files,
+                                  lint_file, register_rule)
 from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.purity import ImpurityFinding, analyze_purity
 from repro.lint.flow.symbols import FlowIndex, ModuleSummary, build_index
 from repro.lint.flow.taint import TaintAnalysis, analyze_taint
 
-__all__ = ["FlowRule", "ProjectContext", "lint_project"]
+__all__ = ["FlowRule", "ProjectContext", "lint_project", "lint_paths"]
 
 #: Packages whose ``except`` clauses RL014 audits for swallowed solver
 #: failures (mirrors the degradation ladder's home turf).
@@ -81,9 +83,6 @@ class ProjectContext:
             self._purity = analyze_purity(self.graph, self.config)
         return self._purity
 
-    def summary_for(self, path: str) -> Optional[ModuleSummary]:
-        return self.index.by_path(path)
-
 
 class FlowRule(Rule):
     """A rule that needs the whole program, not one file.
@@ -105,11 +104,6 @@ class FlowRule(Rule):
                        rule_id=self.rule_id, message=message)
 
 
-def _render_chain(chain: Sequence[Tuple[str, int, str]]) -> str:
-    return " -> ".join(f"{path}:{line} ({note})"
-                       for path, line, note in chain)
-
-
 @register_rule
 class RngProvenanceRule(FlowRule):
     """RL011: cross-module unseeded-RNG provenance."""
@@ -128,7 +122,7 @@ class RngProvenanceRule(FlowRule):
             yield self.project_finding(
                 violation.path, violation.line,
                 f"{violation.message}; taint path: "
-                f"{_render_chain(violation.chain)}")
+                f"{violation.render_chain()}")
 
 
 @register_rule
@@ -310,36 +304,48 @@ class SolverExceptionFlowRule(FlowRule):
         return covered, covers_all
 
 
-def lint_project(paths: Sequence[str],
-                 config: Optional[LintConfig] = None,
-                 cache_path: Optional[str] = None) -> List[Finding]:
-    """Run every registered flow rule over a project tree.
-
-    Builds (or refreshes, via ``cache_path``) the symbol index, wires
-    the call graph, and applies each enabled :class:`FlowRule`.
-    Suppression comments are honored through the index's cached
-    suppression tables, so warm runs need no re-tokenization.
-    """
-    config = config or LintConfig()
-    index = build_index(paths, cache_path=cache_path)
-    graph = CallGraph(index)
-    ctx = ProjectContext(index=index, graph=graph, config=config)
+def _flow_findings(index: FlowIndex, config: LintConfig) -> List[Finding]:
+    """Apply every enabled flow rule to ``index``, minus suppressions."""
+    ctx = ProjectContext(index=index, graph=CallGraph(index), config=config)
     findings: List[Finding] = []
-    for path in sorted(index.broken):
-        findings.append(Finding(
-            path=path, line=1, col=1, rule_id=SYNTAX_ERROR_ID,
-            message=index.broken[path]))
     for rule_id in sorted(RULE_REGISTRY):
         rule_cls = RULE_REGISTRY[rule_id]
-        if not issubclass(rule_cls, FlowRule):
+        if not issubclass(rule_cls, FlowRule) or not config.enabled(rule_id):
             continue
-        if not config.enabled(rule_id):
-            continue
-        rule = rule_cls()
-        for finding in rule.project_check(ctx):
-            summary = ctx.summary_for(finding.path)
-            if summary is not None and summary.suppressed(
+        for finding in rule_cls().project_check(ctx):
+            summary = index.by_path(finding.path)
+            if summary is None or not summary.suppressed(
                     finding.rule_id, finding.line):
-                continue
-            findings.append(finding)
+                findings.append(finding)
+    return findings
+
+
+def lint_project(paths: Sequence[str],
+                 config: Optional[LintConfig] = None) -> List[Finding]:
+    """Run only the flow rules over a project tree.
+
+    Files that fail to parse are reported as ``RL000``.
+    """
+    config = config or LintConfig()
+    index = build_index(paths)
+    findings = [Finding(path=path, line=1, col=1, rule_id=SYNTAX_ERROR_ID,
+                        message=message)
+                for path, message in index.broken.items()]
+    return sorted(findings + _flow_findings(index, config))
+
+
+def lint_paths(paths: Sequence[str],
+               config: Optional[LintConfig] = None) -> List[Finding]:
+    """Lint files and directory trees with every enabled rule.
+
+    The per-file rules run on each file (which also reports syntax
+    errors, so the index's ``broken`` table is not repeated), then the
+    flow rules run once over the same file set.
+    """
+    config = config or LintConfig()
+    files = list(iter_python_files(paths))
+    findings: List[Finding] = []
+    for path in files:
+        findings.extend(lint_file(path, config=config))
+    findings.extend(_flow_findings(build_index(files), config))
     return sorted(findings)

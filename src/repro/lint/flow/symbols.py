@@ -1,16 +1,12 @@
-"""Per-module symbol extraction and the content-hash-keyed flow index.
+"""Per-module symbol extraction and the project flow index.
 
-One parse of each file produces a :class:`ModuleSummary`: a JSON-
-serializable digest of everything the interprocedural passes need —
-import bindings, module globals (with mutability classification), class
-structure, and per-function facts (call sites with taint dependencies,
-return taint, RNG sinks, global writes, wall-clock and I/O calls,
-raise/except structure, suppression index).
-
-Because a summary is a pure function of the file's bytes, the whole
-index caches cleanly: :func:`build_index` keys each entry on the
-blake2b hash of the source and re-extracts only files whose hash
-changed, so warm ``rush lint --flow`` runs skip parsing entirely.
+One parse of each file produces a :class:`ModuleSummary`: a digest of
+everything the interprocedural passes need — import bindings, module
+global names, class structure, and per-function facts (call sites with
+taint dependencies, return taint, RNG sinks, global writes, wall-clock
+and I/O calls, raise/except structure, suppression index).
+:func:`build_index` collects one summary per file into a
+:class:`FlowIndex`.
 
 Taint dependencies (the ``dep`` dicts threaded through summaries) form
 a tiny lattice resolved later by :mod:`repro.lint.flow.taint`:
@@ -33,17 +29,16 @@ the full ``source → hop → … → sink`` path with file:line precision.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple)
 
-from repro.lint.framework import _parse_suppressions, iter_python_files
+from repro.lint.framework import (_parse_suppressions, _suppressed,
+                                  iter_python_files)
+from repro.lint.rules import _SEEDABLE_NUMPY, _handler_records
 
 __all__ = [
-    "INDEX_VERSION",
     "ModuleSummary",
     "FlowIndex",
     "module_name_for",
@@ -51,18 +46,7 @@ __all__ = [
     "build_index",
 ]
 
-#: Bump to invalidate cached summaries when the extraction logic changes.
-INDEX_VERSION = 2
-
 Dep = Optional[Dict[str, Any]]
-
-#: numpy.random attributes constructing seedable generators (mirrors the
-#: per-file RL001 set; anything else on numpy.random is the legacy
-#: global-state API and is a taint source unconditionally).
-_SEEDABLE_NUMPY = frozenset({
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64",
-})
 
 #: Fully-qualified call targets that read the wall clock.
 _WALL_CLOCK_FQ = frozenset({
@@ -88,11 +72,6 @@ _MUTATORS = frozenset({
     "append", "add", "update", "pop", "popitem", "clear", "extend",
     "remove", "discard", "insert", "setdefault", "sort", "reverse",
 })
-
-#: Handler-body markers treated as "the failure was recorded" (shared
-#: vocabulary with the per-file RL006 rule).
-_RECORDING_ATTRS = frozenset({"fallback", "counts"})
-_RECORDING_CALLS = frozenset({"record", "append", "warning", "error"})
 
 
 def module_name_for(path: str) -> str:
@@ -157,33 +136,18 @@ class ModuleSummary:
 
     module: str
     path: str
-    sha: str
     imports: Dict[str, str] = field(default_factory=dict)
-    globals: Dict[str, str] = field(default_factory=dict)
+    #: Names bound at module scope (what global-write detection keys on).
+    globals: Set[str] = field(default_factory=set)
     classes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     functions: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    suppress_lines: Dict[str, List[str]] = field(default_factory=dict)
-    suppress_file: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module, "path": self.path, "sha": self.sha,
-            "imports": self.imports, "globals": self.globals,
-            "classes": self.classes, "functions": self.functions,
-            "suppress_lines": self.suppress_lines,
-            "suppress_file": self.suppress_file,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(**data)
+    suppress_lines: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    suppress_file: FrozenSet[str] = frozenset()
 
     def suppressed(self, rule_id: str, line: int) -> bool:
         """Whether ``rule_id`` is silenced at ``line`` in this module."""
-        if "all" in self.suppress_file or rule_id in self.suppress_file:
-            return True
-        ids = self.suppress_lines.get(str(line), ())
-        return "all" in ids or rule_id in ids
+        return _suppressed(rule_id, line, self.suppress_lines,
+                           self.suppress_file)
 
 
 class _FunctionExtractor:
@@ -620,22 +584,6 @@ class _FunctionExtractor:
             })
 
 
-def _handler_records(handler: ast.ExceptHandler) -> bool:
-    """RL006's heuristic: the handler re-raises or leaves a record."""
-    for node in ast.walk(handler):
-        if isinstance(node, ast.Raise):
-            return True
-        if isinstance(node, ast.Attribute) and node.attr in _RECORDING_ATTRS:
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None)
-            if name in _RECORDING_CALLS:
-                return True
-    return False
-
-
 def _deco_name(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Call):
         node = node.func
@@ -682,15 +630,12 @@ class _ModuleExtractor:
         self.path = path
         self.tree = tree
         self.imports: Dict[str, str] = {}
-        self.globals: Dict[str, str] = {}
+        self.globals: Set[str] = set()
         self.classes: Dict[str, Dict[str, Any]] = {}
         self.module_defs: Set[str] = set()
         self._collect_imports()
         self._collect_module_scope()
-        per_line, whole_file = _parse_suppressions(source)
-        self.suppress_lines = {str(line): sorted(ids)
-                               for line, ids in per_line.items()}
-        self.suppress_file = sorted(whole_file)
+        self.suppress_lines, self.suppress_file = _parse_suppressions(source)
 
     # -- module-scope collection --------------------------------------
 
@@ -730,10 +675,10 @@ class _ModuleExtractor:
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
-                        self.globals[target.id] = _mutability(node.value)
+                        self.globals.add(target.id)
             elif isinstance(node, ast.AnnAssign):
                 if isinstance(node.target, ast.Name):
-                    self.globals[node.target.id] = _mutability(node.value)
+                    self.globals.add(node.target.id)
 
     def _collect_class(self, node: ast.ClassDef) -> None:
         bases = []
@@ -766,7 +711,7 @@ class _ModuleExtractor:
 
     # -- extraction ---------------------------------------------------
 
-    def run(self, sha: str) -> ModuleSummary:
+    def run(self) -> ModuleSummary:
         self._collect_attr_types()
         functions: Dict[str, Any] = {}
         for node in self.tree.body:
@@ -782,7 +727,7 @@ class _ModuleExtractor:
                             self, item, qual, node.name).run()
                         functions[qual] = info
         return ModuleSummary(
-            module=self.module, path=self.path, sha=sha,
+            module=self.module, path=self.path,
             imports=self.imports, globals=self.globals,
             classes=self.classes, functions=functions,
             suppress_lines=self.suppress_lines,
@@ -811,32 +756,13 @@ class _ModuleExtractor:
                             and target.value.id == "self"):
                         info["attr_types"][target.attr] = fq
 
-def _mutability(value: Optional[ast.expr]) -> str:
-    """``"mutable"`` for containers a module-global write could corrupt."""
-    if value is None:
-        return "other"
-    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
-                          ast.DictComp, ast.SetComp)):
-        return "mutable"
-    if isinstance(value, ast.Call):
-        name = _dotted(value.func)
-        if name in ("dict", "list", "set", "bytearray", "defaultdict",
-                    "OrderedDict", "Counter", "deque",
-                    "collections.defaultdict", "collections.OrderedDict",
-                    "collections.Counter", "collections.deque"):
-            return "mutable"
-    return "other"
 
-
-def extract_module(path: str, source: Optional[str] = None) -> ModuleSummary:
+def extract_module(path: str) -> ModuleSummary:
     """Parse one file into its :class:`ModuleSummary`."""
-    if source is None:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    sha = hashlib.blake2b(source.encode("utf-8"), digest_size=16).hexdigest()
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
     tree = ast.parse(source, filename=path)
-    extractor = _ModuleExtractor(module_name_for(path), path, source, tree)
-    return extractor.run(sha)
+    return _ModuleExtractor(module_name_for(path), path, source, tree).run()
 
 
 @dataclass
@@ -853,70 +779,17 @@ class FlowIndex:
                 return summary
         return None
 
-    def function(self, fq: str) -> Optional[Tuple[ModuleSummary,
-                                                  Dict[str, Any]]]:
-        """Look up ``module.qualname`` → (summary, function info)."""
-        for module, summary in self.modules.items():
-            if fq.startswith(module + "."):
-                qual = fq[len(module) + 1:]
-                info = summary.functions.get(qual)
-                if info is not None:
-                    return summary, info
-        return None
 
-
-def build_index(paths: Sequence[str],
-                cache_path: Optional[str] = None) -> FlowIndex:
-    """Build (or incrementally refresh) the flow index for ``paths``.
-
-    With ``cache_path``, previously extracted summaries are reused for
-    every file whose blake2b content hash is unchanged, and the updated
-    cache is written back — the warm path re-parses nothing.
-    """
-    cached: Dict[str, Dict[str, Any]] = {}
-    if cache_path is not None and os.path.exists(cache_path):
-        try:
-            with open(cache_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("version") == INDEX_VERSION:
-                cached = payload.get("modules", {})
-        except (OSError, ValueError):
-            cached = {}
+def build_index(paths: Sequence[str]) -> FlowIndex:
+    """Extract every ``*.py`` file under ``paths`` into a flow index."""
     index = FlowIndex()
-    fresh: Dict[str, Dict[str, Any]] = {}
     for path in iter_python_files(paths):
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
+            summary = extract_module(path)
         except OSError as exc:
             index.broken[path] = str(exc)
-            continue
-        sha = hashlib.blake2b(source.encode("utf-8"),
-                              digest_size=16).hexdigest()
-        entry = cached.get(path)
-        if entry is not None and entry.get("sha") == sha:
-            summary = ModuleSummary.from_dict(entry)
+        except SyntaxError as exc:
+            index.broken[path] = f"syntax error: {exc.msg}"
         else:
-            try:
-                summary = extract_module(path, source)
-            except SyntaxError as exc:
-                index.broken[path] = f"syntax error: {exc.msg}"
-                continue
-        index.modules[summary.module] = summary
-        fresh[path] = summary.to_dict()
-    if cache_path is not None:
-        try:
-            with open(cache_path, "w", encoding="utf-8") as handle:
-                json.dump({"version": INDEX_VERSION, "modules": fresh},
-                          handle, sort_keys=True)
-        except OSError:
-            pass  # caching is an optimization, never a failure
+            index.modules[summary.module] = summary
     return index
-
-
-def iter_index_functions(index: FlowIndex) -> Iterable[
-        Tuple[ModuleSummary, str, Dict[str, Any]]]:
-    """Yield ``(summary, fq_name, info)`` for every indexed function."""
-    for module, summary in sorted(index.modules.items()):
-        for qual in sorted(summary.functions):
-            yield summary, f"{module}.{qual}", summary.functions[qual]

@@ -33,11 +33,18 @@ __all__ = [
 ]
 
 #: ``numpy.random`` attributes that construct *seedable* generators and
-#: are therefore allowed even in deterministic packages.
+#: are therefore allowed even in deterministic packages (anything else on
+#: ``numpy.random`` is the legacy global-state API).  Shared with the flow
+#: extractor, which treats the same set as RL011's non-sources.
 _SEEDABLE_NUMPY = frozenset({
     "default_rng", "Generator", "SeedSequence", "BitGenerator",
     "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64",
 })
+
+#: Handler-body markers treated as "the failure was recorded" by RL006
+#: and, through the flow extractor, by RL014.
+_RECORDING_ATTRS = frozenset({"fallback", "counts"})
+_RECORDING_CALLS = frozenset({"record", "append", "warning", "error"})
 
 #: ``time`` module functions that read the wall clock (banned) versus
 #: the monotonic/CPU clocks used for solver budgets (allowed).
@@ -136,6 +143,19 @@ def _walk_calls(node: ast.AST) -> Iterator[ast.Call]:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
             yield sub
+
+
+def _handler_records(handler: ast.ExceptHandler) -> bool:
+    """Whether an ``except`` body re-raises or leaves a record."""
+    for node in ast.walk(handler):
+        if isinstance(node, ast.Raise):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr in _RECORDING_ATTRS:
+            return True
+        if (isinstance(node, ast.Call)
+                and _call_name(node.func) in _RECORDING_CALLS):
+            return True
+    return False
 
 
 @register_rule
@@ -506,21 +526,6 @@ class SolverExceptionRule(Rule):
     rationale = ("every failed solve must surface through the "
                  "degradation ladder's observable record")
 
-    _RECORDING_ATTRS = frozenset({"fallback", "counts"})
-    _RECORDING_CALLS = frozenset({"record", "append", "warning", "error"})
-
-    def _handler_records(self, handler: ast.ExceptHandler) -> bool:
-        for node in ast.walk(handler):
-            if isinstance(node, ast.Raise):
-                return True
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in self._RECORDING_ATTRS):
-                return True
-            if (isinstance(node, ast.Call)
-                    and _call_name(node.func) in self._RECORDING_CALLS):
-                return True
-        return False
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         solver_names = ctx.config.solver_call_names
         for node in ast.walk(ctx.tree):
@@ -537,7 +542,7 @@ class SolverExceptionRule(Rule):
             if solver_call is None:
                 continue
             for handler in node.handlers:
-                if not self._handler_records(handler):
+                if not _handler_records(handler):
                     yield self.finding(
                         ctx, handler,
                         f"handler around {solver_call}() swallows the "

@@ -161,6 +161,13 @@ class ServiceDaemon:
                 method, path, query, body = await self._read_request(reader)
             except (asyncio.IncompleteReadError, ConnectionError):
                 return
+            except (BadRequestError, ValueError) as exc:
+                # ValueError: readline() on an over-long line, or a
+                # Content-Length that is not a non-negative integer.
+                await self._respond(writer, 400, error_payload(
+                    exc if isinstance(exc, BadRequestError) else
+                    BadRequestError(f"malformed request: {exc}")))
+                return
             await self._dispatch(writer, method, path, query, body)
         except ConnectionError:
             pass

@@ -59,6 +59,9 @@ POLICY_BUILDERS: Dict[str, Callable[..., Scheduler]] = {
     "rrh": RrhScheduler,
 }
 
+#: Builder-parameter annotations a ``scheduler_options`` value may fill.
+_JSON_SCALARS = frozenset({"float", "int", "bool", "str"})
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -91,14 +94,26 @@ class ServiceConfig:
                     "the capacity policy takes its configuration from the "
                     "tenant shares, not scheduler_options")
             return
+        parameters = inspect.signature(
+            POLICY_BUILDERS[self.policy]).parameters
+        # Settable from JSON: the scalar-typed parameters.  Estimator
+        # factories and policy objects are Python-API-only — a JSON
+        # string in their place would journal jobs and then fail every
+        # tick.
         accepted = sorted(
-            inspect.signature(POLICY_BUILDERS[self.policy]).parameters)
+            name for name, param in parameters.items()
+            if str(param.annotation).removeprefix("Optional[")
+            .removesuffix("]") in _JSON_SCALARS)
         for key in self.scheduler_options:
-            if key not in accepted:
-                raise ConfigurationError(
-                    f"unknown scheduler option {key!r} for policy "
-                    f"{self.policy!r}; accepted: "
-                    f"{', '.join(accepted) or '(none)'}")
+            if key in accepted:
+                continue
+            problem = (
+                f"scheduler option {key!r} of policy {self.policy!r} takes "
+                "a Python object and cannot be set from a JSON config"
+                if key in parameters else
+                f"unknown scheduler option {key!r} for policy {self.policy!r}")
+            raise ConfigurationError(
+                f"{problem}; accepted: {', '.join(accepted) or '(none)'}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -155,7 +170,6 @@ class ServiceEngine:
         self._known: Dict[str, str] = {}  # job_id -> tenant
         self._idempotency: Dict[str, str] = {}  # idempotency key -> job_id
         self._cancelling: set = set()
-        self._released: set = set()
 
     # -- durability ------------------------------------------------------
 
@@ -198,14 +212,10 @@ class ServiceEngine:
 
     def _release_finished(self) -> None:
         for job in self.sim.completed_jobs:
-            if job.job_id not in self._released:
-                self._released.add(job.job_id)
-                self.registry.release(job.job_id)
+            self.registry.release(job.job_id)
         for job in self.sim.cancelled_jobs:
-            if job.job_id not in self._released:
-                self._released.add(job.job_id)
-                self._cancelling.discard(job.job_id)
-                self.registry.release(job.job_id)
+            self._cancelling.discard(job.job_id)
+            self.registry.release(job.job_id)
 
     # -- requests --------------------------------------------------------
 
@@ -240,7 +250,7 @@ class ServiceEngine:
         if job_id in self._known:
             raise JobStateError(f"job id {job_id!r} was already submitted")
         spec = request.build_spec(job_id, arrival)
-        tenant = self.registry.admit(request.tenant, job_id)
+        tenant = self.registry.admissible(request.tenant)
         entry: Dict[str, Any] = {"kind": "submit", "due": now,
                                  "tenant": tenant,
                                  "spec": spec_to_dict(spec)}
@@ -248,14 +258,13 @@ class ServiceEngine:
             entry["auto_seq"] = auto_seq
         if key is not None:
             entry["idempotency_key"] = key
-        try:
-            # Write-ahead: the admission must be durable before any
-            # in-memory state reflects it, or a crash here would admit
-            # a job that recovery has never heard of.
-            self._wal_append(entry)
-        except Exception:
-            self.registry.release(job_id)
-            raise
+        # Write-ahead: the admission must be durable before any
+        # in-memory state reflects it, or a crash here would admit a job
+        # that recovery has never heard of.  Everything above only
+        # validated, so a refused append leaves the engine (tenant
+        # registry included) exactly as it found it.
+        self._wal_append(entry)
+        self.registry.admit(tenant, job_id)
         if auto_seq is not None:
             self._auto_seq = auto_seq
         self._known[job_id] = tenant

@@ -22,7 +22,8 @@ journal on snapshot restore.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.cluster.job import JobSpec
 from repro.errors import (BadRequestError, ConfigurationError,
@@ -97,7 +98,8 @@ class TenantRegistry:
                 f"tenant shares must sum to 1, got {total}")
         self._tenants: Dict[str, TenantSpec] = {t.name: t for t in specs}
         self._owner: Dict[str, str] = {}
-        self._live: Dict[str, int] = {name: 0 for name in self._tenants}
+        self._live: Dict[str, Set[str]] = {
+            name: set() for name in self._tenants}
         self._submitted: Dict[str, int] = {name: 0 for name in self._tenants}
 
     @property
@@ -123,25 +125,31 @@ class TenantRegistry:
 
     # -- admission ------------------------------------------------------
 
-    def admit(self, tenant: Optional[str], job_id: str) -> str:
-        """Claim a live-job slot for ``job_id``; returns the tenant name."""
+    def admissible(self, tenant: Optional[str]) -> str:
+        """The tenant name ``tenant`` resolves to, if it may take one
+        more live job; raises otherwise.  Claims nothing."""
         name = tenant if tenant is not None else self.default_tenant
         spec = self.spec(name)
         if (spec.max_active is not None
-                and self._live[name] >= spec.max_active):
+                and len(self._live[name]) >= spec.max_active):
             raise TenantQuotaError(
                 f"tenant {name!r} is at its max_active quota "
                 f"({spec.max_active} live job(s)); retry later")
+        return name
+
+    def admit(self, tenant: Optional[str], job_id: str) -> str:
+        """Claim a live-job slot for ``job_id``; returns the tenant name."""
+        name = self.admissible(tenant)
         self._owner[job_id] = name
-        self._live[name] += 1
+        self._live[name].add(job_id)
         self._submitted[name] += 1
         return name
 
     def release(self, job_id: str) -> None:
-        """A job left the live set (completed or cancelled)."""
+        """A job left the live set (completed or cancelled); idempotent."""
         name = self._owner.get(job_id)
         if name is not None:
-            self._live[name] = max(0, self._live[name] - 1)
+            self._live[name].discard(job_id)
 
     # -- scheduler integration -----------------------------------------
 
@@ -168,7 +176,7 @@ class TenantRegistry:
             out[name] = {
                 "share": spec.share,
                 "max_active": spec.max_active,
-                "live_jobs": self._live[name],
+                "live_jobs": len(self._live[name]),
                 "submitted_total": self._submitted[name],
             }
         return out

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.cli import build_parser, main
+from repro.service import ServiceDaemon
 from repro.workload import load_trace
 
 
@@ -135,6 +137,15 @@ class TestServeOptions:
             assert f"unknown scheduler option '{key}'" in \
                 capsys.readouterr().err
 
+    def test_python_object_options_are_not_settable(self, capsys):
+        code = run_cli("serve", "--manual", "--port", "0",
+                       "--scheduler-options", '{"estimator_factory": "x"}')
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'estimator_factory'" in err and "Python object" in err
+        accepted = err.split("accepted: ")[1]
+        assert "theta" in accepted and "factory" not in accepted
+
     def test_malformed_json_is_a_configuration_error(self, capsys):
         code = run_cli("serve", "--manual", "--port", "0",
                        "--scheduler-options", "{bad")
@@ -147,3 +158,19 @@ class TestServeOptions:
                        "--scheduler-options", "[1]")
         assert code == 2
         assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_serve_records_no_spans(monkeypatch, capsys):
+    """The daemon serves /metrics and keeps the completion ledger, but
+    has no reader for spans — so it must not accumulate them."""
+    seen = {}
+
+    async def boot_then_interrupt(self, host, port):
+        seen.update(tracer=obs.get_tracer(), metrics=obs.get_metrics(),
+                    ledger=obs.get_ledger())
+        raise KeyboardInterrupt  # what Ctrl-C delivers to `rush serve`
+
+    monkeypatch.setattr(ServiceDaemon, "start", boot_then_interrupt)
+    assert run_cli("serve", "--manual", "--port", "0") == 0
+    assert seen["tracer"] is obs.NULL_TRACER
+    assert seen["metrics"].active and seen["ledger"].active

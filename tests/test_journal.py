@@ -277,14 +277,20 @@ def test_enospc_is_retryable_and_state_stays_consistent(tmp_path):
     engine, _writer = open_journal(tmp_path, CONFIG, file_ops=ops,
                                    auto_compact=False)
     engine.submit(_payload(0))
+    registry = engine.registry
+    before = (registry.status(), dict(registry._owner))
     with pytest.raises(JournalWriteError) as exc_info:
-        engine.submit(_payload(1))
+        engine.submit(dict(_payload(1), job_id="refused-once"))
     assert exc_info.value.status == 503
     assert exc_info.value.code == "journal-unavailable"
-    # The failed admission left nothing behind: same key retries clean.
+    # The failed admission left nothing behind — no tenant counter, no
+    # owner entry — so the same id and key retry clean and count once.
+    assert (registry.status(), dict(registry._owner)) == before
     assert len(engine.list_jobs()) == 1
-    retry = engine.submit(_payload(1))
+    retry = engine.submit(dict(_payload(1), job_id="refused-once"))
     assert "deduplicated" not in retry
+    assert registry.status()["default"]["submitted_total"] == 2
+    assert registry.status()["default"]["live_jobs"] == 2
     engine.tick(12)
     digest = engine.decisions_digest()
     engine.close()
@@ -341,13 +347,18 @@ def test_anchor_with_a_retired_scheduler_option_fails_loudly(tmp_path):
     engine.close()
     anchor_path = Path(tmp_path) / "anchor.json"
     anchor = json.loads(anchor_path.read_text())
-    anchor["config"]["scheduler_options"] = {retired: 2}
-    anchor_path.write_text(json.dumps(anchor))
-    with pytest.raises(ReproError, match=f"unknown scheduler option "
-                                         f"'{retired}'.*accepted: "):
-        recover_engine(tmp_path)
-    with pytest.raises(ReproError, match=f"'{retired}'"):
-        open_journal(tmp_path, config)
+    # ... and neither must a key that names a Python-object parameter,
+    # which would pass a name check and then fail every tick.
+    for key, problem in ((retired, "unknown scheduler option"),
+                         ("estimator_factory", "takes a Python object")):
+        anchor["config"]["scheduler_options"] = {key: 2}
+        anchor_path.write_text(json.dumps(anchor))
+        with pytest.raises(ReproError,
+                           match=f"'{key}'.*accepted: ") as loud:
+            recover_engine(tmp_path)
+        assert problem in str(loud.value)
+        with pytest.raises(ReproError, match=f"'{key}'"):
+            open_journal(tmp_path, config)
 
 
 def test_fresh_directory_requires_a_config(tmp_path):

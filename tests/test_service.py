@@ -205,6 +205,35 @@ def test_malformed_requests_get_typed_errors():
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("wire", [
+    b"GARBAGE\r\n\r\n",
+    b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+    b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+    b"GET /status HTTP/1.1\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",
+], ids=["request-line", "content-length", "body-limit", "header-line"])
+def test_malformed_wire_requests_are_answered_not_dropped(wire, caplog):
+    """Bytes no HTTP client would send still get a typed 400 — not a
+    silent close with an unhandled exception in the asyncio log."""
+    async def scenario():
+        async with serving() as (daemon, _client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            writer.write(wire)
+            await writer.drain()
+            answer = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return answer
+
+    with caplog.at_level("ERROR", logger="asyncio"):
+        answer = asyncio.run(scenario())
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(body)["error"]
+    assert (error["code"], error["status"]) == ("bad-request", 400)
+    assert not caplog.records
+
+
 def test_engine_rejects_past_arrivals_and_ticks():
     engine = ServiceEngine(_config())
     engine.tick(3)
@@ -287,6 +316,21 @@ def test_capacity_policy_rejects_scheduler_options():
                       scheduler_options={"theta": 0.9})
     with pytest.raises(ConfigurationError):
         ServiceConfig(capacity=2, policy="definitely-not-a-policy")
+
+
+def test_scheduler_options_must_be_json_settable():
+    """A key that names a builder parameter is not enough: a string in
+    place of an estimator factory would boot, journal a job, and then
+    raise on every tick."""
+    for key in ("estimator_factory", "spec_estimator_factory",
+                "degradation"):
+        with pytest.raises(ConfigurationError, match=f"'{key}'.*accepted: "
+                                                     "(?!.*factory)"):
+            ServiceConfig(capacity=4, policy="rush",
+                          scheduler_options={key: "x"})
+    # What the perf ledger's server runs with stays valid.
+    ServiceConfig(capacity=4, policy="rush",
+                  scheduler_options={"theta": 0.9, "delta": 0.7})
 
 
 def test_engine_typed_errors_without_http():
