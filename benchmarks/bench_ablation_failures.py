@@ -30,9 +30,9 @@ FAILURE_PROBS = (0.0, 0.1, 0.25)
 SEEDS = (0, 1, 2) if not FULL_SCALE else (0,)
 
 
-def failure_aware_factory(prior_runtime):
+def failure_aware_factory(spec):
     return FailureAwareEstimator(
-        GaussianEstimator(prior_mean=prior_runtime, min_samples=2))
+        GaussianEstimator(prior_mean=spec.prior_runtime, min_samples=2))
 
 
 def run_variant(failure_prob: float, aware: bool, seed: int):

@@ -31,9 +31,9 @@ from repro.analysis import boxplot_stats, format_boxplots, format_table
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
 
-def failure_aware_factory(prior_runtime):
+def failure_aware_factory(spec):
     return FailureAwareEstimator(
-        GaussianEstimator(prior_mean=prior_runtime, min_samples=2))
+        GaussianEstimator(prior_mean=spec.prior_runtime, min_samples=2))
 
 
 def main() -> None:

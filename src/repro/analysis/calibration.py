@@ -47,13 +47,6 @@ class CalibrationRow:
         return self.actual is not None
 
     @property
-    def first_error(self) -> Optional[float]:
-        """Realized minus first-predicted slots (negative = early)."""
-        if self.actual is None:
-            return None
-        return self.actual - self.first_predicted
-
-    @property
     def last_error(self) -> Optional[float]:
         """Realized minus last-predicted slots (negative = early)."""
         if self.actual is None:

@@ -38,19 +38,19 @@ class BoxplotStats:
         return self.q3 - self.q1
 
 
-def boxplot_stats(values: Sequence[float], whisker: float = 1.5) -> BoxplotStats:
+def boxplot_stats(values: Sequence[float]) -> BoxplotStats:
     """Compute Tukey boxplot statistics.
 
     Whiskers extend to the most extreme data point within
-    ``whisker * IQR`` of the quartiles; anything beyond is an outlier.
+    ``1.5 * IQR`` of the quartiles; anything beyond is an outlier.
     """
     arr = np.asarray([v for v in values if not math.isnan(v)], dtype=float)
     if arr.size == 0:
         raise ConfigurationError("boxplot_stats needs at least one value")
     q1, med, q3 = np.percentile(arr, [25, 50, 75])
     iqr = q3 - q1
-    lo_fence = q1 - whisker * iqr
-    hi_fence = q3 + whisker * iqr
+    lo_fence = q1 - 1.5 * iqr
+    hi_fence = q3 + 1.5 * iqr
     inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]
     outliers = tuple(sorted(float(v) for v in arr[(arr < lo_fence) | (arr > hi_fence)]))
     # When no data sits between a quartile and its fence, the whisker

@@ -9,9 +9,6 @@ The subcommands cover the workflow an operator would actually use:
     (optionally under an injected fault plan: ``--faults spec.json``;
     ``--span-trace``/``--metrics``/``--calibration`` switch on the
     repro.obs instruments for the run).
-``rush metrics``
-    Run a seeded simulation with the metrics registry enabled and print
-    the Prometheus text exposition (deterministic per seed).
 ``rush compare``
     Run several policies over the same workload (the Figure 4/6 loop)
     and print the comparison tables.
@@ -61,15 +58,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.estimation.gaussian import GaussianEstimator
 from repro.faults import FaultPlan, default_chaos_plan, load_fault_plan
 from repro.lint.cli import add_lint_arguments, run_lint_command
-from repro.schedulers import (
-    CapacityScheduler,
-    EdfScheduler,
-    FairScheduler,
-    FifoScheduler,
-    RrhScheduler,
-    RushScheduler,
-    SpeculativeScheduler,
-)
+from repro.schedulers import POLICIES, SpeculativeScheduler
 from repro.cluster.simulator import run_simulation
 from repro.analysis.scenario import render_scenario_text, save_scenario_json
 from repro.service import (RealTimeClock, ServiceConfig, ServiceDaemon,
@@ -86,15 +75,6 @@ from repro.workload.swf import SwfMapConfig, load_swf_workload
 from repro.workload.trace import load_trace, save_trace
 
 __all__ = ["main", "build_parser"]
-
-POLICY_FACTORIES = {
-    "fifo": FifoScheduler,
-    "edf": EdfScheduler,
-    "fair": FairScheduler,
-    "capacity": CapacityScheduler,
-    "rrh": RrhScheduler,
-    "rush": RushScheduler,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="replay a trace under one policy")
     simulate.add_argument("--trace", required=True)
     simulate.add_argument("--capacity", type=int, default=48)
-    simulate.add_argument("--policy", choices=sorted(POLICY_FACTORIES),
+    simulate.add_argument("--policy", choices=sorted(POLICIES),
                           default="rush")
     simulate.add_argument("--speculative", action="store_true",
                           help="wrap the policy with speculative execution")
@@ -150,21 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "and print the calibration report "
                                "(RUSH policy only)")
 
-    metrics = sub.add_parser(
-        "metrics", help="run a seeded simulation with the metrics "
-                        "registry enabled and print Prometheus text")
-    metrics.add_argument("--trace", required=True)
-    metrics.add_argument("--capacity", type=int, default=48)
-    metrics.add_argument("--policy", choices=sorted(POLICY_FACTORIES),
-                         default="rush")
-    metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument("--faults",
-                         help="JSON fault-plan spec to inject")
-    metrics.add_argument("--intensity", type=float, default=None,
-                         help="scale the fault plan's rates by this factor")
-    metrics.add_argument("--max-slots", type=int, default=1_000_000)
-    metrics.add_argument("--out", help="also write the text exposition here")
-
     compare = sub.add_parser("compare", help="run several policies and compare")
     compare.add_argument("--jobs", type=int, default=25)
     compare.add_argument("--capacity", type=int, default=8)
@@ -174,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--failure-prob", type=float, default=0.0)
     compare.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     compare.add_argument("--policies", nargs="+",
-                         choices=sorted(POLICY_FACTORIES),
+                         choices=sorted(POLICIES),
                          default=["fifo", "edf", "rrh", "rush"])
 
     plan = sub.add_parser("plan", help="one offline robust planning round")
@@ -190,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="sweep fault intensities and print degradation curves")
     chaos.add_argument("--trace", required=True)
     chaos.add_argument("--capacity", type=int, default=48)
-    chaos.add_argument("--policy", choices=sorted(POLICY_FACTORIES),
+    chaos.add_argument("--policy", choices=sorted(POLICIES),
                        default="rush")
     chaos.add_argument("--speculative", action="store_true",
                        help="wrap the policy with speculative execution")
@@ -258,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8350)
     serve.add_argument("--capacity", type=int, default=16)
     serve.add_argument("--policy",
-                       choices=sorted(POLICY_FACTORIES), default="rush")
+                       choices=sorted(POLICIES), default="rush")
     serve.add_argument("--seed", type=int, default=0,
                        help="fault-stream seed")
     serve.add_argument("--slot-seconds", type=float, default=1.0,
@@ -332,7 +297,7 @@ def _build_fault_plan(args: argparse.Namespace,
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     specs = load_trace(args.trace)
-    policy = POLICY_FACTORIES[args.policy]()
+    policy = POLICIES[args.policy][0]()
     scheduler = SpeculativeScheduler(policy) if args.speculative else policy
     faults = _build_fault_plan(args)
     want_metrics = bool(args.metrics or args.metrics_out)
@@ -381,7 +346,7 @@ def _report_simulate(args: argparse.Namespace, result, policy,
     return 0
 
 
-def _report_obs(args: argparse.Namespace, handle: obs.ObsHandle) -> int:
+def _report_obs(args: argparse.Namespace, handle: obs.ObsHandle) -> None:
     """Write/print the observability artifacts a simulate run asked for."""
     if args.span_trace:
         spans = obs.export.write_trace_jsonl(handle.tracer, args.span_trace)
@@ -398,25 +363,6 @@ def _report_obs(args: argparse.Namespace, handle: obs.ObsHandle) -> int:
         else:
             print("\n--calibration saw no completion predictions "
                   f"(policy {args.policy} does not plan); nothing to score")
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    specs = load_trace(args.trace)
-    scheduler = POLICY_FACTORIES[args.policy]()
-    faults = _build_fault_plan(args)
-    handle = obs.enable(trace=False, metrics=True, ledger=False)
-    try:
-        run_simulation(specs, args.capacity, scheduler, seed=args.seed,
-                       max_slots=args.max_slots, faults=faults)
-        text = handle.metrics.render_prometheus()
-        print(text, end="")
-        if args.out:
-            obs.export.write_metrics_text(handle.metrics, args.out)
-            print(f"# wrote metrics text to {args.out}", file=sys.stderr)
-    finally:
-        obs.reset()
-    return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -427,7 +373,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         time_scale=args.time_scale, failure_prob=args.failure_prob)
     experiment = Experiment(
         config=config,
-        policies={name.upper(): POLICY_FACTORIES[name]
+        policies={name.upper(): POLICIES[name][0]
                   for name in args.policies},
         seeds=tuple(args.seeds))
     results = experiment.run()
@@ -471,7 +417,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     specs = load_trace(args.trace)
 
     def factory():
-        policy = POLICY_FACTORIES[args.policy]()
+        policy = POLICIES[args.policy][0]()
         return SpeculativeScheduler(policy) if args.speculative else policy
 
     plan = _build_fault_plan(args, default=default_chaos_plan(seed=args.seed))
@@ -552,6 +498,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError(
             "--restore and --journal-dir are mutually exclusive: the "
             "journal directory carries its own recovery anchor")
+    if args.restore and not args.snapshot:
+        raise ReproError("--restore requires --snapshot PATH")
 
     def parsed(flag: str, text: str) -> object:
         try:
@@ -571,13 +519,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     durable = bool(args.journal_dir)
 
     async def _serve() -> None:
-        # Enabled before the engine exists so journal recovery lands in
-        # the registry /metrics serves.  No tracer: the daemon has no
-        # reader for spans, so recording them would only grow memory.
-        obs.enable(trace=False, metrics=True, ledger=True)
         if args.restore:
-            if not args.snapshot:
-                raise ReproError("--restore requires --snapshot PATH")
             engine = restore_engine(load_snapshot(args.snapshot),
                                     clock=clock)
         elif durable:
@@ -607,13 +549,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # Graceful: drain in-flight requests, then flush+fsync the
             # journal inside engine.close() before the loop dies.
             await daemon.stop()
-            obs.reset()
 
+    # Enabled before the engine exists so journal recovery lands in the
+    # registry /metrics serves.  No tracer: the daemon has no reader for
+    # spans, so recording them would only grow memory.
+    obs.enable(trace=False, metrics=True, ledger=True)
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         print("\nstopped")
         return 0
+    finally:
+        obs.reset()  # on every exit path, a refused boot included
     print("stopped: drained and journal flushed" if durable
           else "stopped")
     return 0
@@ -622,7 +569,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "generate": _cmd_generate,
     "simulate": _cmd_simulate,
-    "metrics": _cmd_metrics,
     "compare": _cmd_compare,
     "plan": _cmd_plan,
     "chaos": _cmd_chaos,

@@ -112,7 +112,7 @@ class SimJob:
     """
 
     __slots__ = ("spec", "tasks", "_next_pending", "_running", "_failed",
-                 "_pending", "_cancelled", "_completed_logical", "_live",
+                 "_pending", "_completed_logical", "_live",
                  "_logical", "_speculative")
 
     def __init__(self, spec: JobSpec) -> None:
@@ -125,7 +125,6 @@ class SimJob:
         self._pending = len(self.tasks)
         self._running = 0
         self._failed = 0
-        self._cancelled = 0
         self._speculative = 0
         self._completed_logical: set = set()
         self._live: Dict[str, int] = {t.logical_id: 1 for t in self.tasks}
@@ -164,16 +163,6 @@ class SimJob:
     def failed_count(self) -> int:
         """Number of failed task attempts so far."""
         return self._failed
-
-    @property
-    def cancelled_count(self) -> int:
-        """Speculative attempts aborted because a sibling finished first."""
-        return self._cancelled
-
-    @property
-    def speculative_count(self) -> int:
-        """Speculative duplicate attempts launched over the job's life."""
-        return self._speculative
 
     @property
     def is_complete(self) -> bool:
@@ -256,7 +245,6 @@ class SimJob:
     def note_cancelled(self, task: Task) -> None:
         """Record an aborted *running* speculative attempt."""
         self._running -= 1
-        self._cancelled += 1
         self._live[task.logical_id] -= 1
 
     def cancel_pending_duplicates(self, logical_id: str) -> None:
@@ -266,7 +254,6 @@ class SimJob:
                     and task.state is TaskState.PENDING):
                 task.cancel()
                 self._pending -= 1
-                self._cancelled += 1
                 self._live[logical_id] -= 1
 
     def speculate(self, logical_id: str, duration: int) -> Task:

@@ -38,6 +38,9 @@ __all__ = ["DegradationPolicy", "DegradationOutcome", "LADDER"]
 #: The rungs, in the order they are attempted.
 LADDER = ("primary", "cold_exact", "last_good", "greedy_edf")
 
+#: The cold re-solve's time budget, as a multiple of the primary's.
+_COLD_BUDGET_MULTIPLE = 2.0
+
 
 def _note_fallback(rung: str, errors: List[str]) -> None:
     """Trace/count one degradation fallback (never called for primary)."""
@@ -81,23 +84,16 @@ class DegradationPolicy:
     time_budget:
         Wall-clock seconds allowed per *primary* planning attempt
         (cooperatively enforced inside the solver).  ``None`` disables
-        budget enforcement — failures are still caught.
-    cold_budget_factor:
-        The cold re-solve gets ``time_budget * cold_budget_factor``
-        seconds (a genuine retry deserves more room than the attempt
-        that just timed out).
+        budget enforcement — failures are still caught.  The cold
+        re-solve gets twice this (a genuine retry deserves more room
+        than the attempt that just timed out).
     """
 
-    def __init__(self, *, time_budget: Optional[float] = None,
-                 cold_budget_factor: float = 2.0) -> None:
+    def __init__(self, *, time_budget: Optional[float] = None) -> None:
         if time_budget is not None and time_budget <= 0.0:
             raise ConfigurationError(
                 f"time_budget must be positive, got {time_budget}")
-        if cold_budget_factor < 1.0:
-            raise ConfigurationError(
-                f"cold_budget_factor must be >= 1, got {cold_budget_factor}")
         self.time_budget = time_budget
-        self.cold_budget_factor = cold_budget_factor
         #: Fallback-rung usage counts over this policy's lifetime
         #: ("primary" is never counted — it is not a fallback).
         self.counts: Dict[str, int] = {}
@@ -106,7 +102,7 @@ class DegradationPolicy:
     def cold_time_budget(self) -> Optional[float]:
         if self.time_budget is None:
             return None
-        return self.time_budget * self.cold_budget_factor
+        return self.time_budget * _COLD_BUDGET_MULTIPLE
 
     @property
     def total_fallbacks(self) -> int:

@@ -333,40 +333,16 @@ class _PeeledLedger:
     def __init__(self) -> None:
         self._times: List[float] = []
         self._demands: List[float] = []
-        self._sorted_times: npt.NDArray[np.float64] = np.empty(0)
-        self._sorted_demands: npt.NDArray[np.float64] = np.empty(0)
-        self._cum: npt.NDArray[np.float64] = np.empty(0)
+        #: The committed pairs as arrays, sorted by time.
+        self.times: npt.NDArray[np.float64] = np.empty(0)
+        self.demands: npt.NDArray[np.float64] = np.empty(0)
 
     def commit(self, completion: float, demand: float) -> None:
         self._times.append(completion)
         self._demands.append(demand)
         order = np.argsort(self._times, kind="stable")
-        self._sorted_times = np.asarray(self._times, dtype=float)[order]
-        self._sorted_demands = np.asarray(self._demands, dtype=float)[order]
-        self._cum = np.cumsum(self._sorted_demands)
-
-    @property
-    def times(self) -> npt.NDArray[np.float64]:
-        return self._sorted_times
-
-    @property
-    def demands(self) -> npt.NDArray[np.float64]:
-        return self._sorted_demands
-
-    def committed_by(self, times: npt.NDArray[np.float64]
-                     ) -> npt.NDArray[np.float64]:
-        """``G(t)`` for an array of query times (vectorized)."""
-        if self._sorted_times.size == 0:
-            return np.zeros(times.shape)
-        idx = np.searchsorted(self._sorted_times, times, side="right")
-        out = np.zeros(times.shape)
-        mask = idx > 0
-        out[mask] = self._cum[idx[mask] - 1]
-        return out
-
-    @property
-    def total(self) -> float:
-        return float(self._cum[-1]) if self._cum.size else 0.0
+        self.times = np.asarray(self._times, dtype=float)[order]
+        self.demands = np.asarray(self._demands, dtype=float)[order]
 
 
 def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
@@ -391,7 +367,8 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     lookahead:
         Maximum bottleneck candidates evaluated when a layer bottoms out
         at the utility floor and several jobs could be the sacrifice (see
-        the inline comment); 0 restores the paper's pure greedy rule.
+        the inline comment); 0 restores the paper's pure greedy rule,
+        the reference ``tests/test_onion_lookahead.py`` compares against.
     warm_start:
         Per-layer :class:`LayerHint` records from a previous solve over a
         similar job snapshot (``OnionResult.hints``).  Each hint's bracket

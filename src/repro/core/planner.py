@@ -258,19 +258,19 @@ class RushPlanner:
         experiments use values around 0.7.
     tolerance:
         Bisection tolerance ``Delta`` of the onion peeling.
-    compensate_runtime:
-        Subtract ``R_i`` from each deadline so Theorem 3's mapping bound
-        still meets the original deadline (Section III-C).  Disable only
-        for experiments isolating the mapping error.
     wcde_cache_size:
-        Entry bound of the content-addressed WCDE memo; 0 disables
-        memoization (every solve pays the full bisection).  The cache
-        never changes results — an entry is keyed by everything the solve
-        depends on — so this is purely a speed/memory dial.
+        Entry bound of the content-addressed WCDE memo.  The cache never
+        changes results — an entry is keyed by everything the solve
+        depends on; 0 disables it and is kept as the uncached reference
+        ``tests/test_incremental.py`` compares the memoized path against.
+
+    Each deadline is shortened by the job's container runtime ``R_i``
+    before peeling, so Theorem 3's ``T_i + R_i`` mapping bound still
+    meets the original deadline (Section III-C).
     """
 
     def __init__(self, capacity: int, *, theta: float = 0.9, delta: float = 0.7,
-                 tolerance: float = 0.01, compensate_runtime: bool = True,
+                 tolerance: float = 0.01,
                  wcde_cache_size: int = 4096) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity}")
@@ -287,7 +287,6 @@ class RushPlanner:
         self.theta = theta
         self.delta = delta
         self.tolerance = tolerance
-        self.compensate_runtime = compensate_runtime
         self.wcde_cache: Optional[WcdeCache] = (
             WcdeCache(wcde_cache_size) if wcde_cache_size else None)
 
@@ -384,11 +383,10 @@ class RushPlanner:
                 etas[job.job_id] = eta
                 refs[job.job_id] = pre.reference
                 iters[job.job_id] = pre.iterations
-                compensation = (job.estimate.container_runtime
-                                if self.compensate_runtime else 0.0)
                 onion_jobs.append(OnionJob(
                     job_id=job.job_id, demand=eta, utility=job.utility,
-                    elapsed=job.elapsed, compensation=compensation))
+                    elapsed=job.elapsed,
+                    compensation=job.estimate.container_runtime))
             if cache is not None:
                 stats.wcde_cache_hits = cache.hits - hits0
                 stats.wcde_cache_misses = cache.misses - misses0
@@ -476,18 +474,20 @@ class IncrementalPlanner:
     estimate object* (and per-job delta) is clean — its eta cannot have
     changed — and is presolved; anything else falls through to the
     planner's content-addressed WCDE cache and, failing that, a fresh
-    bisection.  The previous plan's onion hints are forwarded as a warm
-    start unless ``warm_start=False``.
+    bisection.
 
-    With warm start off, every plan is bit-identical to what a cold
-    :class:`RushPlanner` would produce for the same snapshot (the
-    equivalence the property tests pin down); with it on, drifted
+    Every plan is bit-identical to what a cold :class:`RushPlanner`
+    would produce for the same snapshot (the equivalence the property
+    tests pin down) — unless ``warm_start=True`` also forwards the
+    previous plan's onion hints.  That mode is *approximate*: drifted
     snapshots may settle on within-tolerance different utility levels in
     exchange for collapsing unchanged onion layers to two feasibility
-    checks.
+    checks.  No scheduler, daemon or CLI surface reaches it; the
+    parameter stays because ``benchmarks/bench_planner_incremental.py``
+    and the perf ledger's offline workload construct both modes.
     """
 
-    def __init__(self, planner: RushPlanner, *, warm_start: bool = True) -> None:
+    def __init__(self, planner: RushPlanner, *, warm_start: bool = False) -> None:
         self.planner = planner
         self.warm_start = warm_start
         self._memo: Dict[str, _JobMemo] = {}

@@ -139,10 +139,8 @@ def solve_tas_lp(jobs: Sequence[OnionJob], capacity: int, *,
         checks += 1
         d = bank.deadlines(level)[active_idx]
         # Fold the peeled ledger in as additional fixed jobs.
-        extra_d = list(ledger._sorted_times)
-        extra_eta = list(np.diff(ledger._cum, prepend=0.0)) if ledger._cum.size else []
-        return lp_feasible(list(d) + extra_d,
-                           list(demands[active_idx]) + extra_eta,
+        return lp_feasible(list(d) + list(ledger.times),
+                           list(demands[active_idx]) + list(ledger.demands),
                            capacity, horizon)
 
     def staircase(level: float, active_idx: np.ndarray,

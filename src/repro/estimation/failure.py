@@ -84,10 +84,6 @@ class FailureAwareEstimator(DistributionEstimator):
 
     # -- learned failure model -----------------------------------------------
 
-    @property
-    def failure_count(self) -> int:
-        return self._failures
-
     def failure_rate(self) -> float:
         """Posterior-mean failure probability per task attempt."""
         attempts = self.sample_count + self._failures + self._prior_attempts

@@ -120,8 +120,7 @@ class Pmf:
 
     @classmethod
     def from_gaussian(cls, mean: float, std: float, *,
-                      tau_max: int | None = None,
-                      n_sigma: float = 6.0) -> "Pmf":
+                      tau_max: int | None = None) -> "Pmf":
         """Discretized Gaussian with the given mean and standard deviation.
 
         The paper's Gaussian estimator invokes the central limit theorem on
@@ -129,7 +128,7 @@ class Pmf:
         receives the probability mass of the interval ``(l - 0.5, l + 0.5]``
         under N(mean, std^2); the first and last bins absorb the tails so
         the result is a proper PMF.  ``tau_max`` defaults to
-        ``mean + n_sigma * std``.
+        ``mean + 6 * std``.
         """
         if std < 0:
             raise DistributionError("standard deviation must be >= 0")
@@ -138,7 +137,7 @@ class Pmf:
         if std <= 1e-9 * max(mean, 1.0):
             # effectively deterministic; avoid dividing by a denormal std
             return cls.impulse(int(round(mean)), tau_max=tau_max)
-        top = tau_max if tau_max is not None else int(math.ceil(mean + n_sigma * std))
+        top = tau_max if tau_max is not None else int(math.ceil(mean + 6.0 * std))
         top = max(top, 1)
         edges = np.arange(top + 2) - 0.5  # bin l covers (l-0.5, l+0.5]
         z = (edges - mean) / (std * math.sqrt(2.0))

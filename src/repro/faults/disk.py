@@ -33,7 +33,7 @@ boundary by sweeping ``at_op`` over the write count of a clean run.
 from __future__ import annotations
 
 import os
-from typing import IO, Dict, List, Protocol, Tuple
+from typing import IO, Dict, Protocol, Tuple
 
 import numpy as np
 
@@ -282,7 +282,3 @@ class FaultyFileOps:
         """The injector's configuration, FaultPlan-spec style."""
         return {"species": self.species, "at_op": self.at_op,
                 "seed": self.seed}
-
-    def open_paths(self) -> List[str]:
-        """Paths currently tracked (diagnostics for leak checks)."""
-        return sorted(t.path for t in self._files.values())

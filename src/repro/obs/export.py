@@ -17,7 +17,7 @@ from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.obs.trace import NullTracer, SpanTracer
 
 __all__ = ["trace_jsonl_lines", "write_trace_jsonl", "read_trace_jsonl",
-           "write_metrics_text", "write_metrics_snapshot"]
+           "write_metrics_text"]
 
 _AnyTracer = Union[SpanTracer, NullTracer]
 _AnyMetrics = Union[MetricsRegistry, NullMetrics]
@@ -53,10 +53,3 @@ def write_metrics_text(registry: _AnyMetrics, path: str) -> None:
     """Write the Prometheus text exposition to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(registry.render_prometheus())
-
-
-def write_metrics_snapshot(registry: _AnyMetrics, path: str) -> None:
-    """Write the JSON snapshot (sorted keys — byte-stable) to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(registry.snapshot(), handle, indent=2, sort_keys=True)
-        handle.write("\n")

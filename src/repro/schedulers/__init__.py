@@ -1,5 +1,7 @@
 """Pluggable scheduling policies for the cluster substrate."""
 
+from typing import Callable, Dict, Tuple
+
 from repro.schedulers.base import Scheduler
 from repro.schedulers.capacity import CapacityScheduler
 from repro.schedulers.edf import EdfScheduler
@@ -18,4 +20,21 @@ __all__ = [
     "RrhScheduler",
     "RushScheduler",
     "SpeculativeScheduler",
+    "POLICIES",
 ]
+
+#: The one policy-name table (CLI, service and scenario library read
+#: it): builder, plus the keyword options a JSON config — ``rush serve
+#: --scheduler-options``, a snapshot, a journal anchor — may set.  The
+#: options are written out, not reflected from the constructors: they
+#: are journaled with every commitment, so the surface is the paper's
+#: theta, delta and Delta plus the one deployment limit.
+POLICIES: Dict[str, Tuple[Callable[..., Scheduler], Tuple[str, ...]]] = {
+    "rush": (RushScheduler,
+             ("delta", "plan_time_budget", "theta", "tolerance")),
+    "fifo": (FifoScheduler, ()),
+    "edf": (EdfScheduler, ()),
+    "fair": (FairScheduler, ()),
+    "capacity": (CapacityScheduler, ()),
+    "rrh": (RrhScheduler, ()),
+}

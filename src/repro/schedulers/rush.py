@@ -24,23 +24,14 @@ completion, failure or launch (pending set changed) and at arrival — and
 re-runs the estimator only for dirty jobs.  Clean jobs reuse the cached
 :class:`~repro.estimation.base.DemandEstimate` *object*, which lets the
 :class:`~repro.core.planner.IncrementalPlanner` presolve their robust
-demand and the onion warm start collapse unchanged layers.  The expected
+demand.  The expected
 remaining work of running tasks (``extra_demand``) drifts every slot and
 is recomputed on every plan; it sits outside the memoized stage.
 
-Pass ``incremental=False`` to restore the recompute-everything behaviour
-(useful for A/B tests; the equivalence suite asserts both modes schedule
-identically), or ``warm_start=True`` to additionally forward each plan's
-onion-layer brackets to the next solve.  Warm starting is *approximate*:
-on a drifted snapshot the bisection may settle on a within-tolerance
-different utility level than a cold solve, so it is off by default in
-simulation and reserved for high-frequency replanning loops where the
-tolerance slack is acceptable.
-
-When the plan offers no job a larger share (e.g. only jobs the plan defers
-remain), the scheduler is work-conserving by default and falls back to the
-earliest-ebbed deadline; pass ``work_conserving=False`` to let it idle
-containers instead, which matches a stricter reading of the plan.
+``incremental=False`` recomputes every estimate and robust demand at
+every event.  It is kept, Python-only, as the reference the equivalence
+suites compare against (``tests/test_determinism_sweep.py``,
+``tests/test_chaos_properties.py``: both modes schedule identically).
 """
 
 from __future__ import annotations
@@ -64,13 +55,18 @@ __all__ = ["RushScheduler"]
 #: Histogram buckets for estimates refreshed (dirty jobs) per round.
 _DIRTY_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-EstimatorFactory = Callable[[Optional[float]], DistributionEstimator]
-SpecEstimatorFactory = Callable[[JobSpec], DistributionEstimator]
+EstimatorFactory = Callable[[JobSpec], DistributionEstimator]
+
+#: Per-task runtime prior (slots) for jobs that ship none.
+_DEFAULT_PRIOR_RUNTIME = 10.0
 
 
-def _default_estimator_factory(prior_runtime: Optional[float]) -> DistributionEstimator:
+def _default_estimator_factory(spec: JobSpec) -> DistributionEstimator:
     """The paper's Gaussian DE class, seeded with the job's runtime prior."""
-    return GaussianEstimator(prior_mean=prior_runtime, min_samples=2)
+    prior = spec.prior_runtime
+    return GaussianEstimator(
+        prior_mean=_DEFAULT_PRIOR_RUNTIME if prior is None else prior,
+        min_samples=2)
 
 
 class RushScheduler(Scheduler):
@@ -86,42 +82,20 @@ class RushScheduler(Scheduler):
     tolerance:
         Utility bisection tolerance of the onion peeling.
     estimator_factory:
-        Builds one DE unit per job; receives the job's ``prior_runtime``
-        (may be None).  Defaults to the Gaussian estimator.
-    spec_estimator_factory:
-        Optional richer factory receiving the full :class:`JobSpec`
-        (template, priors, budget) instead of just the runtime prior.
-        Takes precedence over ``estimator_factory`` when set — this is
-        how trace-fitted per-class estimators
-        (:class:`~repro.estimation.empirical.TraceFittedEstimators`)
-        plug in without widening the legacy factory signature.
-    default_prior_runtime:
-        Fallback per-task runtime prior (slots) for jobs that ship none.
-    work_conserving:
-        Grant a container to *some* pending job even when the plan gives
-        nobody a larger share (default); disable to honor plan idling.
-    incremental:
-        Track per-job dirtiness, reuse clean estimates and presolve their
-        robust demands (default).  Off, every event recomputes everything
-        — the pre-incremental behaviour, kept for A/B comparison.
-    warm_start:
-        Forward each plan's onion-layer brackets to the next solve
-        (requires ``incremental``).  Unchanged layers collapse to two
-        feasibility checks, but drifted snapshots may settle on
-        within-tolerance different utility levels than a cold solve —
-        hence off by default.
-    wcde_cache_size:
-        Entry bound of the planner's content-addressed WCDE memo
-        (0 disables it).
+        Builds one DE unit per job from its :class:`JobSpec` (template,
+        priors, budget).  Defaults to the Gaussian estimator seeded with
+        the spec's ``prior_runtime``; trace-fitted per-class estimators
+        plug in as
+        :meth:`~repro.estimation.empirical.TraceFittedEstimators.estimator_for`.
     plan_time_budget:
         Wall-clock seconds allowed per planning round (None = unlimited).
         Overruns raise inside the solver and are absorbed by the
-        degradation ladder.
-    degradation:
-        The :class:`~repro.core.degradation.DegradationPolicy` walking
-        the fallback ladder (incremental -> cold exact -> last-good plan
-        -> greedy EDF) when a solve fails; a default policy is built
-        from ``plan_time_budget`` when not given.
+        degradation ladder (incremental -> cold exact -> last-good plan
+        -> greedy EDF), whose policy is the ``degradation`` attribute.
+    incremental:
+        Track per-job dirtiness, reuse clean estimates and presolve their
+        robust demands (default).  Off, every event recomputes everything
+        — the reference path of the equivalence suites.
     """
 
     name = "RUSH"
@@ -129,27 +103,14 @@ class RushScheduler(Scheduler):
     def __init__(self, *, theta: float = 0.9, delta: float = 0.7,
                  tolerance: float = 0.05,
                  estimator_factory: EstimatorFactory = _default_estimator_factory,
-                 spec_estimator_factory: Optional[SpecEstimatorFactory] = None,
-                 default_prior_runtime: float = 10.0,
-                 work_conserving: bool = True,
-                 compensate_runtime: bool = True,
-                 incremental: bool = True,
-                 warm_start: bool = False,
-                 wcde_cache_size: int = 4096,
                  plan_time_budget: Optional[float] = None,
-                 degradation: Optional[DegradationPolicy] = None) -> None:
+                 incremental: bool = True) -> None:
         super().__init__()
         self._theta = theta
         self._delta = delta
         self._tolerance = tolerance
-        self._compensate_runtime = compensate_runtime
         self._estimator_factory = estimator_factory
-        self._spec_estimator_factory = spec_estimator_factory
-        self._default_prior = default_prior_runtime
-        self._work_conserving = work_conserving
         self._incremental_enabled = incremental
-        self._warm_start = warm_start
-        self._wcde_cache_size = wcde_cache_size
         self._estimators: Dict[str, DistributionEstimator] = {}
         self._planner: Optional[RushPlanner] = None
         self._incremental: Optional[IncrementalPlanner] = None
@@ -162,8 +123,7 @@ class RushScheduler(Scheduler):
         # guard against any pending-set change that slips past the hooks.
         self._dirty: Set[str] = set()
         self._estimates: Dict[str, Tuple[DemandEstimate, int]] = {}
-        self.degradation = (degradation if degradation is not None
-                            else DegradationPolicy(time_budget=plan_time_budget))
+        self.degradation = DegradationPolicy(time_budget=plan_time_budget)
         self._forced_failures = 0
         self._fault_log = None
         self.planner_seconds = 0.0
@@ -179,22 +139,13 @@ class RushScheduler(Scheduler):
     def bind(self, sim) -> None:
         super().bind(sim)
         self._planner = RushPlanner(sim.capacity, theta=self._theta,
-                                    delta=self._delta, tolerance=self._tolerance,
-                                    compensate_runtime=self._compensate_runtime,
-                                    wcde_cache_size=self._wcde_cache_size)
+                                    delta=self._delta, tolerance=self._tolerance)
         if self._incremental_enabled:
-            self._incremental = IncrementalPlanner(
-                self._planner, warm_start=self._warm_start)
+            self._incremental = IncrementalPlanner(self._planner)
         self._fault_log = getattr(sim, "fault_log", None)
 
     def on_job_arrival(self, job) -> None:
-        if self._spec_estimator_factory is not None:
-            self._estimators[job.job_id] = self._spec_estimator_factory(job.spec)
-        else:
-            prior = job.spec.prior_runtime
-            if prior is None:
-                prior = self._default_prior
-            self._estimators[job.job_id] = self._estimator_factory(prior)
+        self._estimators[job.job_id] = self._estimator_factory(job.spec)
         self._dirty.add(job.job_id)
 
     def on_task_launched(self, job, task) -> None:
@@ -251,8 +202,6 @@ class RushScheduler(Scheduler):
                 best_id = job.job_id
         if best_id is not None:
             return best_id
-        if not self._work_conserving:
-            return None
         # No job is below its planned share; stay work-conserving but keep
         # the plan's urgency order — grant by earliest planned completion,
         # NOT by nominal budget (insensitive jobs often carry short budgets

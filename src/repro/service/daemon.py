@@ -60,6 +60,7 @@ __all__ = ["ServiceDaemon"]
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: far above any legitimate submit body
 _STREAM_QUEUE_SLOTS = 256
+_DRAIN_SECONDS = 5.0  # how long stop() waits for in-flight requests
 
 
 class ServiceDaemon:
@@ -101,13 +102,13 @@ class ServiceDaemon:
             self._slot_task = asyncio.get_running_loop().create_task(
                 self._slot_loop())
 
-    async def stop(self, *, drain_timeout: float = 5.0) -> None:
+    async def stop(self) -> None:
         """Graceful shutdown: drain, then flush everything durable.
 
         Order matters.  The listener closes first so no new connections
         arrive; the slot loop stops so the engine state is quiescent;
         streams get their end-sentinel; then every in-flight request
-        handler is awaited (bounded by ``drain_timeout``) so an accepted
+        handler is awaited (bounded by ``_DRAIN_SECONDS``) so an accepted
         submit is fully journaled and answered before the process exits.
         Only then does ``engine.close()`` fsync and close the journal.
         """
@@ -125,7 +126,8 @@ class ServiceDaemon:
             queue.put_nowait(None)  # sentinel: stream handlers drain out
         pending = {task for task in self._inflight if not task.done()}
         if pending:
-            _done, stuck = await asyncio.wait(pending, timeout=drain_timeout)
+            _done, stuck = await asyncio.wait(pending,
+                                              timeout=_DRAIN_SECONDS)
             for task in stuck:  # a hung client must not wedge shutdown
                 task.cancel()
             if stuck:
@@ -203,13 +205,17 @@ class ServiceDaemon:
         return method.upper(), split.path, parse_qs(split.query), body
 
     @staticmethod
-    def _json_body(body: bytes) -> Any:
+    def _json_body(body: bytes) -> Dict[str, Any]:
+        """The request body as a JSON object — the only body any route takes."""
         if not body:
             raise BadRequestError("request requires a JSON body")
         try:
-            return json.loads(body.decode("utf-8"))
+            payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadRequestError(f"body is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise BadRequestError("body must be a JSON object")
+        return payload
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: Any, *,

@@ -21,10 +21,9 @@ replay.  See :mod:`repro.service.snapshot`.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.job import SimJob
 from repro.cluster.metrics import SimulationResult
@@ -35,32 +34,14 @@ from repro.errors import (BadRequestError, ConfigurationError, JobStateError,
                           ServiceError, UnknownJobError)
 from repro.faults.plan import FaultPlan
 from repro.obs import get_metrics
-from repro.schedulers.base import Scheduler
-from repro.schedulers.edf import EdfScheduler
-from repro.schedulers.fair import FairScheduler
-from repro.schedulers.fifo import FifoScheduler
-from repro.schedulers.rrh import RrhScheduler
-from repro.schedulers.rush import RushScheduler
+from repro.schedulers import POLICIES, Scheduler
 from repro.service.protocol import (SubmitRequest, canonical_digest,
                                     parse_submit, records_digest)
 from repro.service.tenants import (TenantRegistry, TenantSpec,
                                    tenants_from_dicts)
 from repro.workload.trace import spec_from_dict, spec_to_dict
 
-__all__ = ["ServiceConfig", "ServiceEngine", "POLICY_BUILDERS"]
-
-#: Policies the service can host.  ``capacity`` is special-cased onto
-#: the tenant queues; the rest take JSON-able keyword options.
-POLICY_BUILDERS: Dict[str, Callable[..., Scheduler]] = {
-    "rush": RushScheduler,
-    "fifo": FifoScheduler,
-    "edf": EdfScheduler,
-    "fair": FairScheduler,
-    "rrh": RrhScheduler,
-}
-
-#: Builder-parameter annotations a ``scheduler_options`` value may fill.
-_JSON_SCALARS = frozenset({"float", "int", "bool", "str"})
+__all__ = ["ServiceConfig", "ServiceEngine"]
 
 
 @dataclass(frozen=True)
@@ -68,8 +49,10 @@ class ServiceConfig:
     """Frozen daemon configuration — everything replay needs, JSON-able.
 
     ``scheduler_options`` are keyword arguments for the policy builder
-    (e.g. ``{"theta": 0.95, "plan_time_budget": 0.5}`` for RUSH) and
-    must stay JSON-serializable so snapshots round-trip.
+    (e.g. ``{"theta": 0.95, "plan_time_budget": 0.5}`` for RUSH),
+    limited to the keys :data:`repro.schedulers.POLICIES` lists for the
+    policy.  The ``capacity`` policy takes none: its queues are the
+    tenant shares.
     """
 
     capacity: int
@@ -80,40 +63,21 @@ class ServiceConfig:
     fault_spec: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self) -> None:
-        if self.policy != "capacity" and self.policy not in POLICY_BUILDERS:
-            known = ", ".join(sorted(POLICY_BUILDERS) + ["capacity"])
+        if self.policy not in POLICIES:
             raise ConfigurationError(
-                f"unknown service policy {self.policy!r}; known: {known}")
+                f"unknown service policy {self.policy!r}; "
+                f"known: {', '.join(sorted(POLICIES))}")
         if not isinstance(self.scheduler_options, Mapping):
             raise ConfigurationError(
                 "scheduler_options must be a JSON object of keyword "
                 f"options, got {type(self.scheduler_options).__name__}")
-        if self.policy == "capacity":
-            if self.scheduler_options:
-                raise ConfigurationError(
-                    "the capacity policy takes its configuration from the "
-                    "tenant shares, not scheduler_options")
-            return
-        parameters = inspect.signature(
-            POLICY_BUILDERS[self.policy]).parameters
-        # Settable from JSON: the scalar-typed parameters.  Estimator
-        # factories and policy objects are Python-API-only — a JSON
-        # string in their place would journal jobs and then fail every
-        # tick.
-        accepted = sorted(
-            name for name, param in parameters.items()
-            if str(param.annotation).removeprefix("Optional[")
-            .removesuffix("]") in _JSON_SCALARS)
+        accepted = POLICIES[self.policy][1]
         for key in self.scheduler_options:
-            if key in accepted:
-                continue
-            problem = (
-                f"scheduler option {key!r} of policy {self.policy!r} takes "
-                "a Python object and cannot be set from a JSON config"
-                if key in parameters else
-                f"unknown scheduler option {key!r} for policy {self.policy!r}")
-            raise ConfigurationError(
-                f"{problem}; accepted: {', '.join(accepted) or '(none)'}")
+            if key not in accepted:
+                raise ConfigurationError(
+                    f"unknown scheduler option {key!r} for policy "
+                    f"{self.policy!r}; accepted: "
+                    f"{', '.join(accepted) or '(none)'}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -151,8 +115,8 @@ class ServiceEngine:
         if config.policy == "capacity":
             self.scheduler: Scheduler = self.registry.capacity_scheduler()
         else:
-            self.scheduler = POLICY_BUILDERS[config.policy](
-                **dict(config.scheduler_options))
+            self.scheduler = POLICIES[config.policy][0](
+                **config.scheduler_options)
         faults = (FaultPlan.from_spec(config.fault_spec)
                   if config.fault_spec is not None else None)
         self.events = QueueEventSource()
@@ -170,6 +134,10 @@ class ServiceEngine:
         self._known: Dict[str, str] = {}  # job_id -> tenant
         self._idempotency: Dict[str, str] = {}  # idempotency key -> job_id
         self._cancelling: set = set()
+        # What _release_finished has already seen of the simulator's
+        # append-only completed / cancelled lists.
+        self._released_completed = 0
+        self._cancelled_ids: set = set()
 
     # -- durability ------------------------------------------------------
 
@@ -211,9 +179,13 @@ class ServiceEngine:
         return self.cluster_status()
 
     def _release_finished(self) -> None:
-        for job in self.sim.completed_jobs:
+        """Release the jobs that left the cluster during the last slot."""
+        completed = self.sim.completed_jobs
+        for job in completed[self._released_completed:]:
             self.registry.release(job.job_id)
-        for job in self.sim.cancelled_jobs:
+        self._released_completed = len(completed)
+        for job in self.sim.cancelled_jobs[len(self._cancelled_ids):]:
+            self._cancelled_ids.add(job.job_id)
             self._cancelling.discard(job.job_id)
             self.registry.release(job.job_id)
 
@@ -344,18 +316,24 @@ class ServiceEngine:
         job = self._sim_job(job_id)
         if job is not None and job.is_complete:
             return "completed"
-        if any(j.job_id == job_id for j in self.sim.cancelled_jobs):
+        if job_id in self._cancelled_ids:
             return "cancelled"
         if job_id in self._cancelling:
             return "cancelling"
         if job is None:
             return "accepted"  # journaled; enters the cluster next tick
-        if job in self.sim.active_jobs:
+        # Every step admits the registered jobs whose arrival slot it
+        # processed, so between ticks "arrived" is a slot comparison.
+        if job.spec.arrival < self.slot:
             return "running" if job.running_count > 0 else "pending"
         return "queued"  # registered, waiting for its arrival slot
 
     def job_status(self, job_id: str) -> Dict[str, Any]:
         """Everything a client may ask about one job, degradation included."""
+        return self._job_status(job_id, self._degradation_status())
+
+    def _job_status(self, job_id: str,
+                    degradation: Dict[str, Any]) -> Dict[str, Any]:
         tenant = self._known.get(job_id)
         if tenant is None:
             raise UnknownJobError(job_id)
@@ -386,7 +364,7 @@ class ServiceEngine:
                 runtime = float(completion - spec.arrival)
                 status["runtime"] = runtime
                 status["utility_value"] = spec.utility.value(runtime)
-        status["degradation"] = self._degradation_status()
+        status["degradation"] = degradation
         return status
 
     def _degradation_status(self) -> Dict[str, Any]:
@@ -398,15 +376,18 @@ class ServiceEngine:
         counts = dict(getattr(self.scheduler, "degradation_counts", {}) or {})
         last: Optional[str] = None
         last_slot: Optional[int] = None
-        for event in self.sim.fault_log.events:
+        for event in reversed(self.sim.fault_log.events):
             if event.kind.startswith("degradation:"):
                 last = event.kind.split(":", 1)[1]
                 last_slot = event.slot
+                break
         return {"fallbacks": counts, "last_fallback": last,
                 "last_fallback_slot": last_slot}
 
     def list_jobs(self) -> List[Dict[str, Any]]:
-        return [self.job_status(job_id) for job_id in sorted(self._known)]
+        degradation = self._degradation_status()  # one log scan per request
+        return [self._job_status(job_id, degradation)
+                for job_id in sorted(self._known)]
 
     def cluster_status(self) -> Dict[str, Any]:
         """The per-slot cluster summary (also the /stream payload)."""

@@ -290,7 +290,11 @@ def _truncate_tail(path: Path, data: bytes, offset: int, is_last: bool,
 # ---------------------------------------------------------------------------
 
 class JournalWriter:
-    """Appends framed records to segment files, one fsync per append."""
+    """Appends framed records to segment files, one fsync per append.
+
+    The sizes are parameters (no shipped caller sets them) because
+    tier-1 can only reach rotation and compaction by shrinking them.
+    """
 
     def __init__(self, directory: Union[str, Path], *,
                  file_ops: Optional[Any] = None,
@@ -321,10 +325,6 @@ class JournalWriter:
     def seq(self) -> int:
         """The sequence number of the last durable record."""
         return self._seq
-
-    @property
-    def segment_path(self) -> Optional[Path]:
-        return self._segment_path
 
     def _open_segment(self) -> None:
         path = self.directory / _segment_name(self._seq + 1)
@@ -460,7 +460,7 @@ def recover_engine(directory: Union[str, Path], *,
                 f"no journal found in {dirpath}", path=anchor_path)
         anchor = load_snapshot(anchor_path)
         anchor_seq = int(anchor.get("journal_seq", 0))
-        engine = restore_engine(anchor, clock=clock, verify=True)
+        engine = restore_engine(anchor, clock=clock)
 
         applied = deduped = skipped = checkpoints = 0
         prev_seq = anchor_seq

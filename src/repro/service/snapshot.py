@@ -60,17 +60,16 @@ def take_snapshot(engine: ServiceEngine) -> Dict[str, Any]:
 
 
 def restore_engine(snapshot: Mapping[str, Any], *,
-                   clock: Optional[Clock] = None,
-                   verify: bool = True) -> ServiceEngine:
+                   clock: Optional[Clock] = None) -> ServiceEngine:
     """Rebuild an engine from a snapshot by replaying its journal.
 
     The replay interleaves journal entries with ticks exactly as the
     original run did — each entry is applied while the clock sits at the
     slot it was originally accepted in, so tenant quotas, event ordering
-    and fault streams all re-derive identically.  With ``verify`` the
-    rebuilt decision stream is checked against the snapshot's digest; a
-    mismatch raises :class:`SnapshotError` rather than resuming from a
-    silently divergent state.
+    and fault streams all re-derive identically.  The rebuilt decision
+    stream is checked against the snapshot's digest; a mismatch raises
+    :class:`SnapshotError` rather than resuming from a silently
+    divergent state.
 
     ``clock`` may be a real-time clock (its ``advance`` never sleeps, so
     replay is instant); the daemon rebases it afterwards.
@@ -109,13 +108,12 @@ def restore_engine(snapshot: Mapping[str, Any], *,
         engine.tick()
     engine._auto_seq = max(engine._auto_seq, auto_seq)
 
-    if verify:
-        expected = snapshot.get("decisions_digest")
-        actual = engine.decisions_digest()
-        if expected is not None and actual != expected:
-            raise SnapshotError(
-                "replay diverged from the snapshotted run: decision "
-                f"digest {actual[:12]}… != expected {str(expected)[:12]}…")
+    expected = snapshot.get("decisions_digest")
+    actual = engine.decisions_digest()
+    if expected is not None and actual != expected:
+        raise SnapshotError(
+            "replay diverged from the snapshotted run: decision "
+            f"digest {actual[:12]}… != expected {str(expected)[:12]}…")
     return engine
 
 

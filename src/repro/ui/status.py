@@ -67,7 +67,7 @@ def render_status_text(plan: "SchedulePlan") -> str:
     return f"{header}\n\n{table}{footer}"
 
 
-def render_status_html(plan: "SchedulePlan", title: str = "RUSH scheduler") -> str:
+def render_status_html(plan: "SchedulePlan") -> str:
     """The Figure 2 table as a self-contained HTML page.
 
     Impossible jobs are rendered as literal red rows, exactly like the
@@ -83,11 +83,11 @@ def render_status_html(plan: "SchedulePlan", title: str = "RUSH scheduler") -> s
     head_cells = "".join(f"<th>{html.escape(c)}</th>" for c in _COLUMNS)
     return (
         "<!DOCTYPE html><html><head>"
-        f"<title>{html.escape(title)}</title>"
+        "<title>RUSH scheduler</title>"
         "<style>table{border-collapse:collapse}"
         "td,th{border:1px solid #999;padding:4px 8px;"
         "font-family:monospace}</style></head><body>"
-        f"<h1>{html.escape(title)}</h1>"
+        "<h1>RUSH scheduler</h1>"
         f"<p>theta={plan.theta}, horizon={plan.horizon} slots, "
         f"{plan.layers} onion layers</p>"
         f"<table><thead><tr>{head_cells}</tr></thead>"

@@ -46,14 +46,7 @@ from repro.cluster.simulator import run_simulation
 from repro.estimation.empirical import TraceFittedEstimators, split_warmup
 from repro.obs.ledger import NULL_LEDGER, CompletionLedger
 from repro.obs.metrics import MetricsRegistry
-from repro.schedulers import (
-    EdfScheduler,
-    FairScheduler,
-    FifoScheduler,
-    RrhScheduler,
-    RushScheduler,
-)
-from repro.schedulers.base import Scheduler
+from repro.schedulers import POLICIES, RushScheduler, Scheduler
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from repro.workload.swf import SwfMapConfig, load_swf_workload, rebase_arrivals
 
@@ -74,15 +67,11 @@ __all__ = [
 #: floor).  RUSH itself is always run.
 DEFAULT_BASELINES: Tuple[str, ...] = ("edf", "fifo")
 
-_BASELINE_FACTORIES: Dict[str, Callable[[], Scheduler]] = {
-    "edf": EdfScheduler,
-    "fifo": FifoScheduler,
-    "fair": FairScheduler,
-    "rrh": RrhScheduler,
-}
-
-#: Baseline names `rush scenarios run --baselines` accepts.
-KNOWN_BASELINES: Tuple[str, ...] = tuple(sorted(_BASELINE_FACTORIES))
+#: Baseline names `rush scenarios run --baselines` accepts: every
+#: registered policy but RUSH (the subject of the differential) and
+#: ``capacity`` (its queues are a tenant layout no scenario defines).
+KNOWN_BASELINES: Tuple[str, ...] = tuple(sorted(
+    set(POLICIES) - {"rush", "capacity"}))
 
 
 def bundled_swf_path() -> Path:
@@ -290,14 +279,6 @@ def _scrub(value: object) -> object:
     return value
 
 
-def _rush_factory(scenario: Scenario,
-                  fitted: TraceFittedEstimators) -> Callable[[], Scheduler]:
-    def factory() -> Scheduler:
-        return RushScheduler(theta=scenario.theta, delta=scenario.delta,
-                             spec_estimator_factory=fitted.estimator_for)
-    return factory
-
-
 def run_scenario(name: str, *, seed: int = 0, fast: bool = True,
                  baselines: Sequence[str] = DEFAULT_BASELINES,
                  max_slots: Optional[int] = None) -> ScenarioOutcome:
@@ -310,10 +291,10 @@ def run_scenario(name: str, *, seed: int = 0, fast: bool = True,
     """
     scenario = scenario_by_name(name)
     for baseline in baselines:
-        if baseline not in _BASELINE_FACTORIES:
-            known = ", ".join(sorted(_BASELINE_FACTORIES))
+        if baseline not in KNOWN_BASELINES:
             raise ConfigurationError(
-                f"unknown baseline policy {baseline!r}; known: {known}")
+                f"unknown baseline policy {baseline!r}; "
+                f"known: {', '.join(KNOWN_BASELINES)}")
     previous = obs.install()  # snapshot of the active instruments
     metrics = MetricsRegistry()
     try:
@@ -330,9 +311,11 @@ def run_scenario(name: str, *, seed: int = 0, fast: bool = True,
         capacity = scenario.capacity(fast)
         slots = max_slots if max_slots is not None else scenario.max_slots
         policies: Dict[str, Callable[[], Scheduler]] = {
-            "rush": _rush_factory(scenario, fitted)}
+            "rush": lambda: RushScheduler(
+                theta=scenario.theta, delta=scenario.delta,
+                estimator_factory=fitted.estimator_for)}
         for baseline in baselines:
-            policies[baseline] = _BASELINE_FACTORIES[baseline]
+            policies[baseline] = POLICIES[baseline][0]
         for policy_name in sorted(policies):
             ledger = CompletionLedger()
             obs.install(ledger=ledger)

@@ -138,13 +138,16 @@ class TestServeOptions:
                 capsys.readouterr().err
 
     def test_python_object_options_are_not_settable(self, capsys):
-        code = run_cli("serve", "--manual", "--port", "0",
-                       "--scheduler-options", '{"estimator_factory": "x"}')
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "'estimator_factory'" in err and "Python object" in err
-        accepted = err.split("accepted: ")[1]
-        assert "theta" in accepted and "factory" not in accepted
+        """A constructor parameter is not thereby a JSON option: the
+        accepted keys are the registry's table, nothing reflected."""
+        for key in ("estimator_factory", "incremental"):
+            code = run_cli("serve", "--manual", "--port", "0",
+                           "--scheduler-options", '{"%s": "x"}' % key)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"error: unknown scheduler option '{key}'" in err
+            assert err.strip().endswith(
+                "accepted: delta, plan_time_budget, theta, tolerance")
 
     def test_malformed_json_is_a_configuration_error(self, capsys):
         code = run_cli("serve", "--manual", "--port", "0",
@@ -174,3 +177,105 @@ def test_serve_records_no_spans(monkeypatch, capsys):
     assert run_cli("serve", "--manual", "--port", "0") == 0
     assert seen["tracer"] is obs.NULL_TRACER
     assert seen["metrics"].active and seen["ledger"].active
+    assert not obs.get_metrics().active  # ... and reset on the way out
+
+
+class TestServeBootFailure:
+    """A refused boot must not leave ``repro.obs`` switched on for
+    whatever runs next in the process."""
+
+    def _assert_obs_off(self):
+        assert not obs.get_metrics().active
+        assert not obs.get_ledger().active
+
+    def test_flag_error(self, capsys):
+        assert run_cli("serve", "--restore") == 2
+        assert "--restore requires --snapshot" in capsys.readouterr().err
+        self._assert_obs_off()
+
+    def test_journal_config_mismatch(self, tmp_path, capsys):
+        from repro.service import ServiceConfig, open_journal
+
+        engine, _writer = open_journal(
+            tmp_path, ServiceConfig(capacity=9, policy="fifo"))
+        engine.close()
+        code = run_cli("serve", "--manual", "--port", "0", "--capacity", "4",
+                       "--journal-dir", str(tmp_path))
+        assert code == 2
+        assert "different service config" in capsys.readouterr().err
+        self._assert_obs_off()
+
+
+class TestOneRegistry:
+    """Every policy-name choice the CLI offers is read from
+    ``repro.schedulers.POLICIES``; every removed JSON option is a usage
+    error through ``rush serve`` as it is through ``ServiceConfig``."""
+
+    @staticmethod
+    def _choices(*path):
+        parser = build_parser()
+        for name in path[:-1]:
+            parser = next(a for a in parser._actions
+                          if a.choices and name in a.choices).choices[name]
+        return set(next(a for a in parser._actions
+                        if path[-1] in a.option_strings).choices)
+
+    def test_policy_choices_are_the_registry(self):
+        from repro.schedulers import POLICIES
+        from repro.workload.scenarios import KNOWN_BASELINES
+
+        for command in ("simulate", "serve", "chaos"):
+            assert self._choices(command, "--policy") == set(POLICIES)
+        assert self._choices("compare", "--policies") == set(POLICIES)
+        assert self._choices("scenarios", "run", "--baselines") \
+            == set(KNOWN_BASELINES) == set(POLICIES) - {"rush", "capacity"}
+
+    @pytest.mark.parametrize("key", [
+        "warm_start", "incremental", "work_conserving", "compensate_runtime",
+        "wcde_cache_size", "default_prior_runtime"])
+    def test_removed_rush_option_exits_2(self, key, capsys):
+        code = run_cli("serve", "--manual", "--port", "0",
+                       "--scheduler-options", '{"%s": 1}' % key)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unknown scheduler option '{key}'" in err
+        assert "accepted: delta, plan_time_budget, theta, tolerance" in err
+
+    @pytest.mark.parametrize("policy, key", [("fair", "weighted"),
+                                             ("rrh", "default_runtime")])
+    def test_baselines_take_no_json_options(self, policy, key, capsys):
+        code = run_cli("serve", "--manual", "--port", "0", "--policy", policy,
+                       "--scheduler-options", '{"%s": 1}' % key)
+        assert code == 2
+        assert f"'{key}' for policy '{policy}'; accepted: (none)" \
+            in capsys.readouterr().err
+
+
+class TestSimulateObservability:
+    def _run(self, trace, out_dir):
+        out_dir.mkdir()
+        code = run_cli("simulate", "--trace", str(trace), "--capacity", "4",
+                       "--metrics-out", str(out_dir / "metrics.prom"),
+                       "--span-trace", str(out_dir / "spans.jsonl"),
+                       "--calibration")
+        assert code == 0
+        return ((out_dir / "metrics.prom").read_bytes(),
+                (out_dir / "spans.jsonl").read_bytes())
+
+    def test_artifacts_are_written_and_deterministic(self, small_trace,
+                                                     tmp_path, capsys):
+        metrics, spans = self._run(small_trace, tmp_path / "a")
+        out = capsys.readouterr().out
+        assert "wrote metrics text to" in out and "spans to" in out
+        assert "realized=5/5  coverage first=" in out  # the calibration report
+        assert b"rush_sim_tasks_completed_total" in metrics
+        assert b"planner.plan" in spans
+        # same seed, same exposition: wall-clock series are not in it
+        assert self._run(small_trace, tmp_path / "b")[0] == metrics
+        assert not obs.get_metrics().active
+
+    def test_metrics_command_is_gone(self, small_trace, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("metrics", "--trace", str(small_trace))
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'metrics'" in capsys.readouterr().err

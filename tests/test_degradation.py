@@ -39,12 +39,10 @@ class TestDegradationPolicy:
             DegradationPolicy(time_budget=0.0)
         with pytest.raises(ConfigurationError):
             DegradationPolicy(time_budget=-1.0)
-        with pytest.raises(ConfigurationError):
-            DegradationPolicy(cold_budget_factor=0.5)
 
     def test_cold_budget_scales(self):
-        policy = DegradationPolicy(time_budget=2.0, cold_budget_factor=3.0)
-        assert policy.cold_time_budget == 6.0
+        policy = DegradationPolicy(time_budget=2.0)
+        assert policy.cold_time_budget == 4.0
         assert DegradationPolicy().cold_time_budget is None
 
     def test_ladder_order(self):

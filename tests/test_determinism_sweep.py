@@ -97,7 +97,8 @@ def test_incremental_equals_cold_after_churn(seed):
     """Perturb one job between plans; the next plan still matches cold."""
     rng = np.random.default_rng(seed + 1000)
     jobs = random_jobs(seed)
-    inc = IncrementalPlanner(RushPlanner(16, tolerance=0.05))
+    inc = IncrementalPlanner(RushPlanner(16, tolerance=0.05),
+                             warm_start=True)
     inc.plan(jobs)
     victim = int(rng.integers(0, len(jobs)))
     jobs[victim] = PlannerJob(

@@ -73,24 +73,23 @@ class TestAlternativeEstimatorsInScheduler:
                          utility=LinearUtility(40.0, 1.0), budget=40.0,
                          prior_runtime=3.0)]
         scheduler = RushScheduler(
-            estimator_factory=lambda prior: EwmaGaussianEstimator(
-                alpha=0.2, prior_mean=prior))
+            estimator_factory=lambda spec: EwmaGaussianEstimator(
+                alpha=0.2, prior_mean=spec.prior_runtime))
         result = run_simulation(specs, 2, scheduler)
         assert result.completed_count == 1
 
     def test_default_prior_used_when_spec_has_none(self):
-        specs = [JobSpec(job_id="j", arrival=0, task_durations=(3, 3),
-                         utility=LinearUtility(40.0, 1.0), budget=40.0)]
-        captured = []
+        """A job that ships no runtime prior plans exactly as if it had
+        shipped the constant 10-slot one."""
+        def first_demand(prior):
+            spec = JobSpec(job_id="j", arrival=0, task_durations=(3, 3),
+                           utility=LinearUtility(40.0, 1.0), budget=40.0,
+                           prior_runtime=prior)
+            scheduler = RushScheduler()
+            run_simulation([spec], 1, scheduler, max_slots=1)
+            return scheduler.last_plan.jobs["j"].robust_demand
 
-        def factory(prior):
-            captured.append(prior)
-            return GaussianEstimator(prior_mean=prior)
-
-        run_simulation(specs, 1,
-                       RushScheduler(estimator_factory=factory,
-                                     default_prior_runtime=42.0))
-        assert captured == [42.0]
+        assert first_demand(None) == first_demand(10.0) != first_demand(42.0)
 
 
 class TestPlannerEdgeInputs:

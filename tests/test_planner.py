@@ -106,14 +106,6 @@ class TestPlan:
         assert "doomed" in plan.impossible_jobs()
         assert "fine" not in plan.impossible_jobs()
 
-    def test_compensation_toggle(self):
-        est = estimate(100, 10, runtime=20.0)
-        job = PlannerJob("a", LinearUtility(60, 1), est)
-        with_comp = RushPlanner(4, delta=0.0).plan([job])
-        without = RushPlanner(4, delta=0.0, compensate_runtime=False).plan([job])
-        assert (with_comp.jobs["a"].target_completion
-                <= without.jobs["a"].target_completion)
-
     def test_elapsed_propagates(self):
         est = estimate(100, 10)
         fresh = RushPlanner(4, delta=0.0).plan(

@@ -169,20 +169,14 @@ class TestRush:
         run_simulation(specs, 1, scheduler, max_slots=5)
         assert "doomed" in scheduler.impossible_jobs()
 
-    def test_non_work_conserving_mode(self):
-        specs = [spec("a", durations=(2, 2), prior_runtime=2.0)]
-        scheduler = RushScheduler(work_conserving=False)
-        result = run_simulation(specs, 4, scheduler, max_slots=100)
-        assert result.completed_count == 1
-
     def test_custom_estimator_factory(self):
         from repro.estimation import MeanTimeEstimator
 
         factory_calls = []
 
-        def factory(prior):
-            factory_calls.append(prior)
-            return MeanTimeEstimator(prior_runtime=prior)
+        def factory(job_spec):
+            factory_calls.append(job_spec.prior_runtime)
+            return MeanTimeEstimator(prior_runtime=job_spec.prior_runtime)
 
         specs = [spec("a", durations=(2, 2), prior_runtime=7.0)]
         run_simulation(specs, 1, RushScheduler(estimator_factory=factory))

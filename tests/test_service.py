@@ -234,6 +234,89 @@ def test_malformed_wire_requests_are_answered_not_dropped(wire, caplog):
     assert not caplog.records
 
 
+@pytest.mark.parametrize("body", [b"[1]", b"3", b'"x"', b"null"])
+@pytest.mark.parametrize("path", ["/jobs", "/tick", "/chaos/solver-fault"])
+def test_non_object_json_body_is_a_typed_400(path, body):
+    """Valid JSON that is not an object is the client's mistake on every
+    body-taking route — a 400, never the 500 reserved for daemon bugs."""
+    async def scenario():
+        async with serving(chaos=True) as (daemon, _client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            writer.write(b"POST %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                         % (path.encode(), len(body), body))
+            await writer.drain()
+            answer = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return answer
+
+    head, _, payload = asyncio.run(scenario()).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(payload)["error"]
+    assert (error["code"], error["status"]) == ("bad-request", 400)
+    assert "JSON object" in error["message"]
+
+
+def test_list_jobs_equals_per_job_status_in_every_state():
+    """``list_jobs`` computes the degradation summary once per request;
+    the payload must stay exactly what per-job queries return."""
+    engine = ServiceEngine(_config(policy="rush", capacity=3))
+    long_job = {"task_durations": [9, 9, 9], "budget": 60}
+    for job_id in ("done", "gone"):
+        engine.submit(dict(JOB, job_id=job_id))
+    for job_id in ("going", "busy", "idle"):
+        engine.submit(dict(long_job, job_id=job_id))
+    engine.submit(dict(JOB, job_id="later", arrival=500))
+    engine.tick()
+    engine.cancel("gone")
+    engine.tick(8)
+    engine.inject_solver_fault(3)  # ladder bottoms out: a degraded slot
+    engine.tick(2)
+    engine.cancel("going")
+    engine.submit(dict(JOB, job_id="fresh"))
+
+    listing = engine.list_jobs()
+    assert listing == [engine.job_status(job_id) for job_id in sorted(
+        ["done", "gone", "going", "busy", "idle", "later", "fresh"])]
+    states = {status["job_id"]: status["state"] for status in listing}
+    assert states["done"] == "completed" and states["gone"] == "cancelled"
+    assert states["going"] == "cancelling" and states["later"] == "queued"
+    assert states["fresh"] == "accepted"
+    assert (states["busy"], states["idle"]) == ("running", "pending")
+    assert listing[0]["degradation"]["last_fallback"] == "greedy_edf"
+    assert listing[0]["degradation"] == engine.cluster_status()["degradation"]
+
+
+def test_each_finished_job_is_released_exactly_once(monkeypatch):
+    """A tick releases the jobs that left the cluster during it — not
+    the whole history of finished jobs again."""
+    from repro.service.tenants import TenantRegistry
+
+    released = []
+    release = TenantRegistry.release
+
+    def spy(self, job_id):
+        released.append(job_id)
+        release(self, job_id)
+
+    monkeypatch.setattr(TenantRegistry, "release", spy)
+    engine = ServiceEngine(_config())
+    for slot in range(50):
+        if slot < 20:
+            engine.submit(dict(JOB, job_id=f"j{slot}"))
+        if slot % 5 == 1 and slot < 20:
+            engine.cancel(f"j{slot}")
+        engine.tick()
+        finished = [s["job_id"] for s in engine.list_jobs()
+                    if s["state"] in ("completed", "cancelled")]
+        # the PR 14 state machine's model: live = accepted, not terminal
+        assert engine.registry.status()["default"]["live_jobs"] == \
+            len(engine.list_jobs()) - len(finished)
+    assert len(finished) == 20
+    assert sorted(released) == sorted(finished)
+
+
 def test_engine_rejects_past_arrivals_and_ticks():
     engine = ServiceEngine(_config())
     engine.tick(3)
@@ -318,19 +401,53 @@ def test_capacity_policy_rejects_scheduler_options():
         ServiceConfig(capacity=2, policy="definitely-not-a-policy")
 
 
+#: Options a JSON config could set before the census (each switched a
+#: planner approximation or a test-only A/B path on a live daemon).
+REMOVED_OPTIONS = ("warm_start", "incremental", "work_conserving",
+                   "compensate_runtime", "wcde_cache_size",
+                   "default_prior_runtime", "weighted", "default_runtime")
+
+
 def test_scheduler_options_must_be_json_settable():
-    """A key that names a builder parameter is not enough: a string in
-    place of an estimator factory would boot, journal a job, and then
-    raise on every tick."""
-    for key in ("estimator_factory", "spec_estimator_factory",
-                "degradation"):
-        with pytest.raises(ConfigurationError, match=f"'{key}'.*accepted: "
-                                                     "(?!.*factory)"):
-            ServiceConfig(capacity=4, policy="rush",
-                          scheduler_options={key: "x"})
-    # What the perf ledger's server runs with stays valid.
+    from repro.schedulers import POLICIES
+
+    assert POLICIES["rush"][1] == ("delta", "plan_time_budget", "theta",
+                                   "tolerance")
+    for policy, (_builder, accepted) in POLICIES.items():
+        if policy != "rush":
+            assert accepted == ()
+        for key in accepted:
+            ServiceConfig(capacity=4, policy=policy,
+                          scheduler_options={key: 0.5})
+        listed = ", ".join(accepted) or r"\(none\)"
+        for key in REMOVED_OPTIONS + ("estimator_factory",):
+            with pytest.raises(ConfigurationError,
+                               match=f"'{key}'.*accepted: {listed}$"):
+                ServiceConfig(capacity=4, policy=policy,
+                              scheduler_options={key: True})
+    # What the perf ledger's server runs with, and the documented
+    # operator limit, stay valid.
     ServiceConfig(capacity=4, policy="rush",
                   scheduler_options={"theta": 0.9, "delta": 0.7})
+    ServiceConfig(capacity=4, scheduler_options={"plan_time_budget": 0.5})
+
+
+def test_self_contradicting_config_is_refused_before_any_engine_exists():
+    with pytest.raises(ConfigurationError, match="'warm_start'"):
+        ServiceConfig(capacity=4, scheduler_options={
+            "warm_start": True, "incremental": False,
+            "compensate_runtime": False, "wcde_cache_size": 0,
+            "work_conserving": False})
+
+
+@pytest.mark.parametrize("key", REMOVED_OPTIONS)
+def test_removed_option_is_refused_by_snapshot_restore(key):
+    snapshot = take_snapshot(ServiceEngine(_config(policy="rush")))
+    snapshot["config"]["scheduler_options"] = {key: True}
+    with pytest.raises(SnapshotError,
+                       match=f"'{key}'.*accepted: delta, "
+                             "plan_time_budget, theta, tolerance"):
+        restore_engine(snapshot)
 
 
 def test_engine_typed_errors_without_http():
