@@ -6,8 +6,9 @@ package provides:
 
 * :mod:`repro.core` — the paper's algorithms: the closed-form REM solver
   (Algorithm 1), the WCDE bisection (Algorithm 2), onion peeling
-  (Algorithm 3), continuous time-slot mapping (Algorithm 4), the LP
-  baseline, and the end-to-end :class:`~repro.core.planner.RushPlanner`;
+  (Algorithm 3), continuous time-slot mapping (Algorithm 4) and the
+  end-to-end :class:`~repro.core.planner.RushPlanner` (the LP baseline
+  is :mod:`repro.core.tas_lp`, imported by name where it is compared);
 * :mod:`repro.utility` — the job utility classes (piece-wise linear,
   sigmoid, constant and extensions) with the configuration/XML interface;
 * :mod:`repro.estimation` — the distribution-estimator units (mean
@@ -67,7 +68,6 @@ from repro.core import (
     map_time_slots,
     solve_onion,
     solve_rem,
-    solve_tas_lp,
     solve_wcde,
     solve_wcde_batch,
     worst_case_demand,
@@ -158,7 +158,6 @@ __all__ = [
     "OnionJob",
     "OnionResult",
     "solve_onion",
-    "solve_tas_lp",
     "MappingJob",
     "ContainerPlan",
     "map_time_slots",

@@ -593,6 +593,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # dup2 keeps the interpreter-shutdown flush from re-raising.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, the shell convention
+    except OSError as exc:
+        # A trace, fault plan or output path that cannot be opened.
+        where = f": {exc.filename}" if exc.filename is not None else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,9 @@
-"""The paper's core algorithms: REM, WCDE, onion peeling, mapping, planner."""
+"""The paper's core algorithms: REM, WCDE, onion peeling, mapping, planner.
+
+The §III-B LP baseline, :mod:`repro.core.tas_lp`, is a reference the
+tests and one ablation bench import by its full name; it is not
+re-exported, so no command loads ``scipy.optimize`` to schedule a job.
+"""
 
 from repro.core.clock import (
     CancelEvent,
@@ -39,7 +44,6 @@ from repro.core.rem import (
     rem_min_kl_from_cdf_array,
     solve_rem,
 )
-from repro.core.tas_lp import lp_feasible, solve_tas_lp
 from repro.core.wcde import (WcdeCache, WcdeResult, solve_wcde,
                              solve_wcde_batch, worst_case_demand)
 
@@ -71,8 +75,6 @@ __all__ = [
     "Segment",
     "ContainerPlan",
     "map_time_slots",
-    "lp_feasible",
-    "solve_tas_lp",
     "staircase_feasible",
     "first_violation",
     "minimum_capacity",

@@ -66,7 +66,9 @@ class JournalFileOps(Protocol):
     implementation; :class:`FaultyFileOps` wraps any implementation to
     inject faults.  All paths are strings; ``write`` must issue the
     payload as a single operation (the journal's atomic-append
-    discipline), and ``fsync`` makes previously written bytes durable.
+    discipline) and return the bytes written — fewer than asked is a
+    short write, which the journal refuses like an ``OSError`` — and
+    ``fsync`` makes previously written bytes durable.
     """
 
     def open_append(self, path: str) -> IO[bytes]: ...
@@ -93,7 +95,7 @@ DISK_FAULT_SPECIES: Tuple[str, ...] = (
     "crash",          # die cleanly before the chosen write begins
     "torn_write",     # a seeded prefix of the record survives, then die
     "partial_fsync",  # fsync persists a seeded prefix of dirty bytes, then die
-    "enospc",         # the write raises ENOSPC; the process lives on
+    "enospc",         # a short write lands, then ENOSPC; the process lives on
     "dup_tail",       # the record is written twice (a retried append), then die
 )
 
@@ -205,7 +207,14 @@ class FaultyFileOps:
                 tracked.durable = tracked.size  # the torn prefix persisted
             self._crash(f"simulated torn write ({keep}/{len(data)} bytes)")
         if self.species == "enospc":
+            # The volume fills mid-record: a seeded prefix lands (a
+            # short write) and the process lives on to clean it up.
+            # No watermark moves — this species never crashes, and the
+            # journal truncates the residue away.
             self.fired = True
+            keep = self._seeded_prefix(len(data))
+            if keep:
+                self.inner.write(tracked.inner, data[:keep])
             raise OSError(28, "No space left on device (injected)")
         if self.species == "dup_tail":
             self.inner.write(tracked.inner, data + data)

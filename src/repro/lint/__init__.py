@@ -14,11 +14,9 @@ catalog with per-rule rationale lives in ``docs/LINTING.md``; importing
 """
 
 from repro.lint.config import LintConfig
-from repro.lint.framework import (Finding, Rule, RULE_REGISTRY,
-                                  lint_file, lint_source, register_rule)
+from repro.lint.framework import (Finding, Rule, RULE_REGISTRY, lint_file,
+                                  lint_paths, lint_source, register_rule)
 from repro.lint import rules as _rules  # noqa: F401  (registers RL001-RL009, RL015)
-from repro.lint.flow import (  # registers RL011, RL012, RL014
-    FlowRule, ProjectContext, build_index, lint_paths, lint_project)
 from repro.lint.reporters import (JSON_SCHEMA_VERSION, render_json,
                                   render_rule_catalog, render_text)
 
@@ -26,15 +24,11 @@ __all__ = [
     "LintConfig",
     "Finding",
     "Rule",
-    "FlowRule",
-    "ProjectContext",
     "RULE_REGISTRY",
     "register_rule",
     "lint_source",
     "lint_file",
     "lint_paths",
-    "lint_project",
-    "build_index",
     "render_text",
     "render_json",
     "render_rule_catalog",

@@ -6,9 +6,8 @@ path).  Wired into the main parser by :mod:`repro.cli`; kept here so
 the lint subsystem is self-contained and importable without the rest of
 the CLI.
 
-One invocation runs every registered rule: the per-file rules
-(RL001–RL009, RL015) on each file, then the project-wide rules (RL011,
-RL012, RL014) once over the same file set, in one sorted report.
+One invocation runs every registered rule (RL001–RL009, RL015) on each
+file and prints one sorted report.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ import os
 from typing import List, Sequence
 
 from repro.lint.config import LintConfig
-from repro.lint.framework import RULE_REGISTRY, iter_python_files
-from repro.lint.flow import lint_paths
+from repro.lint.framework import (RULE_REGISTRY, iter_python_files,
+                                  lint_paths)
 from repro.lint.reporters import render_json, render_rule_catalog, render_text
 
 __all__ = ["add_lint_arguments", "run_lint_command"]

@@ -13,10 +13,9 @@ module supplies the machinery to check such invariants mechanically:
   :func:`register_rule` into :data:`RULE_REGISTRY`;
 * :class:`FileContext` — the parsed file a rule inspects (AST, source
   lines, package classification, suppression index);
-* :func:`lint_source` / :func:`lint_file` — the per-file engine,
-  applying every enabled rule and filtering suppressed findings (the
-  project-wide engine, ``lint_paths``, lives with the flow rules in
-  :mod:`repro.lint.flow.rules_flow`).
+* :func:`lint_source` / :func:`lint_file` / :func:`lint_paths` — the
+  engine, applying every enabled rule to one file at a time and
+  filtering suppressed findings.
 
 Suppressions use the comment grammar::
 
@@ -55,6 +54,7 @@ __all__ = [
     "register_rule",
     "lint_source",
     "lint_file",
+    "lint_paths",
     "iter_python_files",
 ]
 
@@ -129,8 +129,11 @@ class FileContext:
 
     def suppressed(self, rule_id: str, lineno: int) -> bool:
         """Whether ``rule_id`` is silenced at ``lineno``."""
-        return _suppressed(rule_id, lineno, self.line_suppressions,
-                           self.file_suppressions)
+        for ids in (self.file_suppressions,
+                    self.line_suppressions.get(lineno, frozenset())):
+            if "all" in ids or rule_id in ids:
+                return True
+        return False
 
 
 class Rule(ABC):
@@ -233,15 +236,6 @@ def _parse_suppressions(source: str):
     return per_line, frozenset(whole_file)
 
 
-def _suppressed(rule_id: str, lineno: int,
-                per_line: Dict[int, frozenset], whole_file: frozenset) -> bool:
-    """Apply a :func:`_parse_suppressions` index to one finding position."""
-    for ids in (whole_file, per_line.get(lineno, frozenset())):
-        if "all" in ids or rule_id in ids:
-            return True
-    return False
-
-
 def _active_rules(config: LintConfig) -> List[Rule]:
     rules: List[Rule] = []
     for rule_id in sorted(RULE_REGISTRY):
@@ -290,3 +284,12 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
             if key not in seen:
                 seen.add(key)
                 yield key
+
+
+def lint_paths(paths: Sequence[str],
+               config: Optional[LintConfig] = None) -> List[Finding]:
+    """Lint files and directory trees; directories are walked recursively."""
+    findings: List[Finding] = []
+    for path in iter_python_files(paths):
+        findings.extend(lint_file(path, config=config))
+    return sorted(findings)

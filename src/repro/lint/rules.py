@@ -34,15 +34,13 @@ __all__ = [
 
 #: ``numpy.random`` attributes that construct *seedable* generators and
 #: are therefore allowed even in deterministic packages (anything else on
-#: ``numpy.random`` is the legacy global-state API).  Shared with the flow
-#: extractor, which treats the same set as RL011's non-sources.
+#: ``numpy.random`` is the legacy global-state API).
 _SEEDABLE_NUMPY = frozenset({
     "default_rng", "Generator", "SeedSequence", "BitGenerator",
     "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64",
 })
 
-#: Handler-body markers treated as "the failure was recorded" by RL006
-#: and, through the flow extractor, by RL014.
+#: Handler-body markers treated as "the failure was recorded" by RL006.
 _RECORDING_ATTRS = frozenset({"fallback", "counts"})
 _RECORDING_CALLS = frozenset({"record", "append", "warning", "error"})
 

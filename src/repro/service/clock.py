@@ -2,7 +2,7 @@
 
 Everything under ``repro`` outside this package is deterministic — a
 pure function of (inputs, seed) with slot-indexed time, enforced by the
-rushlint RL002/RL012 rules over the deterministic packages.  The
+rushlint RL002 rule over the deterministic packages.  The
 ``service`` package is the sanctioned carve-out: a daemon must pace its
 slots against real time and report calendar timestamps to operators.
 :class:`RealTimeClock` is the single component that reads clocks —

@@ -137,13 +137,15 @@ class RealFileOps:
     """
 
     def open_append(self, path: str) -> IO[bytes]:
-        return open(path, "ab")
+        # Unbuffered: ``write`` is one syscall whose count the caller
+        # checks, and a refused frame cannot wait in user space for a
+        # later append to flush it.
+        return open(path, "ab", buffering=0)
 
     def write(self, fobj: IO[bytes], data: bytes) -> int:
         return fobj.write(data)
 
     def fsync(self, fobj: IO[bytes]) -> None:
-        fobj.flush()
         os.fsync(fobj.fileno())
 
     def close(self, fobj: IO[bytes]) -> None:
@@ -343,17 +345,24 @@ class JournalWriter:
         Every byte the journal persists flows through this method (and
         the anchor's :func:`atomic_write_text`) — the write discipline
         lint rule RL015 enforces across ``repro.service``.  An
-        ``OSError`` (``ENOSPC``, EIO) surfaces as the retryable
-        :class:`JournalWriteError` *before* the event is applied, so a
-        failed append never leaves a half-admitted job.
+        ``OSError`` (``ENOSPC``, EIO) or a short write surfaces as the
+        retryable :class:`JournalWriteError` *before* the event is
+        applied, so a failed append never leaves a half-admitted job —
+        and the segment is cut back to its length before the append, so
+        the next record (which reuses the seq) never lands behind the
+        refused one.
         """
         if self._closed or self._segment is None:
             raise JournalWriteError("journal writer is closed")
         frame = _encode_record(self._seq + 1, entry)
         try:
-            self.ops.write(self._segment, frame)
+            written = self.ops.write(self._segment, frame)
+            if written != len(frame):
+                raise OSError(
+                    f"short write ({written} of {len(frame)} bytes)")
             self.ops.fsync(self._segment)
         except OSError as exc:
+            self._drop_refused_frame()
             raise JournalWriteError(
                 f"journal append failed: {exc}") from exc
         self._seq += 1
@@ -369,6 +378,19 @@ class JournalWriter:
                 "rush_journal_fsyncs_total",
                 help="fsync calls made durable by the journal").inc()
         return self._seq
+
+    def _drop_refused_frame(self) -> None:
+        """Cut the segment back to its last accepted record.
+
+        If the truncate is refused too, the writer is poisoned — every
+        later append fails until a restart, whose recovery truncates a
+        torn tail itself — rather than continuing on a dirty segment.
+        """
+        try:
+            self.ops.truncate(str(self._segment_path), self._segment_size)
+        except OSError:
+            segment, self._segment = self._segment, None
+            self.ops.close(segment)
 
     def note_applied(self, engine: ServiceEngine) -> None:
         """Housekeeping hook the engine calls after applying an event.

@@ -84,8 +84,10 @@ class TestSimulate:
         assert "nothing to report" in capsys.readouterr().out
 
     def test_missing_trace_reports_error(self, tmp_path, capsys):
-        with pytest.raises(FileNotFoundError):
-            run_cli("simulate", "--trace", str(tmp_path / "nope.jsonl"))
+        missing = tmp_path / "nope.jsonl"
+        assert run_cli("simulate", "--trace", str(missing)) == 2
+        assert capsys.readouterr().err == (
+            f"error: No such file or directory: {missing}\n")
 
 
 class TestCompare:
@@ -279,3 +281,29 @@ class TestSimulateObservability:
             run_cli("metrics", "--trace", str(small_trace))
         assert exit_info.value.code == 2
         assert "invalid choice: 'metrics'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--trace", "{missing}/t.jsonl"),
+    ("plan", "--trace", "{missing}/t.jsonl"),
+    ("chaos", "--trace", "{missing}/t.jsonl"),
+    ("ingest", "--swf", "{missing}/t.swf", "--out", "{missing}/o.jsonl"),
+    ("generate", "--jobs", "3", "--out", "{missing}/x.jsonl"),
+    ("simulate", "--trace", "{trace}", "--capacity", "4",
+     "--faults", "{missing}/f.json"),
+    ("simulate", "--trace", "{trace}", "--capacity", "4",
+     "--metrics-out", "{missing}/m.prom"),
+], ids=["simulate-trace", "plan-trace", "chaos-trace", "ingest-swf",
+        "generate-out", "simulate-faults", "simulate-metrics-out"])
+def test_unopenable_path_is_one_error_line_and_exit_2(argv, small_trace,
+                                                      tmp_path, capsys):
+    """A file that cannot be read or written is the operator's typo,
+    not a crash: one ``error:`` line on stderr, exit 2, no traceback."""
+    missing = tmp_path / "no-such-dir"
+    code = run_cli(*(a.format(missing=missing, trace=small_trace)
+                     for a in argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: No such file or directory: ")
+    assert str(missing) in err and err.count("\n") == 1
+    assert not obs.get_metrics().active

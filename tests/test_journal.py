@@ -299,6 +299,75 @@ def test_enospc_is_retryable_and_state_stays_consistent(tmp_path):
     engine.close()
 
 
+class _RefuseOnce(RealFileOps):
+    """Real file ops whose next armed ``write`` or ``fsync`` fails once,
+    the way a full or failing disk does for a frame under a page."""
+
+    def __init__(self, mode):
+        self.mode = mode
+        self.armed = False
+
+    def _fire(self):
+        fire, self.armed = self.armed, False
+        return fire
+
+    def write(self, fobj, data):
+        if self.mode == "short-write" and self._fire():
+            return super().write(fobj, data[:len(data) // 2])
+        return super().write(fobj, data)
+
+    def fsync(self, fobj):
+        if self.mode == "fsync" and self._fire():
+            raise OSError(28, "No space left on device")
+        super().fsync(fobj)
+
+
+@pytest.mark.parametrize("mode", ["fsync", "short-write"])
+def test_refused_append_leaves_no_bytes_behind(tmp_path, mode):
+    """A refused append must not share the segment with the next one:
+    the frame it wrote (all of it before a failed fsync, half of it on a
+    short write) would carry the seq the next accepted record reuses."""
+    ops = _RefuseOnce(mode)
+    engine, _writer = open_journal(tmp_path, CONFIG, file_ops=ops,
+                                   auto_compact=False)
+    engine.submit(dict(_payload(0), job_id="a"))
+    segment = _first_segment(tmp_path)
+    before = segment.read_bytes()
+    ops.armed = True
+    with pytest.raises(JournalWriteError) as exc_info:
+        engine.submit(dict(_payload(1), job_id="refused"))
+    assert exc_info.value.status == 503
+    assert segment.read_bytes() == before
+    assert sorted(engine._known) == ["a"]
+    engine.tick()
+    engine.submit(dict(_payload(2), job_id="b"))
+    digest = engine.decisions_digest()
+    engine.close()
+    engine, _stats = recover_engine(tmp_path)
+    assert sorted(engine._known) == ["a", "b"]
+    assert engine.decisions_digest() == digest
+    engine.close()
+
+
+def test_failed_rollback_poisons_the_writer(tmp_path):
+    """If the refused frame cannot be cut away either, no later append
+    may land behind it: the writer refuses until restart."""
+    class Ops(_RefuseOnce):
+        def truncate(self, path, size):
+            raise OSError(5, "Input/output error")
+
+    ops = Ops("fsync")
+    writer = JournalWriter(tmp_path, file_ops=ops, **SINGLE_SEGMENT)
+    writer.append({"kind": "tick", "due": 0})
+    ops.armed = True
+    with pytest.raises(JournalWriteError, match="append failed"):
+        writer.append({"kind": "tick", "due": 1})
+    with pytest.raises(JournalWriteError, match="closed"):
+        writer.append({"kind": "tick", "due": 1})
+    assert writer.seq == 1
+    writer.close()
+
+
 def test_idempotency_key_dedup_is_pinned(tmp_path):
     engine, _writer = open_journal(tmp_path, CONFIG)
     first = engine.submit(_payload(0))

@@ -2,8 +2,9 @@
 
 Covers, per ISSUE 3: one positive + one negative fixture per rule
 (``tests/lint_fixtures/``), the suppression grammar, the JSON reporter
-schema (pinned at version 1), CLI exit codes, and the self-check that
-the shipped ``src/repro`` tree is rushlint-clean.
+schema (pinned at version 1), CLI exit codes (retired rule ids are
+unknown ids), and the self-check that the shipped ``src/repro`` tree is
+rushlint-clean.
 """
 
 import json
@@ -52,27 +53,18 @@ def _rule_findings(rule_id, kind):
 # Registry
 # ---------------------------------------------------------------------------
 
-#: Project-wide flow rules; their fixture-driven tests live in
-#: tests/test_lint_flow.py, but the registry owns every rule.  RL010 and
-#: RL013 were retired with the process pool; ids are not renumbered.
-FLOW_RULE_IDS = ("RL011", "RL012", "RL014")
+#: Retired rule ids (docs/LINTING.md, "Retired rules"): RL010/RL013 left
+#: with the process pool, RL011/RL012/RL014 with the flow engine.  Ids
+#: are never renumbered or reused, so each is an unknown id today.
+RETIRED_RULE_IDS = ("RL010", "RL011", "RL012", "RL013", "RL014")
 
 
 def test_registry_ships_every_domain_rule():
-    assert sorted(RULE_REGISTRY) == sorted(
-        list(RULE_CASES) + list(FLOW_RULE_IDS))
+    assert sorted(RULE_REGISTRY) == sorted(RULE_CASES)
     for rule_id, cls in RULE_REGISTRY.items():
         assert cls.rule_id == rule_id
         assert cls.name, rule_id
         assert cls.rationale, rule_id
-
-
-def test_flow_rules_are_inert_in_per_file_mode():
-    """Flow rules yield nothing from the per-file engine."""
-    src = "import numpy as np\nrng = np.random.default_rng()\n"
-    config = LintConfig(package_override="core",
-                        select=frozenset(FLOW_RULE_IDS))
-    assert lint_source(src, config=config) == []
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +110,12 @@ def test_syntax_error_reports_rl000():
     assert len(findings) == 1
     assert findings[0].rule_id == SYNTAX_ERROR_ID
     assert "syntax error" in findings[0].message
+
+
+def test_syntax_error_is_reported_once(tmp_path):
+    target = tmp_path / "broken.py"
+    target.write_text("def broken(:\n")
+    assert [f.rule_id for f in lint_paths([str(target)])] == ["RL000"]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +287,14 @@ def test_cli_exit_2_on_unknown_rule(capsys):
     assert "unknown rule id" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rule_id", RETIRED_RULE_IDS)
+def test_cli_exit_2_on_retired_rule(rule_id, capsys):
+    code = main(["lint", str(FIXTURES), "--select", rule_id])
+    assert code == 2
+    assert f"unknown rule id(s): {rule_id}; known: RL001" \
+        in capsys.readouterr().out
+
+
 def test_cli_exit_2_on_missing_path(capsys):
     code = main(["lint", str(FIXTURES / "does_not_exist.py")])
     assert code == 2
@@ -307,8 +313,25 @@ def test_cli_json_format_parses(capsys):
 def test_cli_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in sorted(RULE_CASES):
-        assert rule_id in out
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("RL")]
+    assert listed == sorted(RULE_CASES)
+
+
+def test_cli_exclude_skips_matching_files(capsys):
+    argv = ["lint", str(FIXTURES / "rl001_pos.py"),
+            str(FIXTURES / "rl001_neg.py"), "--as-package", "workload",
+            "--select", "RL001"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert main(argv + ["--exclude", "rl001_pos"]) == 0
+    assert "clean: 0 findings in 1 file" in capsys.readouterr().out
+
+
+def test_cli_flow_flag_is_gone():
+    with pytest.raises(SystemExit) as usage:
+        main(["lint", "--flow", "src"])
+    assert usage.value.code == 2
 
 
 def test_cli_as_benchmark_forces_rl008(capsys):
@@ -325,6 +348,12 @@ def test_cli_as_benchmark_forces_rl008(capsys):
 def test_shipped_tree_is_rushlint_clean():
     findings = lint_paths([str(REPO_ROOT / "src" / "repro")])
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+def test_shipped_tree_is_clean_under_rush_lint(capsys):
+    """The one gate CI and the pre-commit hook run."""
+    assert main(["lint", str(REPO_ROOT / "src")]) == 0
+    assert "clean" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
