@@ -90,7 +90,6 @@ from repro.estimation import (
     DemandEstimate,
     DistributionEstimator,
     EmpiricalEstimator,
-    EwmaGaussianEstimator,
     FailureAwareEstimator,
     GaussianEstimator,
     MeanTimeEstimator,
@@ -178,7 +177,6 @@ __all__ = [
     "MeanTimeEstimator",
     "GaussianEstimator",
     "EmpiricalEstimator",
-    "EwmaGaussianEstimator",
     "FailureAwareEstimator",
     # utility
     "UtilityFunction",

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.report import format_table
 from repro.cluster.job import JobSpec
-from repro.cluster.metrics import SimulationResult
+from repro.cluster.metrics import SimulationResult, scrub_nonfinite
 from repro.cluster.simulator import run_simulation
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
@@ -124,17 +124,9 @@ class ChaosReport:
         }
 
     def save_json(self, path: Union[str, Path]) -> None:
-        def clean(obj):
-            if isinstance(obj, float) and not math.isfinite(obj):
-                return None
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, list):
-                return [clean(v) for v in obj]
-            return obj
-
         Path(path).write_text(
-            json.dumps(clean(self.to_dict()), indent=2, sort_keys=True),
+            json.dumps(scrub_nonfinite(self.to_dict()), indent=2,
+                       sort_keys=True),
             encoding="utf-8")
 
     def summary_table(self) -> str:

@@ -24,7 +24,26 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.cluster.job import JobSpec
 from repro.faults.base import FaultEvent
 
-__all__ = ["JobRecord", "SimulationResult", "lexicographic_compare"]
+__all__ = ["JobRecord", "SimulationResult", "lexicographic_compare",
+           "scrub_nonfinite"]
+
+
+def scrub_nonfinite(value: object) -> object:
+    """Replace non-finite floats with ``None``, recursively.
+
+    THE scrubber behind every strict-JSON dump and canonical digest
+    (result/chaos/scenario artifacts, the service digests): unfinished
+    jobs carry ``latency = nan``, and neither a file nor a digest may
+    depend on how the host spells ``nan``.  Tuples come back as lists,
+    exactly as ``json.dumps`` would write them.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: scrub_nonfinite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [scrub_nonfinite(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -182,20 +201,11 @@ class SimulationResult:
     def save_json(self, path) -> None:
         """Write :meth:`to_dict` to ``path`` (NaN-safe JSON)."""
         import json
-        import math
         from pathlib import Path
 
-        def clean(obj):
-            if isinstance(obj, float) and not math.isfinite(obj):
-                return None
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, list):
-                return [clean(v) for v in obj]
-            return obj
-
         Path(path).write_text(
-            json.dumps(clean(self.to_dict()), indent=2, sort_keys=True),
+            json.dumps(scrub_nonfinite(self.to_dict()), indent=2,
+                       sort_keys=True),
             encoding="utf-8")
 
     def save_csv(self, path) -> None:

@@ -78,7 +78,7 @@ class ClusterSimulator:
         self._pending_arrivals: List[SimJob] = []
         self._active: List[SimJob] = []
         self._completed: List[SimJob] = []
-        self._cancelled: List[SimJob] = []
+        self._cancelled: Dict[str, SimJob] = {}  # by id, in cancel order
         self.faults = faults if faults is not None else FaultPlan.default()
         self.faults.bind(self, fallback_seed=seed)
         self.fault_log = self.faults.log
@@ -146,7 +146,7 @@ class ClusterSimulator:
             if missing_ok:
                 return False
             raise SimulationError(f"cannot cancel unknown job {job_id!r}")
-        if job in self._completed or job in self._cancelled:
+        if job in self._completed or job_id in self._cancelled:
             if missing_ok:
                 return False
             state = "completed" if job in self._completed else "cancelled"
@@ -163,14 +163,18 @@ class ClusterSimulator:
         else:
             self._pending_arrivals = [
                 j for j in self._pending_arrivals if j.job_id != job_id]
-        self._cancelled.append(job)
+        self._cancelled[job_id] = job
         self.scheduler.on_job_cancelled(job)
         return True
 
     @property
     def cancelled_jobs(self) -> List[SimJob]:
         """Jobs withdrawn by :meth:`cancel_job`, in cancellation order."""
-        return list(self._cancelled)
+        return list(self._cancelled.values())
+
+    def is_cancelled(self, job_id: str) -> bool:
+        """Whether :meth:`cancel_job` has withdrawn this job."""
+        return job_id in self._cancelled
 
     @property
     def completed_jobs(self) -> List[SimJob]:
@@ -343,10 +347,10 @@ class ClusterSimulator:
         job.cancel_pending_duplicates(winner.logical_id)
 
     def _result(self) -> SimulationResult:
-        cancelled = set(id(job) for job in self._cancelled)
         records = [
             JobRecord.from_spec(job.spec, job.completion_time, self.now)
-            for job in self._jobs.values() if id(job) not in cancelled
+            for job_id, job in self._jobs.items()
+            if job_id not in self._cancelled
         ]
         records.sort(key=lambda r: (r.arrival, r.job_id))
         fallbacks = dict(getattr(self.scheduler, "degradation_counts", {}) or {})

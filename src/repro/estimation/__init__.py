@@ -3,7 +3,6 @@
 from repro.estimation.base import DemandEstimate, DistributionEstimator
 from repro.estimation.empirical import (EmpiricalEstimator,
                                         TraceFittedEstimators, split_warmup)
-from repro.estimation.ewma import EwmaGaussianEstimator
 from repro.estimation.failure import FailureAwareEstimator
 from repro.estimation.gaussian import GaussianEstimator
 from repro.estimation.mean import MeanTimeEstimator
@@ -19,6 +18,5 @@ __all__ = [
     "EmpiricalEstimator",
     "TraceFittedEstimators",
     "split_warmup",
-    "EwmaGaussianEstimator",
     "FailureAwareEstimator",
 ]

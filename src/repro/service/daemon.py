@@ -19,7 +19,7 @@ GET       /tenants                 tenant shares, quotas and live counts
 POST      /jobs                    submit a job (trace-record payload)
 GET       /jobs                    list every known job's status
 GET       /jobs/{id}               one job's status (state + degradation)
-DELETE    /jobs/{id}               cancel (also ``POST /jobs/{id}/cancel``)
+DELETE    /jobs/{id}               cancel
 POST      /tick                    advance N slots (manual-clock mode only)
 GET       /stream                  NDJSON per-slot status; ``?count=N`` bounds
 GET       /digest                  canonical records/decisions digests
@@ -82,6 +82,8 @@ class ServiceDaemon:
         self.snapshot_path = snapshot_path
         self._server: Optional[asyncio.AbstractServer] = None
         self._slot_task: Optional[asyncio.Task] = None
+        #: ``ok`` | ``stalled: <code>`` | ``dead: <Type>: …`` (``/status``).
+        self._slot_loop_state = "ok"
         self._subscribers: List[asyncio.Queue] = []
         self._inflight: set = set()  # connection-handler tasks being served
         self._closing = False
@@ -141,7 +143,20 @@ class ServiceDaemon:
         assert self.clock is not None
         while not self._closing:
             await self.clock.wait_for_next_slot()
-            self._do_tick(1)
+            try:
+                self._do_tick(1)
+            except ServiceError as exc:
+                # Refused before it was applied (the journal could not
+                # take the tick): the slot waits for the next boundary.
+                # Its own boundary is already past, so sleep the slot
+                # out here rather than spin.
+                self._slot_loop_state = f"stalled: {exc.code}"
+                await asyncio.sleep(self.clock.slot_seconds)
+            except Exception as exc:  # a daemon bug: the clock ends, loudly
+                self._slot_loop_state = f"dead: {type(exc).__name__}: {exc}"
+                return
+            else:
+                self._slot_loop_state = "ok"
 
     def _do_tick(self, slots: int) -> Dict[str, Any]:
         status = self.engine.tick(slots)
@@ -323,19 +338,19 @@ class ServiceDaemon:
             await self._respond(writer, 200, self.engine.job_status(tail))
         elif method == "DELETE" and "/" not in tail and tail:
             await self._respond(writer, 200, self.engine.cancel(tail))
-        elif method == "POST" and tail.endswith("/cancel"):
-            job_id = tail[: -len("/cancel")]
-            await self._respond(writer, 200, self.engine.cancel(job_id))
         else:
             raise BadRequestError(f"no job route for {method} /jobs/{tail}")
 
     def _service_status(self) -> Dict[str, Any]:
         mode = "manual" if self.clock is None else "realtime"
-        status: Dict[str, Any] = {"mode": mode, "chaos": self.chaos,
-                                  "streams": len(self._subscribers)}
+        status: Dict[str, Any] = {
+            "mode": mode, "chaos": self.chaos,
+            "streams": len(self._subscribers),
+            "housekeeping_failure": self.engine.housekeeping_failure}
         if self.clock is not None:
             status["slot_seconds"] = self.clock.slot_seconds
             status["uptime_seconds"] = self.clock.uptime_seconds()
+            status["slot_loop"] = self._slot_loop_state
         return status
 
     # -- streaming -------------------------------------------------------

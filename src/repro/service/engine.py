@@ -4,7 +4,7 @@
 a :class:`~repro.cluster.simulator.ClusterSimulator` driven through the
 :class:`~repro.core.clock.Clock` / :class:`~repro.core.clock.EventSource`
 protocols, validates and journals every external request, and advances
-one slot per :meth:`tick`.  The asyncio daemon is a thin shell that
+one slot per ``tick()``.  The asyncio daemon is a thin shell that
 paces ``tick()`` against a real-time clock and translates HTTP into
 these methods — which is why the whole service layer can be tested, and
 its snapshot/restore proven bit-identical, without ever opening a
@@ -35,8 +35,8 @@ from repro.errors import (BadRequestError, ConfigurationError, JobStateError,
 from repro.faults.plan import FaultPlan
 from repro.obs import get_metrics
 from repro.schedulers import POLICIES, Scheduler
-from repro.service.protocol import (SubmitRequest, canonical_digest,
-                                    parse_submit, records_digest)
+from repro.service.protocol import (canonical_digest, parse_submit,
+                                    records_digest)
 from repro.service.tenants import (TenantRegistry, TenantSpec,
                                    tenants_from_dicts)
 from repro.workload.trace import spec_from_dict, spec_to_dict
@@ -106,7 +106,16 @@ class ServiceConfig:
 
 
 class ServiceEngine:
-    """Submit/cancel/query/tick over the clock-driven simulator core."""
+    """Submit/cancel/query/tick over the clock-driven simulator core.
+
+    Every accepted event goes validate → commit → apply.  The request
+    methods only validate and build the journal entry; :meth:`_commit`
+    makes it durable, applies it and runs journal housekeeping; and
+    :meth:`apply` — given nothing but the entry — is the only code that
+    changes engine state, for live requests, snapshot restore and WAL
+    recovery alike.  Live ≡ replay holds by construction: the live
+    engine acts on exactly what it journaled.
+    """
 
     def __init__(self, config: ServiceConfig, *,
                  clock: Optional[Clock] = None) -> None:
@@ -124,35 +133,89 @@ class ServiceEngine:
             config.capacity, self.scheduler, seed=config.seed,
             faults=faults, clock=clock, events=self.events,
             record_decisions=True)
-        #: Ordered journal of every accepted external request.
+        #: Every applied entry except ticks, in order (the snapshot's
+        #: journal; ticks are implied by the entries' ``due`` slots).
         self.journal: List[Dict[str, Any]] = []
-        #: Optional write-ahead log (see :mod:`repro.service.journal`):
-        #: when attached, every submit/cancel/tick is appended and
-        #: fsynced *before* it mutates engine state.
+        #: Optional write-ahead log (duck-typed: ``append``,
+        #: ``note_applied``, ``close``; see :mod:`repro.service.journal`).
         self.wal: Optional[Any] = None
+        #: The last journal-housekeeping failure, for ``/status``.
+        self.housekeeping_failure: Optional[str] = None
         self._auto_seq = 0
-        self._known: Dict[str, str] = {}  # job_id -> tenant
         self._idempotency: Dict[str, str] = {}  # idempotency key -> job_id
-        self._cancelling: set = set()
-        # What _release_finished has already seen of the simulator's
-        # append-only completed / cancelled lists.
+        self._cancelling: set = set()  # cancels queued for the next step
+        # How much of the simulator's append-only completed / cancelled
+        # lists has been released from the tenant registry.
         self._released_completed = 0
-        self._cancelled_ids: set = set()
+        self._released_cancelled = 0
 
-    # -- durability ------------------------------------------------------
+    # -- commit & apply --------------------------------------------------
 
-    def attach_wal(self, wal: Any) -> None:
-        """Attach a write-ahead journal writer (duck-typed: ``append``,
-        ``note_applied``, ``close``)."""
-        self.wal = wal
+    def _commit(self, entry: Dict[str, Any]) -> None:
+        """Make a validated entry durable, apply it, then housekeep.
 
-    def _wal_append(self, entry: Mapping[str, Any]) -> None:
+        The error contract lives here.  The append is the only step
+        that may refuse the event and it runs before :meth:`apply`, so
+        an error means *not applied*.  Checkpoints, rotation and
+        compaction run after the event took effect: a failure there is
+        counted by the writer and kept for ``/status``, never returned
+        — the caller gets the event's answer.
+        """
         if self.wal is not None:
             self.wal.append(entry)
-
-    def _wal_note_applied(self) -> None:
+        self.apply(entry)
         if self.wal is not None:
-            self.wal.note_applied(self)
+            try:
+                self.wal.note_applied(self)
+            except ServiceError as exc:
+                self.housekeeping_failure = str(exc)
+
+    def apply(self, entry: Mapping[str, Any]) -> None:
+        """THE state transition: act on one journal entry, unvalidated.
+
+        The entry was validated when first accepted, and the live path,
+        :func:`~repro.service.snapshot.restore_engine` and
+        :func:`~repro.service.journal.recover_engine` all call this with
+        the clock at the entry's ``due`` slot, so a replay reproduces
+        the accepted sequence verbatim (specs carry their final ids and
+        arrival slots).
+        """
+        kind = entry.get("kind")
+        if kind == "tick":
+            self.sim.step()  # drains every queued event, cancels included
+            self._cancelling.clear()
+            self._release_finished()
+            return
+        due = int(entry["due"])
+        if kind == "submit":
+            spec = spec_from_dict(entry["spec"])
+            self.registry.admit(entry.get("tenant"), spec.job_id)
+            auto_seq = entry.get("auto_seq")
+            if auto_seq is not None:
+                self._auto_seq = max(self._auto_seq, int(auto_seq))
+            key = entry.get("idempotency_key")
+            if key is not None:
+                self._idempotency[str(key)] = spec.job_id
+            self.events.push(SubmitEvent(spec), due=due)
+        elif kind == "cancel":
+            job_id = str(entry["job_id"])
+            self._cancelling.add(job_id)
+            self.events.push(CancelEvent(job_id), due=due)
+        elif kind == "solver_fault":
+            getattr(self.scheduler, "inject_solver_fault")(int(entry["depth"]))
+        else:
+            raise ServiceError(f"unknown journal entry kind {kind!r}")
+        self.journal.append(dict(entry))
+
+    def _release_finished(self) -> None:
+        """Release the jobs that left the cluster during the last slot."""
+        completed = self.sim.completed_jobs
+        cancelled = self.sim.cancelled_jobs
+        for job in (completed[self._released_completed:]
+                    + cancelled[self._released_cancelled:]):
+            self.registry.release(job.job_id)
+        self._released_completed = len(completed)
+        self._released_cancelled = len(cancelled)
 
     # -- time -----------------------------------------------------------
 
@@ -172,41 +235,22 @@ class ServiceEngine:
             raise BadRequestError(
                 f"tick slots must be a positive integer, got {slots}")
         for _ in range(slots):
-            self._wal_append({"kind": "tick", "due": self.slot})
-            self.sim.step()
-            self._release_finished()
-            self._wal_note_applied()
+            self._commit({"kind": "tick", "due": self.slot})
         return self.cluster_status()
-
-    def _release_finished(self) -> None:
-        """Release the jobs that left the cluster during the last slot."""
-        completed = self.sim.completed_jobs
-        for job in completed[self._released_completed:]:
-            self.registry.release(job.job_id)
-        self._released_completed = len(completed)
-        for job in self.sim.cancelled_jobs[len(self._cancelled_ids):]:
-            self._cancelled_ids.add(job.job_id)
-            self._cancelling.discard(job.job_id)
-            self.registry.release(job.job_id)
 
     # -- requests --------------------------------------------------------
 
     def submit(self, payload: object) -> Dict[str, Any]:
-        """Validate, admit and journal one submission; returns its status."""
+        """Validate and commit one submission; returns its status."""
         request = parse_submit(payload)
-        return self._admit(request)
-
-    def _admit(self, request: SubmitRequest) -> Dict[str, Any]:
         key = request.idempotency_key
-        if key is not None:
-            prior = self._idempotency.get(key)
-            if prior is not None:
-                # A retried submit after an ambiguous failure: the first
-                # attempt was journaled and applied, so this one must
-                # not double-admit.  Report the existing job.
-                status = self.job_status(prior)
-                status["deduplicated"] = True
-                return status
+        if key is not None and key in self._idempotency:
+            # A retried submit after an ambiguous failure: the first
+            # attempt was journaled and applied, so this one must not
+            # double-admit.  Report the existing job.
+            status = self.job_status(self._idempotency[key])
+            status["deduplicated"] = True
+            return status
         now = self.slot
         arrival = request.arrival if request.arrival is not None else now
         if arrival < now:
@@ -219,7 +263,7 @@ class ServiceEngine:
                            else self.registry.default_tenant)
             auto_seq = self._auto_seq + 1
             job_id = f"{tenant_hint}-{auto_seq}"
-        if job_id in self._known:
+        if self.registry.tenant_of(job_id) is not None:
             raise JobStateError(f"job id {job_id!r} was already submitted")
         spec = request.build_spec(job_id, arrival)
         tenant = self.registry.admissible(request.tenant)
@@ -230,32 +274,20 @@ class ServiceEngine:
             entry["auto_seq"] = auto_seq
         if key is not None:
             entry["idempotency_key"] = key
-        # Write-ahead: the admission must be durable before any
-        # in-memory state reflects it, or a crash here would admit a job
-        # that recovery has never heard of.  Everything above only
-        # validated, so a refused append leaves the engine (tenant
-        # registry included) exactly as it found it.
-        self._wal_append(entry)
-        self.registry.admit(tenant, job_id)
-        if auto_seq is not None:
-            self._auto_seq = auto_seq
-        self._known[job_id] = tenant
-        if key is not None:
-            self._idempotency[key] = job_id
-        self.events.push(SubmitEvent(spec), due=now)
-        self.journal.append(entry)
+        # Everything above only validated, so a refused commit leaves
+        # the engine (tenant registry included) exactly as it found it.
+        self._commit(entry)
         metrics = get_metrics()
         if metrics.active:
             metrics.counter(
                 "rush_service_jobs_submitted_total",
                 help="Jobs accepted by the service",
                 labels=("tenant",)).labels(tenant).inc()
-        self._wal_note_applied()
         return self.job_status(job_id)
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """Queue a cancellation for the next slot boundary."""
-        tenant = self._known.get(job_id)
+        tenant = self.registry.tenant_of(job_id)
         if tenant is None:
             raise UnknownJobError(job_id)
         state = self._job_state(job_id)
@@ -263,47 +295,29 @@ class ServiceEngine:
             raise JobStateError(
                 f"cannot cancel job {job_id!r}: already {state}")
         if state != "cancelling":
-            entry = {"kind": "cancel", "due": self.slot, "job_id": job_id}
-            self._wal_append(entry)
-            self._cancelling.add(job_id)
-            self.events.push(CancelEvent(job_id), due=self.slot)
-            self.journal.append(entry)
+            self._commit({"kind": "cancel", "due": self.slot,
+                          "job_id": job_id})
             metrics = get_metrics()
             if metrics.active:
                 metrics.counter(
                     "rush_service_jobs_cancelled_total",
                     help="Cancellations accepted by the service",
                     labels=("tenant",)).labels(tenant).inc()
-            self._wal_note_applied()
         return self.job_status(job_id)
 
-    def replay_entry(self, entry: Mapping[str, Any]) -> None:
-        """Re-apply one journaled request during snapshot restore.
-
-        Skips request validation — the entry was validated when first
-        accepted, and replay must reproduce the accepted sequence
-        verbatim (specs carry their final ids and arrival slots).
-        """
-        kind = entry.get("kind")
-        due = int(entry["due"])
-        if kind == "submit":
-            spec = spec_from_dict(entry["spec"])
-            tenant = self.registry.admit(entry.get("tenant"), spec.job_id)
-            self._known[spec.job_id] = tenant
-            auto_seq = entry.get("auto_seq")
-            if auto_seq is not None:
-                self._auto_seq = max(self._auto_seq, int(auto_seq))
-            key = entry.get("idempotency_key")
-            if key is not None:
-                self._idempotency[str(key)] = spec.job_id
-            self.events.push(SubmitEvent(spec), due=due)
-        elif kind == "cancel":
-            job_id = str(entry["job_id"])
-            self._cancelling.add(job_id)
-            self.events.push(CancelEvent(job_id), due=due)
-        else:
-            raise ServiceError(f"unknown journal entry kind {kind!r}")
-        self.journal.append(dict(entry))
+    def inject_solver_fault(self, depth: int = 1) -> Dict[str, Any]:
+        """Arm a forced solver failure (the daemon-side chaos hook)."""
+        if not isinstance(depth, int) or isinstance(depth, bool) \
+                or not 1 <= depth <= 3:
+            raise BadRequestError(
+                f"solver-fault depth must be an integer in [1, 3], "
+                f"got {depth!r}")
+        if not hasattr(self.scheduler, "inject_solver_fault"):
+            raise BadRequestError(
+                f"policy {self.config.policy!r} has no solver to sabotage")
+        self._commit({"kind": "solver_fault", "due": self.slot,
+                      "depth": depth})
+        return {"armed": True, "depth": depth, "slot": self.slot}
 
     # -- queries ---------------------------------------------------------
 
@@ -316,7 +330,7 @@ class ServiceEngine:
         job = self._sim_job(job_id)
         if job is not None and job.is_complete:
             return "completed"
-        if job_id in self._cancelled_ids:
+        if self.sim.is_cancelled(job_id):
             return "cancelled"
         if job_id in self._cancelling:
             return "cancelling"
@@ -334,7 +348,7 @@ class ServiceEngine:
 
     def _job_status(self, job_id: str,
                     degradation: Dict[str, Any]) -> Dict[str, Any]:
-        tenant = self._known.get(job_id)
+        tenant = self.registry.tenant_of(job_id)
         if tenant is None:
             raise UnknownJobError(job_id)
         state = self._job_state(job_id)
@@ -387,7 +401,7 @@ class ServiceEngine:
     def list_jobs(self) -> List[Dict[str, Any]]:
         degradation = self._degradation_status()  # one log scan per request
         return [self._job_status(job_id, degradation)
-                for job_id in sorted(self._known)]
+                for job_id in self.registry.job_ids()]
 
     def cluster_status(self) -> Dict[str, Any]:
         """The per-slot cluster summary (also the /stream payload)."""
@@ -429,22 +443,6 @@ class ServiceEngine:
     def records_digest(self) -> str:
         """Digest of completed-job outcomes (simulator-path comparable)."""
         return records_digest(self.result().records)
-
-    # -- chaos ----------------------------------------------------------
-
-    def inject_solver_fault(self, depth: int = 1) -> Dict[str, Any]:
-        """Arm a forced solver failure (the daemon-side chaos hook)."""
-        if not isinstance(depth, int) or isinstance(depth, bool) \
-                or not 1 <= depth <= 3:
-            raise BadRequestError(
-                f"solver-fault depth must be an integer in [1, 3], "
-                f"got {depth!r}")
-        hook = getattr(self.scheduler, "inject_solver_fault", None)
-        if hook is None:
-            raise BadRequestError(
-                f"policy {self.config.policy!r} has no solver to sabotage")
-        hook(depth)
-        return {"armed": True, "depth": depth, "slot": self.slot}
 
     # -- lifecycle -------------------------------------------------------
 

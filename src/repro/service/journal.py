@@ -2,16 +2,17 @@
 
 PR 8's snapshot machinery made the daemon restart-safe *if someone
 snapshotted*; this module makes it crash-safe by construction.  Every
-externally-visible event — ``submit``, ``cancel``, each ``tick`` slot —
-is framed, appended and fsynced to a segment file *before* the engine
-applies it, so an accepted request is durable by the time its HTTP
-response leaves the socket.  Recovery is the same replay the snapshot
-path already proves correct: the engine's behaviour is a pure function
-of (config, journal), so scanning the log and re-applying it through a
-fresh :class:`~repro.service.engine.ServiceEngine` re-derives the exact
-pre-crash decision stream — and periodic checkpoint records carrying
-the decision-stream digest let recovery *verify* that instead of
-assuming it.
+externally-visible event — ``submit``, ``cancel``, ``solver_fault``,
+each ``tick`` slot — is framed, appended and fsynced to a segment file
+*before* the engine applies it, so an accepted request is durable by
+the time its HTTP response leaves the socket.  Recovery is the same
+replay the snapshot path already proves correct — both call the one
+:meth:`~repro.service.engine.ServiceEngine.apply` the live path does:
+the engine's behaviour is a pure function of (config, journal), so
+scanning the log and re-applying it through a fresh engine re-derives
+the exact pre-crash decision stream — and periodic checkpoint records
+carrying the decision-stream digest let recovery *verify* that instead
+of assuming it.
 
 On-disk layout (one directory)::
 
@@ -331,12 +332,22 @@ class JournalWriter:
     def _open_segment(self) -> None:
         path = self.directory / _segment_name(self._seq + 1)
         existing = path.stat().st_size if path.exists() else 0
-        self._segment = self.ops.open_append(str(path))
-        self._segment_path = path
+        segment = self.ops.open_append(str(path))
         if existing == 0:
-            self.ops.write(self._segment, SEGMENT_MAGIC)
-            self.ops.fsync(self._segment)
+            try:
+                written = self.ops.write(segment, SEGMENT_MAGIC)
+                if written != len(SEGMENT_MAGIC):
+                    raise OSError("short write of the segment magic")
+                self.ops.fsync(segment)
+            except OSError:
+                # No usable segment: the writer stays without one, so
+                # every append is refused until a restart (whose
+                # recovery truncates a torn magic away).
+                self.ops.close(segment)
+                raise
             existing = len(SEGMENT_MAGIC)
+        self._segment = segment
+        self._segment_path = path
         self._segment_size = existing
 
     def append(self, entry: Mapping[str, Any]) -> int:
@@ -398,20 +409,42 @@ class JournalWriter:
         Runs only at a consistent point (everything appended has been
         applied), which is what lets the checkpoint digest describe the
         log prefix exactly and lets compaction anchor on live state.
+
+        The event is already durable and applied, so a failure here is
+        never the event's answer: it is counted, raised as a plain
+        :class:`ServiceError` the engine keeps for ``/status``, and the
+        step retries — a refused checkpoint after the next event, a
+        failed compaction (old anchor and every segment still in place)
+        at the next rotation.  A failed rotation leaves no segment to
+        write to: every later append is refused until a restart.
         """
-        if self._since_checkpoint >= self.checkpoint_every:
-            self.append({"kind": "checkpoint", "slot": engine.slot,
-                         "decisions_digest": engine.decisions_digest()})
-            self._since_checkpoint = 0
-        if self._segment_size >= self.segment_max_bytes:
-            self.rotate()
-            if self.auto_compact:
-                self.compact(engine)
+        step = "checkpoint"
+        try:
+            if self._since_checkpoint >= self.checkpoint_every:
+                self.append({"kind": "checkpoint", "slot": engine.slot,
+                             "decisions_digest": engine.decisions_digest()})
+                self._since_checkpoint = 0
+            if self._segment_size >= self.segment_max_bytes:
+                step = "rotate"
+                self.rotate()
+                if self.auto_compact:
+                    step = "compact"
+                    self.compact(engine)
+        except (OSError, JournalWriteError) as exc:
+            metrics = get_metrics()
+            if metrics.active:
+                metrics.counter(
+                    "rush_journal_housekeeping_failures_total",
+                    help="Checkpoint, rotation or compaction failures "
+                         "after an applied event (contained, retried)",
+                    labels=("step",)).labels(step).inc()
+            raise ServiceError(f"journal {step} failed: {exc}") from exc
 
     def rotate(self) -> None:
         """Close the current segment and start a fresh one."""
-        if self._segment is not None:
-            self.ops.close(self._segment)
+        segment, self._segment = self._segment, None
+        if segment is not None:
+            self.ops.close(segment)
         self._open_segment()
         self.ops.fsync_dir(str(self.directory))
 
@@ -461,9 +494,10 @@ def recover_engine(directory: Union[str, Path], *,
     Restores the anchor snapshot (itself digest-verified by
     :func:`~repro.service.snapshot.restore_engine`), then replays every
     WAL record past the anchor's ``journal_seq`` in sequence order:
-    ``tick`` advances the clock, ``submit``/``cancel`` re-enter through
-    the same replay path snapshots use, and each ``checkpoint`` record
-    must match the rebuilt decision digest exactly.  Returns the engine
+    every engine event — ``tick`` included — goes through
+    :meth:`ServiceEngine.apply`, the same transition the live path and
+    the anchor replay use, and each ``checkpoint`` record must match
+    the rebuilt decision digest exactly.  Returns the engine
     plus recovery stats (``last_seq``, ``applied``, ``deduped``,
     ``truncated_bytes``, ``segments``, ``checkpoints``).
     """
@@ -533,9 +567,6 @@ def recover_engine(directory: Union[str, Path], *,
 def _apply_record(engine: ServiceEngine, record: Mapping[str, Any],
                   path: str, offset: int) -> None:
     kind = record.get("kind")
-    if kind == "tick":
-        engine.tick()
-        return
     if kind == "checkpoint":
         slot = record.get("slot")
         digest = record.get("decisions_digest")
@@ -544,28 +575,26 @@ def _apply_record(engine: ServiceEngine, record: Mapping[str, Any],
                 "checkpoint mismatch: replay diverged from the "
                 "journaled decision stream", path=path, offset=offset)
         return
-    if kind in ("submit", "cancel"):
-        try:
-            due = int(record["due"])
-        except (KeyError, TypeError, ValueError):
-            raise JournalCorruptError(
-                f"{kind} record without a due slot",
-                path=path, offset=offset) from None
-        if due != engine.slot:
-            raise JournalCorruptError(
-                f"{kind} record due at slot {due} replayed at slot "
-                f"{engine.slot}: a tick record is missing",
-                path=path, offset=offset)
-        entry = {k: v for k, v in record.items() if k != "seq"}
-        try:
-            engine.replay_entry(entry)
-        except ServiceError as exc:
-            raise JournalCorruptError(
-                f"journaled {kind} no longer replays: {exc}",
-                path=path, offset=offset) from exc
-        return
-    raise JournalCorruptError(
-        f"unknown record kind {kind!r}", path=path, offset=offset)
+    # Everything else is an engine event.  The WAL spells its ticks
+    # out, so — unlike the anchor, which implies them — an event that
+    # is not due exactly now means a tick record went missing.
+    try:
+        due = int(record["due"])
+    except (KeyError, TypeError, ValueError):
+        raise JournalCorruptError(
+            f"{kind} record without a due slot",
+            path=path, offset=offset) from None
+    if due != engine.slot:
+        raise JournalCorruptError(
+            f"{kind} record due at slot {due} replayed at slot "
+            f"{engine.slot}: the tick records do not add up",
+            path=path, offset=offset)
+    try:
+        engine.apply({k: v for k, v in record.items() if k != "seq"})
+    except ServiceError as exc:  # an unknown kind included
+        raise JournalCorruptError(
+            f"journaled {kind} no longer replays: {exc}",
+            path=path, offset=offset) from exc
 
 
 def open_journal(directory: Union[str, Path],
@@ -583,8 +612,7 @@ def open_journal(directory: Union[str, Path],
     or policy would silently re-derive different decisions.  A fresh
     directory needs a ``config`` and is initialized with an anchor at
     seq 0.  The returned engine has the writer attached: every
-    subsequent submit/cancel/tick is appended and fsynced before it is
-    applied.
+    subsequent event is appended and fsynced before it is applied.
     """
     dirpath = Path(directory)
     os.makedirs(dirpath, exist_ok=True)
@@ -625,5 +653,5 @@ def open_journal(directory: Union[str, Path],
         start_seq=start_seq)
     if not has_anchor:
         writer.compact(engine)  # the seq-0 anchor a fresh journal starts from
-    engine.attach_wal(writer)
+    engine.wal = writer
     return engine, writer

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.cluster.job import JobSpec
+from repro.cluster.metrics import scrub_nonfinite
 from repro.errors import BadRequestError, ConfigurationError, ServiceError
 from repro.utility.config import utility_from_config
 from repro.workload.trace import spec_to_dict
@@ -218,15 +219,6 @@ def canonical_digest(obj: Any) -> str:
     use, so digests are comparable across the simulator path and the
     service path.
     """
-
-    def clean(value: Any) -> Any:
-        if isinstance(value, float) and not math.isfinite(value):
-            return None
-        if isinstance(value, dict):
-            return {k: clean(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [clean(v) for v in value]
-        return value
-
-    blob = json.dumps(clean(obj), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(scrub_nonfinite(obj), sort_keys=True,
+                      separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -18,7 +18,7 @@ Format (JSON-able)::
      "config": {...},        # ServiceConfig.to_dict()
      "slot": 42,             # the slot the engine had reached
      "auto_seq": 7,          # auto-id counter, so new ids never collide
-     "journal": [...],       # ordered submit/cancel entries
+     "journal": [...],       # ordered submit/cancel/solver_fault entries
      "decisions_digest": "<sha256 of the decision stream>"}
 """
 
@@ -64,12 +64,14 @@ def restore_engine(snapshot: Mapping[str, Any], *,
     """Rebuild an engine from a snapshot by replaying its journal.
 
     The replay interleaves journal entries with ticks exactly as the
-    original run did — each entry is applied while the clock sits at the
-    slot it was originally accepted in, so tenant quotas, event ordering
-    and fault streams all re-derive identically.  The rebuilt decision
-    stream is checked against the snapshot's digest; a mismatch raises
-    :class:`SnapshotError` rather than resuming from a silently
-    divergent state.
+    original run did — each entry goes through the engine's one
+    :meth:`~repro.service.engine.ServiceEngine.apply` while the clock
+    sits at the slot it was originally accepted in (the ticks are
+    implied by the entries' ``due`` slots), so tenant quotas, event
+    ordering and fault streams all re-derive identically.  The rebuilt
+    decision stream is checked against the snapshot's digest; a
+    mismatch raises :class:`SnapshotError` rather than resuming from a
+    silently divergent state.
 
     ``clock`` may be a real-time clock (its ``advance`` never sleeps, so
     replay is instant); the daemon rebases it afterwards.
@@ -102,11 +104,16 @@ def restore_engine(snapshot: Mapping[str, Any], *,
                 f"journal is out of order: entry due {due} after "
                 f"slot {engine.slot}")
         while engine.slot < due:
-            engine.tick()
-        engine.replay_entry(entry)
+            engine.apply({"kind": "tick", "due": engine.slot})
+        engine.apply(entry)
     while engine.slot < target_slot:
-        engine.tick()
-    engine._auto_seq = max(engine._auto_seq, auto_seq)
+        engine.apply({"kind": "tick", "due": engine.slot})
+    if engine._auto_seq < auto_seq:
+        # Only a pre-WAL snapshot, whose submit entries carry no
+        # ``auto_seq``, can hold a counter its journal does not imply.
+        raise SnapshotError(
+            f"snapshot auto_seq {auto_seq} is not implied by its journal "
+            f"(replay reached {engine._auto_seq}): new ids would collide")
 
     expected = snapshot.get("decisions_digest")
     actual = engine.decisions_digest()

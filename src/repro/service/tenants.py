@@ -121,7 +121,12 @@ class TenantRegistry:
                 f"{', '.join(self.names)}") from None
 
     def tenant_of(self, job_id: str) -> Optional[str]:
+        """The tenant that owns ``job_id``; ``None`` for an unknown job."""
         return self._owner.get(job_id)
+
+    def job_ids(self) -> List[str]:
+        """Every job ever admitted, sorted — the service's job index."""
+        return sorted(self._owner)
 
     # -- admission ------------------------------------------------------
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -41,7 +40,7 @@ from repro import obs
 from repro.analysis.calibration import CalibrationReport, calibration_report
 from repro.errors import ConfigurationError
 from repro.cluster.job import JobSpec
-from repro.cluster.metrics import SimulationResult
+from repro.cluster.metrics import SimulationResult, scrub_nonfinite
 from repro.cluster.simulator import run_simulation
 from repro.estimation.empirical import TraceFittedEstimators, split_warmup
 from repro.obs.ledger import NULL_LEDGER, CompletionLedger
@@ -248,35 +247,20 @@ class ScenarioOutcome:
 
     def digest(self) -> str:
         """SHA-256 of the canonical outcome (determinism test hook)."""
-        blob = json.dumps(_scrub(self._canonical()), sort_keys=True,
+        blob = json.dumps(scrub_nonfinite(self._canonical()), sort_keys=True,
                           allow_nan=False)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> Dict[str, object]:
         """JSON artifact: canonical outcome + digest + derived margins."""
-        out = _scrub(self._canonical())
+        out = scrub_nonfinite(self._canonical())
         assert isinstance(out, dict)
         out["digest"] = self.digest()
         out["utility_margins"] = self.utility_margins()
         out["mean_utilities"] = {policy: self.mean_utility(policy)
                                  for policy in sorted(self.results)}
-        out["ingestion_metrics"] = _scrub(self.ingestion_metrics)
+        out["ingestion_metrics"] = scrub_nonfinite(self.ingestion_metrics)
         return out
-
-
-def _scrub(value: object) -> object:
-    """Replace non-finite floats with None so dumps are strict-JSON.
-
-    Unfinished jobs carry ``latency = nan`` in their records; a digest
-    must not depend on the host's ``repr(nan)`` behaviour.
-    """
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _scrub(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_scrub(item) for item in value]
-    return value
 
 
 def run_scenario(name: str, *, seed: int = 0, fast: bool = True,

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro import (
-    EwmaGaussianEstimator,
     GaussianEstimator,
     JobSpec,
     PlannerJob,
@@ -69,14 +68,23 @@ class TestCoarseBinWidthThroughPlanner:
 
 class TestAlternativeEstimatorsInScheduler:
     def test_ewma_estimator_factory(self):
+        """The ``estimator_factory`` seam: the scheduler builds each
+        job's DE unit through it, with the job's spec in hand.  (The
+        name predates the EWMA estimator's retirement; the seam it pins
+        is the factory, here with the paper's mean-impulse DE.)"""
         specs = [JobSpec(job_id="j", arrival=0, task_durations=(3,) * 6,
                          utility=LinearUtility(40.0, 1.0), budget=40.0,
                          prior_runtime=3.0)]
-        scheduler = RushScheduler(
-            estimator_factory=lambda spec: EwmaGaussianEstimator(
-                alpha=0.2, prior_mean=spec.prior_runtime))
+        built = []
+
+        def factory(spec):
+            built.append(spec.job_id)
+            return MeanTimeEstimator(prior_runtime=spec.prior_runtime)
+
+        scheduler = RushScheduler(estimator_factory=factory)
         result = run_simulation(specs, 2, scheduler)
         assert result.completed_count == 1
+        assert built == ["j"]
 
     def test_default_prior_used_when_spec_has_none(self):
         """A job that ships no runtime prior plans exactly as if it had

@@ -338,13 +338,13 @@ def test_refused_append_leaves_no_bytes_behind(tmp_path, mode):
         engine.submit(dict(_payload(1), job_id="refused"))
     assert exc_info.value.status == 503
     assert segment.read_bytes() == before
-    assert sorted(engine._known) == ["a"]
+    assert [job["job_id"] for job in engine.list_jobs()] == ["a"]
     engine.tick()
     engine.submit(dict(_payload(2), job_id="b"))
     digest = engine.decisions_digest()
     engine.close()
     engine, _stats = recover_engine(tmp_path)
-    assert sorted(engine._known) == ["a", "b"]
+    assert [job["job_id"] for job in engine.list_jobs()] == ["a", "b"]
     assert engine.decisions_digest() == digest
     engine.close()
 
@@ -469,3 +469,84 @@ def test_journal_metrics_and_recovery_span(tmp_path):
                    for span in handle.tracer.spans)
     finally:
         obs.reset()
+
+
+# ---------------------------------------------------------------------------
+# Housekeeping after an applied event: contained, counted, retried
+# ---------------------------------------------------------------------------
+
+NO_CHECKPOINTS = 1 << 30
+
+#: step -> (journal tuning, which write *within one event* to refuse).
+#: An event's first write is its own append; what follows is upkeep —
+#: the checkpoint append, or (no checkpoints) rotation's magic write and
+#: then compaction's anchor write.
+HOUSEKEEPING_FAULTS = {
+    "checkpoint": ({"segment_max_bytes": 1 << 20, "checkpoint_every": 2}, 2),
+    "rotate": ({"segment_max_bytes": 1024,
+                "checkpoint_every": NO_CHECKPOINTS}, 2),
+    "compact": ({"segment_max_bytes": 1024,
+                 "checkpoint_every": NO_CHECKPOINTS}, 3),
+}
+
+
+@pytest.mark.parametrize("step", sorted(HOUSEKEEPING_FAULTS))
+def test_failed_housekeeping_never_answers_an_applied_event(tmp_path, step):
+    """ENOSPC on the checkpoint append, on rotation's magic write or on
+    compaction's anchor write strikes *after* the event is durable and
+    applied: the request must return the job's status (an error would
+    make the client's retry double-admit), the failure is counted and
+    kept for ``/status``, and a recovery from the directory agrees."""
+    journal_kw, nth_write = HOUSEKEEPING_FAULTS[step]
+    ops = FaultyFileOps(RealFileOps(), species="enospc", at_op=1 << 30)
+    handle = obs.enable(trace=False, metrics=True, ledger=False)
+    try:
+        engine, writer = open_journal(tmp_path, CONFIG, file_ops=ops,
+                                      **journal_kw)
+        anchor_before = (tmp_path / "anchor.json").read_bytes()
+        accepted = []
+        while not ops.fired:
+            assert len(accepted) < 40, "the armed write never happened"
+            ops.at_op = ops.writes + nth_write  # re-armed for every event
+            status = engine.submit({"task_durations": [2, 1],
+                                    "budget": 40.0})
+            accepted.append(status["job_id"])
+            assert status["state"] == "accepted"
+        ops.at_op = 1 << 30
+        assert engine.housekeeping_failure.startswith(
+            f"journal {step} failed")
+        assert (f'rush_journal_housekeeping_failures_total{{step="{step}"}} 1'
+                in handle.metrics.render_prometheus())
+        assert [j["job_id"] for j in engine.list_jobs()] == sorted(accepted)
+
+        if step == "rotate":
+            # No segment to write to: refused *before* apply from now on.
+            with pytest.raises(JournalWriteError):
+                engine.tick()
+            assert engine.slot == 0
+        else:
+            if step == "compact":
+                # The old anchor and every segment are still in place...
+                assert (tmp_path / "anchor.json").read_bytes() == anchor_before
+                assert len(list(tmp_path.glob("wal-*.log"))) == 2
+            seq = writer.seq
+            engine.tick()
+            if step == "checkpoint":  # ...and the refused step is retried,
+                assert writer.seq == seq + 2
+            engine.tick(6)
+            if step == "compact":  # the compaction at the next rotation.
+                for _ in range(40):
+                    engine.tick()
+                    if len(list(tmp_path.glob("wal-*.log"))) == 1:
+                        break
+                assert (tmp_path / "anchor.json").read_bytes() != anchor_before
+                assert len(list(tmp_path.glob("wal-*.log"))) == 1
+        digest = engine.decisions_digest()
+        jobs = engine.list_jobs()
+        engine.close()
+    finally:
+        obs.reset()
+    recovered, _stats = recover_engine(tmp_path)
+    assert recovered.decisions_digest() == digest
+    assert recovered.list_jobs() == jobs
+    recovered.close()

@@ -172,6 +172,10 @@ def test_malformed_requests_get_typed_errors():
                  400, "bad-request"),
                 ("GET", "/jobs/ghost", None, 404, "unknown-job"),
                 ("DELETE", "/jobs/ghost", None, 404, "unknown-job"),
+                # DELETE is the one cancel route; the POST alias is gone
+                # and answers like any other unknown job route.
+                ("POST", "/jobs/ghost/cancel", None, 400, "bad-request"),
+                ("PATCH", "/jobs/ghost", None, 400, "bad-request"),
                 ("POST", "/tick", {"slots": "three"}, 400, "bad-request"),
                 ("POST", "/tick", {"slots": 0}, 400, "bad-request"),
                 ("POST", "/chaos/solver-fault", {"depth": 1},

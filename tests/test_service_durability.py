@@ -16,9 +16,10 @@ from contextlib import asynccontextmanager
 
 import pytest
 
-from repro.service import (ServiceClient, ServiceConfig, ServiceDaemon,
-                           ServiceEngine, ServiceUnavailableError,
-                           open_journal)
+from repro.service import (RealTimeClock, ServiceClient, ServiceConfig,
+                           ServiceDaemon, ServiceEngine,
+                           ServiceUnavailableError, open_journal)
+from repro.service.journal import RealFileOps
 from repro.service.smoke import (_crash_payload, _spawn_server,
                                  _wait_for_banner, run_crash_smoke)
 
@@ -228,6 +229,100 @@ def test_blank_idempotency_key_is_rejected():
 
     error = asyncio.run(scenario())
     assert error.status == 400
+
+
+# ---------------------------------------------------------------------------
+# The real-time slot loop survives a refused tick (and reports a dead one).
+# ---------------------------------------------------------------------------
+
+
+class _FullDisk(RealFileOps):
+    """Real file ops whose appends hit ENOSPC for as long as ``full``."""
+
+    full = False
+
+    def write(self, fobj, data):
+        if self.full:
+            raise OSError(28, "No space left on device")
+        return super().write(fobj, data)
+
+
+async def _until(condition, timeout=10.0):
+    """Poll ``condition()`` on the event loop; fail the test on timeout."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.005)
+
+
+def test_refused_tick_stalls_the_slot_loop_but_does_not_end_it(tmp_path):
+    """A tick the journal refuses used to raise out of the slot task:
+    the clock stopped for good while HTTP kept answering, and ``stop()``
+    re-raised the stored error before it reached ``engine.close()``."""
+
+    async def scenario():
+        clock = RealTimeClock(0.01)
+        ops = _FullDisk()
+        engine, _writer = open_journal(tmp_path, _config(), clock=clock,
+                                       file_ops=ops)
+        daemon = ServiceDaemon(engine, clock=clock)
+        await daemon.start()
+        client = ServiceClient("127.0.0.1", daemon.port)
+        try:
+            await client.submit(_crash_payload(0))
+            await _until(lambda: engine.slot >= 2)
+            assert (await client.status())["service"]["slot_loop"] == "ok"
+
+            ops.full = True
+            await _until(lambda: daemon._slot_loop_state != "ok")
+            stalled_at = engine.slot
+            status = await client.status()
+            assert status["service"]["slot_loop"] == \
+                "stalled: journal-unavailable"
+            await asyncio.sleep(0.05)  # several boundaries: no progress,
+            assert engine.slot == stalled_at  # and nothing half-applied
+
+            ops.full = False
+            await _until(lambda: engine.slot >= stalled_at + 3)
+            assert (await client.status())["service"]["slot_loop"] == "ok"
+        finally:
+            await daemon.stop()  # returns, and reaches engine.close()
+        assert engine.wal is None
+        return engine.slot, engine.decisions_digest()
+
+    slot, digest = asyncio.run(scenario())
+    recovered, _writer = open_journal(tmp_path)
+    try:
+        assert (recovered.slot, recovered.decisions_digest()) == (slot, digest)
+        assert recovered.job_status("default-1")["state"] == "completed"
+    finally:
+        recovered.close()
+
+
+def test_a_dead_slot_loop_is_reported_and_stop_still_closes(tmp_path):
+    """Anything but a typed refusal is a daemon bug: the loop ends, but
+    not silently — ``/status`` says so and ``stop()`` still flushes."""
+
+    async def scenario():
+        clock = RealTimeClock(0.01)
+        engine, writer = open_journal(tmp_path, _config(), clock=clock)
+        daemon = ServiceDaemon(engine, clock=clock)
+
+        def broken_tick(slots):
+            raise RuntimeError("boom")
+
+        daemon._do_tick = broken_tick
+        await daemon.start()
+        try:
+            await _until(lambda: daemon._slot_task.done())
+            status = await ServiceClient("127.0.0.1", daemon.port).status()
+            assert status["service"]["slot_loop"] == \
+                "dead: RuntimeError: boom"
+        finally:
+            await daemon.stop()
+        assert engine.wal is None and writer._closed
+
+    asyncio.run(scenario())
 
 
 # ---------------------------------------------------------------------------

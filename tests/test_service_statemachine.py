@@ -3,10 +3,12 @@
 A hypothesis ``RuleBasedStateMachine`` drives one journal-backed
 :class:`~repro.service.ServiceEngine` through submit (keyed, unkeyed,
 quota-limited tenant), keyed resubmit, a submit refused by an injected
-``ENOSPC`` on the write-ahead append, cancel, tick, crash-and-recover
-and compaction, against a reference model that is three dicts: which
-job ids were accepted (and for whom), which idempotency key maps to
-which id, and the last state each job was seen in.
+``ENOSPC`` on the write-ahead append, a submit whose *checkpoint* is
+refused after it was applied, cancel, tick, an injected solver fault,
+crash-and-recover and compaction, against a reference model that is
+three dicts: which job ids were accepted (and for whom), which
+idempotency key maps to which id, and the last state each job was seen
+in.
 
 After every step:
 
@@ -44,8 +46,8 @@ from repro.service import (JournalWriteError, ServiceConfig, TenantSpec,
 from repro.service.journal import RealFileOps
 
 CAPPED_QUOTA = 2
-CONFIG = ServiceConfig(
-    capacity=2, policy="fifo", seed=0,
+CONFIG = ServiceConfig(  # rush: the one policy with a solver to sabotage
+    capacity=2, policy="rush", seed=0,
     tenants=(TenantSpec("free", share=0.5),
              TenantSpec("capped", share=0.5, max_active=CAPPED_QUOTA)))
 
@@ -64,6 +66,7 @@ MAY_FOLLOW = {
     "cancelled": set(),
 }
 NEVER = 10 ** 9  # a write-op index no run reaches
+CHECKPOINT_EVERY = 3  # small, so upkeep runs (and can fail) mid-example
 
 durations = st.lists(st.integers(1, 3), min_size=1, max_size=3)
 
@@ -83,7 +86,8 @@ class ServiceLifecycle(RuleBasedStateMachine):
         self.ops = FaultyFileOps(RealFileOps(), species="enospc",
                                  at_op=NEVER)
         self.engine, self.writer = open_journal(
-            self.directory, CONFIG, file_ops=self.ops, auto_compact=False)
+            self.directory, CONFIG, file_ops=self.ops, auto_compact=False,
+            checkpoint_every=CHECKPOINT_EVERY)
 
     def teardown(self) -> None:
         self.engine.close()
@@ -142,6 +146,24 @@ class ServiceLifecycle(RuleBasedStateMachine):
         with pytest.raises(JournalWriteError):
             self.engine.submit(payload)
         self.ops.at_op = NEVER
+
+    @rule(tasks=durations, keyed=st.booleans())
+    def refused_housekeeping(self, tasks, keyed):
+        """ENOSPC on the *second* write of the submit — the checkpoint
+        append, when one is due — strikes after the job is durable and
+        applied: the submit answers, and the model records the job."""
+        self.ops.fired = False
+        self.ops.at_op = self.ops.writes + 2
+        self.submit("free", tasks, keyed, 0)
+        self.ops.at_op = NEVER
+        if self.ops.fired:
+            assert "checkpoint" in self.engine.housekeeping_failure
+
+    @rule(depth=st.integers(1, 3))
+    def inject_fault(self, depth):
+        """A journaled event like any other: the degraded slots it
+        causes must replay, or ``crash_and_recover`` diverges."""
+        assert self.engine.inject_solver_fault(depth)["armed"] is True
 
     @precondition(lambda self: self.tenant_of)
     @rule(data=st.data())
