@@ -13,6 +13,11 @@ nothing else: no baseline other than the code under test.
   only), reported in absolute seconds.  Gate: the stateless cold plan,
   the incremental planner's first plan and its warm-started replan of
   the unchanged snapshot are bit-identical at every scale.
+* ``certificates`` — one cold plan of a 200-job fleet that fits its
+  capacity (the shape of the ledger's ``batch`` profile), reported as
+  counts: peels, staircase passes evaluated, probes a certificate
+  answered.  Gate: passes <= 1.5 x peels.  Deterministic, so the lane
+  catches a certificate that stopped firing without timing anything.
 
 Planner-time *regressions* are caught elsewhere: ``offline-core``
 ``cold_plan_s`` / ``churn_replan_s`` through the ledger's ``compare.py``
@@ -35,6 +40,7 @@ from typing import Dict
 import numpy as np
 
 from repro import (
+    ConstantUtility,
     GaussianEstimator,
     IncrementalPlanner,
     PlannerJob,
@@ -62,6 +68,11 @@ SCALE_COUNTS = (1000, 5000, 10000) if FULL_SCALE else (1000,)
 
 OBS_OVERHEAD_GATE = 1.10
 
+#: The count gate: a fleet whose layers are capped by the jobs' own
+#: utility ceilings must not pay a bisection per layer.
+CAPPED_JOBS = 200
+CAPPED_PASSES_PER_PEEL_GATE = 1.5
+
 
 def _make_jobs(n: int, seed: int = 0):
     """``n`` planner jobs with sampled Gaussian estimates and utilities."""
@@ -78,6 +89,33 @@ def _make_jobs(n: int, seed: int = 0):
                            priority=float(rng.integers(1, 6)),
                            beta=float(rng.uniform(0.01, 1.0))),
             de.estimate(pending_tasks=pending)))
+    return jobs
+
+
+def _make_capped_fleet(n: int, seed: int = 9):
+    """``n`` jobs in the shape of the ledger's ``batch`` profile.
+
+    A hundred-odd tasks of ten-odd slots each, budgets 150-400x the
+    whole-cluster runtime, priorities 1-5, 20/60/20 critical / sensitive
+    / insensitive: the fleet fits its capacity, so outside the top
+    priority class every layer is capped by a job's own ceiling.
+    """
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for k in range(n):
+        tasks = int(rng.integers(80, 161))
+        runtime = float(np.clip(rng.lognormal(2.5, 0.3), 4.0, 40.0))
+        budget = float(rng.uniform(150, 400)) * tasks * runtime / CAPACITY
+        priority = float(rng.integers(1, 6))
+        sensitivity = rng.choice(["critical", "sensitive", "insensitive"],
+                                 p=[0.2, 0.6, 0.2])
+        utility = (ConstantUtility(priority) if sensitivity == "insensitive"
+                   else SigmoidUtility(
+                       budget=budget, priority=priority,
+                       beta=0.5 if sensitivity == "critical" else 0.02))
+        de = GaussianEstimator(prior_mean=runtime, prior_std=0.25 * runtime)
+        jobs.append(PlannerJob(f"b-{k:04d}", utility,
+                               de.estimate(pending_tasks=tasks)))
     return jobs
 
 
@@ -166,9 +204,18 @@ def bench_scale_sweep() -> Dict:
     return {"counts": list(SCALE_COUNTS), "sweep": rows}
 
 
+def bench_certificates() -> Dict:
+    """Evaluated vs certified probes of one ceiling-capped cold plan."""
+    stats = _planner().plan(_make_capped_fleet(CAPPED_JOBS)).stats
+    return {"jobs": CAPPED_JOBS, "peels": stats.peels,
+            "feasibility_checks": stats.feasibility_checks,
+            "certified_probes": stats.certified_probes}
+
+
 def run_all() -> Dict:
     overhead = bench_obs_overhead()
     scale = bench_scale_sweep()
+    certificates = bench_certificates()
     payload = {
         "benchmark": "planner_incremental",
         "full_scale": FULL_SCALE,
@@ -176,9 +223,11 @@ def run_all() -> Dict:
         "theta": THETA,
         "delta": DELTA,
         "tolerance": TOLERANCE,
-        "gates": {"obs_max_overhead_ratio": OBS_OVERHEAD_GATE},
+        "gates": {"obs_max_overhead_ratio": OBS_OVERHEAD_GATE,
+                  "capped_max_passes_per_peel": CAPPED_PASSES_PER_PEEL_GATE},
         "obs_overhead": overhead,
         "scale_sweep": scale,
+        "certificates": certificates,
     }
 
     scale_table = format_table(
@@ -191,10 +240,17 @@ def run_all() -> Dict:
                 % (overhead["disabled_seconds"], overhead["enabled_seconds"],
                    overhead["overhead_ratio"], overhead["spans_recorded"],
                    overhead["metrics_registered"]))
+    capped_line = ("Ceiling-capped fleet (%d jobs): %d peel(s), %d pass(es) "
+                   "evaluated, %d probe(s) certified."
+                   % (certificates["jobs"], certificates["peels"],
+                      certificates["feasibility_checks"],
+                      certificates["certified_probes"]))
     report = ("Planning engine, self-relative\n\n" + scale_table
               + "\n\nGates: obs overhead <= %.2fx; cold, incremental and "
-              "warm-unchanged plans bit-identical at every scale.\n"
-              % OBS_OVERHEAD_GATE + obs_line)
+              "warm-unchanged plans bit-identical at every scale; passes "
+              "<= %.1f x peels on the ceiling-capped fleet.\n"
+              % (OBS_OVERHEAD_GATE, CAPPED_PASSES_PER_PEEL_GATE)
+              + obs_line + "\n" + capped_line)
     print("\n" + report)
     write_report("planner.txt", report)
     (ROOT / "BENCH_planner.json").write_text(
@@ -211,6 +267,12 @@ def test_incremental_planner_benchmark_gates():
     assert all(r["plans_bit_identical"]
                for r in payload["scale_sweep"]["sweep"]), (
         "cold / incremental / warm plan divergence in the scale sweep")
+    certificates = payload["certificates"]
+    assert (certificates["feasibility_checks"]
+            <= CAPPED_PASSES_PER_PEEL_GATE * certificates["peels"]), (
+        "%d staircase passes for %d peels on the ceiling-capped fleet: "
+        "the feasibility certificates stopped answering"
+        % (certificates["feasibility_checks"], certificates["peels"]))
 
 
 if __name__ == "__main__":

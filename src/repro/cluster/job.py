@@ -186,7 +186,13 @@ class SimJob:
                 if t.state is TaskState.COMPLETED]
 
     def running_task_ages(self, now: int) -> List[int]:
-        """Slots each currently-running task has been executing."""
+        """Slots each currently-running task has been executing.
+
+        In ``self.tasks`` order: callers sum floats over the ages, so the
+        order is part of the result.
+        """
+        if not self._running:
+            return []
         return [now - t.start_time for t in self.tasks
                 if t.state is TaskState.RUNNING and t.start_time is not None]
 

@@ -25,6 +25,13 @@ functions of total completion-time) and Theorem 3's continuity slack is
 supported through ``compensation`` (the per-job budget reduction ``R_i``
 that makes the continuous-time-slot mapping achievable).
 
+A probe whose answer is already known is not evaluated: two exact
+certificates (:func:`_certify`) sit in front of the staircase pass — a
+level above some active job's own utility ceiling is infeasible, and a
+level verified with slack to spare stays feasible across the peels made
+at it.  ``OnionResult.feasibility_checks`` counts the passes evaluated,
+``certified_probes`` the rest.
+
 For speed the deadline evaluation is vectorized across jobs: the built-in
 utility classes (linear, sigmoid, constant, step) are grouped into numpy
 parameter arrays, while arbitrary user classes fall back to a scalar call.
@@ -56,7 +63,7 @@ __all__ = ["OnionJob", "JobTarget", "OnionResult", "LayerHint", "solve_onion",
            "default_horizon"]
 
 
-def _note_solve(layers: int, checks: int) -> None:
+def _note_solve(layers: int, checks: int, certified: int) -> None:
     """Record one completed onion solve in the metrics registry."""
     metrics = get_metrics()
     if metrics.active:
@@ -65,6 +72,10 @@ def _note_solve(layers: int, checks: int) -> None:
         metrics.counter("rush_onion_feasibility_checks_total",
                         help="Staircase feasibility evaluations",
                         unit="checks").inc(checks)
+        metrics.counter("rush_onion_certified_probes_total",
+                        help="Feasibility probes answered without an "
+                             "evaluation",
+                        unit="probes").inc(certified)
 
 
 @dataclass(frozen=True)
@@ -153,9 +164,13 @@ class OnionResult:
 
     targets: Dict[str, JobTarget]
     layers: int
+    #: Staircase passes evaluated.
     feasibility_checks: int
     horizon: int
     hints: Tuple[LayerHint, ...] = ()
+    #: Probes whose verdict a certificate supplied instead of a pass; with
+    #: ``feasibility_checks`` it adds up to the probes the solve asked.
+    certified_probes: int = 0
 
     def utility_vector(self) -> List[float]:
         """Achieved utilities sorted non-decreasingly (the lex-max-min vector)."""
@@ -223,6 +238,20 @@ class _DeadlineBank:
         self._flat_w = params(flat_idx, "priority")
         self._step_b = params(step_idx, "budget")
         self._step_w = params(step_idx, "priority")
+        # The level above which each class answers -inf, computed once:
+        # raw_deadlines compares against these very floats, so a caller
+        # that reads them (certificate A) predicts its -inf bit-exactly.
+        self._lin_top = self._lin_beta * self._lin_b + self._lin_w + 1e-15
+        self._sig_top = self._sig_max + 1e-15
+        self._flat_top = self._flat_w + 1e-15
+        self._step_top = self._step_w + 1e-15
+        #: Per job, the level above which its deadline is ``-inf`` at any
+        #: positive level; ``+inf`` for custom classes (never predicted).
+        self.unreachable_above = np.full(self._n, np.inf)
+        self.unreachable_above[self._lin] = self._lin_top
+        self.unreachable_above[self._sig] = self._sig_top
+        self.unreachable_above[self._flat] = self._flat_top
+        self.unreachable_above[self._step] = self._step_top
         # Utility ceilings, evaluated once: the layer loop and the
         # bottleneck lookahead take maxima over (subsets of) these
         # thousands of times per solve.
@@ -239,8 +268,7 @@ class _DeadlineBank:
         if self._lin.size:
             vals = np.where(
                 level <= 0.0, np.inf,
-                np.where(level > self._lin_beta * self._lin_b + self._lin_w + 1e-15,
-                         -np.inf,
+                np.where(level > self._lin_top, -np.inf,
                          self._lin_b + (self._lin_w - level) / self._lin_beta))
             d[self._lin] = vals
         if self._sig.size:
@@ -248,14 +276,14 @@ class _DeadlineBank:
                 ratio = np.clip(self._sig_w / max(level, 1e-300) - 1.0, 1e-300, None)
                 formula = self._sig_b + np.log(ratio) / self._sig_beta
             vals = np.where(level <= 0.0, np.inf,
-                            np.where(level > self._sig_max + 1e-15, -np.inf, formula))
+                            np.where(level > self._sig_top, -np.inf, formula))
             d[self._sig] = vals
         if self._flat.size:
-            d[self._flat] = np.where(level <= self._flat_w + 1e-15, np.inf, -np.inf)
+            d[self._flat] = np.where(level <= self._flat_top, np.inf, -np.inf)
         if self._step.size:
             d[self._step] = np.where(
                 level <= 0.0, np.inf,
-                np.where(level > self._step_w + 1e-15, -np.inf, self._step_b))
+                np.where(level > self._step_top, -np.inf, self._step_b))
         for pos, util in zip(self._other, self._other_utils):
             d[pos] = util.deadline_for(level)
         return d
@@ -330,19 +358,25 @@ class _PeeledLedger:
     still competes for the same early slots.
     """
 
-    def __init__(self) -> None:
-        self._times: List[float] = []
-        self._demands: List[float] = []
-        #: The committed pairs as arrays, sorted by time.
-        self.times: npt.NDArray[np.float64] = np.empty(0)
-        self.demands: npt.NDArray[np.float64] = np.empty(0)
+    def __init__(self, size: int, capacity: float) -> None:
+        # One row per array, preallocated for every job of the solve; the
+        # public arrays are views of the committed prefix.
+        self._rows = np.empty((3, size))
+        self._capacity = capacity
+        #: The committed pairs as arrays, sorted by time; ``scaled`` is
+        #: ``times * capacity``, the staircase's right-hand side.
+        self.times: npt.NDArray[np.float64] = self._rows[0, :0]
+        self.demands: npt.NDArray[np.float64] = self._rows[1, :0]
+        self.scaled: npt.NDArray[np.float64] = self._rows[2, :0]
 
     def commit(self, completion: float, demand: float) -> None:
-        self._times.append(completion)
-        self._demands.append(demand)
-        order = np.argsort(self._times, kind="stable")
-        self.times = np.asarray(self._times, dtype=float)[order]
-        self.demands = np.asarray(self._demands, dtype=float)[order]
+        """Insert one pair after every equal time — the stable order."""
+        n = self.times.size
+        pos = int(self.times.searchsorted(completion, side="right"))
+        rows = self._rows
+        rows[:, pos + 1:n + 1] = rows[:, pos:n]
+        rows[:, pos] = (completion, demand, float(completion) * self._capacity)
+        self.times, self.demands, self.scaled = rows[:, :n + 1]
 
 
 def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
@@ -380,8 +414,9 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         may peel within-tolerance different levels than a cold solve.
     budget_deadline:
         Absolute ``time.perf_counter()`` instant by which the solve must
-        finish.  Checked cooperatively before every staircase evaluation
-        (the solver's unit of work); exceeding it raises
+        finish.  Checked cooperatively before every feasibility probe,
+        evaluated or certified (so at least once per layer); exceeding it
+        raises
         :class:`~repro.errors.SolverBudgetError` so a caller with a
         degradation policy can fall back instead of stalling.
 
@@ -417,34 +452,47 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         else:
             active.append(i)
 
+    n_jobs = len(jobs)
     demands = np.array([job.demand for job in jobs], dtype=float)
     bank = _DeadlineBank(jobs, horizon, demands, capacity)
-    ledger = _PeeledLedger()
+    floors = np.array([job.utility.min_value() for job in jobs], dtype=float)
+    # An unbounded ceiling makes every bisection midpoint infinite and the
+    # layer loop endless; refuse it before the first probe.
+    for method, bounds in (("max_value", bank.max_values),
+                           ("min_value", floors)):
+        unbounded = np.flatnonzero(~np.isfinite(bounds))
+        if unbounded.size:
+            raise ConfigurationError(
+                f"job {jobs[unbounded[0]].job_id!r}: utility {method}() must "
+                f"be finite, got {bounds[unbounded[0]]}")
+    global_floor = min(float(floors.min(initial=0.0)), 0.0)
+    ledger = _PeeledLedger(n_jobs, capacity)
     checks = 0
-    # Capacity-scaled ledger times, refreshed once per peel: the staircase
-    # compares capacity * deadline on both sides of the merge, so frozen
-    # commitments carry their scaled times alongside the raw ones.
-    ledger_cap = ledger.times * capacity
+    certified = 0
+    # Certificate B's state: the level most recently found feasible for
+    # the layer's own configuration, with the minimum slack of the pass
+    # that found it.  Peeling at that level's deadlines only moves the
+    # peeled job later, so the slack survives the peel (see _certify).
+    carried: Optional[Tuple[float, float]] = None
+    # Twice the rounding error of one staircase evaluation, times a 4x
+    # safety factor: at most n + 2 sequential additions and one
+    # subtraction on magnitudes bounded by sum(eta) + C * horizon.
+    slack_noise = (8.0 * (n_jobs + 2) * 2.0 ** -53
+                   * (float(demands.sum()) + float(capacity) * horizon))
 
-    # One-slot identity cache for the active-set boolean mask: every check
-    # of one layer's bisection (and of one lookahead candidate) passes the
-    # same index-array object, so the mask is rebuilt only once per layer
-    # and once per candidate.  Holding a strong reference to the key array
-    # makes the ``is`` test safe against id reuse.
-    mask_state: List[Optional[npt.NDArray[np.bool_]]] = [None, None]
-
-    def active_mask(active_idx: npt.NDArray[np.intp]) -> npt.NDArray[np.bool_]:
-        if mask_state[0] is not active_idx:
-            mask = np.zeros(len(jobs), dtype=bool)
-            mask[active_idx] = True
-            mask_state[0] = active_idx  # type: ignore[assignment]
-            mask_state[1] = mask
-        return mask_state[1]  # type: ignore[return-value]
+    # One-slot identity cache for what a probe needs of its active set —
+    # the boolean mask and the lowest level any member cannot reach: every
+    # check of one layer's bisection (and of one lookahead candidate)
+    # passes the same index-array object, so both are rebuilt only once
+    # per layer and once per candidate.  Holding a strong reference to the
+    # key array makes the ``is`` test safe against id reuse.
+    probed_idx: Optional[npt.NDArray[np.intp]] = None
+    probed_mask = np.zeros(0, dtype=bool)
+    probed_top = math.inf
 
     # Preallocated scratch for the merge: merged size is at most every job
     # plus one tentative lookahead pin, so one set of buffers serves every
     # check without re-allocating on the hot path.
-    n_jobs = len(jobs)
     d_buf = np.empty(n_jobs + 1)
     e_buf = np.empty(n_jobs + 1)
     s_buf = np.empty(n_jobs + 1)
@@ -478,19 +526,43 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         the first violated point — the candidate bottlenecks — are
         returned by global index, in deadline order; probe callers leave
         it false and get an empty list, skipping that bookkeeping.
+
+        A probe whose verdict :func:`_certify` already knows returns it
+        without the pass, counted in ``certified`` instead of ``checks``;
+        only the layer's own probes (no ``frozen`` override) carry and
+        consult the slack margin.
         """
-        nonlocal checks
+        nonlocal checks, certified, carried
+        nonlocal probed_idx, probed_mask, probed_top
         if budget_deadline is not None and time.perf_counter() > budget_deadline:
             raise SolverBudgetError(
                 f"onion solve exceeded its time budget after {checks} "
                 f"feasibility check(s)")
+        if probed_idx is not active_idx:
+            probed_idx = active_idx
+            probed_mask = np.zeros(n_jobs, dtype=bool)
+            probed_mask[active_idx] = True
+            probed_top = float(
+                bank.unreachable_above[active_idx].min(initial=np.inf))
+        verdict = _certify(level, probed_top,
+                           carried if frozen is None else None, slack_noise)
+        if verdict is not None:
+            certified += 1
+            if verdict or not need_candidates:
+                return verdict, []
+            # An unreachable level fails at the very first merged point:
+            # -inf deadlines sort first, in index order, ahead of every
+            # (finite) frozen time — so the pass would name exactly the
+            # first active job whose deadline is -inf.
+            unreachable = bank.deadlines(level)[active_idx] == -np.inf
+            return False, [int(active_idx[int(np.argmax(unreachable))])]
         checks += 1
         order, dcap_sorted, eta_sorted = bank.level_view(level)
-        sel = active_mask(active_idx).take(order)
+        sel = probed_mask.take(order)
         d_act = dcap_sorted.compress(sel)
         eta_act = eta_sorted.compress(sel)
         if frozen is None:
-            f_times, f_demands = ledger_cap, ledger.demands
+            f_times, f_demands = ledger.scaled, ledger.demands
         else:
             f_times, f_demands = frozen
         na, nf = d_act.size, f_times.size
@@ -531,7 +603,10 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         slack = np.subtract(d_merged, prefix, out=s_buf[:m])
         # A min-reduce verdict: -inf and NaN slack entries compare False
         # against the tolerance, so unreachable levels stay infeasible.
-        if slack.min(initial=np.inf) >= -1e-9:
+        margin = float(slack.min(initial=np.inf))
+        if margin >= -1e-9:
+            if frozen is None:
+                carried = (level, margin)
             return True, []
         if not need_candidates:
             return False, []
@@ -547,14 +622,6 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             count = 1
         return False, [int(g) for g in order.compress(sel)[:count]]
 
-    def feasibility(level: float, active_idx: npt.NDArray[np.intp]) -> bool:
-        """Condition (12) as a boolean probe (no candidate bookkeeping)."""
-        ok, _ = staircase(level, active_idx)
-        return ok
-
-    global_floor = min((job.utility.min_value() for job in jobs), default=0.0)
-    global_floor = min(global_floor, 0.0)
-
     hints: List[LayerHint] = []
     layer = 0
     seed: Optional[float] = None
@@ -567,16 +634,18 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     with tracer.span("onion.solve", jobs=len(jobs),
                      capacity=capacity,
                      horizon=horizon) as solve_span:
-        while active:
+        active_idx = np.array(active, dtype=int)
+        while active_idx.size:
             layer += 1
-            active_idx = np.array(active, dtype=int)
             ceiling = float(bank.max_values[active_idx].max())
-            ok = feasibility(ceiling, active_idx)
+            ok = staircase(ceiling, active_idx)[0]
             if ok:
                 # Every remaining job attains its ceiling; peel them all.
-                deadlines = bank.deadlines(ceiling)[active_idx]
-                _peel_batch(jobs, active, list(active_idx), deadlines, ledger,
-                            targets, layer, horizon)
+                # Nothing probes after this, so the ledger is left alone.
+                deadlines = bank.deadlines(ceiling)
+                for i in active_idx:
+                    _peel_one(jobs[i], float(deadlines[i]), targets, layer,
+                              horizon)
                 if trail is not None:
                     trail.append({"layer": layer, "level": ceiling,
                                   "peeled": "batch"})
@@ -588,10 +657,10 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             # usually starts the bisection much closer to the fixed point.
             low = None
             if seed is not None and global_floor < seed < high:
-                if feasibility(seed, active_idx):
+                if staircase(seed, active_idx)[0]:
                     low = seed
             if low is None:
-                ok = feasibility(global_floor, active_idx)
+                ok = staircase(global_floor, active_idx)[0]
                 if not ok:
                     raise InfeasiblePlanError(
                         "even the minimum utility layer does not fit the horizon "
@@ -606,24 +675,24 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                     and layer - 1 < len(warm_start) else None)
             if hint is not None:
                 if low < hint.low < high:
-                    if feasibility(hint.low, active_idx):
+                    if staircase(hint.low, active_idx)[0]:
                         low = hint.low
                     else:
                         high = hint.low
                 if low < hint.high < high:
-                    if not feasibility(hint.high, active_idx):
+                    if not staircase(hint.high, active_idx)[0]:
                         high = hint.high
                     else:
                         low = hint.high
             while high - low > tolerance:
                 mid = 0.5 * (low + high)
-                if feasibility(mid, active_idx):
+                if staircase(mid, active_idx)[0]:
                     low = mid
                 else:
                     high = mid
             _, candidates = staircase(high, active_idx, need_candidates=True)
             if not candidates:  # pragma: no cover - defensive
-                candidates = [active[0]]
+                candidates = [int(active_idx[0])]
             bottleneck = candidates[-1]  # the paper's greedy pick
             seed = low
             floor_candidates: Optional[FrozenSet[str]] = None
@@ -665,9 +734,9 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                         lt, ld = ledger.times, ledger.demands
                         ins = int(lt.searchsorted(float(pin), side="right"))
                         f_times = np.empty(lt.size + 1)
-                        f_times[:ins] = ledger_cap[:ins]
+                        f_times[:ins] = ledger.scaled[:ins]
                         f_times[ins] = float(pin) * capacity
-                        f_times[ins + 1:] = ledger_cap[ins:]
+                        f_times[ins + 1:] = ledger.scaled[ins:]
                         f_demands = np.empty(ld.size + 1)
                         f_demands[:ins] = ld[:ins]
                         f_demands[ins] = float(demands[candidate])
@@ -689,9 +758,14 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                         seed = max(seed, best_level)
 
             deadline = float(bank.deadlines(low)[bottleneck])
-            _peel_one(jobs[bottleneck], deadline, ledger, targets, layer, horizon)
-            ledger_cap = ledger.times * capacity
-            active.remove(bottleneck)
+            if carried is not None and carried[0] != low:
+                # (B) outlives a peel only at the level the peel used.
+                carried = None
+            ledger.commit(
+                _peel_one(jobs[bottleneck], deadline, targets, layer, horizon),
+                float(demands[bottleneck]))
+            # A fresh array each layer: the probe cache keys on its identity.
+            active_idx = active_idx[active_idx != bottleneck]
             hints.append(LayerHint(low=low, high=high,
                                    candidate_ids=floor_candidates,
                                    bottleneck_id=jobs[bottleneck].job_id))
@@ -702,28 +776,52 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         solve_span.note(layers=layer, feasibility_checks=checks)
         if trail is not None:
             solve_span.note(layer_trail=trail)
-    _note_solve(layer, checks)
+    _note_solve(layer, checks, certified)
     return OnionResult(targets=targets, layers=layer,
                        feasibility_checks=checks, horizon=horizon,
-                       hints=tuple(hints))
+                       hints=tuple(hints), certified_probes=certified)
 
 
-def _peel_one(job: OnionJob, deadline: float, ledger: _PeeledLedger,
-              targets: Dict[str, JobTarget], layer: int, horizon: int) -> None:
+def _peel_one(job: OnionJob, deadline: float, targets: Dict[str, JobTarget],
+              layer: int, horizon: int) -> int:
+    """Freeze one job's target; returns its completion-time."""
     completion = _clamp_completion(deadline, horizon)
     value = job.utility.value(job.elapsed + completion)
-    ledger.commit(completion, job.demand)
     targets[job.job_id] = JobTarget(
         job_id=job.job_id, target_completion=completion,
         utility_value=value, layer=layer, achievable=value > 1e-9)
+    return completion
 
 
-def _peel_batch(jobs: Sequence[OnionJob], active: List[int], idx: List[int],
-                deadlines: npt.NDArray[np.float64], ledger: _PeeledLedger,
-                targets: Dict[str, JobTarget], layer: int, horizon: int) -> None:
-    for pos, i in enumerate(idx):
-        _peel_one(jobs[i], float(deadlines[pos]), ledger, targets, layer, horizon)
-    active.clear()
+def _certify(level: float, unreachable_above: float,
+             carried: Optional[Tuple[float, float]],
+             slack_noise: float) -> Optional[bool]:
+    """The verdict a staircase pass at ``level`` would return, or ``None``.
+
+    Two certificates, both exact — they answer only what the pass itself
+    would answer bit for bit, and abstain otherwise:
+
+    (A) *Unreachable level.*  ``unreachable_above`` is the smallest of the
+    active jobs' ``_DeadlineBank.unreachable_above`` thresholds.  A
+    positive level above it gives that job the deadline ``-inf``; its
+    slack is ``-inf`` whatever the order and the prefix sums, so the pass
+    is infeasible before a single sum is formed.
+
+    (B) *Margin-carried level.*  ``carried = (level, m)`` says a real pass
+    at this level had minimum slack ``m`` and every peel since pinned a
+    job at its deadline for this level, clamped — never earlier.  The
+    probe therefore sees the same (deadline, demand) multiset with some
+    deadlines moved later, whose exact minimum slack is no smaller; two
+    float evaluations of it differ by at most ``slack_noise``.  When
+    ``m - slack_noise`` still clears the pass's own ``-1e-9`` threshold
+    the pass is feasible; a tighter margin abstains and the pass runs.
+    """
+    if level > 0.0 and level > unreachable_above:
+        return False
+    if (carried is not None and level == carried[0]
+            and carried[1] - slack_noise >= -1e-9):
+        return True
+    return None
 
 
 def _clamp_completion(deadline: float, horizon: int) -> int:

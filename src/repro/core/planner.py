@@ -150,9 +150,11 @@ class PlanStats:
     ``wcde_presolved`` jobs skipped stage 1 entirely (the caller supplied
     a still-valid eta), ``wcde_cache_hits`` hit the content-addressed
     memo, ``wcde_cache_misses`` paid a full bisection.  Stage seconds are
-    wall-clock; ``peels`` is the onion layer count and
-    ``feasibility_checks`` the staircase evaluations (the onion's unit of
-    work).  ``warm_start`` records whether the onion received hints.
+    wall-clock; ``peels`` is the onion layer count,
+    ``feasibility_checks`` the staircase passes evaluated (the onion's
+    unit of work) and ``certified_probes`` the probes a certificate
+    answered without one.  ``warm_start`` records whether the onion
+    received hints.
     """
 
     wcde_presolved: int = 0
@@ -163,6 +165,7 @@ class PlanStats:
     mapping_seconds: float = 0.0
     peels: int = 0
     feasibility_checks: int = 0
+    certified_probes: int = 0
     warm_start: bool = False
     #: Degradation-ladder rung that produced this plan: "" for the
     #: primary solve, else "cold_exact" / "last_good" (set by the
@@ -406,6 +409,7 @@ class RushPlanner:
             stats.onion_seconds = time.perf_counter() - onion_started
             stats.peels = onion.layers
             stats.feasibility_checks = onion.feasibility_checks
+            stats.certified_probes = onion.certified_probes
 
             if deadline is not None and time.perf_counter() > deadline:
                 raise SolverBudgetError(

@@ -130,7 +130,7 @@ def solve_tas_lp(jobs: Sequence[OnionJob], capacity: int, *,
             active.append(i)
 
     bank = _DeadlineBank(jobs, horizon)
-    ledger = _PeeledLedger()
+    ledger = _PeeledLedger(len(jobs), capacity)
     demands = np.array([job.demand for job in jobs], dtype=float)
     checks = 0
 

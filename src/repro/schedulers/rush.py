@@ -132,6 +132,7 @@ class RushScheduler(Scheduler):
         self.estimates_reused = 0
         self._stage_seconds = {"wcde": 0.0, "onion": 0.0, "mapping": 0.0}
         self._feasibility_checks = 0
+        self._certified_probes = 0
         self._peels = 0
 
     # -- lifecycle hooks -------------------------------------------------------
@@ -246,9 +247,10 @@ class RushScheduler(Scheduler):
         ``estimates_refreshed``/``estimates_reused`` (dirty tracking),
         ``presolve_hits``/``presolve_misses`` (stage-1 skips),
         ``wcde_cache_hits``/``wcde_cache_misses``/``wcde_cache_hit_rate``
-        (content-addressed memo), plus total onion ``peels`` and
-        ``feasibility_checks`` and the degradation-ladder ``fallbacks``
-        total.  Rendered by ``rush simulate --profile`` and
+        (content-addressed memo), plus total onion ``peels``,
+        ``feasibility_checks`` (passes evaluated) and ``certified_probes``
+        (probes answered without a pass) and the degradation-ladder
+        ``fallbacks`` total.  Rendered by ``rush simulate --profile`` and
         :func:`repro.ui.status.render_profile_text`.
         """
         cache = self._planner.wcde_cache if self._planner is not None else None
@@ -269,6 +271,7 @@ class RushScheduler(Scheduler):
             "wcde_cache_hit_rate": cache.hit_rate if cache is not None else 0.0,
             "peels": self._peels,
             "feasibility_checks": self._feasibility_checks,
+            "certified_probes": self._certified_probes,
         }
 
     def _job_estimate(self, job) -> DemandEstimate:
@@ -358,6 +361,7 @@ class RushScheduler(Scheduler):
             self._stage_seconds["onion"] += plan.stats.onion_seconds
             self._stage_seconds["mapping"] += plan.stats.mapping_seconds
             self._feasibility_checks += plan.stats.feasibility_checks
+            self._certified_probes += plan.stats.certified_probes
             self._peels += plan.stats.peels
             self._note_plan_obs(now, plan,
                                 self.estimates_refreshed - refreshed_before)

@@ -126,7 +126,8 @@ def render_profile_text(profile: Mapping[str, float]) -> str:
 
     Shows where planning time went (WCDE / onion / mapping), how much
     work the incremental engine skipped (estimate reuse, presolve hits,
-    WCDE-memo hit rate) and the onion effort (peels, feasibility checks).
+    WCDE-memo hit rate) and the onion effort (peels, feasibility checks
+    evaluated, probes a certificate answered instead).
     """
     plans = int(profile.get("plans_computed", 0))
     if plans == 0:
@@ -158,7 +159,8 @@ def render_profile_text(profile: Mapping[str, float]) -> str:
         f"(hit rate {profile.get('wcde_cache_hit_rate', 0.0):.1%})")
     lines.append(
         f"onion: {int(profile.get('peels', 0))} peel(s), "
-        f"{int(profile.get('feasibility_checks', 0))} feasibility check(s)")
+        f"{int(profile.get('feasibility_checks', 0))} feasibility check(s) "
+        f"evaluated, {int(profile.get('certified_probes', 0))} certified")
     return "\n".join(lines)
 
 

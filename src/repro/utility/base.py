@@ -38,11 +38,15 @@ class UtilityFunction(ABC):
 
     @abstractmethod
     def max_value(self) -> float:
-        """The best achievable utility, ``value(0)``."""
+        """The best achievable utility, ``value(0)``.
+
+        Must be finite: the planner bisects between the two bounds, and
+        ``solve_onion`` refuses a job whose ceiling or floor is not.
+        """
 
     @abstractmethod
     def min_value(self) -> float:
-        """The infimum of the utility as the completion-time grows."""
+        """The (finite) infimum of the utility as the completion-time grows."""
 
     def deadline_for(self, level: float) -> float:
         """Latest completion-time that still attains utility >= ``level``.

@@ -17,8 +17,11 @@ from repro.cluster import (
     run_simulation,
 )
 from repro.cluster.metrics import JobRecord, lexicographic_compare
-from repro.schedulers import FifoScheduler
+from repro.faults import default_chaos_plan
+from repro.schedulers import (FairScheduler, FifoScheduler,
+                              SpeculativeScheduler)
 from repro.utility import ConstantUtility, LinearUtility
+from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
 
 def spec(job_id="j", arrival=0, durations=(3, 3), budget=50.0, **kw):
@@ -193,6 +196,30 @@ class TestSimulator:
         assert not record.completed
         assert record.runtime == 20.0
         assert result.completed_count == 0
+
+    def test_running_task_ages_equals_the_scan_at_every_slot(self):
+        """The early-out for idle jobs returns what scanning every task
+        would, through failures, retries and speculative duplicates."""
+        specs = WorkloadGenerator(
+            WorkloadConfig(n_jobs=6, capacity=16, mean_interarrival=30.0,
+                           budget_ratio=1.5, size_gb_range=(0.5, 1.0),
+                           time_scale=0.25), seed=3).generate()
+        sim = ClusterSimulator(16, SpeculativeScheduler(FairScheduler()),
+                               seed=3,
+                               faults=default_chaos_plan(seed=3, intensity=5.0))
+        for job_spec in specs:
+            sim.submit(job_spec)
+        compared = idle = 0
+        for _ in range(200):
+            sim.step()
+            for job in sim.active_jobs:
+                scanned = [sim.now - t.start_time for t in job.tasks
+                           if t.state is TaskState.RUNNING]
+                assert job.running_task_ages(sim.now) == scanned
+                compared += 1
+                idle += not scanned
+        assert compared > 200 and 0 < idle < compared
+        assert sim.task_failures and sim.speculative_launches
 
     def test_work_conservation(self):
         """Busy container slots equal total ground-truth work when done."""

@@ -104,7 +104,8 @@ class TestProfileRendering:
         assert "onion peeling" in text
         assert "estimates:" in text
         assert "WCDE memo:" in text
-        assert "feasibility check" in text
+        assert "feasibility check(s) evaluated" in text
+        assert "certified" in text
 
 
 class TestClusterRendering:
