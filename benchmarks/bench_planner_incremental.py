@@ -8,16 +8,25 @@ nothing else: no baseline other than the code under test.
   ledger enabled versus the default null instruments, on the same code.
   Gate: enabled/disabled wall-clock ratio <= 1.10 (the observability
   layer must stay out of the hot path).
-* ``scale_sweep`` — one cold plan + one warm replan at 1k jobs (plus 5k
-  and 10k under ``RUSH_FULL_SCALE=1``; the CI bench-smoke lane runs 1k
-  only), reported in absolute seconds.  Gate: the stateless cold plan,
-  the incremental planner's first plan and its warm-started replan of
-  the unchanged snapshot are bit-identical at every scale.
+* ``scale_sweep`` — one cold plan at 1k jobs (plus 5k and 10k under
+  ``RUSH_FULL_SCALE=1``; the CI bench-smoke lane runs 1k only), reported
+  in absolute seconds.  Gate: the stateless cold plan, the incremental
+  planner's first plan and its replan of the unchanged snapshot are
+  bit-identical at every scale.
 * ``certificates`` — one cold plan of a 200-job fleet that fits its
   capacity (the shape of the ledger's ``batch`` profile), reported as
   counts: peels, staircase passes evaluated, probes a certificate
   answered.  Gate: passes <= 1.5 x peels.  Deterministic, so the lane
   catches a certificate that stopped firing without timing anything.
+* ``plan_stability`` — how much of plan(t) survives into plan(t+1) on
+  the ledger's ``steady-fleet`` and ``api-mixed`` write streams (100
+  slots, seeds 3 and 5, applied slot by slot to an in-process
+  ``ServiceEngine``): consecutive-plan pairs with an identical job set,
+  with an identical peel order on the common jobs, and the share of the
+  peel order the two plans have in common from the top.  Counts only,
+  deterministic, no gate: the ceiling on what any exact cross-plan
+  reuse of the onion could buy (ROADMAP 3b; ``BENCH_onion.json``
+  ``plan_to_plan`` holds the record that deleted the approximate one).
 
 Planner-time *regressions* are caught elsewhere: ``offline-core``
 ``cold_plan_s`` / ``churn_replan_s`` through the ledger's ``compare.py``
@@ -33,9 +42,11 @@ from __future__ import annotations
 
 import json
 import statistics
+import sys
 import time
 from pathlib import Path
-from typing import Dict
+from typing import Dict, FrozenSet, List
+from unittest import mock
 
 import numpy as np
 
@@ -50,10 +61,17 @@ from repro import (
     obs,
 )
 from repro.analysis import format_table
+from repro.service.engine import ServiceEngine
 
 from _shared import FULL_SCALE, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The ledger's schedule builder and in-process driver, imported read-only.
+sys.path.insert(0, str(ROOT / "benchmarks" / "ledger"))
+from driver import (READ_MIX, SERVICE_WORKLOADS, apply_in_process,  # noqa: E402
+                    service_config)
+from schedule import SLOT_SECONDS, build_schedule, preload_jobs  # noqa: E402
 
 CAPACITY = 48
 THETA, DELTA, TOLERANCE = 0.9, 0.7, 0.05
@@ -62,7 +80,7 @@ THETA, DELTA, TOLERANCE = 0.9, 0.7, 0.05
 STEADY_JOBS = 500 if FULL_SCALE else 150
 STEADY_ROUNDS = 10
 
-#: Fleet-scale cold/warm sweep: 1k always; 5k and 10k only under
+#: Fleet-scale cold sweep: 1k always; 5k and 10k only under
 #: RUSH_FULL_SCALE=1.
 SCALE_COUNTS = (1000, 5000, 10000) if FULL_SCALE else (1000,)
 
@@ -72,6 +90,11 @@ OBS_OVERHEAD_GATE = 1.10
 #: utility ceilings must not pay a bisection per layer.
 CAPPED_JOBS = 200
 CAPPED_PASSES_PER_PEEL_GATE = 1.5
+
+#: Plan-to-plan stability: ledger workloads x seeds, slots per run.
+STABILITY_WORKLOADS = ("steady-fleet", "api-mixed")
+STABILITY_SEEDS = (3, 5)
+STABILITY_SLOTS = 100
 
 
 def _make_jobs(n: int, seed: int = 0):
@@ -153,8 +176,8 @@ def bench_obs_overhead() -> Dict:
     jobs = _make_jobs(STEADY_JOBS, seed=2)
 
     def steady_seconds() -> float:
-        incremental = IncrementalPlanner(_planner(), warm_start=True)
-        incremental.plan(jobs)              # warm memo + hints
+        incremental = IncrementalPlanner(_planner())
+        incremental.plan(jobs)              # fill the presolve memo
         start = time.perf_counter()
         for _ in range(STEADY_ROUNDS):
             incremental.plan(jobs)
@@ -181,7 +204,7 @@ def bench_obs_overhead() -> Dict:
 
 
 def bench_scale_sweep() -> Dict:
-    """Cold + warm planning at 1k/5k/10k jobs, absolute seconds."""
+    """Cold planning at 1k/5k/10k jobs, absolute seconds."""
     rows = []
     for n in SCALE_COUNTS:
         jobs = _make_jobs(n, seed=5)
@@ -191,16 +214,14 @@ def bench_scale_sweep() -> Dict:
                        rounds=3 if n <= 1000 else 1)
 
         planner = _planner()
-        incremental = IncrementalPlanner(planner, warm_start=True)
+        incremental = IncrementalPlanner(planner)
         cold_plan = planner.plan(jobs)
-        seed_plan = incremental.plan(jobs)
-        start = time.perf_counter()
-        warm_plan = incremental.plan(jobs)
-        warm_s = time.perf_counter() - start
+        first_plan = incremental.plan(jobs)
+        replan = incremental.plan(jobs)     # unchanged snapshot, presolved
         rows.append({
-            "jobs": n, "cold_seconds": cold_s, "warm_seconds": warm_s,
-            "plans_bit_identical": (plans_equal(seed_plan, cold_plan)
-                                    and plans_equal(warm_plan, seed_plan))})
+            "jobs": n, "cold_seconds": cold_s,
+            "plans_bit_identical": (plans_equal(first_plan, cold_plan)
+                                    and plans_equal(replan, cold_plan))})
     return {"counts": list(SCALE_COUNTS), "sweep": rows}
 
 
@@ -212,10 +233,85 @@ def bench_certificates() -> Dict:
             "certified_probes": stats.certified_probes}
 
 
+def _peel_sequence(plan: SchedulePlan) -> List[FrozenSet[str]]:
+    """Peel order, one entry per layer (the closing batch peel is one set)."""
+    by_layer: Dict[int, set] = {}
+    for job_id, job in plan.jobs.items():
+        if job.layer >= 1:                  # layer 0: nothing left to run
+            by_layer.setdefault(job.layer, set()).add(job_id)
+    return [frozenset(by_layer[layer]) for layer in sorted(by_layer)]
+
+
+def _service_plans(workload: str, seed: int) -> List[SchedulePlan]:
+    """Every plan the daemon's scheduler solves over one write schedule."""
+    spec = SERVICE_WORKLOADS[workload]
+    entries = build_schedule(
+        seed=seed, seconds=STABILITY_SLOTS * SLOT_SECONDS,
+        capacity=spec["capacity"], submit_rate=spec["submit_rate"],
+        cancel_rate=spec["cancel_rate"], read_rate=0.0, read_mix=READ_MIX)
+    plans: List[SchedulePlan] = []
+    solve = RushPlanner.plan
+
+    def recording(self, *args, **kwargs):
+        plans.append(solve(self, *args, **kwargs))
+        return plans[-1]
+
+    with mock.patch.object(RushPlanner, "plan", recording):
+        engine = ServiceEngine(service_config(spec["capacity"]))
+        for body in preload_jobs(seed, spec["preload"], spec["capacity"]):
+            engine.submit(body)
+        apply_in_process(engine, entries, STABILITY_SLOTS)
+        engine.close()
+    return plans
+
+
+def _shared_prefix(before: List[FrozenSet[str]],
+                   after: List[FrozenSet[str]]) -> int:
+    """Leading layers that peel the same job(s) in both plans."""
+    for depth, (a, b) in enumerate(zip(before, after)):
+        if a != b:
+            return depth
+    return min(len(before), len(after))
+
+
+def bench_plan_stability() -> Dict:
+    """What consecutive plans of a served fleet have in common."""
+    rows = []
+    for workload in STABILITY_WORKLOADS:
+        for seed in STABILITY_SEEDS:
+            plans = _service_plans(workload, seed)
+            peels = [_peel_sequence(plan) for plan in plans]
+            same_jobs = same_order = 0
+            shares = []
+            for k in range(1, len(plans)):
+                prev, cur = plans[k - 1].jobs.keys(), plans[k].jobs.keys()
+                common = prev & cur
+                same_jobs += prev == cur
+                same_order += ([e & common for e in peels[k - 1] if e & common]
+                               == [e & common for e in peels[k] if e & common])
+                shares.append(_shared_prefix(peels[k - 1], peels[k])
+                              / len(peels[k]) if peels[k] else 1.0)
+            count = len(plans)
+            rows.append({
+                "workload": workload, "seed": seed, "plans": count,
+                "pairs": count - 1,
+                "peels_per_plan": sum(p.stats.peels for p in plans) / count,
+                "passes_per_plan":
+                    sum(p.stats.feasibility_checks for p in plans) / count,
+                "certified_per_plan":
+                    sum(p.stats.certified_probes for p in plans) / count,
+                "same_job_set": same_jobs,
+                "same_peel_order_on_common_jobs": same_order,
+                "shared_prefix_share_median": statistics.median(shares),
+                "shared_prefix_share_mean": statistics.fmean(shares)})
+    return {"slots": STABILITY_SLOTS, "runs": rows}
+
+
 def run_all() -> Dict:
     overhead = bench_obs_overhead()
     scale = bench_scale_sweep()
     certificates = bench_certificates()
+    stability = bench_plan_stability()
     payload = {
         "benchmark": "planner_incremental",
         "full_scale": FULL_SCALE,
@@ -228,13 +324,21 @@ def run_all() -> Dict:
         "obs_overhead": overhead,
         "scale_sweep": scale,
         "certificates": certificates,
+        "plan_stability": stability,
     }
 
     scale_table = format_table(
-        ["scale sweep", "cold s", "warm s", "bit-identical"],
-        [["%d jobs" % r["jobs"], r["cold_seconds"], r["warm_seconds"],
+        ["scale sweep", "cold s", "bit-identical"],
+        [["%d jobs" % r["jobs"], r["cold_seconds"],
           "yes" if r["plans_bit_identical"] else "NO"]
          for r in scale["sweep"]], digits=3)
+    stability_table = format_table(
+        ["plan to plan", "pairs", "same job set", "same peel order",
+         "shared prefix median", "mean"],
+        [["%s seed %d" % (r["workload"], r["seed"]), r["pairs"],
+          r["same_job_set"], r["same_peel_order_on_common_jobs"],
+          r["shared_prefix_share_median"], r["shared_prefix_share_mean"]]
+         for r in stability["runs"]], digits=3)
     obs_line = ("Observability overhead (trace+metrics on steady state): "
                 "%.3fs -> %.3fs, ratio %.3fx (%d spans, %d metrics)."
                 % (overhead["disabled_seconds"], overhead["enabled_seconds"],
@@ -247,10 +351,12 @@ def run_all() -> Dict:
                       certificates["certified_probes"]))
     report = ("Planning engine, self-relative\n\n" + scale_table
               + "\n\nGates: obs overhead <= %.2fx; cold, incremental and "
-              "warm-unchanged plans bit-identical at every scale; passes "
+              "unchanged-replan plans bit-identical at every scale; passes "
               "<= %.1f x peels on the ceiling-capped fleet.\n"
               % (OBS_OVERHEAD_GATE, CAPPED_PASSES_PER_PEEL_GATE)
-              + obs_line + "\n" + capped_line)
+              + obs_line + "\n" + capped_line
+              + "\n\nConsecutive plans of a served fleet (%d slots, no "
+              "gate)\n\n" % stability["slots"] + stability_table)
     print("\n" + report)
     write_report("planner.txt", report)
     (ROOT / "BENCH_planner.json").write_text(
@@ -266,7 +372,7 @@ def test_incremental_planner_benchmark_gates():
         % (payload["obs_overhead"]["overhead_ratio"], OBS_OVERHEAD_GATE))
     assert all(r["plans_bit_identical"]
                for r in payload["scale_sweep"]["sweep"]), (
-        "cold / incremental / warm plan divergence in the scale sweep")
+        "cold / incremental / replan divergence in the scale sweep")
     certificates = payload["certificates"]
     assert (certificates["feasibility_checks"]
             <= CAPPED_PASSES_PER_PEEL_GATE * certificates["peels"]), (

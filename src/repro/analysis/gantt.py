@@ -9,7 +9,6 @@ letter; ``.`` marks idle space before a queue's horizon ends.
 
 from __future__ import annotations
 
-import math
 import string
 from typing import TYPE_CHECKING, Dict, List
 

@@ -9,7 +9,7 @@ the files the benchmarks write.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.analysis.stats import BoxplotStats, ecdf_at
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.analysis.calibration import calibration_report

@@ -10,8 +10,8 @@ task durations, the utility function and the client-visible metadata
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.cluster.task import Task, TaskState
@@ -113,7 +113,7 @@ class SimJob:
 
     __slots__ = ("spec", "tasks", "_next_pending", "_running", "_failed",
                  "_pending", "_completed_logical", "_live",
-                 "_logical", "_speculative")
+                 "_logical", "_speculative", "completion_time")
 
     def __init__(self, spec: JobSpec) -> None:
         self.spec = spec
@@ -129,6 +129,12 @@ class SimJob:
         self._completed_logical: set = set()
         self._live: Dict[str, int] = {t.logical_id: 1 for t in self.tasks}
         self._logical = len(spec.task_durations)
+        #: Absolute slot by which every logical task completed; ``None``
+        #: until then.  Recorded once, by the attempt that completes the
+        #: last open logical task: no attempt of the job finishes later
+        #: (its siblings are cancelled on the spot), so this is the latest
+        #: finish time over every completed attempt.
+        self.completion_time: Optional[int] = None
 
     # -- identity passthroughs -------------------------------------------
 
@@ -167,14 +173,6 @@ class SimJob:
     @property
     def is_complete(self) -> bool:
         return len(self._completed_logical) == self._logical
-
-    @property
-    def completion_time(self) -> Optional[int]:
-        """Absolute slot by which every logical task completed."""
-        if not self.is_complete:
-            return None
-        return max(t.finish_time for t in self.tasks
-                   if t.state is TaskState.COMPLETED)  # type: ignore[type-var]
 
     def runtime_samples(self) -> List[float]:
         """Observed runtimes of completed tasks, in completion order.
@@ -229,6 +227,8 @@ class SimJob:
         if task.logical_id in self._completed_logical:
             return False
         self._completed_logical.add(task.logical_id)
+        if self.is_complete:
+            self.completion_time = task.finish_time
         return True
 
     def note_failed(self, task: Task) -> Optional[Task]:

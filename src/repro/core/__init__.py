@@ -22,7 +22,6 @@ from repro.core.feasibility import (
 from repro.core.mapping import ContainerPlan, MappingJob, Segment, map_time_slots
 from repro.core.onion import (
     JobTarget,
-    LayerHint,
     OnionJob,
     OnionResult,
     default_horizon,
@@ -68,7 +67,6 @@ __all__ = [
     "OnionJob",
     "JobTarget",
     "OnionResult",
-    "LayerHint",
     "solve_onion",
     "default_horizon",
     "MappingJob",

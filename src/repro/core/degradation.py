@@ -6,12 +6,14 @@ and a planner that stalls or crashes stalls the whole cluster.  The
 :class:`DegradationPolicy` encodes the ladder the RUSH scheduler walks
 when its planning round fails or exceeds its time budget:
 
-1. **primary** — the warm-started incremental solve (or a cold solve when
-   incrementality is off).  Bit-identical to the exact answer; the only
-   rung used in a healthy run.
-2. **cold_exact** — drop all incremental state and re-solve from scratch.
-   Catches corruption of the warm state and gives a failing solve a
-   second, independent chance within a fresh budget.
+1. **primary** — the incremental solve: clean jobs reuse their presolved
+   robust demand, the onion is solved cold (a plain cold solve when
+   incrementality is off).  The exact answer; the only rung used in a
+   healthy run.
+2. **cold_exact** — drop the presolved demands and re-solve from scratch.
+   On the same snapshot it returns the primary's plan by construction;
+   it catches corruption of the carried state and gives a failing solve
+   a second, independent chance within a fresh budget.
 3. **last_good** — reuse the previous round's plan unchanged.  Slightly
    stale (its first-slot allocation still reflects the last snapshot)
    but safe: it was a feasible robust plan moments ago.

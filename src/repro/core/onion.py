@@ -44,8 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -59,7 +58,7 @@ from repro.utility.linear import LinearUtility
 from repro.utility.sigmoid import SigmoidUtility
 from repro.utility.step import StepUtility
 
-__all__ = ["OnionJob", "JobTarget", "OnionResult", "LayerHint", "solve_onion",
+__all__ = ["OnionJob", "JobTarget", "OnionResult", "solve_onion",
            "default_horizon"]
 
 
@@ -137,28 +136,6 @@ class JobTarget:
 
 
 @dataclass(frozen=True)
-class LayerHint:
-    """Warm-start record of one peeled layer, for the *next* solve.
-
-    ``low``/``high`` is the final bisection bracket of the layer's utility
-    level (``low`` verified feasible, ``high`` verified infeasible).  A
-    later solve over a similar job snapshot probes these two levels first:
-    when both probes confirm, the bracket collapses to tolerance width in
-    two feasibility checks instead of a full bisection — and because the
-    reconstructed bracket is *identical*, the layer then peels the exact
-    same bottleneck, making warm replans of unchanged snapshots
-    bit-stable.  ``candidate_ids``/``bottleneck_id`` additionally let a
-    floor layer skip the bottleneck lookahead when the candidate set is
-    unchanged.
-    """
-
-    low: float
-    high: float
-    candidate_ids: Optional[FrozenSet[str]] = None
-    bottleneck_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class OnionResult:
     """Solution of one lexicographic max-min solve."""
 
@@ -167,7 +144,6 @@ class OnionResult:
     #: Staircase passes evaluated.
     feasibility_checks: int
     horizon: int
-    hints: Tuple[LayerHint, ...] = ()
     #: Probes whose verdict a certificate supplied instead of a pass; with
     #: ``feasibility_checks`` it adds up to the probes the solve asked.
     certified_probes: int = 0
@@ -383,7 +359,6 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                 tolerance: float = 0.01,
                 horizon: Optional[int] = None,
                 lookahead: int = 4,
-                warm_start: Optional[Sequence[LayerHint]] = None,
                 budget_deadline: Optional[float] = None) -> OnionResult:
     """Lexicographic max-min completion-time assignment (Algorithm 3).
 
@@ -403,15 +378,6 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         at the utility floor and several jobs could be the sacrifice (see
         the inline comment); 0 restores the paper's pure greedy rule,
         the reference ``tests/test_onion_lookahead.py`` compares against.
-    warm_start:
-        Per-layer :class:`LayerHint` records from a previous solve over a
-        similar job snapshot (``OnionResult.hints``).  Each hint's bracket
-        is probed before bisecting; confirmed probes collapse the layer to
-        two feasibility checks, and an unchanged floor-layer candidate set
-        reuses the recorded bottleneck instead of re-running the
-        lookahead.  Hints never bypass a feasibility check — a stale hint
-        degrades to at most two wasted probes — but a *drifted* snapshot
-        may peel within-tolerance different levels than a cold solve.
     budget_deadline:
         Absolute ``time.perf_counter()`` instant by which the solve must
         finish.  Checked cooperatively before every feasibility probe,
@@ -622,7 +588,6 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             count = 1
         return False, [int(g) for g in order.compress(sel)[:count]]
 
-    hints: List[LayerHint] = []
     layer = 0
     seed: Optional[float] = None
     tracer = get_tracer()
@@ -667,23 +632,6 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                         f"(horizon={horizon}, capacity={capacity}); "
                         "increase the horizon or drop demand")
                 low = global_floor
-            # Cross-plan warm start: re-probe the previous plan's final
-            # bracket for this layer.  When both probes confirm (the steady
-            # state), the bracket is already at tolerance width — and equal to
-            # the previous one, so the layer peels identically.
-            hint = (warm_start[layer - 1] if warm_start is not None
-                    and layer - 1 < len(warm_start) else None)
-            if hint is not None:
-                if low < hint.low < high:
-                    if staircase(hint.low, active_idx)[0]:
-                        low = hint.low
-                    else:
-                        high = hint.low
-                if low < hint.high < high:
-                    if not staircase(hint.high, active_idx)[0]:
-                        high = hint.high
-                    else:
-                        low = hint.high
             while high - low > tolerance:
                 mid = 0.5 * (low + high)
                 if staircase(mid, active_idx)[0]:
@@ -695,7 +643,6 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                 candidates = [int(active_idx[0])]
             bottleneck = candidates[-1]  # the paper's greedy pick
             seed = low
-            floor_candidates: Optional[FrozenSet[str]] = None
 
             # Sacrifice ambiguity (a refinement beyond the paper's greedy
             # rule): when the layer bottoms out at the utility floor, the
@@ -707,55 +654,42 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             # is provably capped at L*, so the greedy pick is optimal there.)
             if (lookahead > 0 and len(candidates) > 1
                     and low <= global_floor + tolerance):
-                floor_candidates = frozenset(jobs[i].job_id for i in candidates)
-                hinted = None
-                if (hint is not None and hint.bottleneck_id is not None
-                        and hint.candidate_ids == floor_candidates):
-                    hinted = next((i for i in candidates
-                                   if jobs[i].job_id == hint.bottleneck_id), None)
-                if hinted is not None:
-                    # Unchanged candidate set: reuse the recorded sacrifice
-                    # instead of re-running one bisection per candidate.  Any
-                    # candidate pinned at its level-``low`` deadline preserves
-                    # the staircase, so a stale hint is still a *valid* peel.
-                    bottleneck = hinted
-                else:
-                    shortlist = candidates[-lookahead:]
-                    best_level = -math.inf
-                    for candidate in shortlist:
-                        pin = _clamp_completion(
-                            float(bank.deadlines(low)[candidate]), horizon)
-                        # Pre-merge the tentative pin into the frozen ledger
-                        # once per candidate (historical tie order: ledger
-                        # entries precede the pin on equal times) so every
-                        # lookahead check skips the extra-commitment merge.
-                        # Times are capacity-scaled to match the staircase's
-                        # pre-scaled deadline views.
-                        lt, ld = ledger.times, ledger.demands
-                        ins = int(lt.searchsorted(float(pin), side="right"))
-                        f_times = np.empty(lt.size + 1)
-                        f_times[:ins] = ledger.scaled[:ins]
-                        f_times[ins] = float(pin) * capacity
-                        f_times[ins + 1:] = ledger.scaled[ins:]
-                        f_demands = np.empty(ld.size + 1)
-                        f_demands[:ins] = ld[:ins]
-                        f_demands[ins] = float(demands[candidate])
-                        f_demands[ins + 1:] = ld[ins:]
-                        frozen = (f_times, f_demands)
-                        remaining = active_idx[active_idx != candidate]
-                        level = _lookahead_level(
-                            staircase, remaining, frozen, global_floor,
-                            float(bank.max_values[remaining].max())
-                            if remaining.size else global_floor,
-                            tolerance, prune_below=best_level)
-                        if level > best_level + 1e-12:
-                            best_level = level
-                            bottleneck = candidate
-                    if math.isfinite(best_level):
-                        # The lookahead verified this level feasible for the
-                        # remaining jobs with the winner pinned — a tighter
-                        # (still exact) seed for the next layer.
-                        seed = max(seed, best_level)
+                shortlist = candidates[-lookahead:]
+                best_level = -math.inf
+                for candidate in shortlist:
+                    pin = _clamp_completion(
+                        float(bank.deadlines(low)[candidate]), horizon)
+                    # Pre-merge the tentative pin into the frozen ledger
+                    # once per candidate (historical tie order: ledger
+                    # entries precede the pin on equal times) so every
+                    # lookahead check skips the extra-commitment merge.
+                    # Times are capacity-scaled to match the staircase's
+                    # pre-scaled deadline views.
+                    lt, ld = ledger.times, ledger.demands
+                    ins = int(lt.searchsorted(float(pin), side="right"))
+                    f_times = np.empty(lt.size + 1)
+                    f_times[:ins] = ledger.scaled[:ins]
+                    f_times[ins] = float(pin) * capacity
+                    f_times[ins + 1:] = ledger.scaled[ins:]
+                    f_demands = np.empty(ld.size + 1)
+                    f_demands[:ins] = ld[:ins]
+                    f_demands[ins] = float(demands[candidate])
+                    f_demands[ins + 1:] = ld[ins:]
+                    frozen = (f_times, f_demands)
+                    remaining = active_idx[active_idx != candidate]
+                    level = _lookahead_level(
+                        staircase, remaining, frozen, global_floor,
+                        float(bank.max_values[remaining].max())
+                        if remaining.size else global_floor,
+                        tolerance, prune_below=best_level)
+                    if level > best_level + 1e-12:
+                        best_level = level
+                        bottleneck = candidate
+                if math.isfinite(best_level):
+                    # The lookahead verified this level feasible for the
+                    # remaining jobs with the winner pinned — a tighter
+                    # (still exact) seed for the next layer.
+                    seed = max(seed, best_level)
 
             deadline = float(bank.deadlines(low)[bottleneck])
             if carried is not None and carried[0] != low:
@@ -766,9 +700,6 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                 float(demands[bottleneck]))
             # A fresh array each layer: the probe cache keys on its identity.
             active_idx = active_idx[active_idx != bottleneck]
-            hints.append(LayerHint(low=low, high=high,
-                                   candidate_ids=floor_candidates,
-                                   bottleneck_id=jobs[bottleneck].job_id))
             if trail is not None:
                 trail.append({"layer": layer, "low": low, "high": high,
                               "peeled": jobs[bottleneck].job_id})
@@ -779,7 +710,7 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     _note_solve(layer, checks, certified)
     return OnionResult(targets=targets, layers=layer,
                        feasibility_checks=checks, horizon=horizon,
-                       hints=tuple(hints), certified_probes=certified)
+                       certified_probes=certified)
 
 
 def _peel_one(job: OnionJob, deadline: float, targets: Dict[str, JobTarget],

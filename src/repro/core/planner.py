@@ -18,16 +18,20 @@ cluster simulator's :class:`~repro.schedulers.rush.RushScheduler`, or a
 real resource manager) re-invokes it on every scheduling event, closing
 the paper's feedback cycle of estimation, recalculation and allocation —
 but between consecutive events most jobs' DE output is bit-identical, so
-re-solving everything from scratch wastes almost all of the work.  The
-incremental machinery amortizes it three ways:
+re-solving stage 1 from scratch wastes almost all of its work.  What a
+planning session carries from one round to the next is only what is
+exact:
 
 * a content-addressed :class:`~repro.core.wcde.WcdeCache` memoizes WCDE
   solves under ``(PMF fingerprint, theta, delta)``;
 * callers that track job dirtiness can hand back :class:`PresolvedDemand`
   values so clean jobs skip stage 1 entirely (see
-  :class:`IncrementalPlanner`);
-* the onion warm start re-probes the previous plan's per-layer brackets,
-  collapsing unchanged layers to two feasibility checks.
+  :class:`IncrementalPlanner`).
+
+The onion itself is solved cold every round — every ``elapsed`` advances
+each slot, so consecutive peel orders share almost no prefix
+(``BENCH_onion.json``, ``plan_to_plan``) — which keeps a plan a pure
+function of its snapshot.
 
 Every plan carries a :class:`PlanStats` record (cache hits/misses,
 per-stage seconds, peels, feasibility checks) so the cost of the pipeline
@@ -39,11 +43,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError, SolverBudgetError
 from repro.core.mapping import ContainerPlan, MappingJob, map_time_slots
-from repro.core.onion import LayerHint, OnionJob, solve_onion
+from repro.core.onion import OnionJob, solve_onion
 from repro.core.wcde import WcdeCache, WcdeResult, solve_wcde_batch
 from repro.estimation.base import DemandEstimate
 from repro.estimation.pmf import Pmf
@@ -153,8 +157,7 @@ class PlanStats:
     wall-clock; ``peels`` is the onion layer count,
     ``feasibility_checks`` the staircase passes evaluated (the onion's
     unit of work) and ``certified_probes`` the probes a certificate
-    answered without one.  ``warm_start`` records whether the onion
-    received hints.
+    answered without one.
     """
 
     wcde_presolved: int = 0
@@ -166,7 +169,6 @@ class PlanStats:
     peels: int = 0
     feasibility_checks: int = 0
     certified_probes: int = 0
-    warm_start: bool = False
     #: Degradation-ladder rung that produced this plan: "" for the
     #: primary solve, else "cold_exact" / "last_good" (set by the
     #: scheduler's :class:`~repro.core.degradation.DegradationPolicy`).
@@ -185,7 +187,6 @@ class SchedulePlan:
     feasibility_checks: int
     solve_seconds: float
     stats: PlanStats = field(default_factory=PlanStats)
-    onion_hints: Tuple[LayerHint, ...] = field(default=(), repr=False)
     _order: List[str] = field(default_factory=list, repr=False)
     _presolved: Dict[str, PresolvedDemand] = field(default_factory=dict,
                                                    repr=False)
@@ -312,15 +313,12 @@ class RushPlanner:
     def plan(self, jobs: Sequence[PlannerJob],
              horizon: Optional[int] = None, *,
              presolved: Optional[Mapping[str, PresolvedDemand]] = None,
-             warm_start: Optional[Sequence[LayerHint]] = None,
              time_budget: Optional[float] = None) -> SchedulePlan:
         """Produce a complete schedule plan for the given job snapshot.
 
         ``presolved`` maps job ids to WCDE answers from an earlier round
         that the caller knows are still valid (unchanged reference PMF,
-        theta and delta); those jobs skip stage 1.  ``warm_start`` is the
-        previous plan's ``onion_hints``; see :func:`repro.core.onion
-        .solve_onion` for its exact (probe-only) semantics.
+        theta and delta); those jobs skip stage 1.
 
         ``time_budget`` is a wall-clock allowance in seconds for the
         whole round; exceeding it raises
@@ -338,7 +336,7 @@ class RushPlanner:
         if len(set(ids)) != len(ids):
             raise ConfigurationError("job ids must be unique within one plan")
         with get_tracer().span("planner.plan", jobs=len(jobs)) as span:
-            stats = PlanStats(warm_start=warm_start is not None)
+            stats = PlanStats()
             cache = self.wcde_cache
             hits0 = cache.hits if cache is not None else 0
             misses0 = cache.misses if cache is not None else 0
@@ -405,7 +403,7 @@ class RushPlanner:
             onion_started = time.perf_counter()
             onion = solve_onion(onion_jobs, self.capacity,
                                 tolerance=self.tolerance, horizon=horizon,
-                                warm_start=warm_start, budget_deadline=deadline)
+                                budget_deadline=deadline)
             stats.onion_seconds = time.perf_counter() - onion_started
             stats.peels = onion.layers
             stats.feasibility_checks = onion.feasibility_checks
@@ -451,8 +449,7 @@ class RushPlanner:
                 horizon=onion.horizon, layers=onion.layers,
                 feasibility_checks=onion.feasibility_checks,
                 solve_seconds=time.perf_counter() - started,
-                stats=stats, onion_hints=onion.hints,
-                _order=list(ids), _presolved=presolved_out)
+                stats=stats, _order=list(ids), _presolved=presolved_out)
             span.note(layers=onion.layers,
                       feasibility_checks=onion.feasibility_checks,
                       presolved=stats.wcde_presolved)
@@ -482,20 +479,20 @@ class IncrementalPlanner:
 
     Every plan is bit-identical to what a cold :class:`RushPlanner`
     would produce for the same snapshot (the equivalence the property
-    tests pin down) — unless ``warm_start=True`` also forwards the
-    previous plan's onion hints.  That mode is *approximate*: drifted
-    snapshots may settle on within-tolerance different utility levels in
-    exchange for collapsing unchanged onion layers to two feasibility
-    checks.  No scheduler, daemon or CLI surface reaches it; the
-    parameter stays because ``benchmarks/bench_planner_incremental.py``
-    and the perf ledger's offline workload construct both modes.
+    tests pin down).
     """
 
     def __init__(self, planner: RushPlanner, *, warm_start: bool = False) -> None:
+        # The keyword is a literal — ``False`` and only ``False``; nothing
+        # is stored.  The approximate onion mode it selected is gone and
+        # the name stays because benchmarks/ledger/offline.py passes it
+        # (ROADMAP 10 deletes the parameter together with that call).
+        if warm_start is not False:
+            raise ConfigurationError(
+                "warm_start=True was removed with the approximate onion "
+                "mode: every plan is a cold, exact solve")
         self.planner = planner
-        self.warm_start = warm_start
         self._memo: Dict[str, _JobMemo] = {}
-        self._hints: Optional[Tuple[LayerHint, ...]] = None
         self.presolve_hits = 0
         self.presolve_misses = 0
 
@@ -504,9 +501,8 @@ class IncrementalPlanner:
         self._memo.pop(job_id, None)
 
     def reset(self) -> None:
-        """Drop all incremental state (presolves and warm-start hints)."""
+        """Drop all incremental state (the per-job presolves)."""
         self._memo.clear()
-        self._hints = None
 
     def plan(self, jobs: Sequence[PlannerJob],
              horizon: Optional[int] = None, *,
@@ -521,14 +517,11 @@ class IncrementalPlanner:
                 self.presolve_hits += 1
             else:
                 self.presolve_misses += 1
-        plan = self.planner.plan(
-            jobs, horizon, presolved=presolved,
-            warm_start=self._hints if self.warm_start else None,
-            time_budget=time_budget)
+        plan = self.planner.plan(jobs, horizon, presolved=presolved,
+                                 time_budget=time_budget)
         fresh = plan.presolved_demands()
         for job in jobs:
             self._memo[job.job_id] = _JobMemo(
                 estimate=job.estimate, delta=job.delta,
                 presolved=fresh[job.job_id])
-        self._hints = plan.onion_hints
         return plan

@@ -144,12 +144,14 @@ def solve_tas_lp(jobs: Sequence[OnionJob], capacity: int, *,
                            capacity, horizon)
 
     def staircase(level: float, active_idx: np.ndarray,
-                  extra_times=(), extra_demands=()):
+                  frozen: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+        # ``frozen`` stands in for the peeled ledger: the lookahead passes
+        # the ledger with its tentative pin already merged in.
+        f_times, f_demands = ((ledger.times, ledger.demands)
+                              if frozen is None else frozen)
         d_active = bank.deadlines(level)[active_idx]
-        d_all = np.concatenate([d_active, ledger.times,
-                                np.asarray(extra_times, dtype=float)])
-        eta_all = np.concatenate([demands[active_idx], ledger.demands,
-                                  np.asarray(extra_demands, dtype=float)])
+        d_all = np.concatenate([d_active, f_times])
+        eta_all = np.concatenate([demands[active_idx], f_demands])
         is_active = np.zeros(d_all.size, dtype=bool)
         is_active[: d_active.size] = True
         order = np.argsort(d_all, kind="stable")
@@ -207,9 +209,10 @@ def solve_tas_lp(jobs: Sequence[OnionJob], capacity: int, *,
                     pin = float(horizon)
                 remaining = np.array([i for i in active if i != candidate],
                                      dtype=int)
+                frozen = (np.append(ledger.times, pin),
+                          np.append(ledger.demands, demands[candidate]))
                 level = _lookahead_level(
-                    staircase, remaining, [pin],
-                    [float(demands[candidate])], global_floor,
+                    staircase, remaining, frozen, global_floor,
                     max((jobs[i].utility.max_value() for i in remaining),
                         default=global_floor),
                     tolerance)

@@ -69,7 +69,7 @@ def _note_solve(iterations: int) -> None:
 def _note_cache_outcome(outcome: str, theta: float, delta: float) -> None:
     """Record one :class:`WcdeCache` lookup (``outcome``: hit | miss).
 
-    Hits are the steady-state hot path (one per job per warm replan), so
+    Hits are the steady-state hot path (one per job per replan), so
     they only bump the aggregate counter; a per-hit trace event would put
     span construction inside the planner's inner loop and blow the
     benchmark's observability-overhead gate.  Misses are rare (cold cache

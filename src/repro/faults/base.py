@@ -80,11 +80,16 @@ class FaultLog:
 
     def __init__(self) -> None:
         self._events: List[FaultEvent] = []
+        #: The most recent ``degradation:*`` record — what a status read
+        #: reports, kept here so it never scans the log for it.
+        self.last_degradation: Optional[FaultEvent] = None
 
     def record(self, slot: int, kind: str, target: str,
                **detail: object) -> FaultEvent:
         event = FaultEvent(slot=slot, kind=kind, target=target, detail=detail)
         self._events.append(event)
+        if kind.startswith("degradation:"):
+            self.last_degradation = event
         metrics = get_metrics()
         if metrics.active:
             metrics.counter("rush_fault_injections_total",

@@ -26,7 +26,7 @@ All injectors follow the decision/variation stream contract of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Set, Type
+from typing import TYPE_CHECKING, Dict, Mapping, Set, Type
 
 from repro.errors import ConfigurationError
 from repro.faults.base import FaultContext, FaultInjector

@@ -4,7 +4,7 @@ RUSH's correctness theorems survive only as long as a handful of
 implementation invariants the Python type system cannot see: seeded-RNG
 stream discipline (the fault injectors' monotone-coupling contract),
 exact-float determinism (the incremental planner's bit-identical
-cold/warm equivalence), immutability of shared PMF arrays, and the
+cold/incremental equivalence), immutability of shared PMF arrays, and the
 degradation ladder's no-silent-swallow rule for solver failures.  This
 module supplies the machinery to check such invariants mechanically:
 

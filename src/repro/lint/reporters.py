@@ -9,7 +9,7 @@ schema-stable document CI artifacts and downstream tooling consume
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.lint.framework import RULE_REGISTRY, Finding
 

@@ -297,7 +297,7 @@ class FloatEqualityRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         # In tests and benchmarks, exact equality inside an ``assert`` is
         # the point: the determinism gates promise *bit-identical* floats
-        # (golden traces, cold/warm planner equivalence), and isclose
+        # (golden traces, cold/incremental planner equivalence), and isclose
         # would weaken exactly what they verify.  Comparisons outside
         # asserts (branch conditions, sentinels) are still flagged.
         exempt: FrozenSet[int] = frozenset()

@@ -20,7 +20,7 @@ slots, not seconds.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import ConfigurationError
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import BadRequestError, ConfigurationError, ServiceError

@@ -388,18 +388,14 @@ class ServiceEngine:
         — a degraded-but-served answer in the payload, never a 500.
         """
         counts = dict(getattr(self.scheduler, "degradation_counts", {}) or {})
-        last: Optional[str] = None
-        last_slot: Optional[int] = None
-        for event in reversed(self.sim.fault_log.events):
-            if event.kind.startswith("degradation:"):
-                last = event.kind.split(":", 1)[1]
-                last_slot = event.slot
-                break
-        return {"fallbacks": counts, "last_fallback": last,
-                "last_fallback_slot": last_slot}
+        event = self.sim.fault_log.last_degradation
+        return {"fallbacks": counts,
+                "last_fallback": (None if event is None
+                                  else event.kind.split(":", 1)[1]),
+                "last_fallback_slot": None if event is None else event.slot}
 
     def list_jobs(self) -> List[Dict[str, Any]]:
-        degradation = self._degradation_status()  # one log scan per request
+        degradation = self._degradation_status()
         return [self._job_status(job_id, degradation)
                 for job_id in self.registry.job_ids()]
 

@@ -16,9 +16,8 @@ paper-scale experiment is one parameter away.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -19,7 +19,6 @@ randomized-runtime protocol of Section V-B actually relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 

@@ -10,11 +10,14 @@ break the cluster's structural invariants:
   job completes exactly once, regardless of crash/kill/retry churn;
 * monotone degradation — under the plans' monotone coupling, raising the
   fault intensity never *improves* a straggler-afflicted job's runtime;
-* incremental/cold equivalence — the warm-started incremental planner
-  stays bit-identical to cold re-solves under fault churn;
+* incremental/cold equivalence — the incremental planner stays
+  bit-identical to cold re-solves under fault churn;
 * graceful degradation everywhere — no fault intensity can surface an
   unhandled solver exception; every failed solve lands on a recorded
-  ladder rung.
+  ladder rung;
+* the stored completion slot — what ``SimJob.completion_time`` recorded
+  at the completing transition is what a scan over every attempt finds,
+  with retries, speculative siblings and cancellations in flight.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from repro.faults import (
     default_chaos_plan,
 )
 from repro.schedulers import FifoScheduler, RushScheduler
+from repro.schedulers.speculative import SpeculativeScheduler
 from repro.utility import LinearUtility
+from repro.workload.scenarios import SCENARIOS, build_scenario_workload
 
 # The chaos battery runs hundreds of seeded fault-injected simulations;
 # the fast CI lane deselects it (-m "not slow"), the full lane runs it.
@@ -206,3 +211,63 @@ class TestNoUnhandledSolverFailures:
         degradations = sum(1 for e in result.fault_events
                            if e.kind.startswith("degradation:"))
         assert degradations == result.fallback_count
+
+
+# ---------------------------------------------------------------------------
+# the stored completion slot
+
+
+def scanned_completion(job):
+    """``SimJob.completion_time`` as it was computed before it was stored:
+    the latest finish over every completed attempt of a complete job."""
+    if not job.is_complete:
+        return None
+    return max(t.finish_time for t in job.tasks
+               if t.state is TaskState.COMPLETED)
+
+
+class EagerSpeculation(SpeculativeScheduler):
+    """Races every un-raced running attempt as soon as a container idles,
+    with a duplicate short enough to win about as often as it loses."""
+
+    def select_speculative(self):
+        for job in self.sim.active_jobs:
+            for task in job.running_attempts():
+                if not job.has_duplicate(task.logical_id):
+                    return (job.job_id, task.logical_id,
+                            max(1, task.duration // 2))
+        return None
+
+
+class TestStoredCompletionSlot:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("policy", ["fifo+spec", "rush"])
+    def test_stored_slot_equals_the_scan_at_every_slot(self, name, policy):
+        """Each library scenario under the all-injector chaos plan — spec
+        failures and crashes force retries, stragglers draw speculative
+        siblings (first policy), every 100th slot withdraws a live job —
+        and after every slot every job's stored completion slot is what a
+        scan over its attempts finds."""
+        scenario = SCENARIOS[name]
+        specs = build_scenario_workload(scenario, seed=0, fast=True)[:20]
+        scheduler = (EagerSpeculation(FifoScheduler())
+                     if policy == "fifo+spec" else RushScheduler())
+        sim = ClusterSimulator(
+            scenario.capacity(fast=True), scheduler, seed=7,
+            faults=default_chaos_plan(seed=7, intensity=3.0))
+        for job_spec in specs:
+            sim.submit(job_spec)
+        slots = 0
+        while (sim.active_jobs or sim.now <= specs[-1].arrival) \
+                and slots < 4000:
+            sim.step()
+            slots += 1
+            if slots % 100 == 0 and sim.active_jobs:
+                sim.cancel_job(sim.active_jobs[-1].job_id)
+            for job in (sim.completed_jobs + sim.active_jobs
+                        + sim.cancelled_jobs):
+                assert job.completion_time == scanned_completion(job)
+        assert sim.completed_jobs and sim.cancelled_jobs
+        assert sim.task_failures > 0
+        if policy == "fifo+spec":
+            assert sim.speculative_launches > 0

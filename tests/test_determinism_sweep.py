@@ -5,11 +5,12 @@ The incremental planning engine's headline contract is that it is
 targets, grants and therefore the same simulated schedule.  The
 hypothesis suite in ``test_incremental.py`` fuzzes the planner in
 isolation; this module sweeps the contract end-to-end across many seeds
-(it replaces the old single-seed ``rng(3)`` warm-start spot check):
+(it replaces the old single-seed ``rng(3)`` spot check):
 
-* **planner level** — for each seed, a cold :class:`RushPlanner` and a
-  warm-started :class:`IncrementalPlanner` replan of the same snapshot
-  produce equal plans;
+* **planner level** — for each seed, an :class:`IncrementalPlanner`
+  replanning an unchanged snapshot from its presolve memo, and one that
+  sees one job's estimate replaced, both produce the plan a cold
+  :class:`RushPlanner` produces;
 * **simulator level** — for each (seed, faults) point, a full
   simulation with ``RushScheduler(incremental=True)`` equals one with
   ``incremental=False``, fault events included, comparing the entire
@@ -77,18 +78,20 @@ def schedule_dict(result):
 
 
 # ---------------------------------------------------------------------------
-# Planner level: warm-started replan ≡ cold plan, 20 seeds
+# Planner level: incremental replan ≡ cold plan, unchanged and after
+# churn, 20 seeds each
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", PLANNER_SEEDS)
 def test_warm_replan_equals_cold_plan(seed):
+    """"Warm" is the session's presolve memo — the only state a planning
+    session carries; the onion is solved cold either way."""
     jobs = random_jobs(seed)
     cold_plan = RushPlanner(16, tolerance=0.05).plan(jobs)
-    warm = IncrementalPlanner(RushPlanner(16, tolerance=0.05),
-                              warm_start=True)
-    warm.plan(jobs)                       # seeds hints
+    warm = IncrementalPlanner(RushPlanner(16, tolerance=0.05))
+    warm.plan(jobs)                       # fills the memo
     replan = warm.plan(jobs)              # unchanged snapshot
-    assert replan.stats.warm_start
+    assert replan.stats.wcde_presolved == len(jobs)
     assert plans_equal(replan, cold_plan)
 
 
@@ -97,8 +100,7 @@ def test_incremental_equals_cold_after_churn(seed):
     """Perturb one job between plans; the next plan still matches cold."""
     rng = np.random.default_rng(seed + 1000)
     jobs = random_jobs(seed)
-    inc = IncrementalPlanner(RushPlanner(16, tolerance=0.05),
-                             warm_start=True)
+    inc = IncrementalPlanner(RushPlanner(16, tolerance=0.05))
     inc.plan(jobs)
     victim = int(rng.integers(0, len(jobs)))
     jobs[victim] = PlannerJob(

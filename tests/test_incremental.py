@@ -5,10 +5,10 @@ Three layers of guarantees:
 * :class:`~repro.core.wcde.WcdeCache` is a content-addressed, bounded
   LRU whose hits return the exact solve result, and the lazy
   ``worst_pmf`` matches the eager solve;
-* :class:`~repro.core.planner.IncrementalPlanner` (without the
-  approximate warm start) is *bit-identical* to the stateless cold
-  planner — same robust demands, targets and next-slot grants — under
-  hypothesis-fuzzed job sets and arbitrary estimate-churn sequences;
+* :class:`~repro.core.planner.IncrementalPlanner` is *bit-identical*
+  to the stateless cold planner — same robust demands, targets and
+  next-slot grants — under hypothesis-fuzzed job sets and arbitrary
+  estimate-churn sequences;
 * :class:`~repro.schedulers.rush.RushScheduler` invalidates its cached
   per-job estimates exactly when the paper's feedback cycle demands:
   on arrival, task launch, completion and failure — and only then.
@@ -16,6 +16,8 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -32,6 +34,9 @@ from repro import (
     SigmoidUtility,
     WcdeCache,
 )
+import repro.core
+from repro.core.onion import OnionResult, solve_onion
+from repro.core.planner import PlanStats, SchedulePlan
 from repro.core.wcde import solve_wcde, solve_wcde_batch
 from repro.errors import ConfigurationError
 from repro.estimation import DemandEstimate, Pmf
@@ -280,9 +285,48 @@ class TestIncrementalEquivalence:
         warm.plan([job])
         assert warm.presolve_hits == 0 and warm.presolve_misses == 2
 
-    # The single-seed warm-start-equals-cold spot check that lived here
-    # is superseded by the 20-seed sweep in test_determinism_sweep.py
-    # (test_warm_replan_equals_cold_plan).
+    def test_the_onion_has_no_approximate_mode(self):
+        """One onion — cold, certified, exact.  Nothing takes a warm start,
+        nothing carries a hint, and the one keyword that survives (the
+        perf ledger passes it) is the literal ``False``."""
+        assert "warm_start" not in inspect.signature(solve_onion).parameters
+        assert "warm_start" not in inspect.signature(
+            RushPlanner.plan).parameters
+        for record in (OnionResult, SchedulePlan, PlanStats):
+            names = [f.name for f in dataclasses.fields(record)]
+            assert not [n for n in names if "hint" in n or "warm" in n]
+        assert not [n for n in repro.core.__all__ if "hint" in n.lower()]
+        planner = RushPlanner(16)
+        with pytest.raises(ConfigurationError, match="warm_start"):
+            IncrementalPlanner(planner, warm_start=True)
+        assert not hasattr(IncrementalPlanner(planner, warm_start=False),
+                           "warm_start")
+
+    def test_cold_exact_after_primary_returns_the_same_plan(self):
+        """The ladder's second rung on the snapshot its first rung solved:
+        drop the session's state, re-solve — an equal plan, probe for
+        probe, on the first round and on an unchanged replan."""
+        jobs = [PlannerJob(f"j{i}", SigmoidUtility(40.0 + 9 * i, 1.0 + i % 3,
+                                                   beta=0.2),
+                           DemandEstimate(
+                               Pmf.from_gaussian(30 + 4 * i, 6, tau_max=120),
+                               bin_width=1.0, container_runtime=5.0,
+                               sample_count=4),
+                           elapsed=float(i))
+                for i in range(12)]
+        planner = RushPlanner(4, tolerance=0.05)
+        session = IncrementalPlanner(planner)
+        for _ in range(2):
+            primary = session.plan(jobs)
+            session.reset()
+            cold_exact = planner.plan(jobs)
+            assert plans_equal(primary, cold_exact)
+            assert ((primary.stats.peels, primary.stats.feasibility_checks,
+                     primary.stats.certified_probes)
+                    == (cold_exact.stats.peels,
+                        cold_exact.stats.feasibility_checks,
+                        cold_exact.stats.certified_probes))
+            session.plan(jobs)              # refill the memo for round two
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, InfeasiblePlanError
-from repro.core.onion import OnionJob, solve_onion
+from repro.core.onion import OnionJob, default_horizon, solve_onion
 from repro.core.tas_lp import lp_feasible, solve_tas_lp
 from repro.utility import ConstantUtility, LinearUtility, SigmoidUtility
 
@@ -111,3 +111,39 @@ class TestSolveTasLp:
         lp = solve_tas_lp(jobs, 2, tolerance=1e-3)
         for u_lp, u_on in zip(lp.utility_vector(), onion.utility_vector()):
             assert u_lp == pytest.approx(u_on, abs=0.05, rel=0.02)
+
+    def test_floor_lookahead_scores_each_sacrifice(self):
+        """Three jobs whose first layer bottoms out at the floor: which
+        one is sacrificed decides the rest of the vector, and the
+        reference has to score the shortlist, not take its first member."""
+        jobs = [OnionJob("a", 2, LinearUtility(3, 0, beta=0.35)),
+                OnionJob("b", 7, LinearUtility(9, 1, beta=0.372)),
+                OnionJob("c", 8, LinearUtility(5, 0, beta=0.328))]
+        onion = solve_onion(jobs, 2, tolerance=1e-3, horizon=14)
+        lp = solve_tas_lp(jobs, 2, tolerance=1e-3, horizon=14)
+        assert onion.utility_vector() == pytest.approx([0.0, 0.70, 2.49],
+                                                       abs=0.01)
+        assert lp.utility_vector() == pytest.approx(onion.utility_vector(),
+                                                    abs=0.01)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_reference_is_never_lexicographically_worse(self, seed):
+        """Tight 3-5-job fleets, where floor layers (and so the sacrifice
+        lookahead) are the rule rather than the exception."""
+        rng = np.random.default_rng(seed)
+        jobs = [OnionJob(f"j{i}", float(rng.integers(2, 10)),
+                         LinearUtility(float(rng.integers(3, 11)),
+                                       float(rng.integers(0, 2)),
+                                       beta=float(rng.uniform(0.3, 0.4))))
+                for i in range(int(rng.integers(3, 6)))]
+        horizon = default_horizon(jobs, 2) + 4
+        onion = solve_onion(jobs, 2, tolerance=1e-3,
+                            horizon=horizon).utility_vector()
+        lp = solve_tas_lp(jobs, 2, tolerance=1e-3,
+                          horizon=horizon).utility_vector()
+        # Lexicographic order on the sorted vectors, to the tolerance the
+        # equality below uses: the first entry that differs decides.
+        first_gap = next((a - b for a, b in zip(lp, onion)
+                          if abs(a - b) > 0.01), 0.0)
+        assert first_gap >= 0.0, "reference lexicographically worse"
+        assert lp == pytest.approx(onion, abs=0.01)
