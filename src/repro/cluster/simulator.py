@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.core.clock import (CancelEvent, Clock, ClusterEvent, EventSource,
                               SimulatedClock, SubmitEvent)
 from repro.errors import SimulationError, SimulationTimeoutError
@@ -29,16 +30,9 @@ from repro.cluster.container import Container
 from repro.cluster.job import JobSpec, SimJob
 from repro.cluster.metrics import JobRecord, SimulationResult
 from repro.faults.plan import FaultPlan
-from repro.obs import get_ledger, get_metrics, get_tracer
 from repro.schedulers.base import Scheduler
 
 __all__ = ["ClusterSimulator", "run_simulation"]
-
-#: Per-slot container-utilization histogram buckets (fraction busy).
-_UTILIZATION_BUCKETS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
-
-#: Per-slot task-completion histogram buckets.
-_COMPLETION_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 class ClusterSimulator:
@@ -189,7 +183,7 @@ class ClusterSimulator:
 
     def step(self) -> None:
         """Simulate one slot."""
-        get_tracer().set_slot(self.now)
+        obs.get_tracer().set_slot(self.now)
         if self._events is not None:
             for event in self._events.poll(self.now):
                 self._apply_event(event)
@@ -306,34 +300,20 @@ class ClusterSimulator:
                 self._active.remove(job)
                 self._completed.append(job)
                 completion = job.completion_time
-                get_ledger().realize(
+                obs.get_ledger().realize(
                     job.job_id,
                     self.now if completion is None else int(completion))
                 self.scheduler.on_job_complete(job)
         return completed_tasks
 
     def _observe_slot(self, busy: int, completed_tasks: int) -> None:
-        """Feed the per-slot gauges/histograms (no-op unless obs enabled)."""
-        metrics = get_metrics()
-        if not metrics.active:
-            return
-        queue_depth = sum(j.pending_count for j in self._active)
-        metrics.gauge("rush_sim_queue_depth",
-                      help="Pending tasks across active jobs",
-                      unit="tasks").set(queue_depth)
-        metrics.gauge("rush_sim_busy_containers",
-                      help="Containers running a task this slot",
-                      unit="containers").set(busy)
-        metrics.histogram("rush_sim_utilization",
-                          buckets=_UTILIZATION_BUCKETS,
-                          help="Per-slot fraction of busy containers",
-                          unit="fraction").observe(busy / self.capacity)
-        metrics.histogram("rush_sim_slot_completions",
-                          buckets=_COMPLETION_BUCKETS,
-                          help="Logical task completions per slot",
-                          unit="tasks").observe(completed_tasks)
-        metrics.counter("rush_sim_tasks_completed_total",
-                        help="Logical task completions").inc(completed_tasks)
+        """Feed the per-slot series (no-op unless obs enabled)."""
+        if not obs.get_metrics().active:
+            return  # the queue depth is a walk over the active set
+        obs.set_gauge("rush_sim_queue_depth",
+                      sum(j.pending_count for j in self._active))
+        obs.observe("rush_sim_utilization", busy / self.capacity)
+        obs.count("rush_sim_tasks_completed_total", completed_tasks)
 
     def _cancel_siblings(self, job: SimJob, winner) -> None:
         """Abort surviving attempts of a logical task that just completed."""
@@ -353,8 +333,8 @@ class ClusterSimulator:
             if job_id not in self._cancelled
         ]
         records.sort(key=lambda r: (r.arrival, r.job_id))
-        fallbacks = dict(getattr(self.scheduler, "degradation_counts", {}) or {})
-        registry = get_metrics()
+        fallbacks = self.scheduler.degradation_counts
+        registry = obs.get_metrics()
         return SimulationResult(
             metrics=registry.snapshot() if registry.active else None,
             scheduler_name=self.scheduler.name,
@@ -365,7 +345,7 @@ class ClusterSimulator:
             scheduling_decisions=self.scheduling_decisions,
             task_failures=self.task_failures,
             speculative_launches=self.speculative_launches,
-            planner_seconds=getattr(self.scheduler, "planner_seconds", 0.0),
+            planner_seconds=self.scheduler.planner_seconds,
             timed_out=self.timed_out,
             fault_events=self.fault_log.events,
             fallbacks=fallbacks)

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.errors import ConfigurationError, ReproError
 from repro.core.planner import SchedulePlan
-from repro.obs import get_metrics, get_tracer
 
 __all__ = ["DegradationPolicy", "DegradationOutcome", "LADDER"]
 
@@ -46,15 +46,11 @@ _COLD_BUDGET_MULTIPLE = 2.0
 
 def _note_fallback(rung: str, errors: List[str]) -> None:
     """Trace/count one degradation fallback (never called for primary)."""
-    tracer = get_tracer()
+    tracer = obs.get_tracer()
     if tracer.active:
         tracer.event("degradation.fallback", rung=rung,
                      failed_rungs=len(errors))
-    metrics = get_metrics()
-    if metrics.active:
-        metrics.counter("rush_degradation_fallbacks_total",
-                        help="Planning rounds served by a fallback rung",
-                        labels=("rung",)).labels(rung).inc()
+    obs.count("rush_degradation_fallbacks_total", 1, rung)
 
 
 class DegradationOutcome:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 
 from repro.errors import ConfigurationError
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 
 __all__ = ["MappingJob", "Segment", "ContainerPlan", "map_time_slots"]
 
@@ -205,8 +205,4 @@ def map_time_slots(jobs: Sequence[MappingJob], capacity: int) -> ContainerPlan:
             plan.completions[job.job_id] = finish
         plan._index()
         span.note(makespan=plan.makespan, overflowed=len(plan.overflowed))
-    metrics = get_metrics()
-    if metrics.active:
-        metrics.counter("rush_mapping_solves_total",
-                        help="Continuous time-slot mappings").inc()
     return plan

@@ -49,9 +49,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
+from repro import obs
 from repro.errors import (ConfigurationError, InfeasiblePlanError,
                           SolverBudgetError)
-from repro.obs import get_metrics, get_tracer
 from repro.utility.base import UtilityFunction
 from repro.utility.constant import ConstantUtility
 from repro.utility.linear import LinearUtility
@@ -60,21 +60,6 @@ from repro.utility.step import StepUtility
 
 __all__ = ["OnionJob", "JobTarget", "OnionResult", "solve_onion",
            "default_horizon"]
-
-
-def _note_solve(layers: int, checks: int, certified: int) -> None:
-    """Record one completed onion solve in the metrics registry."""
-    metrics = get_metrics()
-    if metrics.active:
-        metrics.counter("rush_onion_solves_total",
-                        help="Onion lex-max-min solves").inc()
-        metrics.counter("rush_onion_feasibility_checks_total",
-                        help="Staircase feasibility evaluations",
-                        unit="checks").inc(checks)
-        metrics.counter("rush_onion_certified_probes_total",
-                        help="Feasibility probes answered without an "
-                             "evaluation",
-                        unit="probes").inc(certified)
 
 
 @dataclass(frozen=True)
@@ -590,7 +575,7 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
 
     layer = 0
     seed: Optional[float] = None
-    tracer = get_tracer()
+    tracer = obs.get_tracer()
     # Per-layer records accumulate in a plain list and land on the solve
     # span's payload in one note() at the end: one peel per job makes a
     # per-layer trace *event* a per-job Span allocation on the planner's
@@ -707,7 +692,8 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         solve_span.note(layers=layer, feasibility_checks=checks)
         if trail is not None:
             solve_span.note(layer_trail=trail)
-    _note_solve(layer, checks, certified)
+    obs.count("rush_onion_feasibility_checks_total", checks)
+    obs.count("rush_onion_certified_probes_total", certified)
     return OnionResult(targets=targets, layers=layer,
                        feasibility_checks=checks, horizon=horizon,
                        certified_probes=certified)

@@ -45,33 +45,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro import obs
 from repro.errors import ConfigurationError, SolverBudgetError
 from repro.core.mapping import ContainerPlan, MappingJob, map_time_slots
 from repro.core.onion import OnionJob, solve_onion
 from repro.core.wcde import WcdeCache, WcdeResult, solve_wcde_batch
 from repro.estimation.base import DemandEstimate
 from repro.estimation.pmf import Pmf
-from repro.obs import get_metrics, get_tracer
 from repro.utility.base import UtilityFunction
 
 __all__ = ["PlannerJob", "JobPlan", "PlanStats", "PresolvedDemand",
            "SchedulePlan", "RushPlanner", "IncrementalPlanner"]
-
-#: Histogram buckets for staircase feasibility checks per planning round.
-_CHECK_BUCKETS = (2.0, 8.0, 32.0, 128.0, 512.0, 2048.0)
-
-
-def _note_plan(stats: "PlanStats") -> None:
-    """Record one completed planning round in the metrics registry."""
-    metrics = get_metrics()
-    if metrics.active:
-        metrics.counter("rush_plans_total",
-                        help="Robust planning rounds completed").inc()
-        metrics.histogram("rush_plan_feasibility_checks",
-                          buckets=_CHECK_BUCKETS,
-                          help="Staircase feasibility checks per round",
-                          unit="checks").observe(stats.feasibility_checks)
-
 
 @dataclass(frozen=True)
 class PlannerJob:
@@ -174,6 +158,18 @@ class PlanStats:
     #: scheduler's :class:`~repro.core.degradation.DegradationPolicy`).
     fallback: str = ""
 
+    def add(self, other: "PlanStats") -> None:
+        """Accumulate another round's counts and stage seconds."""
+        self.wcde_presolved += other.wcde_presolved
+        self.wcde_cache_hits += other.wcde_cache_hits
+        self.wcde_cache_misses += other.wcde_cache_misses
+        self.wcde_seconds += other.wcde_seconds
+        self.onion_seconds += other.onion_seconds
+        self.mapping_seconds += other.mapping_seconds
+        self.peels += other.peels
+        self.feasibility_checks += other.feasibility_checks
+        self.certified_probes += other.certified_probes
+
 
 @dataclass
 class SchedulePlan:
@@ -183,13 +179,21 @@ class SchedulePlan:
     container_plan: ContainerPlan
     theta: float
     horizon: int
-    layers: int
-    feasibility_checks: int
     solve_seconds: float
     stats: PlanStats = field(default_factory=PlanStats)
     _order: List[str] = field(default_factory=list, repr=False)
     _presolved: Dict[str, PresolvedDemand] = field(default_factory=dict,
                                                    repr=False)
+
+    @property
+    def layers(self) -> int:
+        """Onion layers peeled (``stats.peels``)."""
+        return self.stats.peels
+
+    @property
+    def feasibility_checks(self) -> int:
+        """Staircase passes evaluated (``stats.feasibility_checks``)."""
+        return self.stats.feasibility_checks
 
     def next_slot_allocation(self) -> Dict[str, int]:
         """Containers each job should hold in the immediate next slot."""
@@ -335,7 +339,7 @@ class RushPlanner:
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("job ids must be unique within one plan")
-        with get_tracer().span("planner.plan", jobs=len(jobs)) as span:
+        with obs.get_tracer().span("planner.plan", jobs=len(jobs)) as span:
             stats = PlanStats()
             cache = self.wcde_cache
             hits0 = cache.hits if cache is not None else 0
@@ -359,8 +363,9 @@ class RushPlanner:
                     presolved_out[job.job_id] = pre
                 else:
                     dirty.append(job)
-            if cache is not None and stats.wcde_presolved:
-                cache.note_presolve_reuse(stats.wcde_presolved)
+            if stats.wcde_presolved:
+                obs.count("rush_wcde_cache_total", stats.wcde_presolved,
+                          "presolve_reuse")
             groups: Dict[float, List[PlannerJob]] = {}
             for job in dirty:
                 resolved = self.delta if job.delta is None else job.delta
@@ -446,14 +451,13 @@ class RushPlanner:
 
             plan = SchedulePlan(
                 jobs=job_plans, container_plan=container_plan, theta=self.theta,
-                horizon=onion.horizon, layers=onion.layers,
-                feasibility_checks=onion.feasibility_checks,
+                horizon=onion.horizon,
                 solve_seconds=time.perf_counter() - started,
                 stats=stats, _order=list(ids), _presolved=presolved_out)
             span.note(layers=onion.layers,
                       feasibility_checks=onion.feasibility_checks,
                       presolved=stats.wcde_presolved)
-        _note_plan(stats)
+        obs.count("rush_plans_total")
         return plan
 
 

@@ -39,10 +39,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.core.rem import rem_min_kl_from_cdf_array, solve_rem
 from repro.estimation.pmf import Pmf
-from repro.obs import get_metrics, get_tracer
 
 __all__ = ["WcdeResult", "WcdeCache", "solve_wcde", "solve_wcde_batch",
            "worst_case_demand"]
@@ -50,42 +50,6 @@ __all__ = ["WcdeResult", "WcdeCache", "solve_wcde", "solve_wcde_batch",
 #: Candidate ranges at most this wide skip the bisection loop and are
 #: swept with one vectorized REM evaluation over the cached CDF.
 _SCAN_WIDTH = 64
-
-#: Histogram buckets for bisection steps per solve (a range sweep is 1).
-_ITER_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-
-
-def _note_solve(iterations: int) -> None:
-    """Record one completed WCDE solve in the metrics registry."""
-    metrics = get_metrics()
-    if metrics.active:
-        metrics.counter("rush_wcde_solves_total",
-                        help="WCDE robust-quantile solves").inc()
-        metrics.histogram("rush_wcde_iterations", buckets=_ITER_BUCKETS,
-                          help="Bisection steps per WCDE solve",
-                          unit="iterations").observe(iterations)
-
-
-def _note_cache_outcome(outcome: str, theta: float, delta: float) -> None:
-    """Record one :class:`WcdeCache` lookup (``outcome``: hit | miss).
-
-    Hits are the steady-state hot path (one per job per replan), so
-    they only bump the aggregate counter; a per-hit trace event would put
-    span construction inside the planner's inner loop and blow the
-    benchmark's observability-overhead gate.  Misses are rare (cold cache
-    or churned estimate) and carry diagnostic value, so they also emit a
-    zero-width trace event.
-    """
-    metrics = get_metrics()
-    if metrics.active:
-        metrics.counter("rush_wcde_cache_total",
-                        help="WcdeCache lookups by outcome",
-                        labels=("outcome",)).labels(outcome).inc()
-    if outcome == "miss":
-        tracer = get_tracer()
-        if tracer.active:
-            tracer.event("wcde.cache_miss", theta=theta, delta=delta)
-
 
 class WcdeResult:
     """Outcome of a WCDE solve.
@@ -180,35 +144,6 @@ def solve_wcde(reference: Pmf, theta: float, delta: float, *,
     return result
 
 
-#: Histogram buckets for batch sizes handed to :func:`solve_wcde_batch`.
-_BATCH_BUCKETS = (1.0, 8.0, 64.0, 256.0, 1024.0, 4096.0)
-
-
-def _note_batch(size: int, narrow: int, bisect: int, shortcut: int) -> None:
-    """Record one :func:`solve_wcde_batch` call in the metrics registry.
-
-    ``rush_wcde_batch_rows_total{path}`` splits the rows by solve path so
-    the vector-path fraction (``narrow`` rows over all rows) is a direct
-    PromQL/ratio query; ``rush_wcde_batch_size`` tracks how much work each
-    batch amortizes.
-    """
-    metrics = get_metrics()
-    if not metrics.active:
-        return
-    metrics.histogram("rush_wcde_batch_size", buckets=_BATCH_BUCKETS,
-                      help="References per WCDE batch solve",
-                      unit="references").observe(size)
-    rows = metrics.counter("rush_wcde_batch_rows_total",
-                           help="WCDE batch rows by solve path",
-                           labels=("path",))
-    if narrow:
-        rows.labels("narrow").inc(narrow)
-    if bisect:
-        rows.labels("bisect").inc(bisect)
-    if shortcut:
-        rows.labels("shortcut").inc(shortcut)
-
-
 def solve_wcde_batch(references: Sequence[Pmf], theta: float,
                      delta: float) -> List[WcdeResult]:
     """Solve the WCDE problem for a whole batch of references at once.
@@ -250,7 +185,7 @@ def solve_wcde_batch(references: Sequence[Pmf], theta: float,
 
     n = len(references)
     results: List[Optional[WcdeResult]] = [None] * n
-    with get_tracer().span("wcde.solve_batch", size=n, theta=theta,
+    with obs.get_tracer().span("wcde.solve_batch", size=n, theta=theta,
                            delta=delta) as span:
         narrow: List[Tuple[int, int, int, np.ndarray]] = []
         wide: List[Tuple[int, int, int, np.ndarray]] = []
@@ -327,9 +262,6 @@ def solve_wcde_batch(references: Sequence[Pmf], theta: float,
 
         span.note(narrow_rows=len(narrow), bisect_rows=len(wide),
                   shortcut_rows=shortcuts)
-    for result in results:
-        _note_solve(result.iterations)  # type: ignore[union-attr]
-    _note_batch(n, len(narrow), len(wide), shortcuts)
     return results  # type: ignore[return-value]
 
 
@@ -345,12 +277,16 @@ class WcdeCache:
 
     ``hits`` / ``misses`` counters make the cache's effectiveness an
     observable number (surfaced by the planner's :class:`PlanStats
-    <repro.core.planner.PlanStats>`).  ``presolve_reuses`` counts jobs
-    whose WCDE answer was reused via :class:`~repro.core.planner
-    .PresolvedDemand` without consulting the cache at all — those reuses
-    are memoization wins just like hits, so :attr:`hit_rate` folds them
-    in; keeping them out of ``hits`` preserves the invariant that
-    ``hits + misses`` equals the number of actual cache lookups.
+    <repro.core.planner.PlanStats>`); ``hits + misses`` is the number
+    of lookups made.  Jobs presolved by the caller never reach the cache
+    and are counted where that happens (``PlanStats.wcde_presolved``).
+
+    Hits are the steady-state hot path (one per job per replan), so they
+    only bump a counter; a per-hit trace event would put span
+    construction inside the planner's inner loop and blow the
+    benchmark's observability-overhead gate.  Misses are rare (cold cache
+    or churned estimate) and carry diagnostic value, so they also emit a
+    zero-width ``wcde.cache_miss`` trace event.
     """
 
     def __init__(self, maxsize: int = 4096) -> None:
@@ -360,7 +296,6 @@ class WcdeCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self.presolve_reuses = 0
         self._entries: "OrderedDict[Tuple[bytes, float, float], WcdeResult]" = \
             OrderedDict()
 
@@ -368,38 +303,10 @@ class WcdeCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop all entries and reset the hit/miss/reuse counters."""
+        """Drop all entries and reset the hit/miss counters."""
         self._entries.clear()
         self.hits = 0
         self.misses = 0
-        self.presolve_reuses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of demand queries answered without a fresh solve.
-
-        Presolve reuses count toward the numerator and denominator: a
-        job that skipped the lookup because the caller proved its answer
-        unchanged is a memoization win the hit-rate must not undercount.
-        """
-        total = self.hits + self.presolve_reuses + self.misses
-        return (self.hits + self.presolve_reuses) / total if total else 0.0
-
-    def note_presolve_reuse(self, count: int = 1) -> None:
-        """Record ``count`` jobs that reused a presolved WCDE answer.
-
-        Called by the planner when :class:`~repro.core.planner
-        .PresolvedDemand` short-circuits stage 1; surfaces in the
-        ``rush_wcde_cache_total{outcome="presolve_reuse"}`` metric so
-        hit-rate telemetry sees reuse that never touches the cache dict.
-        """
-        self.presolve_reuses += count
-        metrics = get_metrics()
-        if metrics.active:
-            metrics.counter("rush_wcde_cache_total",
-                            help="WcdeCache lookups by outcome",
-                            labels=("outcome",)).labels(
-                                "presolve_reuse").inc(count)
 
     def solve(self, reference: Pmf, theta: float, delta: float) -> WcdeResult:
         """Memoized :func:`solve_wcde`: :meth:`solve_batch` of one."""
@@ -427,7 +334,7 @@ class WcdeCache:
             if entry is not None:
                 self.hits += 1
                 self._entries.move_to_end(key)
-                _note_cache_outcome("hit", t, d)
+                obs.count("rush_wcde_cache_total", 1, "hit")
                 results[i] = entry
                 continue
             positions = pending.get(key)
@@ -435,11 +342,12 @@ class WcdeCache:
                 # Duplicate within the batch: a one-at-a-time loop would
                 # hit the entry created by the first occurrence.
                 self.hits += 1
-                _note_cache_outcome("hit", t, d)
+                obs.count("rush_wcde_cache_total", 1, "hit")
             else:
                 positions = pending[key] = []
                 self.misses += 1
-                _note_cache_outcome("miss", t, d)
+                obs.count("rush_wcde_cache_total", 1, "miss")
+                obs.get_tracer().event("wcde.cache_miss", theta=t, delta=d)
             positions.append(i)
         if pending:
             miss_refs = [references[positions[0]]

@@ -106,6 +106,11 @@ class DistributionEstimator(ABC):
             raise EstimationError(f"task runtime must be positive, got {runtime}")
         self._samples.append(float(runtime))
 
+    def observe_failure(self, wasted_runtime: float) -> None:
+        """A task attempt failed after ``wasted_runtime`` slots (ignored
+        by default; :class:`~repro.estimation.failure.FailureAwareEstimator`
+        learns a retry model from it)."""
+
     def observe_many(self, runtimes: Iterable[float]) -> None:
         for runtime in runtimes:
             self.observe(runtime)

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.obs import get_metrics
+from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.container import Container
@@ -90,12 +90,7 @@ class FaultLog:
         self._events.append(event)
         if kind.startswith("degradation:"):
             self.last_degradation = event
-        metrics = get_metrics()
-        if metrics.active:
-            metrics.counter("rush_fault_injections_total",
-                            help="Fault-log events by species (includes "
-                                 "degradation:* fallback records)",
-                            labels=("kind",)).labels(kind).inc()
+        obs.count("rush_fault_injections_total", 1, kind)
         return event
 
     @property

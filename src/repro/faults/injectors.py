@@ -293,10 +293,9 @@ class SolverBudgetInjector(FaultInjector):
     def on_slot(self, ctx: FaultContext) -> None:
         if not self._fires(ctx):
             return
-        arm = getattr(ctx.scheduler, "inject_solver_fault", None)
-        if arm is None:
+        if not ctx.scheduler.has_solver:
             return  # policy has no solver to sabotage
-        arm(self.depth)
+        ctx.scheduler.inject_solver_fault(self.depth)
         ctx.record(self.kind, "planner", depth=self.depth)
 
     def params(self) -> Dict[str, object]:

@@ -13,7 +13,9 @@ Three instruments, all slot-indexed and wall-clock-free (RL009):
   :func:`repro.analysis.calibration.calibration_report`.
 
 Instrumented code pulls the process-wide instruments through
-:func:`get_tracer` / :func:`get_metrics` / :func:`get_ledger`.  By
+:func:`get_tracer` / :func:`get_metrics` / :func:`get_ledger`, and emits
+metrics through :func:`count` / :func:`set_gauge` / :func:`observe` with
+the name of a :data:`~repro.obs.metrics.CATALOG` row and a value.  By
 default all three are null objects, so the instrumentation costs one
 attribute call and the PR-1 planner benchmark gate is unaffected; a run
 opts in with :func:`enable` (or :func:`install` for custom instances)
@@ -36,14 +38,15 @@ from typing import NamedTuple, Optional, Union
 from repro.obs import export
 from repro.obs.ledger import (NULL_LEDGER, CompletionLedger, LedgerEntry,
                               NullLedger)
-from repro.obs.metrics import (NULL_METRICS, Counter, Gauge, Histogram,
-                               MetricsRegistry, NullMetrics)
+from repro.obs.metrics import (CATALOG, NULL_METRICS, Counter, Gauge,
+                               Histogram, MetricsRegistry, NullMetrics,
+                               catalogued)
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, SpanTracer
 
 __all__ = [
     "Span", "SpanTracer", "NullTracer", "NULL_TRACER",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullMetrics",
-    "NULL_METRICS",
+    "NULL_METRICS", "CATALOG", "count", "set_gauge", "observe",
     "LedgerEntry", "CompletionLedger", "NullLedger", "NULL_LEDGER",
     "ObsHandle", "get_tracer", "get_metrics", "get_ledger",
     "enable", "install", "reset", "export",
@@ -80,6 +83,24 @@ def get_metrics() -> AnyMetrics:
 def get_ledger() -> AnyLedger:
     """The process-wide completion ledger (null unless enabled)."""
     return _ledger
+
+
+def count(name: str, amount: float = 1.0, *labels: str) -> None:
+    """Add ``amount`` to the catalogued counter ``name`` (no-op when off)."""
+    if isinstance(_metrics, MetricsRegistry):
+        catalogued(_metrics, name, Counter)._inc(labels, amount)
+
+
+def set_gauge(name: str, value: float, *labels: str) -> None:
+    """Set the catalogued gauge ``name`` (no-op when off)."""
+    if isinstance(_metrics, MetricsRegistry):
+        catalogued(_metrics, name, Gauge)._set(labels, value)
+
+
+def observe(name: str, value: float, *labels: str) -> None:
+    """Feed ``value`` to the catalogued histogram ``name`` (no-op when off)."""
+    if isinstance(_metrics, MetricsRegistry):
+        catalogued(_metrics, name, Histogram)._observe(labels, value)
 
 
 def install(tracer: Optional[AnyTracer] = None,

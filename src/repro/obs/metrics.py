@@ -16,18 +16,32 @@ scrape, without depending on ``prometheus_client``.
 Like the tracer, this module never reads a clock (lint rule RL009):
 rates and latencies are expressed in solver iterations and simulation
 slots, not seconds.
+
+:data:`CATALOG` is the one declaration of every ``rush_*`` series the
+product emits: a series exists because its row names who reads it.
+Product code emits through ``repro.obs.count`` / ``set_gauge`` /
+``observe`` with a name and a value; :class:`MetricsRegistry` itself
+stays a generic get-or-create store.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import (Any, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Type, TypeVar)
 
 from repro.errors import ConfigurationError
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "NullMetrics", "NULL_METRICS"]
+           "NullMetrics", "NULL_METRICS", "Series", "CATALOG", "catalogued"]
 
 _LabelKey = Tuple[str, ...]
+_M = TypeVar("_M", bound="_Metric")
+
+
+def _escape(text: str, quote: bool = False) -> str:
+    """Text-format escaping: HELP text, and label values (``quote``)."""
+    text = text.replace("\\", "\\\\").replace("\n", "\\n")
+    return text.replace('"', '\\"') if quote else text
 
 
 def _format_value(value: float) -> str:
@@ -57,12 +71,12 @@ class _Metric:
                 f"label value(s) {self.label_names}, got {label_values!r}")
         return tuple(str(v) for v in label_values)
 
-    def _label_suffix(self, key: _LabelKey) -> str:
-        if not key:
-            return ""
-        pairs = ", ".join(f'{name}="{value}"'
-                          for name, value in zip(self.label_names, key))
-        return "{" + pairs + "}"
+    def _label_suffix(self, key: _LabelKey, *extra: str) -> str:
+        """``{name="value", ...}`` with ``extra`` pre-rendered pairs last."""
+        pairs = [f'{name}="{_escape(value, quote=True)}"'
+                 for name, value in zip(self.label_names, key)]
+        pairs.extend(extra)
+        return "{" + ", ".join(pairs) + "}" if pairs else ""
 
 
 class Counter(_Metric):
@@ -221,22 +235,16 @@ class Histogram(_Metric):
             cumulative = 0
             for bound, n in zip(self.buckets, state.bucket_counts):
                 cumulative += n
-                suffix = self._bucket_suffix(key, _format_value(bound))
+                suffix = self._label_suffix(
+                    key, f'le="{_format_value(bound)}"')
                 lines.append(f"{self.name}_bucket{suffix} {cumulative}")
             cumulative += state.bucket_counts[-1]
-            lines.append(
-                f"{self.name}_bucket{self._bucket_suffix(key, '+Inf')} "
-                f"{cumulative}")
+            suffix = self._label_suffix(key, 'le="+Inf"')
+            lines.append(f"{self.name}_bucket{suffix} {cumulative}")
             plain = self._label_suffix(key)
             lines.append(f"{self.name}_sum{plain} {_format_value(state.total)}")
             lines.append(f"{self.name}_count{plain} {state.count}")
         return lines
-
-    def _bucket_suffix(self, key: _LabelKey, le: str) -> str:
-        pairs = [f'{name}="{value}"'
-                 for name, value in zip(self.label_names, key)]
-        pairs.append(f'le="{le}"')
-        return "{" + ", ".join(pairs) + "}"
 
 
 class _BoundHistogram:
@@ -317,7 +325,7 @@ class MetricsRegistry:
                 help_text = (f"{help_text} [{metric.unit}]" if help_text
                              else f"[{metric.unit}]")
             if help_text:
-                lines.append(f"# HELP {metric.name} {help_text}")
+                lines.append(f"# HELP {metric.name} {_escape(help_text)}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
             lines.extend(metric.render())
         return "\n".join(lines) + ("\n" if lines else "")
@@ -326,41 +334,158 @@ class MetricsRegistry:
         self._metrics.clear()
 
 
-class _NullBound:
-    __slots__ = ()
+class Series(NamedTuple):
+    """One :data:`CATALOG` row: a series' declaration and who reads it.
 
-    def inc(self, amount: float = 1.0) -> None:
-        return None
+    ``reader`` is the operator question the series answers on
+    ``/metrics`` or the code that consumes it; a series nobody reads has
+    no row.  ``journal_derived`` series are a function of (config,
+    journal), so a recovered or restored engine shows the values the
+    uninterrupted one had; the others count this process's own I/O.
+    """
 
-    def set(self, value: float) -> None:
-        return None
+    name: str
+    kind: str
+    help: str
+    reader: str
+    unit: str = ""
+    labels: Tuple[str, ...] = ()
+    buckets: Tuple[float, ...] = ()
+    journal_derived: bool = True
 
-    def observe(self, value: float) -> None:
-        return None
 
-    def labels(self, *label_values: str) -> "_NullBound":
-        return self
+#: Every ``rush_*`` series the product emits (docs/OBSERVABILITY.md
+#: carries the same table, and the verdicts on the series retired).
+CATALOG: Dict[str, Series] = {row.name: row for row in (
+    Series("rush_degradation_fallbacks_total", "counter",
+           "Planning rounds served by a fallback rung",
+           "why did it degrade: which rung of the ladder is serving "
+           "rounds, and did that start after a deploy or a load change?",
+           labels=("rung",)),
+    Series("rush_fault_injections_total", "counter",
+           "Fault-log events by species (includes degradation:* fallback "
+           "records)",
+           "did the chaos plan fire what it was configured to? "
+           "tests/test_obs.py uses it as the oracle for FaultLog",
+           labels=("kind",)),
+    Series("rush_journal_appends_total", "counter",
+           "Records appended to the write-ahead journal",
+           "what is the journal's write mix, and how close is the next "
+           "checkpoint or rotation? (tests/test_journal.py)",
+           labels=("kind",), journal_derived=False),
+    Series("rush_journal_fsyncs_total", "counter",
+           "fsync calls made durable by the journal",
+           "fsyncs per append: ROADMAP 6c's group commit is working when "
+           "this grows slower than rush_journal_appends_total",
+           journal_derived=False),
+    Series("rush_journal_housekeeping_failures_total", "counter",
+           "Checkpoint, rotation or compaction failures after an applied "
+           "event (contained, retried)",
+           "is the disk refusing housekeeping? non-zero step=rotate means "
+           "every write is refused until a restart (docs/SERVICE.md)",
+           labels=("step",), journal_derived=False),
+    Series("rush_journal_recovery_truncated_bytes", "counter",
+           "Bytes of torn tail records discarded during journal recovery",
+           "did the last stop tear a record, and how much did recovery "
+           "cut? (tests/test_journal.py)",
+           journal_derived=False),
+    Series("rush_onion_certified_probes_total", "counter",
+           "Feasibility probes answered without an evaluation",
+           "is the planner in the cheap ceiling-capped regime or the "
+           "capacity-bound one, and when did that flip? (certified vs "
+           "evaluated; tests/test_onion_certificates.py)",
+           unit="probes"),
+    Series("rush_onion_feasibility_checks_total", "counter",
+           "Staircase feasibility evaluations",
+           "where is the time going: passes are the onion's unit of work; "
+           "over rush_plans_total it is the cost of one round "
+           "(tests/test_onion_certificates.py checks it against profile())",
+           unit="checks"),
+    Series("rush_plans_total", "counter",
+           "Robust planning rounds completed",
+           "how often does the scheduler replan? the denominator of every "
+           "per-round ratio on this page"),
+    Series("rush_sched_dirty_jobs", "histogram",
+           "Estimates refreshed per planning round",
+           "is dirty tracking holding: how much of the fleet re-estimates "
+           "per round (the ledger's scheduler.estimates_refreshed_share)?",
+           unit="jobs",
+           buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)),
+    Series("rush_service_jobs_cancelled_total", "counter",
+           "Cancellations accepted by the service",
+           "how many admitted jobs did each tenant withdraw?",
+           labels=("tenant",)),
+    Series("rush_service_jobs_submitted_total", "counter",
+           "Jobs accepted by the service",
+           "how many commitments were made to each tenant? "
+           "service/smoke.py requires it on the scrape",
+           labels=("tenant",)),
+    Series("rush_sim_queue_depth", "gauge",
+           "Pending tasks across active jobs",
+           "is a backlog building? (SimulationResult.metrics_snapshot, "
+           "tests/test_obs.py)",
+           unit="tasks"),
+    Series("rush_sim_tasks_completed_total", "counter",
+           "Logical task completions",
+           "is work finishing, and at what rate? service/smoke.py "
+           "requires it on the scrape"),
+    Series("rush_sim_utilization", "histogram",
+           "Per-slot fraction of busy containers",
+           "is the cluster saturated or idle, slot by slot?",
+           unit="fraction", buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0)),
+    Series("rush_swf_jobs_total", "counter",
+           "SWF jobs ingested or skipped, by outcome",
+           "ScenarioOutcome.ingestion_metrics in the hpc-replay artifact",
+           labels=("outcome",), journal_derived=False),
+    Series("rush_swf_lines_total", "counter",
+           "Lines consumed by the SWF parser",
+           "ScenarioOutcome.ingestion_metrics in the hpc-replay artifact",
+           journal_derived=False),
+    Series("rush_swf_records_total", "counter",
+           "Job records parsed from SWF archives",
+           "ScenarioOutcome.ingestion_metrics in the hpc-replay artifact",
+           journal_derived=False),
+    Series("rush_wcde_cache_total", "counter",
+           "WcdeCache lookups by outcome",
+           "is estimate churn defeating the memo: what share of per-job "
+           "robust-demand queries (hit, miss, presolve_reuse) paid a "
+           "fresh solve?",
+           labels=("outcome",)),
+)}
+
+_KINDS: Dict[str, Type[_Metric]] = {
+    cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 
 
-_NULL_BOUND = _NullBound()
+def catalogued(registry: MetricsRegistry, name: str, cls: Type[_M]) -> _M:
+    """``registry``'s instance of a :data:`CATALOG` series, made on first use.
+
+    What ``repro.obs.count`` / ``set_gauge`` / ``observe`` resolve a
+    name through: a name with no row, or a row of another kind, is a
+    :class:`ConfigurationError` at the call site.
+    """
+    metric = registry._metrics.get(name)
+    if metric is None:
+        row = CATALOG.get(name)
+        if row is None:
+            raise ConfigurationError(
+                f"{name} has no row in repro.obs.metrics.CATALOG: a series "
+                "is declared there, with its reader, or not emitted")
+        extra = {"buckets": row.buckets} if row.kind == "histogram" else {}
+        metric = registry._get_or_create(
+            _KINDS[row.kind], name, help=row.help, unit=row.unit,
+            label_names=row.labels, **extra)
+    if not isinstance(metric, cls):
+        raise ConfigurationError(
+            f"metric {name} is a {metric.kind}, not a {cls.kind}")
+    return metric
 
 
 class NullMetrics:
-    """No-op registry installed by default; every path costs one call."""
+    """No-op registry installed by default: nothing registers, and the
+    emit helpers of :mod:`repro.obs` return before resolving a name."""
 
     active: bool = False
-
-    def counter(self, name: str, help: str = "", unit: str = "",
-                labels: Sequence[str] = ()) -> _NullBound:
-        return _NULL_BOUND
-
-    def gauge(self, name: str, help: str = "", unit: str = "",
-              labels: Sequence[str] = ()) -> _NullBound:
-        return _NULL_BOUND
-
-    def histogram(self, name: str, buckets: Sequence[float], help: str = "",
-                  unit: str = "", labels: Sequence[str] = ()) -> _NullBound:
-        return _NULL_BOUND
 
     def metrics(self) -> List[_Metric]:
         return []

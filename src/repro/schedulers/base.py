@@ -13,7 +13,7 @@ work-conserving and never do, but the interface permits it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import SimulationError
 
@@ -30,6 +30,10 @@ class Scheduler(ABC):
 
     #: Human-readable policy name used in results and reports.
     name: str = "scheduler"
+    #: Wall-clock seconds spent planning (policies that do not plan: 0).
+    planner_seconds: float = 0.0
+    #: Whether :meth:`inject_solver_fault` has a solver to sabotage.
+    has_solver: bool = False
 
     def __init__(self) -> None:
         self._sim: Optional["ClusterSimulator"] = None
@@ -46,6 +50,20 @@ class Scheduler(ABC):
         if self._sim is None:
             raise SimulationError(f"{type(self).__name__} is not bound to a simulator")
         return self._sim
+
+    @property
+    def degradation_counts(self) -> Dict[str, int]:
+        """Fallback-rung usage counts (policies with no ladder: empty)."""
+        return {}
+
+    def inject_solver_fault(self, depth: int = 1) -> None:
+        """Arm a forced failure of the next planning round's solve(s).
+
+        Only meaningful where :attr:`has_solver` is true; callers check
+        it first (the service answers 400, a fault injector stays quiet).
+        """
+        raise SimulationError(
+            f"{type(self).__name__} has no solver to sabotage")
 
     # -- the decision ---------------------------------------------------------
 

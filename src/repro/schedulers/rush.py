@@ -39,21 +39,18 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Optional, Set, Tuple
 
+from repro import obs
 from repro.cluster.job import JobSpec
 from repro.core.degradation import DegradationPolicy
-from repro.core.planner import (IncrementalPlanner, PlannerJob, RushPlanner,
-                                SchedulePlan)
+from repro.core.planner import (IncrementalPlanner, PlannerJob, PlanStats,
+                                RushPlanner, SchedulePlan)
 from repro.errors import SolverBudgetError
 from repro.estimation.base import DemandEstimate, DistributionEstimator
 from repro.estimation.gaussian import GaussianEstimator
-from repro.obs import get_ledger, get_metrics
 from repro.schedulers.base import Scheduler
 from repro.schedulers.edf import edf_key
 
 __all__ = ["RushScheduler"]
-
-#: Histogram buckets for estimates refreshed (dirty jobs) per round.
-_DIRTY_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 EstimatorFactory = Callable[[JobSpec], DistributionEstimator]
 
@@ -99,6 +96,7 @@ class RushScheduler(Scheduler):
     """
 
     name = "RUSH"
+    has_solver = True
 
     def __init__(self, *, theta: float = 0.9, delta: float = 0.7,
                  tolerance: float = 0.05,
@@ -125,15 +123,12 @@ class RushScheduler(Scheduler):
         self._estimates: Dict[str, Tuple[DemandEstimate, int]] = {}
         self.degradation = DegradationPolicy(time_budget=plan_time_budget)
         self._forced_failures = 0
-        self._fault_log = None
         self.planner_seconds = 0.0
         self.plans_computed = 0
         self.estimates_refreshed = 0
         self.estimates_reused = 0
-        self._stage_seconds = {"wcde": 0.0, "onion": 0.0, "mapping": 0.0}
-        self._feasibility_checks = 0
-        self._certified_probes = 0
-        self._peels = 0
+        #: The ``stats`` of every fresh plan, summed.
+        self._totals = PlanStats()
 
     # -- lifecycle hooks -------------------------------------------------------
 
@@ -143,7 +138,6 @@ class RushScheduler(Scheduler):
                                     delta=self._delta, tolerance=self._tolerance)
         if self._incremental_enabled:
             self._incremental = IncrementalPlanner(self._planner)
-        self._fault_log = getattr(sim, "fault_log", None)
 
     def on_job_arrival(self, job) -> None:
         self._estimators[job.job_id] = self._estimator_factory(job.spec)
@@ -156,16 +150,12 @@ class RushScheduler(Scheduler):
     def on_task_complete(self, job, task) -> None:
         # ``runtime_sample`` is the observable runtime — ground truth
         # unless a fault injector corrupted the observation.
-        self._estimators[job.job_id].observe(
-            float(getattr(task, "runtime_sample", task.duration)))
+        self._estimators[job.job_id].observe(float(task.runtime_sample))
         self._dirty.add(job.job_id)
         self._completions += 1
 
     def on_task_failed(self, job, task) -> None:
-        estimator = self._estimators[job.job_id]
-        observe_failure = getattr(estimator, "observe_failure", None)
-        if observe_failure is not None:
-            observe_failure(float(task.executed))
+        self._estimators[job.job_id].observe_failure(float(task.executed))
         self._dirty.add(job.job_id)
         self._completions += 1  # any task event invalidates the plan epoch
 
@@ -255,23 +245,31 @@ class RushScheduler(Scheduler):
         """
         cache = self._planner.wcde_cache if self._planner is not None else None
         inc = self._incremental
+        totals = self._totals
+        presolve_hits = inc.presolve_hits if inc is not None else 0
+        hits = cache.hits if cache is not None else 0
+        misses = cache.misses if cache is not None else 0
+        # A presolved job skipped its lookup because its answer was
+        # proved unchanged: a memoization win the rate must not undercount.
+        answered = hits + presolve_hits
         return {
             "fallbacks": self.degradation.total_fallbacks,
             "plans_computed": self.plans_computed,
             "planner_seconds": self.planner_seconds,
-            "wcde_seconds": self._stage_seconds["wcde"],
-            "onion_seconds": self._stage_seconds["onion"],
-            "mapping_seconds": self._stage_seconds["mapping"],
+            "wcde_seconds": totals.wcde_seconds,
+            "onion_seconds": totals.onion_seconds,
+            "mapping_seconds": totals.mapping_seconds,
             "estimates_refreshed": self.estimates_refreshed,
             "estimates_reused": self.estimates_reused,
-            "presolve_hits": inc.presolve_hits if inc is not None else 0,
+            "presolve_hits": presolve_hits,
             "presolve_misses": inc.presolve_misses if inc is not None else 0,
-            "wcde_cache_hits": cache.hits if cache is not None else 0,
-            "wcde_cache_misses": cache.misses if cache is not None else 0,
-            "wcde_cache_hit_rate": cache.hit_rate if cache is not None else 0.0,
-            "peels": self._peels,
-            "feasibility_checks": self._feasibility_checks,
-            "certified_probes": self._certified_probes,
+            "wcde_cache_hits": hits,
+            "wcde_cache_misses": misses,
+            "wcde_cache_hit_rate": (answered / (answered + misses)
+                                    if answered + misses else 0.0),
+            "peels": totals.peels,
+            "feasibility_checks": totals.feasibility_checks,
+            "certified_probes": totals.certified_probes,
         }
 
     def _job_estimate(self, job) -> DemandEstimate:
@@ -349,39 +347,25 @@ class RushScheduler(Scheduler):
         last_good = None if forced >= 3 else self._plan
         outcome = self.degradation.execute(
             [("primary", primary), ("cold_exact", cold_exact)], last_good)
-        if outcome.degraded and self._fault_log is not None:
-            self._fault_log.record(
+        if outcome.degraded:
+            self.sim.fault_log.record(
                 now, f"degradation:{outcome.rung}", "planner",
                 errors=list(outcome.errors))
         plan = outcome.plan
         if plan is not None and outcome.rung != "last_good":
             self.planner_seconds += plan.solve_seconds
             self.plans_computed += 1
-            self._stage_seconds["wcde"] += plan.stats.wcde_seconds
-            self._stage_seconds["onion"] += plan.stats.onion_seconds
-            self._stage_seconds["mapping"] += plan.stats.mapping_seconds
-            self._feasibility_checks += plan.stats.feasibility_checks
-            self._certified_probes += plan.stats.certified_probes
-            self._peels += plan.stats.peels
-            self._note_plan_obs(now, plan,
-                                self.estimates_refreshed - refreshed_before)
+            self._totals.add(plan.stats)
+            # Only a *fresh* plan is recorded: a reused ``last_good`` one
+            # made no new promises and refreshed no estimates.
+            obs.observe("rush_sched_dirty_jobs",
+                        self.estimates_refreshed - refreshed_before)
+            ledger = obs.get_ledger()
+            if ledger.active:
+                for job_id, job_plan in plan.jobs.items():
+                    ledger.predict(job_id, now,
+                                   now + job_plan.planned_completion,
+                                   self._theta)
         self._plan = plan
         self._plan_epoch = epoch
         return plan
-
-    def _note_plan_obs(self, now: int, plan: SchedulePlan, dirty: int) -> None:
-        """Feed the scheduler-level metrics and the completion ledger.
-
-        Only called for *fresh* plans: a reused ``last_good`` plan made no
-        new promises and refreshed no estimates, so it records nothing.
-        """
-        metrics = get_metrics()
-        if metrics.active:
-            metrics.histogram("rush_sched_dirty_jobs", buckets=_DIRTY_BUCKETS,
-                              help="Estimates refreshed per planning round",
-                              unit="jobs").observe(dirty)
-        ledger = get_ledger()
-        if ledger.active:
-            for job_id, job_plan in plan.jobs.items():
-                ledger.predict(job_id, now,
-                               now + job_plan.planned_completion, self._theta)

@@ -21,7 +21,7 @@ attempt on a healthy container runs at typical speed.
 from __future__ import annotations
 
 import statistics
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.schedulers.base import Scheduler
@@ -89,8 +89,12 @@ class SpeculativeScheduler(Scheduler):
         self._base.on_job_cancelled(job)
 
     @property
-    def planner_seconds(self) -> float:
-        return getattr(self._base, "planner_seconds", 0.0)
+    def planner_seconds(self) -> float:  # type: ignore[override]
+        return self._base.planner_seconds
+
+    @property
+    def degradation_counts(self) -> Dict[str, int]:
+        return self._base.degradation_counts
 
     # -- the speculation policy ---------------------------------------------
 

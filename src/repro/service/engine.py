@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro import obs
 from repro.cluster.job import SimJob
 from repro.cluster.metrics import SimulationResult
 from repro.cluster.simulator import ClusterSimulator
@@ -33,7 +34,6 @@ from repro.core.clock import (CancelEvent, Clock, QueueEventSource,
 from repro.errors import (BadRequestError, ConfigurationError, JobStateError,
                           ServiceError, UnknownJobError)
 from repro.faults.plan import FaultPlan
-from repro.obs import get_metrics
 from repro.schedulers import POLICIES, Scheduler
 from repro.service.protocol import (canonical_digest, parse_submit,
                                     records_digest)
@@ -189,7 +189,8 @@ class ServiceEngine:
         due = int(entry["due"])
         if kind == "submit":
             spec = spec_from_dict(entry["spec"])
-            self.registry.admit(entry.get("tenant"), spec.job_id)
+            tenant = self.registry.admit(entry.get("tenant"), spec.job_id)
+            obs.count("rush_service_jobs_submitted_total", 1, tenant)
             auto_seq = entry.get("auto_seq")
             if auto_seq is not None:
                 self._auto_seq = max(self._auto_seq, int(auto_seq))
@@ -199,10 +200,12 @@ class ServiceEngine:
             self.events.push(SubmitEvent(spec), due=due)
         elif kind == "cancel":
             job_id = str(entry["job_id"])
+            obs.count("rush_service_jobs_cancelled_total", 1,
+                      str(self.registry.tenant_of(job_id)))
             self._cancelling.add(job_id)
             self.events.push(CancelEvent(job_id), due=due)
         elif kind == "solver_fault":
-            getattr(self.scheduler, "inject_solver_fault")(int(entry["depth"]))
+            self.scheduler.inject_solver_fault(int(entry["depth"]))
         else:
             raise ServiceError(f"unknown journal entry kind {kind!r}")
         self.journal.append(dict(entry))
@@ -277,12 +280,6 @@ class ServiceEngine:
         # Everything above only validated, so a refused commit leaves
         # the engine (tenant registry included) exactly as it found it.
         self._commit(entry)
-        metrics = get_metrics()
-        if metrics.active:
-            metrics.counter(
-                "rush_service_jobs_submitted_total",
-                help="Jobs accepted by the service",
-                labels=("tenant",)).labels(tenant).inc()
         return self.job_status(job_id)
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
@@ -297,12 +294,6 @@ class ServiceEngine:
         if state != "cancelling":
             self._commit({"kind": "cancel", "due": self.slot,
                           "job_id": job_id})
-            metrics = get_metrics()
-            if metrics.active:
-                metrics.counter(
-                    "rush_service_jobs_cancelled_total",
-                    help="Cancellations accepted by the service",
-                    labels=("tenant",)).labels(tenant).inc()
         return self.job_status(job_id)
 
     def inject_solver_fault(self, depth: int = 1) -> Dict[str, Any]:
@@ -312,7 +303,7 @@ class ServiceEngine:
             raise BadRequestError(
                 f"solver-fault depth must be an integer in [1, 3], "
                 f"got {depth!r}")
-        if not hasattr(self.scheduler, "inject_solver_fault"):
+        if not self.scheduler.has_solver:
             raise BadRequestError(
                 f"policy {self.config.policy!r} has no solver to sabotage")
         self._commit({"kind": "solver_fault", "due": self.slot,
@@ -387,7 +378,7 @@ class ServiceEngine:
         This is how a planner starved of its budget surfaces to clients
         — a degraded-but-served answer in the payload, never a 500.
         """
-        counts = dict(getattr(self.scheduler, "degradation_counts", {}) or {})
+        counts = self.scheduler.degradation_counts
         event = self.sim.fault_log.last_degradation
         return {"fallbacks": counts,
                 "last_fallback": (None if event is None

@@ -56,8 +56,8 @@ import zlib
 from pathlib import Path
 from typing import IO, Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro import obs
 from repro.errors import ConfigurationError, ServiceError
-from repro.obs import get_metrics, get_tracer
 from repro.service.engine import ServiceConfig, ServiceEngine
 from repro.service.snapshot import load_snapshot, restore_engine, take_snapshot
 
@@ -379,15 +379,8 @@ class JournalWriter:
         self._seq += 1
         self._segment_size += len(frame)
         self._since_checkpoint += 1
-        metrics = get_metrics()
-        if metrics.active:
-            metrics.counter(
-                "rush_journal_appends_total",
-                help="Records appended to the write-ahead journal",
-                labels=("kind",)).labels(str(entry.get("kind", "?"))).inc()
-            metrics.counter(
-                "rush_journal_fsyncs_total",
-                help="fsync calls made durable by the journal").inc()
+        obs.count("rush_journal_appends_total", 1, str(entry.get("kind", "?")))
+        obs.count("rush_journal_fsyncs_total")
         return self._seq
 
     def _drop_refused_frame(self) -> None:
@@ -431,13 +424,7 @@ class JournalWriter:
                     step = "compact"
                     self.compact(engine)
         except (OSError, JournalWriteError) as exc:
-            metrics = get_metrics()
-            if metrics.active:
-                metrics.counter(
-                    "rush_journal_housekeeping_failures_total",
-                    help="Checkpoint, rotation or compaction failures "
-                         "after an applied event (contained, retried)",
-                    labels=("step",)).labels(step).inc()
+            obs.count("rush_journal_housekeeping_failures_total", 1, step)
             raise ServiceError(f"journal {step} failed: {exc}") from exc
 
     def rotate(self) -> None:
@@ -503,7 +490,7 @@ def recover_engine(directory: Union[str, Path], *,
     """
     dirpath = Path(directory)
     ops = file_ops if file_ops is not None else RealFileOps()
-    tracer = get_tracer()
+    tracer = obs.get_tracer()
     with tracer.span("journal.recover", directory=str(dirpath)) as span:
         records, truncated = _scan_segments(dirpath, ops)
         anchor_path = dirpath / ANCHOR_NAME
@@ -544,12 +531,8 @@ def recover_engine(directory: Union[str, Path], *,
             prev_record = record
             applied += 1
 
-        metrics = get_metrics()
-        if metrics.active and truncated:
-            metrics.counter(
-                "rush_journal_recovery_truncated_bytes",
-                help="Bytes of torn tail records discarded during "
-                     "journal recovery").inc(truncated)
+        if truncated:
+            obs.count("rush_journal_recovery_truncated_bytes", truncated)
         stats = {
             "last_seq": prev_seq,
             "applied": applied,

@@ -33,9 +33,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro import obs
 from repro.errors import ConfigurationError, TraceFormatError
 from repro.cluster.job import JobSpec
-from repro.obs import get_metrics
 from repro.utility.base import UtilityFunction
 from repro.utility.constant import ConstantUtility
 from repro.utility.sigmoid import SigmoidUtility
@@ -269,14 +269,8 @@ def parse_swf_lines(lines: Iterable[str], *, strict: bool = True,
         last_submit = max(last_submit, job.submit_time)
         saw_record = True
         jobs.append(job)
-    metrics = get_metrics()
-    if metrics.active:
-        metrics.counter(
-            "rush_swf_lines_total",
-            help="Lines consumed by the SWF parser").inc(lineno)
-        metrics.counter(
-            "rush_swf_records_total",
-            help="Job records parsed from SWF archives").inc(len(jobs))
+    obs.count("rush_swf_lines_total", lineno)
+    obs.count("rush_swf_records_total", len(jobs))
     return SwfTrace(directives=directives, jobs=tuple(jobs), path=path)
 
 
@@ -422,15 +416,9 @@ def swf_to_specs(trace: SwfTrace,
             skipped[reason] = skipped.get(reason, 0) + 1
     if cfg.max_jobs is not None:
         kept = kept[:cfg.max_jobs]
-    metrics = get_metrics()
-    if metrics.active:
-        outcomes = metrics.counter(
-            "rush_swf_jobs_total",
-            help="SWF jobs ingested or skipped, by outcome",
-            labels=("outcome",))
-        outcomes.labels("ingested").inc(len(kept))
-        for reason in sorted(skipped):
-            outcomes.labels(f"skipped-{reason}").inc(skipped[reason])
+    obs.count("rush_swf_jobs_total", len(kept), "ingested")
+    for reason, n in skipped.items():
+        obs.count("rush_swf_jobs_total", n, f"skipped-{reason}")
     if not kept:
         return []
 

@@ -106,3 +106,23 @@ def test_no_module_under_src_keeps_an_import_it_does_not_use():
         unused += [f"{path.relative_to(SRC)}:{line}: {name}"
                    for name, line in bound.items() if name not in used]
     assert not unused, "imported but unused:\n" + "\n".join(sorted(unused))
+
+
+# The local stand-in for "a series is declared once": product code emits
+# through repro.obs.count / set_gauge / observe with a CATALOG name, so a
+# registry getter called anywhere else is an inline declaration coming back.
+
+def test_no_series_is_declared_outside_repro_obs():
+    inline = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path.parent.name == "obs":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inline += [f"{path.relative_to(SRC)}:{node.lineno}: .{node.func.attr}("
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("counter", "gauge", "histogram")]
+    assert not inline, (
+        "declare the series in repro.obs.metrics.CATALOG and emit it with "
+        "obs.count / obs.set_gauge / obs.observe:\n" + "\n".join(inline))

@@ -12,12 +12,18 @@ Property-based coverage of the invariants ``repro.obs`` advertises:
   span traces; enabling the tracer does not perturb the schedule (the
   ``SimulationResult`` is bit-identical minus wall-clock profiling);
 * the golden files under ``tests/golden/`` pin the exact trace JSONL
-  and metrics text of one seeded run.
+  and metrics text of one seeded run;
+* the exposition survives arbitrary label values (render → parse back
+  the same samples), and ``repro.obs.metrics.CATALOG`` is the one
+  declaration of every ``rush_*`` series: it matches the table in
+  docs/OBSERVABILITY.md row for row, every series the product emits is
+  a row, and an uncatalogued name fails at the call site.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -31,7 +37,7 @@ from repro.errors import ConfigurationError
 from repro.obs.export import (read_trace_jsonl, trace_jsonl_lines,
                               write_metrics_text, write_trace_jsonl)
 from repro.obs.ledger import CompletionLedger
-from repro.obs.metrics import MetricsRegistry, NullMetrics
+from repro.obs.metrics import CATALOG, MetricsRegistry, NullMetrics
 from repro.obs.trace import NullTracer, SpanTracer, json_safe
 from repro.schedulers import FifoScheduler, RushScheduler
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
@@ -303,14 +309,151 @@ class TestRegistry:
             return json.dumps(registry.snapshot(), sort_keys=True)
         assert build() == build()
 
+    def test_help_text_is_escaped_onto_one_line(self):
+        registry = MetricsRegistry()
+        registry.counter("c_total", help="a\\b\nc").inc()
+        assert registry.render_prometheus().split("\n")[0] == \
+            "# HELP c_total a\\\\b\\nc"
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.lists(st.tuples(st.text(), st.text()), min_size=1,
+                         max_size=6, unique=True))
+    def test_label_values_round_trip_through_the_exposition(self, keys):
+        """One label value must not be able to break the page: a tenant
+        named ``a"b\\c⏎d`` used to render its sample across two lines."""
+        registry = MetricsRegistry()
+        counter = registry.counter("c_total", labels=("tenant", "kind"))
+        hist = registry.histogram("h", buckets=[1.0], labels=("tenant",))
+        for n, (tenant, kind) in enumerate(keys, start=1):
+            counter.labels(tenant, kind).inc(n)
+            hist.labels(tenant).observe(n)
+        samples = [parse_sample(line)
+                   for line in registry.render_prometheus().split("\n")
+                   if line and not line.startswith("#")]
+        counted = {(labels["tenant"], labels["kind"]): value
+                   for name, labels, value in samples if name == "c_total"}
+        assert counted == {key: float(n)
+                           for n, key in enumerate(keys, start=1)}
+        tenants = {tenant for tenant, _ in keys}
+        assert {labels["tenant"] for name, labels, _ in samples
+                if name == "h_count"} == tenants
+        assert {(labels["tenant"], labels["le"]) for name, labels, _
+                in samples if name == "h_bucket"} == {
+                    (tenant, le) for tenant in tenants
+                    for le in ("1", "+Inf")}
+
     def test_null_metrics_swallow_everything(self):
         null = NullMetrics()
-        null.counter("c", labels=("k",)).labels("v").inc()
-        null.gauge("g").set(1)
-        null.histogram("h", buckets=[1.0]).observe(2)
+        obs.install(metrics=null)
+        obs.count("rush_wcde_cache_total", 1, "hit")
+        obs.set_gauge("rush_sim_queue_depth", 1)
+        obs.observe("rush_sim_utilization", 2)
+        assert null.metrics() == []
         assert null.snapshot() == {}
         assert null.render_prometheus() == ""
         assert not null.active
+
+
+def parse_sample(line):
+    """One exposition line -> (name, {label: value}, value), unescaped."""
+    brace = line.find("{")
+    if brace < 0:
+        name, value = line.rsplit(" ", 1)
+        return name, {}, float(value)
+    labels = {}
+    i = brace + 1
+    while line[i] != "}":
+        eq = line.index("=", i)
+        assert line[eq + 1] == '"'
+        chars = []
+        j = eq + 2
+        while line[j] != '"':
+            if line[j] == "\\":
+                j += 1
+                chars.append({"n": "\n", "\\": "\\", '"': '"'}[line[j]])
+            else:
+                chars.append(line[j])
+            j += 1
+        labels[line[i:eq]] = "".join(chars)
+        i = j + 1
+        while line[i] in ", ":
+            i += 1
+    return line[:brace], labels, float(line[i + 2:])
+
+
+# ---------------------------------------------------------------------------
+# The signal census: one catalog, one declaration per series
+# ---------------------------------------------------------------------------
+
+def docs_catalog_rows():
+    """The catalog table of docs/OBSERVABILITY.md, parsed."""
+    text = (Path(__file__).resolve().parents[1] / "docs"
+            / "OBSERVABILITY.md").read_text()
+    table = text.split("| series | kind | scope | meaning | reader |")[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        series, kind, scope, _meaning, reader = (
+            cell.strip() for cell in line.strip("|").split("|"))
+        match = re.fullmatch(r"`(rush_[a-z_]+)(?:\{([a-z_,]+)\})?`", series)
+        rows[match.group(1)] = (
+            kind.split()[0], tuple((match.group(2) or "").split(","))
+            if match.group(2) else (), scope, reader)
+    return rows
+
+
+class TestCatalog:
+    def test_catalog_matches_the_docs_table_row_for_row(self):
+        documented = docs_catalog_rows()
+        assert list(documented) == list(CATALOG)
+        for name, row in CATALOG.items():
+            assert row.reader.strip(), f"{name} names no reader"
+            assert documented[name] == (
+                row.kind, row.labels,
+                "journal" if row.journal_derived else "process", row.reader)
+
+    def test_uncatalogued_or_mistyped_name_fails_at_the_call_site(self):
+        obs.count("rush_no_such_series_total")  # obs off: nothing resolves
+        obs.enable(trace=False, metrics=True, ledger=False)
+        with pytest.raises(ConfigurationError, match="CATALOG"):
+            obs.count("rush_no_such_series_total")
+        with pytest.raises(ConfigurationError, match="counter"):
+            obs.observe("rush_plans_total", 1.0)
+        with pytest.raises(ConfigurationError, match="label"):
+            obs.count("rush_wcde_cache_total", 1)
+        assert not any(entry["values"] for entry
+                       in obs.get_metrics().snapshot().values())
+
+    def test_every_series_the_product_emits_is_a_catalog_row(self, tmp_path):
+        """Golden run ∪ a journaled service run (cancel, fault plan, forced
+        solver fault) ∪ the hpc-replay scenario: nothing is emitted that
+        the catalog does not declare, and no row is dead — only the two
+        journal-failure series need a failing disk (tests/test_journal.py)."""
+        from repro.faults import default_chaos_plan
+        from repro.service import ServiceConfig, open_journal
+        from repro.workload.scenarios import run_scenario
+
+        emitted = set(golden_run().metrics.snapshot())
+        metrics = obs.enable(trace=False, metrics=True, ledger=False).metrics
+        engine, _writer = open_journal(tmp_path, ServiceConfig(
+            capacity=2, policy="rush",
+            fault_spec=default_chaos_plan(seed=3).to_spec()))
+        for k in range(3):
+            engine.submit({"task_durations": [2, 3], "job_id": f"j{k}"})
+        engine.tick(2)
+        engine.cancel("j2")
+        engine.inject_solver_fault(2)
+        engine.tick(30)
+        engine.close()
+        emitted |= set(metrics.snapshot())
+        obs.reset()
+        emitted |= set(run_scenario("hpc-replay", seed=0,
+                                    baselines=()).ingestion_metrics)
+        assert emitted <= set(CATALOG)
+        assert set(CATALOG) - emitted == {
+            "rush_journal_housekeeping_failures_total",
+            "rush_journal_recovery_truncated_bytes"}
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +561,7 @@ class TestSimulatorIntegration:
                                         sort_keys=True))
             obs.reset()
         assert snapshots[0] == snapshots[1]
-        assert "rush_wcde_solves_total" in snapshots[0]
+        assert "rush_wcde_cache_total" in snapshots[0]
 
     def test_traces_identical_across_same_seed_runs(self):
         traces = []

@@ -10,7 +10,8 @@ that buys; this file checks the seam itself:
   queue, the idempotency map and ``sim.step`` are touched only inside
   ``apply``;
 * full-state equality — a live engine, its recovery from the WAL and
-  its restore from a snapshot agree field for field;
+  its restore from a snapshot agree field for field, and so does every
+  journal-derived ``rush_*`` series on the metrics registry;
 * the ``solver_fault`` event kind — an injected fault is a journaled
   event like any other, so a chaos-driven daemon recovers;
 * format compatibility — a journal directory written by the commit
@@ -25,6 +26,8 @@ import shutil
 from pathlib import Path
 
 import repro.service.engine as engine_module
+from repro import obs
+from repro.obs.metrics import CATALOG
 from repro.service import (ServiceConfig, ServiceEngine, TenantSpec,
                            open_journal, recover_engine, restore_engine,
                            take_snapshot)
@@ -110,21 +113,46 @@ def _full_state(engine: ServiceEngine):
             engine.list_jobs(), engine.cluster_status())
 
 
+def _metrics_on():
+    return obs.enable(trace=False, metrics=True, ledger=False).metrics
+
+
+def _journal_derived(metrics):
+    """What ``/metrics`` must show again after a restart: the series whose
+    catalog row says they are a function of the journal (the rest, e.g.
+    ``rush_journal_*``, count this process's own I/O)."""
+    return {name: entry["values"]
+            for name, entry in metrics.snapshot().items()
+            if CATALOG[name].journal_derived}
+
+
 def test_live_recovered_and_restored_engines_are_equal(tmp_path):
+    live_metrics = _metrics_on()
     live, _writer = open_journal(tmp_path, RUSH, checkpoint_every=3)
     _scripted_run(live)
     expected = _full_state(live)
+    series = _journal_derived(live_metrics)
+    assert series["rush_service_jobs_submitted_total"] == [
+        [["batch"], 2.0], [["web"], 2.0]]  # the deduplicated retry is not one
+    assert series["rush_service_jobs_cancelled_total"] == [[["web"], 2.0]]
+    assert "rush_journal_appends_total" in live_metrics.snapshot()
+    assert "rush_journal_appends_total" not in series
     kinds = [entry["kind"] for entry in live.journal]
     assert kinds.count("solver_fault") == 2 and "cancel" in kinds
     assert expected[0]["auto_seq"] == 3
     live.close()
 
+    recovered_metrics = _metrics_on()
     recovered, stats = recover_engine(tmp_path)
     assert stats["checkpoints"] >= 2
     assert _full_state(recovered) == expected
+    assert _journal_derived(recovered_metrics) == series
 
+    restored_metrics = _metrics_on()
     restored = restore_engine(json.loads(json.dumps(expected[0])))
     assert _full_state(restored) == expected
+    assert _journal_derived(restored_metrics) == series
+    obs.reset()
 
     # ... and they stay equal: the armed-but-unfired fault, the queued
     # cancel and the idempotency ledger all survived both rebuilds.
