@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
-"""Scheduling in a hostile cluster: failures, stragglers and mitigations.
+"""Scheduling in a hostile cluster: task failures and re-execution.
 
 The paper's whole premise is that shared infrastructure makes runtimes
 uncertain.  This example dials the hostility up — task attempts fail with
-probability ``p`` and must be re-executed — and compares four responses:
+probability ``p`` and must be re-executed — and compares three responses:
 
 * plain FIFO (pretend nothing is wrong),
-* FIFO + speculative execution (the related-work mitigation: race
-  duplicates against stragglers),
 * plain RUSH (robust percentile demand, but failure-blind), and
 * failure-aware RUSH (the paper's future-work extension: the DE unit
   learns the failure rate online and inflates demand accordingly).
@@ -24,7 +22,6 @@ from repro import (
     FifoScheduler,
     GaussianEstimator,
     RushScheduler,
-    SpeculativeScheduler,
     run_simulation,
 )
 from repro.analysis import boxplot_stats, format_boxplots, format_table
@@ -53,7 +50,6 @@ def main() -> None:
 
     policies = {
         "FIFO": lambda: FifoScheduler(),
-        "FIFO+spec": lambda: SpeculativeScheduler(FifoScheduler()),
         "RUSH": lambda: RushScheduler(),
         "RUSH+fail-aware": lambda: RushScheduler(
             estimator_factory=failure_aware_factory),
@@ -71,16 +67,16 @@ def main() -> None:
     rows = []
     for name, result in results.items():
         rows.append([
-            name, result.task_failures, result.speculative_launches,
-            result.total_utility(), result.zero_utility_fraction,
+            name, result.task_failures, result.total_utility(),
+            result.zero_utility_fraction,
         ])
     print("\nFailure handling summary:")
     print(format_table(
-        ["policy", "task failures", "speculative launches",
-         "total utility", "zero-utility frac"], rows))
-    print("\nReading: failures inflate every policy's latency; speculation "
-          "clips stragglers for FIFO, while the failure-aware DE lets RUSH "
-          "budget for re-execution work before it happens.")
+        ["policy", "task failures", "total utility", "zero-utility frac"],
+        rows))
+    print("\nReading: failures inflate every policy's latency; the "
+          "failure-aware DE lets RUSH budget for re-execution work before "
+          "it happens.")
 
 
 if __name__ == "__main__":

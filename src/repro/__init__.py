@@ -111,7 +111,6 @@ from repro.schedulers import (
     RrhScheduler,
     RushScheduler,
     Scheduler,
-    SpeculativeScheduler,
 )
 from repro.ui import (render_cluster_text, render_profile_text,
                       render_status_html, render_status_text)
@@ -201,7 +200,6 @@ __all__ = [
     "RrhScheduler",
     "FairScheduler",
     "CapacityScheduler",
-    "SpeculativeScheduler",
     # faults
     "FaultInjector",
     "FaultEvent",

@@ -58,7 +58,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.estimation.gaussian import GaussianEstimator
 from repro.faults import FaultPlan, default_chaos_plan, load_fault_plan
 from repro.lint.cli import add_lint_arguments, run_lint_command
-from repro.schedulers import POLICIES, SpeculativeScheduler
+from repro.schedulers import POLICIES
 from repro.cluster.simulator import run_simulation
 from repro.analysis.scenario import render_scenario_text, save_scenario_json
 from repro.service import (RealTimeClock, ServiceConfig, ServiceDaemon,
@@ -99,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--capacity", type=int, default=48)
     simulate.add_argument("--policy", choices=sorted(POLICIES),
                           default="rush")
-    simulate.add_argument("--speculative", action="store_true",
-                          help="wrap the policy with speculative execution")
     simulate.add_argument("--profile", action="store_true",
                           help="print the planner-cost profile after the "
                                "run (RUSH policy only)")
@@ -157,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--capacity", type=int, default=48)
     chaos.add_argument("--policy", choices=sorted(POLICIES),
                        default="rush")
-    chaos.add_argument("--speculative", action="store_true",
-                       help="wrap the policy with speculative execution")
     chaos.add_argument("--faults",
                        help="JSON fault-plan spec to sweep (default: the "
                             "built-in all-injector chaos plan)")
@@ -298,7 +294,6 @@ def _build_fault_plan(args: argparse.Namespace,
 def _cmd_simulate(args: argparse.Namespace) -> int:
     specs = load_trace(args.trace)
     policy = POLICIES[args.policy][0]()
-    scheduler = SpeculativeScheduler(policy) if args.speculative else policy
     faults = _build_fault_plan(args)
     want_metrics = bool(args.metrics or args.metrics_out)
     want_obs = bool(args.span_trace or want_metrics or args.calibration)
@@ -308,7 +303,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                             metrics=want_metrics,
                             ledger=bool(args.calibration))
     try:
-        result = run_simulation(specs, args.capacity, scheduler,
+        result = run_simulation(specs, args.capacity, policy,
                                 seed=args.seed, max_slots=args.max_slots,
                                 faults=faults)
         return _report_simulate(args, result, policy, faults, handle)
@@ -330,7 +325,6 @@ def _report_simulate(args: argparse.Namespace, result, policy,
           f"completed={result.completed_count}/{len(result.records)}  "
           f"utilization={result.utilization:.2f}  "
           f"task failures={result.task_failures}  "
-          f"speculative launches={result.speculative_launches}  "
           f"total utility={result.total_utility():.1f}")
     if faults is not None or result.timed_out:
         print("\n" + render_fault_text(result))
@@ -415,13 +409,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     specs = load_trace(args.trace)
-
-    def factory():
-        policy = POLICIES[args.policy][0]()
-        return SpeculativeScheduler(policy) if args.speculative else policy
-
     plan = _build_fault_plan(args, default=default_chaos_plan(seed=args.seed))
-    report = chaos_sweep(specs, args.capacity, factory, plan,
+    report = chaos_sweep(specs, args.capacity, POLICIES[args.policy][0], plan,
                          args.intensities, seed=args.seed,
                          max_slots=args.max_slots)
     print(report.summary_table())

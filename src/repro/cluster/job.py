@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.cluster.task import Task, TaskState
@@ -106,34 +106,32 @@ class SimJob:
 
     A job consists of *logical* tasks (one per entry of
     ``spec.task_durations``); each logical task may see several *attempts*
-    over its lifetime — the original, retries after failures, and
-    speculative duplicates raced against a straggling original.  The job
-    is complete once every logical task has a completed attempt.
+    over its lifetime — the original, then one retry per failure.  At most
+    one attempt of a logical task is live at a time, so every completed
+    attempt closes a distinct logical task, and the job is complete once
+    as many attempts completed as it has logical tasks.
     """
 
     __slots__ = ("spec", "tasks", "_next_pending", "_running", "_failed",
-                 "_pending", "_completed_logical", "_live",
-                 "_logical", "_speculative", "completion_time")
+                 "_pending", "_completed", "completion_time")
 
     def __init__(self, spec: JobSpec) -> None:
         self.spec = spec
-        self.tasks: List[Task] = [
-            Task(task_id=f"{spec.job_id}/t{k}", job_id=spec.job_id, duration=d)
-            for k, d in enumerate(spec.task_durations)
-        ]
+        self.tasks: List[Task] = []
+        for k, d in enumerate(spec.task_durations):
+            task_id = f"{spec.job_id}/t{k}"
+            self.tasks.append(Task(task_id=task_id, job_id=spec.job_id,
+                                   duration=d, logical_id=task_id))
         self._next_pending = 0
         self._pending = len(self.tasks)
         self._running = 0
         self._failed = 0
-        self._speculative = 0
-        self._completed_logical: set = set()
-        self._live: Dict[str, int] = {t.logical_id: 1 for t in self.tasks}
-        self._logical = len(spec.task_durations)
+        self._completed = 0
         #: Absolute slot by which every logical task completed; ``None``
         #: until then.  Recorded once, by the attempt that completes the
-        #: last open logical task: no attempt of the job finishes later
-        #: (its siblings are cancelled on the spot), so this is the latest
-        #: finish time over every completed attempt.
+        #: last open logical task: no other attempt of the job is live by
+        #: then, so this is the latest finish time over every completed
+        #: attempt.
         self.completion_time: Optional[int] = None
 
     # -- identity passthroughs -------------------------------------------
@@ -163,7 +161,7 @@ class SimJob:
     @property
     def completed_count(self) -> int:
         """Number of *logical* tasks with a completed attempt."""
-        return len(self._completed_logical)
+        return self._completed
 
     @property
     def failed_count(self) -> int:
@@ -172,7 +170,7 @@ class SimJob:
 
     @property
     def is_complete(self) -> bool:
-        return len(self._completed_logical) == self._logical
+        return self._completed == len(self.spec.task_durations)
 
     def runtime_samples(self) -> List[float]:
         """Observed runtimes of completed tasks, in completion order.
@@ -211,84 +209,28 @@ class SimJob:
 
     def note_launched(self) -> None:
         # The pending pointer is not advanced here: next_pending() skips
-        # non-PENDING tasks lazily, which stays correct when the launched
-        # attempt was an appended duplicate rather than the scan head.
+        # non-PENDING tasks lazily.
         self._pending -= 1
         self._running += 1
 
-    def note_completed(self, task: Task) -> bool:
-        """Record a completed attempt; True if its logical task was open.
-
-        A late speculative sibling completing in the same slot as the
-        winner returns False — its result is discarded.
-        """
+    def note_completed(self, task: Task) -> None:
+        """Record a completed attempt: its logical task is done."""
         self._running -= 1
-        self._live[task.logical_id] -= 1
-        if task.logical_id in self._completed_logical:
-            return False
-        self._completed_logical.add(task.logical_id)
+        self._completed += 1
         if self.is_complete:
             self.completion_time = task.finish_time
-        return True
 
-    def note_failed(self, task: Task) -> Optional[Task]:
-        """Record a failed attempt; queue a retry if no sibling survives.
-
-        Returns the queued retry, or None when another attempt of the same
-        logical task is still live (a speculative sibling keeps running).
-        """
+    def note_failed(self, task: Task) -> None:
+        """Record a failed attempt and queue its retry."""
         self._running -= 1
         self._failed += 1
-        self._live[task.logical_id] -= 1
-        if self._live[task.logical_id] > 0:
-            return None
-        replacement = task.retry()
-        self.tasks.append(replacement)
+        self.tasks.append(task.retry())
         self._pending += 1
-        self._live[task.logical_id] += 1
-        return replacement
 
-    def note_cancelled(self, task: Task) -> None:
-        """Record an aborted *running* speculative attempt."""
+    def note_cancelled(self) -> None:
+        """Record a *running* attempt aborted because its job was cancelled."""
         self._running -= 1
-        self._live[task.logical_id] -= 1
-
-    def cancel_pending_duplicates(self, logical_id: str) -> None:
-        """Withdraw queued (never launched) duplicates of a logical task."""
-        for task in self.tasks:
-            if (task.logical_id == logical_id
-                    and task.state is TaskState.PENDING):
-                task.cancel()
-                self._pending -= 1
-                self._live[logical_id] -= 1
-
-    def speculate(self, logical_id: str, duration: int) -> Task:
-        """Queue a speculative duplicate of a running logical task.
-
-        ``duration`` is the duplicate's ground-truth runtime, chosen by
-        the caller (typically the job's median task duration: a fresh
-        attempt on a healthy container runs at typical speed).
-        """
-        if logical_id in self._completed_logical:
-            raise ConfigurationError(
-                f"logical task {logical_id!r} already completed")
-        if self._live.get(logical_id, 0) < 1:
-            raise ConfigurationError(
-                f"logical task {logical_id!r} has no live attempt to race")
-        self._speculative += 1
-        duplicate = Task(
-            task_id=f"{logical_id}~s{self._speculative}",
-            job_id=self.spec.job_id, duration=duration,
-            logical_id=logical_id)
-        self.tasks.append(duplicate)
-        self._pending += 1
-        self._live[logical_id] += 1
-        return duplicate
 
     def running_attempts(self) -> List[Task]:
-        """Currently running attempts (for straggler detection)."""
+        """Currently running attempts, in ``self.tasks`` order."""
         return [t for t in self.tasks if t.state is TaskState.RUNNING]
-
-    def has_duplicate(self, logical_id: str) -> bool:
-        """Whether more than one attempt of the logical task is live."""
-        return self._live.get(logical_id, 0) > 1

@@ -104,7 +104,6 @@ class SimulationResult:
     busy_container_slots: int = 0
     scheduling_decisions: int = 0
     task_failures: int = 0
-    speculative_launches: int = 0
     planner_seconds: float = 0.0
     timed_out: bool = False
     fault_events: List[FaultEvent] = field(default_factory=list)
@@ -187,7 +186,6 @@ class SimulationResult:
             "busy_container_slots": self.busy_container_slots,
             "scheduling_decisions": self.scheduling_decisions,
             "task_failures": self.task_failures,
-            "speculative_launches": self.speculative_launches,
             "planner_seconds": self.planner_seconds,
             "timed_out": self.timed_out,
             "fault_events": [e.to_dict() for e in self.fault_events],

@@ -64,9 +64,9 @@ class ClusterSimulator:
         self._clock: Clock = clock if clock is not None else SimulatedClock()
         self._events = events
         self._record_decisions = record_decisions
-        #: Grant stream (slot, kind, job_id) with kind "grant"/"spec" —
-        #: recorded only when ``record_decisions`` is set (the service
-        #: snapshot/restore equivalence contract pins this stream).
+        #: Grant stream of (slot, "grant", job_id) — recorded only when
+        #: ``record_decisions`` is set (the service snapshot/restore
+        #: equivalence contract pins this stream).
         self.decisions: List[Tuple[int, str, str]] = []
         self._jobs: Dict[str, SimJob] = {}
         self._pending_arrivals: List[SimJob] = []
@@ -80,7 +80,6 @@ class ClusterSimulator:
         self.busy_container_slots = 0
         self.scheduling_decisions = 0
         self.task_failures = 0
-        self.speculative_launches = 0
         scheduler.bind(self)
 
     # -- read API for schedulers -------------------------------------------
@@ -151,7 +150,7 @@ class ClusterSimulator:
             if task is not None and task.job_id == job_id:
                 task.cancel()
                 container.task = None
-                job.note_cancelled(task)
+                job.note_cancelled()
         if job in self._active:
             self._active.remove(job)
         else:
@@ -254,25 +253,6 @@ class ClusterSimulator:
             container.assign(task, self.now)
             job.note_launched()
             self.scheduler.on_task_launched(job, task)
-        # Leftover free containers may run speculative duplicates of
-        # straggling tasks, if the scheduler asks for them.
-        while free:
-            request = self.scheduler.select_speculative()
-            if request is None:
-                break
-            job_id, logical_id, duration = request
-            job = self._jobs.get(job_id)
-            if job is None or job not in self._active:
-                raise SimulationError(
-                    f"speculation on unknown or inactive job {job_id!r}")
-            duplicate = job.speculate(logical_id, duration)
-            if self._record_decisions:
-                self.decisions.append((self.now, "spec", job_id))
-            container = free.pop()
-            container.assign(duplicate, self.now)
-            job.note_launched()
-            self.speculative_launches += 1
-            self.scheduler.on_task_launched(job, duplicate)
 
     def _advance_tasks(self) -> int:
         from repro.cluster.task import TaskState
@@ -290,11 +270,9 @@ class ClusterSimulator:
                 job.note_failed(finished)
                 self.scheduler.on_task_failed(job, finished)
                 continue
-            if not job.note_completed(finished):
-                continue  # a sibling already completed this logical task
+            job.note_completed(finished)
             completed_tasks += 1
             self.faults.on_complete(job, finished)
-            self._cancel_siblings(job, finished)
             self.scheduler.on_task_complete(job, finished)
             if job.is_complete:
                 self._active.remove(job)
@@ -315,17 +293,6 @@ class ClusterSimulator:
         obs.observe("rush_sim_utilization", busy / self.capacity)
         obs.count("rush_sim_tasks_completed_total", completed_tasks)
 
-    def _cancel_siblings(self, job: SimJob, winner) -> None:
-        """Abort surviving attempts of a logical task that just completed."""
-        for container in self.containers:
-            task = container.task
-            if (task is not None and task.job_id == winner.job_id
-                    and task.logical_id == winner.logical_id):
-                task.cancel()
-                container.task = None
-                job.note_cancelled(task)
-        job.cancel_pending_duplicates(winner.logical_id)
-
     def _result(self) -> SimulationResult:
         records = [
             JobRecord.from_spec(job.spec, job.completion_time, self.now)
@@ -344,7 +311,6 @@ class ClusterSimulator:
             busy_container_slots=self.busy_container_slots,
             scheduling_decisions=self.scheduling_decisions,
             task_failures=self.task_failures,
-            speculative_launches=self.speculative_launches,
             planner_seconds=self.scheduler.planner_seconds,
             timed_out=self.timed_out,
             fault_events=self.fault_log.events,

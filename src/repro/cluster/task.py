@@ -51,9 +51,9 @@ class Task:
     fail_after: Optional[int] = None
     #: How many earlier attempts of the same logical task failed.
     attempt: int = 0
-    #: Identity of the logical unit of work this attempt executes.  Retries
-    #: and speculative duplicates of one task share a logical id; derived
-    #: from the task id when not given.
+    #: Identity of the logical unit of work this attempt executes: the
+    #: original attempt's task id, carried by every retry.  Defaults to
+    #: this attempt's own task id.
     logical_id: str = ""
     #: Runtime the *schedulers* observe for this attempt, when it differs
     #: from the ground truth — set by the sample-corruption fault injector.
@@ -74,7 +74,7 @@ class Task:
             raise SimulationError(
                 f"task {self.task_id!r}: fail_after must be >= 1 slot")
         if not self.logical_id:
-            self.logical_id = self.task_id.split("#", 1)[0].split("~", 1)[0]
+            self.logical_id = self.task_id
         self.remaining = self.duration
         self.base_duration = self.duration
 
@@ -125,7 +125,7 @@ class Task:
         return float(self.duration)
 
     def cancel(self) -> None:
-        """Abort a pending or running attempt (a sibling finished first)."""
+        """Abort a pending or running attempt (its job was cancelled)."""
         if self.state not in (TaskState.PENDING, TaskState.RUNNING):
             raise SimulationError(
                 f"task {self.task_id!r} cancelled while {self.state}")
@@ -136,7 +136,6 @@ class Task:
         if self.state is not TaskState.FAILED:
             raise SimulationError(
                 f"task {self.task_id!r} retried while {self.state}")
-        base = self.task_id.rsplit("#", 1)[0]
-        return Task(task_id=f"{base}#{self.attempt + 1}", job_id=self.job_id,
-                    duration=self.base_duration, attempt=self.attempt + 1,
-                    logical_id=self.logical_id)
+        return Task(task_id=f"{self.logical_id}#{self.attempt + 1}",
+                    job_id=self.job_id, duration=self.base_duration,
+                    attempt=self.attempt + 1, logical_id=self.logical_id)

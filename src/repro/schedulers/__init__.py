@@ -9,7 +9,6 @@ from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.rrh import RrhScheduler
 from repro.schedulers.rush import RushScheduler
-from repro.schedulers.speculative import SpeculativeScheduler
 
 __all__ = [
     "Scheduler",
@@ -19,7 +18,6 @@ __all__ = [
     "CapacityScheduler",
     "RrhScheduler",
     "RushScheduler",
-    "SpeculativeScheduler",
     "POLICIES",
 ]
 

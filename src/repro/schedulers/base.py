@@ -71,18 +71,6 @@ class Scheduler(ABC):
     def select_job(self) -> Optional[str]:
         """Pick the job to receive the next free container, or ``None``."""
 
-    def select_speculative(self):
-        """Request a speculative duplicate for a straggling running task.
-
-        Called only when free containers remain after :meth:`select_job`
-        stopped granting.  Return ``None`` (the default — no speculation)
-        or a ``(job_id, logical_id, duration)`` triple naming the running
-        logical task to race and the duplicate's assumed ground-truth
-        duration.  See :class:`repro.schedulers.speculative
-        .SpeculativeScheduler` for the standard policy.
-        """
-        return None
-
     # -- lifecycle hooks (optional) ---------------------------------------------
 
     def on_job_arrival(self, job: "SimJob") -> None:

@@ -17,7 +17,9 @@ break the cluster's structural invariants:
   ladder rung;
 * the stored completion slot — what ``SimJob.completion_time`` recorded
   at the completing transition is what a scan over every attempt finds,
-  with retries, speculative siblings and cancellations in flight.
+  with retries and cancellations in flight;
+* one live attempt per logical task — failure retries are sequential,
+  and a job's running count is the containers holding its tasks.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from repro.faults import (
     default_chaos_plan,
 )
 from repro.schedulers import FifoScheduler, RushScheduler
-from repro.schedulers.speculative import SpeculativeScheduler
 from repro.utility import LinearUtility
 from repro.workload.scenarios import SCENARIOS, build_scenario_workload
 
@@ -226,32 +227,29 @@ def scanned_completion(job):
                if t.state is TaskState.COMPLETED)
 
 
-class EagerSpeculation(SpeculativeScheduler):
-    """Races every un-raced running attempt as soon as a container idles,
-    with a duplicate short enough to win about as often as it loses."""
-
-    def select_speculative(self):
-        for job in self.sim.active_jobs:
-            for task in job.running_attempts():
-                if not job.has_duplicate(task.logical_id):
-                    return (job.job_id, task.logical_id,
-                            max(1, task.duration // 2))
-        return None
+def assert_one_live_attempt_per_logical_task(sim, job):
+    """At most one PENDING-or-RUNNING attempt per logical id, and the
+    running count is exactly the containers holding the job's tasks."""
+    live = [t.logical_id for t in job.tasks
+            if t.state in (TaskState.PENDING, TaskState.RUNNING)]
+    assert len(live) == len(set(live))
+    held = sum(1 for c in sim.containers
+               if c.task is not None and c.task.job_id == job.job_id)
+    assert job.running_count == held
 
 
 class TestStoredCompletionSlot:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    @pytest.mark.parametrize("policy", ["fifo+spec", "rush"])
+    @pytest.mark.parametrize("policy", ["fifo", "rush"])
     def test_stored_slot_equals_the_scan_at_every_slot(self, name, policy):
         """Each library scenario under the all-injector chaos plan — spec
-        failures and crashes force retries, stragglers draw speculative
-        siblings (first policy), every 100th slot withdraws a live job —
-        and after every slot every job's stored completion slot is what a
-        scan over its attempts finds."""
+        failures and crashes force retries, every 100th slot withdraws a
+        live job — and after every slot every job's stored completion
+        slot is what a scan over its attempts finds, with one live
+        attempt per logical task."""
         scenario = SCENARIOS[name]
         specs = build_scenario_workload(scenario, seed=0, fast=True)[:20]
-        scheduler = (EagerSpeculation(FifoScheduler())
-                     if policy == "fifo+spec" else RushScheduler())
+        scheduler = FifoScheduler() if policy == "fifo" else RushScheduler()
         sim = ClusterSimulator(
             scenario.capacity(fast=True), scheduler, seed=7,
             faults=default_chaos_plan(seed=7, intensity=3.0))
@@ -267,7 +265,6 @@ class TestStoredCompletionSlot:
             for job in (sim.completed_jobs + sim.active_jobs
                         + sim.cancelled_jobs):
                 assert job.completion_time == scanned_completion(job)
+                assert_one_live_attempt_per_logical_task(sim, job)
         assert sim.completed_jobs and sim.cancelled_jobs
         assert sim.task_failures > 0
-        if policy == "fifo+spec":
-            assert sim.speculative_launches > 0

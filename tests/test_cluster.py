@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.cluster import (
@@ -18,8 +20,8 @@ from repro.cluster import (
 )
 from repro.cluster.metrics import JobRecord, lexicographic_compare
 from repro.faults import default_chaos_plan
-from repro.schedulers import (FairScheduler, FifoScheduler,
-                              SpeculativeScheduler)
+from repro.schedulers import POLICIES, FairScheduler, FifoScheduler
+from repro.service import ServiceConfig, ServiceEngine, TenantSpec
 from repro.utility import ConstantUtility, LinearUtility
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
@@ -56,6 +58,41 @@ class TestTask:
     def test_zero_duration_rejected(self):
         with pytest.raises(SimulationError):
             Task("t", "j", duration=0)
+
+
+class TestTaskCancel:
+    """``Task.cancel`` is how ``ClusterSimulator.cancel_job`` aborts work."""
+
+    def test_cancel_running(self):
+        task = Task("t", "j", duration=5)
+        task.launch(0)
+        task.cancel()
+        assert task.state is TaskState.CANCELLED
+
+    def test_cancel_pending_allowed(self):
+        task = Task("t", "j", duration=5)
+        task.cancel()
+        assert task.state is TaskState.CANCELLED
+
+    def test_cancel_completed_rejected(self):
+        task = Task("t", "j", duration=1)
+        task.launch(0)
+        task.advance(0)
+        with pytest.raises(SimulationError):
+            task.cancel()
+
+    def test_logical_id_derivation(self):
+        # No parsing: the logical id is given, or it is the task id.
+        assert Task("j/t3", "j", duration=1).logical_id == "j/t3"
+        assert Task("j/t3#2", "j", duration=1).logical_id == "j/t3#2"
+        assert Task("a#b/t0", "a#b", duration=1).logical_id == "a#b/t0"
+        job = SimJob(spec(job_id="x~y#1", durations=(1, 1)))
+        assert [t.logical_id for t in job.tasks] == ["x~y#1/t0", "x~y#1/t1"]
+        failed = job.tasks[1]
+        failed.fail_after = 1
+        failed.launch(0)
+        failed.advance(0)
+        assert failed.retry().logical_id == "x~y#1/t1"
 
 
 class TestContainer:
@@ -104,7 +141,7 @@ class TestSimJob:
         job.note_launched()
         assert job.pending_count == 1 and job.running_count == 1
         task.advance(0)
-        assert job.note_completed(task)
+        job.note_completed(task)
         assert job.completed_count == 1
         assert not job.is_complete
         assert job.runtime_samples() == [1.0]
@@ -199,13 +236,12 @@ class TestSimulator:
 
     def test_running_task_ages_equals_the_scan_at_every_slot(self):
         """The early-out for idle jobs returns what scanning every task
-        would, through failures, retries and speculative duplicates."""
+        would, through failures, retries, crashes and job kills."""
         specs = WorkloadGenerator(
             WorkloadConfig(n_jobs=6, capacity=16, mean_interarrival=30.0,
                            budget_ratio=1.5, size_gb_range=(0.5, 1.0),
                            time_scale=0.25), seed=3).generate()
-        sim = ClusterSimulator(16, SpeculativeScheduler(FairScheduler()),
-                               seed=3,
+        sim = ClusterSimulator(16, FairScheduler(), seed=3,
                                faults=default_chaos_plan(seed=3, intensity=5.0))
         for job_spec in specs:
             sim.submit(job_spec)
@@ -219,7 +255,7 @@ class TestSimulator:
                 compared += 1
                 idle += not scanned
         assert compared > 200 and 0 < idle < compared
-        assert sim.task_failures and sim.speculative_launches
+        assert sim.task_failures
 
     def test_work_conservation(self):
         """Busy container slots equal total ground-truth work when done."""
@@ -227,6 +263,45 @@ class TestSimulator:
                  for i in range(5)]
         result = run_simulation(specs, 2, FifoScheduler())
         assert result.busy_container_slots == sum(s.total_work for s in specs)
+
+
+#: Job ids as clients write them — the daemon accepts any non-empty
+#: string, and the characters that name task attempts ("/" before the
+#: task index, "#" before a retry number) are fair game.
+job_ids = st.text(st.sampled_from("ab7#~/ "), min_size=1, max_size=6)
+
+
+class TestAnyJobIdCompletes:
+    """A job's id is opaque: no character in it changes what runs."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(job_id=job_ids, tasks=st.integers(2, 4))
+    def test_every_policy_completes_it(self, job_id, tasks):
+        job_spec = spec(job_id=job_id, durations=(2,) * tasks)
+        for name, (factory, _options) in POLICIES.items():
+            result = run_simulation([job_spec], 2, factory(), max_slots=200)
+            assert not result.timed_out, name
+            assert result.completed_count == 1, name
+            assert result.busy_container_slots == job_spec.total_work, name
+
+    @settings(max_examples=15, deadline=None)
+    @given(job_id=job_ids, tasks=st.integers(2, 4))
+    def test_service_engine_completes_it_and_frees_the_slot(self, job_id,
+                                                           tasks):
+        engine = ServiceEngine(ServiceConfig(
+            capacity=2, policy="fifo",
+            tenants=(TenantSpec("team", max_active=1),)))
+        engine.submit({"job_id": job_id, "tenant": "team",
+                       "task_durations": [2] * tasks, "budget": 50})
+        engine.tick(40)
+        status = engine.job_status(job_id)
+        assert status["state"] == "completed"
+        assert status["completed_tasks"] == status["tasks"] == tasks
+        assert engine.registry.status()["team"]["live_jobs"] == 0
+        # the released max_active slot admits the tenant's next job
+        nxt = engine.submit({"job_id": job_id + "+", "tenant": "team",
+                             "task_durations": [1]})
+        assert nxt["state"] == "accepted"
 
 
 class TestJobRecord:

@@ -95,7 +95,7 @@ class TestSimJobFailureBookkeeping:
         retry.launch(1)
         job.note_launched()
         retry.advance(1), retry.advance(2)
-        assert job.note_completed(retry)
+        job.note_completed(retry)
         assert job.is_complete
         assert job.completion_time == 3
 

@@ -34,7 +34,6 @@ from repro import (
     RushPlanner,
     RushScheduler,
     SigmoidUtility,
-    SpeculativeScheduler,
     run_simulation,
 )
 from repro.core.feasibility import staircase_feasible
@@ -99,8 +98,7 @@ def job_specs(max_jobs: int = 6, failure: bool = False):
 
 
 ALL_POLICIES = [FifoScheduler, EdfScheduler, FairScheduler,
-                CapacityScheduler, RrhScheduler, RushScheduler,
-                lambda: SpeculativeScheduler(FifoScheduler())]
+                CapacityScheduler, RrhScheduler, RushScheduler]
 
 
 # ---------------------------------------------------------------------------
@@ -179,25 +177,17 @@ def _check_simulation_invariants(specs, result, capacity):
     for record in result.records:
         assert record.runtime >= 0
         if record.completed:
-            # runtime at least the critical path (longest single task,
-            # ignoring failures, which only lengthen it).  A speculative
-            # duplicate runs at the job's typical sample rate — modeling
-            # the original landing on a slow node — so it can legally
-            # beat the spec duration and the bound does not apply.
+            # runtime at least the critical path: the longest single
+            # task runs start to finish on one container, and a failure
+            # only restarts it.
             spec = next(s for s in specs if s.job_id == record.job_id)
-            # rushlint: disable=RL003 (exact zero sentinel: failure_prob
-            # is the literal 0.0 the generator config passed through;
-            # only exactly-zero disables injection)
-            if (spec.failure_prob == 0.0
-                    and result.speculative_launches == 0):
-                assert record.runtime >= max(spec.task_durations)
+            assert record.runtime >= max(spec.task_durations)
     # capacity accounting: busy slots cannot exceed capacity * time
     assert result.busy_container_slots <= capacity * result.slots_simulated
-    # without failures or speculation, work is conserved exactly
+    # without failures, work is conserved exactly
     total_work = sum(s.total_work for s in specs)
-    if result.task_failures == 0 and result.speculative_launches == 0:
-        if result.completed_count == len(specs):
-            assert result.busy_container_slots == total_work
+    if result.task_failures == 0 and result.completed_count == len(specs):
+        assert result.busy_container_slots == total_work
 
 
 class TestSimulatorInvariants:
@@ -212,8 +202,7 @@ class TestSimulatorInvariants:
     @settings(max_examples=10, deadline=None)
     @given(job_specs(max_jobs=4, failure=True),
            st.integers(min_value=1, max_value=4),
-           st.sampled_from([FifoScheduler, RushScheduler,
-                            lambda: SpeculativeScheduler(EdfScheduler())]))
+           st.sampled_from([FifoScheduler, RushScheduler, EdfScheduler]))
     def test_invariants_with_failures(self, specs, capacity, policy):
         result = run_simulation(specs, capacity, policy(),
                                 max_slots=50_000, seed=3)
