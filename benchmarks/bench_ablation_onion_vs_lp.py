@@ -18,8 +18,8 @@ import pytest
 
 from repro.analysis import format_table
 from repro.core.onion import OnionJob, solve_onion
-from repro.core.tas_lp import solve_tas_lp
 from repro.utility import ConstantUtility, LinearUtility, SigmoidUtility
+from tests.tas_lp import solve_tas_lp
 
 from _shared import FULL_SCALE, write_report
 

@@ -7,8 +7,8 @@ package provides:
 * :mod:`repro.core` — the paper's algorithms: the closed-form REM solver
   (Algorithm 1), the WCDE bisection (Algorithm 2), onion peeling
   (Algorithm 3), continuous time-slot mapping (Algorithm 4) and the
-  end-to-end :class:`~repro.core.planner.RushPlanner` (the LP baseline
-  is :mod:`repro.core.tas_lp`, imported by name where it is compared);
+  end-to-end :class:`~repro.core.planner.RushPlanner` (the §III-B LP
+  baseline is a test oracle in ``tests/tas_lp.py``);
 * :mod:`repro.utility` — the job utility classes (piece-wise linear,
   sigmoid, constant and extensions) with the configuration/XML interface;
 * :mod:`repro.estimation` — the distribution-estimator units (mean

@@ -1,8 +1,8 @@
 """The paper's core algorithms: REM, WCDE, onion peeling, mapping, planner.
 
-The §III-B LP baseline, :mod:`repro.core.tas_lp`, is a reference the
-tests and one ablation bench import by its full name; it is not
-re-exported, so no command loads ``scipy.optimize`` to schedule a job.
+The §III-B LP baseline is a reference the tests and one ablation bench
+compare against; it lives with them (``tests/tas_lp.py``), so the
+package never needs an LP solver to schedule a job.
 """
 
 from repro.core.clock import (

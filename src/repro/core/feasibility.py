@@ -51,7 +51,7 @@ def staircase_feasible(pairs: Iterable[Tuple[float, float]],
 
     By Theorem 2 this is equivalent to the existence of a (fractional)
     container schedule meeting every deadline — the LP feasibility of
-    :func:`repro.core.tas_lp.lp_feasible`.
+    the test oracle ``tests/tas_lp.py::lp_feasible``.
     """
     return first_violation(pairs, capacity) is None
 

@@ -312,8 +312,16 @@ def kl_divergence(p: Union[Pmf, npt.NDArray[np.float64]],
     return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
 
 
-def _erf(x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """Vectorized error function (scipy-free fallback is not needed)."""
-    from scipy.special import erf
+#: ``math.erf`` is exactly ±1.0 from here outward (fdlibm and glibc return
+#: ``one - tiny`` for |x| >= 6), so edges out there skip the call.
+_ERF_SATURATION = 6.0
 
-    return erf(x)
+
+def _erf(x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """:func:`math.erf` over an *ascending* array, bit for bit (stdlib, so
+    a Gaussian estimate loads nothing beyond numpy); ``tests/test_pmf.py``
+    pins both the equality and the saturation the skipped tails rely on."""
+    out = np.where(x < 0.0, -1.0, 1.0)
+    lo, hi = np.searchsorted(x, (-_ERF_SATURATION, _ERF_SATURATION))
+    out[lo:hi] = np.fromiter(map(math.erf, x[lo:hi].tolist()), float, hi - lo)
+    return out

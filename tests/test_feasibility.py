@@ -14,7 +14,8 @@ from repro.core.feasibility import (
     minimum_capacity,
     staircase_feasible,
 )
-from repro.core.tas_lp import lp_feasible
+
+from .tas_lp import lp_feasible
 
 
 class TestValidation:

@@ -1,49 +1,144 @@
-"""What a ``rush`` command may load: the product never imports its oracles.
+"""What a ``rush`` command may load: numpy, and nothing it does not use.
 
-``repro.core.tas_lp`` (the §III-B LP baseline) is a reference the tests
-and one ablation bench compare against; re-exporting it from
-``repro.core`` made every command, ``import repro`` and every
-``ServiceClient`` user pay for ``scipy.optimize`` (0.3 s, 40 MB) to
-schedule nothing with it.  A fresh interpreter is the only honest probe:
-this process has long since imported everything.
+The §III-B LP baseline (``tests/tas_lp.py``) is a test oracle, not part
+of the package: re-exported, it once made every command pay for
+``scipy.optimize`` (0.3 s, 40 MB) to schedule nothing with it.  The
+Gaussian estimator's CDF used to import ``scipy.special`` lazily, at the
+first tick that estimated (20 MB, 0.25 s); it is stdlib ``math.erf`` now.
+Because that import was lazy, a bare ``import repro.cli`` proves nothing:
+the probe also runs a RUSH tick that builds a Gaussian PMF and a WAL
+recovery, each in a fresh interpreter (this process has long since
+imported everything), and once more with a finder that makes scipy look
+uninstalled — the path must still run and land on the same digest.
 """
 
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Set
+from typing import Any, Dict, List, Set
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-#: Modules no shipped command needs (the retired flow-lint engine among
-#: them: it must stay gone, not come back as a lazy import).
-UNWANTED = ("scipy.optimize", "scipy.sparse", "scipy.linalg",
-            "repro.core.tas_lp", "repro.lint.flow")
+GOLDEN_JOURNAL = Path(__file__).parent / "golden" / "journal_parent"
 
 PROBE = """
-import json, sys
+import importlib.util, json, sys
+
+action, mode = sys.argv[1], sys.argv[2]
+# What no shipped command may load: scipy, the LP oracle (it lives in
+# tests/) and the retired flow-lint engine (it must stay gone, not come
+# back as a lazy import).
+UNWANTED = ("repro.core.tas_lp", "repro.lint.flow")
+
+
+class RefuseScipy:
+    \"\"\"A finder that makes scipy look uninstalled.\"\"\"
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+if mode == "refuse-scipy":
+    sys.meta_path.insert(0, RefuseScipy())
+
 import repro.cli
-loaded = [name for name in {unwanted!r} if name in sys.modules]
-try:
-    from repro import solve_tas_lp
-    reexported = True
-except ImportError:
-    reexported = False
-# ... while the oracle is still there for whoever names it in full.
-from repro.core.tas_lp import lp_feasible, solve_tas_lp
-print(json.dumps({{"loaded": loaded, "reexported": reexported}}))
+from repro.estimation import pmf
+
+erf, cdfs = pmf._erf, []
+
+
+def counting_erf(z):
+    cdfs.append(z.size)
+    return erf(z)
+
+
+pmf._erf = counting_erf
+report = {}
+if action == "import":
+    try:
+        from repro import solve_tas_lp
+        report["reexported"] = True
+    except ImportError:
+        report["reexported"] = False
+    report["lp_oracle_importable"] = (
+        importlib.util.find_spec("repro.core.tas_lp") is not None)
+    engine = None
+elif action == "tick":
+    from repro.service.engine import ServiceConfig, ServiceEngine
+    engine = ServiceEngine(ServiceConfig(
+        capacity=3, policy="rush", seed=0,
+        scheduler_options={"theta": 0.9, "delta": 0.7}))
+    for slot in range(4):
+        engine.submit({"task_durations": [4 + slot, 6, 5],
+                       "budget": 25.0 + slot})
+    engine.tick(12)
+else:
+    from repro.service.journal import recover_engine
+    engine, _ = recover_engine(sys.argv[3])
+if engine is not None:
+    report["digests"] = [engine.decisions_digest(), engine.records_digest()]
+    engine.close()
+report["gaussian_cdfs"] = len(cdfs)
+report["loaded"] = sorted(n for n in sys.modules
+                          if n.split(".")[0] == "scipy" or n in UNWANTED)
+print(json.dumps(report))
 """
 
 
-def test_cli_import_graph_excludes_the_lp_oracle_and_flow_lint():
+def _probe(action: str, mode: str = "plain", *args: str) -> Dict[str, Any]:
+    """Run ``PROBE`` in a fresh interpreter and return its report."""
     done = subprocess.run(
-        [sys.executable, "-c", PROBE.format(unwanted=UNWANTED)],
+        [sys.executable, "-c", PROBE, action, mode, *args],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
-        text=True, timeout=120, check=True)
-    assert json.loads(done.stdout) == {"loaded": [], "reexported": False}
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def _parent_journal(directory: Path) -> str:
+    """A fresh copy of the golden journal (recovery may append to it)."""
+    shutil.copytree(GOLDEN_JOURNAL, directory)
+    (directory / "expected.json").unlink()
+    (directory / "README.md").unlink()
+    return str(directory)
+
+
+def test_cli_import_graph_excludes_the_lp_oracle_and_flow_lint():
+    assert _probe("import") == {
+        "reexported": False, "lp_oracle_importable": False,
+        "gaussian_cdfs": 0, "loaded": []}
+
+
+def test_a_rush_tick_that_estimates_loads_no_scipy():
+    report = _probe("tick")
+    assert report["gaussian_cdfs"] > 0 and report["loaded"] == []
+
+
+def test_recovering_the_parent_journal_loads_no_scipy(tmp_path):
+    expected = json.loads((GOLDEN_JOURNAL / "expected.json").read_text())
+    report = _probe("recover", "plain", _parent_journal(tmp_path / "wal"))
+    assert report["gaussian_cdfs"] > 0 and report["loaded"] == []
+    assert report["digests"] == [expected["decisions_digest"],
+                                 expected["records_digest"]]
+
+
+@pytest.mark.parametrize("action", ["tick", "recover"])
+def test_the_engine_runs_and_decides_the_same_without_scipy(tmp_path, action):
+    def run(mode: str) -> Dict[str, Any]:
+        if action == "tick":
+            return _probe(action, mode)
+        return _probe(action, mode, _parent_journal(tmp_path / mode))
+
+    plain, refused = run("plain"), run("refuse-scipy")
+    assert plain["gaussian_cdfs"] > 0
+    assert refused == plain
 
 
 # ---------------------------------------------------------------------------

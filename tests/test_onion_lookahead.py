@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.onion import OnionJob, solve_onion
-from repro.core.tas_lp import solve_tas_lp
 from repro.cluster.metrics import lexicographic_compare
 from repro.utility import LinearUtility
+
+from .tas_lp import solve_tas_lp
 
 #: The instance from the brute-force counterexample: total demand 18 on
 #: C = 2 means one of j0/j1 must be sacrificed; sacrificing j0 lets j1

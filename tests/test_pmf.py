@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.estimation.pmf as pmf_module
 from repro.errors import DistributionError
 from repro.estimation.pmf import Pmf, kl_divergence
 
@@ -140,6 +143,68 @@ class TestGaussian:
             Pmf.from_gaussian(-1.0, 5.0)
         with pytest.raises(DistributionError):
             Pmf.from_gaussian(5.0, -1.0)
+
+
+def _gaussian_erf(mean: float, std: float, tau_max: Optional[int]):
+    """The bin-edge ``z`` array ``Pmf.from_gaussian`` evaluates, and the
+    error function values it got back."""
+    calls = []
+    windowed = pmf_module._erf
+
+    def recording(z):
+        calls.append((z, windowed(z)))
+        return calls[-1][1]
+
+    with mock.patch.object(pmf_module, "_erf", recording):
+        Pmf.from_gaussian(mean, std, tau_max=tau_max)
+    (z, erf), = calls
+    return z, erf
+
+
+def _ulps_apart(a, b):
+    """Per-element distance in units in the last place (ordered bits)."""
+    def ordered(x):
+        bits = np.asarray(x, dtype=np.float64).view(np.int64)
+        return np.where(bits < 0, np.int64(-2**63) - bits, bits)
+    return np.abs(ordered(a) - ordered(b))
+
+
+#: Gaussian parameters as the estimator produces them: a mean demand,
+#: a spread (large means over small spreads saturate the left tail), and
+#: the default or an explicit support (a wide one saturates the right).
+GAUSSIANS = dict(
+    mean=st.floats(min_value=0.0, max_value=3000.0),
+    std=st.floats(min_value=0.01, max_value=300.0),
+    tau_max=st.none() | st.integers(min_value=1, max_value=4000))
+
+
+class TestGaussianCdfBits:
+    """The CDF is stdlib ``math.erf``; the saturated tails skip the call."""
+
+    def test_math_erf_saturates_at_six(self):
+        # The window in pmf._erf relies on exactly this.
+        assert math.erf(6.0) == 1.0 and math.erf(-6.0) == -1.0
+        for far in (8.0, 1e300, math.inf):
+            assert math.erf(far) == 1.0 and math.erf(-far) == -1.0
+
+    @given(**GAUSSIANS)
+    @settings(max_examples=150, deadline=None)
+    def test_windowed_erf_is_math_erf_bit_for_bit(self, mean, std, tau_max):
+        z, erf = _gaussian_erf(mean, std, tau_max)
+        elementwise = np.array([math.erf(v) for v in z.tolist()])
+        assert erf.tobytes() == elementwise.tobytes()
+
+    def test_both_tails_are_exercised(self):
+        z, erf = _gaussian_erf(2000.0, 20.0, 4000)
+        assert z[0] <= -6.0 and z[-1] >= 6.0
+        assert erf[0] == -1.0 and erf[-1] == 1.0
+
+    @given(**GAUSSIANS)
+    @settings(max_examples=100, deadline=None)
+    def test_within_four_ulp_of_scipy(self, mean, std, tau_max):
+        special = pytest.importorskip("scipy.special")
+        z, erf = _gaussian_erf(mean, std, tau_max)
+        assert int(_ulps_apart(erf, special.erf(z)).max()) <= 4
 
 
 class TestQuantile:

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, InfeasiblePlanError
 from repro.core.onion import OnionJob, default_horizon, solve_onion
-from repro.core.tas_lp import lp_feasible, solve_tas_lp
 from repro.utility import ConstantUtility, LinearUtility, SigmoidUtility
+
+from .tas_lp import lp_feasible, solve_tas_lp
 
 
 class TestLpFeasible:
