@@ -1,21 +1,32 @@
 """A minimal asyncio client for the scheduler daemon.
 
-Raw ``asyncio.open_connection`` HTTP — the same zero-dependency stance
-as the daemon.  One request per connection, mirroring the server's
-``Connection: close`` contract.  Error responses are lifted back into
-:class:`ServiceRequestError`, so callers branch on the typed ``code``
-exactly as in-process callers branch on
+Raw ``asyncio.open_connection`` HTTP/1.1 — the same zero-dependency
+stance as the daemon.  Connections persist: a request takes an idle
+pooled connection (or opens one), reads the response by its
+``Content-Length`` and returns the connection to the pool unless either
+side said ``Connection: close``, so the pool holds one connection per
+concurrent caller; :meth:`ServiceClient.aclose` (or ``async with``)
+closes it.  A pooled connection is reused only while idle for less than
+the daemon's idle deadline minus ``_IDLE_MARGIN_SECONDS``.  Error
+responses are lifted back into :class:`ServiceRequestError`, so callers
+branch on the typed ``code`` exactly as in-process callers branch on
 :class:`~repro.errors.ServiceError` subclasses.
 
-Transport failures — connection refused, a connection reset mid-body —
-surface as :class:`ServiceUnavailableError` carrying the attempt count,
-never a raw ``OSError``.  With ``retries > 0`` the client retries them
-under seeded exponential backoff with jitter, but only for requests it
-knows are idempotent: reads, cancels, and submits that carry an
-idempotency key (auto-generated when retries are enabled, deduplicated
-server-side, so a retry after an ambiguous crash never double-admits).
-``/tick`` is never retried — a lost response leaves it ambiguous
-whether the clock advanced.
+Transport failures — connection refused, a connection reset mid-body, a
+torn or unparseable response — surface as
+:class:`ServiceUnavailableError` carrying the attempt count, never a raw
+``OSError``, ``ValueError`` or ``IndexError``.  Only idempotent requests
+are ever sent twice: reads, cancels, snapshots, and submits that carry
+an idempotency key (auto-generated when retries are enabled,
+deduplicated server-side, so a retry after an ambiguous crash never
+double-admits).
+One that fails on a *reused* connection — the daemon dropped it, or
+restarted, while it sat in the pool — is re-sent at once on a fresh
+connection without using up an attempt; with ``retries > 0`` other
+failures are retried under seeded exponential backoff with jitter.
+``/tick`` and ``/chaos/solver-fault`` are never sent twice: a lost
+response leaves it ambiguous whether the clock advanced or the fault
+was journaled.
 
 Used by the integration tests and by :mod:`repro.service.smoke` (the CI
 jobs that replay a scenario — or survive a ``kill -9`` — through the
@@ -32,8 +43,16 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ReproError
+from repro.service.daemon import _IDLE_SECONDS
 
 __all__ = ["ServiceClient", "ServiceRequestError", "ServiceUnavailableError"]
+
+#: How much sooner than the daemon's idle deadline the client gives up
+#: on a pooled connection: covers the deadline and the request racing.
+_IDLE_MARGIN_SECONDS = 1.0
+_REUSE_SECONDS = _IDLE_SECONDS - _IDLE_MARGIN_SECONDS
+
+_Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
 
 class ServiceRequestError(ReproError):
@@ -59,6 +78,64 @@ class ServiceUnavailableError(ReproError):
             f"{'s' if attempts != 1 else ''}: {message}")
 
 
+async def _close(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
+
+
+async def _head_line(reader: asyncio.StreamReader) -> str:
+    """One line of a response head; a line cut short tears the response."""
+    try:
+        return (await reader.readuntil(b"\n")).decode("latin-1").strip()
+    except asyncio.IncompleteReadError as exc:
+        # The daemon died (or closed the connection) mid-answer — or,
+        # with ``partial`` empty, before answering at all.
+        raise ConnectionResetError("connection closed inside the response "
+                                   f"head, after {exc.partial!r}") from None
+    except asyncio.LimitOverrunError as exc:
+        raise ConnectionError(f"malformed response: {exc}") from None
+
+
+async def _read_response(reader: asyncio.StreamReader
+                         ) -> Tuple[int, str, bytes, bool]:
+    """(status, content type, body, keep-alive) of one response; a torn
+    or unparseable one raises ``ConnectionError``."""
+    status_line = await _head_line(reader)
+    version, _, rest = status_line.partition(" ")
+    code = rest.split(" ", 1)[0]
+    if not (version.startswith("HTTP/") and code.isascii()
+            and code.isdigit()):
+        raise ConnectionError(f"malformed status line {status_line!r}")
+    keep_alive = version == "HTTP/1.1"
+    content_type = ""
+    length: Optional[int] = None
+    while True:
+        line = await _head_line(reader)
+        if not line:
+            break
+        key, _, value = line.partition(":")
+        key, value = key.strip().lower(), value.strip()
+        if key == "content-type":
+            content_type = value
+        elif key == "content-length":
+            if not (value.isascii() and value.isdigit()):
+                raise ConnectionError(f"malformed Content-Length {value!r}")
+            length = int(value)
+        elif key == "connection":
+            keep_alive = "close" not in value.lower()
+    if length is None:  # the daemon sends one with every non-stream answer
+        raise ConnectionError("malformed response without Content-Length")
+    try:
+        raw = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ConnectionResetError(f"truncated body: got {len(exc.partial)} "
+                                   f"of {length} bytes") from None
+    return int(code), content_type, raw, keep_alive
+
+
 class ServiceClient:
     """Talk to one daemon at ``host:port``; all methods are coroutines."""
 
@@ -71,53 +148,74 @@ class ServiceClient:
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
         self._rng = np.random.default_rng(seed)
+        #: Idle keep-alive connections, each with the loop time it was
+        #: returned at; the most recently used is reused first.
+        self._pool: List[Tuple[_Connection, float]] = []
+
+    async def __aenter__(self) -> "ServiceClient":
+        return self
+
+    async def __aexit__(self, *_exc: Any) -> None:
+        await self.aclose()
+
+    async def aclose(self) -> None:
+        """Close every pooled connection (call with no request in flight)."""
+        pool, self._pool = self._pool, []
+        for (_reader, writer), _since in pool:
+            await _close(writer)
 
     # -- transport -------------------------------------------------------
 
-    async def _request_once(self, method: str, path: str,
-                            payload: Optional[Any] = None
-                            ) -> Tuple[int, str, bytes]:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+    async def _checkout(self) -> Tuple[_Connection, bool]:
+        """A connection to send on, and whether it is a reused one."""
+        now = asyncio.get_running_loop().time()
+        while self._pool:
+            (reader, writer), since = self._pool.pop()
+            if (now - since < _REUSE_SECONDS and not reader.at_eof()
+                    and not writer.is_closing()):
+                return (reader, writer), True
+            await _close(writer)  # the daemon has closed it, or soon will
+        return await asyncio.open_connection(self.host, self.port), False
+
+    async def _exchange(self, connection: _Connection, request: bytes
+                        ) -> Tuple[int, str, bytes]:
+        """Send one request and read its response; pool the connection
+        again when both sides keep it alive, else close it."""
+        reader, writer = connection
         try:
-            body = (json.dumps(payload).encode("utf-8")
-                    if payload is not None else b"")
-            writer.write((
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n").encode("latin-1"))
-            writer.write(body)
+            writer.write(request)
             await writer.drain()
-            status_line = (await reader.readline()).decode("latin-1")
-            if not status_line.strip():
-                # The daemon accepted the connection then died before
-                # responding — e.g. killed mid-request.
-                raise ConnectionResetError("empty response (connection "
-                                           "closed before the status line)")
-            status = int(status_line.split(" ", 2)[1])
-            content_type = ""
-            length: Optional[int] = None
-            while True:
-                line = (await reader.readline()).decode("latin-1").strip()
-                if not line:
-                    break
-                key, _, value = line.partition(":")
-                if key.strip().lower() == "content-type":
-                    content_type = value.strip()
-                elif key.strip().lower() == "content-length":
-                    length = int(value.strip())
-            raw = await reader.read()
-            if length is not None and len(raw) < length:
-                raise ConnectionResetError(
-                    f"truncated body: got {len(raw)} of {length} bytes")
-            return status, content_type, raw
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            status, content_type, raw, keep_alive = \
+                await _read_response(reader)
+        except BaseException:
+            await _close(writer)
+            raise
+        if keep_alive:
+            self._pool.append((connection, asyncio.get_running_loop().time()))
+        else:
+            await _close(writer)
+        return status, content_type, raw
+
+    async def _request_once(self, method: str, path: str,
+                            payload: Optional[Any], idempotent: bool
+                            ) -> Tuple[int, str, bytes]:
+        body = (json.dumps(payload).encode("utf-8")
+                if payload is not None else b"")
+        request = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {self.host}:{self.port}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode("latin-1") + body
+        connection, reused = await self._checkout()
+        try:
+            return await self._exchange(connection, request)
+        except OSError:  # ConnectionError included
+            if not (reused and idempotent):
+                raise
+        # A pooled connection the daemon had dropped (idle deadline,
+        # restart): the request is safe to send again, on a new one.
+        connection = await asyncio.open_connection(self.host, self.port)
+        return await self._exchange(connection, request)
 
     async def request(self, method: str, path: str,
                       payload: Optional[Any] = None, *,
@@ -132,9 +230,9 @@ class ServiceClient:
         last: Optional[BaseException] = None
         for attempt in range(1, attempts + 1):
             try:
-                return await self._request_once(method, path, payload)
-            except (ConnectionError, asyncio.IncompleteReadError,
-                    OSError) as exc:
+                return await self._request_once(method, path, payload,
+                                                idempotent)
+            except OSError as exc:  # ConnectionError included
                 last = exc
                 if attempt < attempts:
                     delay = min(self.backoff_cap,
@@ -209,8 +307,9 @@ class ServiceClient:
         return await self.request_json("POST", "/snapshot")
 
     async def chaos_solver_fault(self, depth: int = 1) -> Dict[str, Any]:
+        # Never re-sent: each call journals one more solver fault.
         return await self.request_json("POST", "/chaos/solver-fault",
-                                       {"depth": depth})
+                                       {"depth": depth}, idempotent=False)
 
     async def metrics_text(self) -> str:
         status, _ctype, raw = await self.request("GET", "/metrics")
@@ -221,8 +320,9 @@ class ServiceClient:
     async def stream(self, count: int) -> List[Dict[str, Any]]:
         """Collect ``count`` NDJSON status lines from ``/stream``.
 
-        The connection stays open across slots, so in manual-clock mode
-        something else must drive ``/tick`` concurrently.
+        The stream has its own connection, which stays open across slots
+        (so in manual-clock mode something else must drive ``/tick``
+        concurrently) and closes with the stream.
         """
         reader, writer = await asyncio.open_connection(self.host, self.port)
         try:
@@ -243,8 +343,4 @@ class ServiceClient:
                 payloads.append(json.loads(line.decode("utf-8")))
             return payloads
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await _close(writer)

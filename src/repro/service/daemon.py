@@ -1,8 +1,8 @@
 """The asyncio scheduler daemon: HTTP in front, the engine behind.
 
 A deliberately small HTTP/1.1 server built directly on
-``asyncio.start_server`` — no web framework, one JSON request/response
-per connection (``Connection: close``), plus an NDJSON status stream.
+``asyncio.start_server`` — no web framework, JSON requests and responses
+on persistent connections, plus an NDJSON status stream.
 All scheduling state lives in the single-threaded
 :class:`~repro.service.engine.ServiceEngine`; handlers run on the event
 loop and never await while mutating it, so the engine needs no locks.
@@ -27,6 +27,17 @@ GET       /metrics                 Prometheus text exposition
 POST      /snapshot                take (and persist) a restart snapshot
 POST      /chaos/solver-fault      arm a forced solver failure (``--chaos``)
 ========  =======================  ==========================================
+
+One connection serves requests in order, and every response states
+``Connection: keep-alive`` or ``Connection: close``.  The daemon closes
+a connection after a request that asked for it (``Connection: close``,
+or HTTP/1.0 without ``keep-alive``), after ``/stream``, after a framing
+error (answered with a typed 400 first: a malformed request line, any
+``Transfer-Encoding``, a repeated or non-integer ``Content-Length``, an
+oversized line or body — bytes that cannot be framed must never be
+parsed as the next request), while stopping, and when no complete
+request arrives within ``_IDLE_SECONDS`` — a deadline that covers the
+whole read of every request, so a stalled half-request is dropped too.
 
 Every rejected request returns the typed error body from
 :func:`repro.service.protocol.error_payload`; a 500 with code
@@ -61,6 +72,12 @@ __all__ = ["ServiceDaemon"]
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: far above any legitimate submit body
 _STREAM_QUEUE_SLOTS = 256
 _DRAIN_SECONDS = 5.0  # how long stop() waits for in-flight requests
+#: How long a connection may take to deliver its next complete request
+#: (idle keep-alive time included) before the daemon closes it.
+#: ``ServiceClient`` stops reusing a pooled connection a margin earlier.
+_IDLE_SECONDS = 5.0
+_JSON = "application/json"
+_NDJSON = "application/x-ndjson"
 
 
 class ServiceDaemon:
@@ -85,7 +102,10 @@ class ServiceDaemon:
         #: ``ok`` | ``stalled: <code>`` | ``dead: <Type>: …`` (``/status``).
         self._slot_loop_state = "ok"
         self._subscribers: List[asyncio.Queue] = []
-        self._inflight: set = set()  # connection-handler tasks being served
+        self._inflight: set = set()  # every live connection-handler task
+        #: Connections waiting for (the rest of) a request: nothing of
+        #: theirs is in flight, so stop() closes them at once.
+        self._reading: set = set()
         self._closing = False
 
     # -- lifecycle -------------------------------------------------------
@@ -109,9 +129,11 @@ class ServiceDaemon:
 
         Order matters.  The listener closes first so no new connections
         arrive; the slot loop stops so the engine state is quiescent;
-        streams get their end-sentinel; then every in-flight request
-        handler is awaited (bounded by ``_DRAIN_SECONDS``) so an accepted
-        submit is fully journaled and answered before the process exits.
+        streams get their end-sentinel; connections waiting for a request
+        (idle keep-alive ones, and any stalled mid-request) are closed at
+        once; then every in-flight request handler is awaited (bounded by
+        ``_DRAIN_SECONDS``) so an accepted submit is fully journaled and
+        answered — with ``Connection: close`` — before the process exits.
         Only then does ``engine.close()`` fsync and close the journal.
         """
         self._closing = True
@@ -126,6 +148,8 @@ class ServiceDaemon:
             self._slot_task = None
         for queue in list(self._subscribers):
             queue.put_nowait(None)  # sentinel: stream handlers drain out
+        for writer in self._reading:
+            writer.close()
         pending = {task for task in self._inflight if not task.done()}
         if pending:
             _done, stuck = await asyncio.wait(pending,
@@ -169,23 +193,46 @@ class ServiceDaemon:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Serve one connection's requests, in order, until it closes."""
         task = asyncio.current_task()
         if task is not None:
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
+        # drain() then waits for an empty buffer, not a low-water mark: a
+        # response is wholly handed to the kernel before the next read,
+        # so closing a connection that waits for a request (idle
+        # deadline, stop()) can never cut off the previous answer.
+        writer.transport.set_write_buffer_limits(0)
         try:
-            try:
-                method, path, query, body = await self._read_request(reader)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            except (BadRequestError, ValueError) as exc:
-                # ValueError: readline() on an over-long line, or a
-                # Content-Length that is not a non-negative integer.
-                await self._respond(writer, 400, error_payload(
-                    exc if isinstance(exc, BadRequestError) else
-                    BadRequestError(f"malformed request: {exc}")))
-                return
-            await self._dispatch(writer, method, path, query, body)
+            while not self._closing:
+                try:
+                    request = await self._read_request(reader, writer)
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    return  # EOF (or a torn request): nothing to answer
+                except (BadRequestError, asyncio.LimitOverrunError,
+                        ValueError) as exc:
+                    # LimitOverrunError: an over-long line; ValueError: a
+                    # target urlsplit() refuses.  The rest of the bytes
+                    # cannot be framed: answer, then close.
+                    await self._respond(writer, 400, error_payload(
+                        exc if isinstance(exc, BadRequestError) else
+                        BadRequestError(f"malformed request: {exc}")),
+                        keep_alive=False)
+                    return
+                if request is None:
+                    return
+                method, path, query, body, keep_alive = request
+                status, payload, content_type = self._answer(
+                    method, path, query, body)
+                if content_type == _NDJSON:  # payload: the line limit
+                    await self._stream(writer, payload)
+                    return
+                keep_alive = keep_alive and not self._closing
+                await self._respond(writer, status, payload,
+                                    content_type=content_type,
+                                    keep_alive=keep_alive)
+                if not keep_alive:
+                    return
         except ConnectionError:
             pass
         finally:
@@ -195,29 +242,69 @@ class ServiceDaemon:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader
-                            ) -> Tuple[str, str, Dict[str, List[str]], bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split(" ")
-        if len(parts) != 3:
-            raise BadRequestError(f"malformed request line {request_line!r}")
-        method, target, _version = parts
-        headers: Dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
-            if not line:
-                break
-            if ":" in line:
-                key, _, value = line.partition(":")
-                headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY_BYTES:
-            raise BadRequestError(
-                f"request body of {length} bytes exceeds the "
-                f"{_MAX_BODY_BYTES}-byte limit")
-        body = await reader.readexactly(length) if length else b""
+    async def _read_request(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter
+                            ) -> Optional[Tuple[str, str, Dict[str, List[str]],
+                                                bytes, bool]]:
+        """Read and frame the next request: (method, path, query, body,
+        keep-alive); ``None`` when the connection closed under the read.
+
+        The whole read runs under the ``_IDLE_SECONDS`` deadline, and
+        ``stop()`` may cut it short: both close the connection, and a
+        request the read completed anyway is dropped unexecuted.  Every
+        line must end in ``\\n``: EOF inside a request is
+        ``IncompleteReadError``, never a shorter request.
+        """
+        deadline = asyncio.get_running_loop().call_later(
+            _IDLE_SECONDS, writer.close)
+        self._reading.add(writer)
+        try:
+            request_line = (await reader.readuntil(b"\n")).decode(
+                "latin-1").strip()
+            parts = request_line.split(" ")
+            if len(parts) != 3 or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
+                raise BadRequestError(
+                    f"malformed request line {request_line!r}")
+            method, target, version = parts
+            headers: Dict[str, List[str]] = {}
+            while True:
+                line = (await reader.readuntil(b"\n")).decode(
+                    "latin-1").strip()
+                if not line:
+                    break
+                key, colon, value = line.partition(":")
+                if colon:
+                    headers.setdefault(key.strip().lower(), []).append(
+                        value.strip())
+            if "transfer-encoding" in headers:
+                raise BadRequestError(
+                    "Transfer-Encoding is not supported: send the body "
+                    "with one Content-Length")
+            lengths = headers.get("content-length", ["0"])
+            if len(lengths) != 1 or not (lengths[0].isascii()
+                                         and lengths[0].isdigit()):
+                raise BadRequestError(
+                    "Content-Length must be one non-negative integer, got "
+                    f"{', '.join(lengths)!r}")
+            length = int(lengths[0])
+            if length > _MAX_BODY_BYTES:
+                raise BadRequestError(
+                    f"request body of {length} bytes exceeds the "
+                    f"{_MAX_BODY_BYTES}-byte limit")
+            body = await reader.readexactly(length) if length else b""
+        finally:
+            deadline.cancel()
+            self._reading.discard(writer)
+        if writer.is_closing():
+            return None
+        tokens = {token.strip().lower()
+                  for value in headers.get("connection", [])
+                  for token in value.split(",")}
+        keep_alive = "close" not in tokens and (
+            version == "HTTP/1.1" or "keep-alive" in tokens)
         split = urlsplit(target)
-        return method.upper(), split.path, parse_qs(split.query), body
+        return (method.upper(), split.path, parse_qs(split.query), body,
+                keep_alive)
 
     @staticmethod
     def _json_body(body: bytes) -> Dict[str, Any]:
@@ -233,9 +320,9 @@ class ServiceDaemon:
         return payload
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: Any, *,
-                       content_type: str = "application/json") -> None:
-        if content_type == "application/json":
+                       payload: Any, *, content_type: str = _JSON,
+                       keep_alive: bool) -> None:
+        if content_type == _JSON:
             blob = (json.dumps(payload, sort_keys=True) + "\n").encode()
         else:
             blob = str(payload).encode("utf-8")
@@ -246,51 +333,50 @@ class ServiceDaemon:
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(blob)}\r\n"
-            "Connection: close\r\n\r\n").encode("latin-1"))
-        writer.write(blob)
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+        ).encode("latin-1") + blob)
         await writer.drain()
 
     # -- routing ---------------------------------------------------------
 
-    async def _dispatch(self, writer: asyncio.StreamWriter, method: str,
-                        path: str, query: Dict[str, List[str]],
-                        body: bytes) -> None:
+    def _answer(self, method: str, path: str, query: Dict[str, List[str]],
+                body: bytes) -> Tuple[int, Any, str]:
+        """(status, payload, content type) for one request; never raises."""
         try:
-            handled = await self._route(writer, method, path, query, body)
+            answer = self._route(method, path, query, body)
         except ServiceError as exc:
-            await self._respond(writer, exc.status, error_payload(exc))
-            return
+            return exc.status, error_payload(exc), _JSON
         except Exception as exc:  # a daemon bug, surfaced honestly
-            await self._respond(writer, 500, {"error": {
+            return 500, {"error": {
                 "code": "internal", "status": 500,
-                "message": f"{type(exc).__name__}: {exc}"}})
-            return
-        if not handled:
-            await self._respond(writer, 404, {"error": {
+                "message": f"{type(exc).__name__}: {exc}"}}, _JSON
+        if answer is None:
+            return 404, {"error": {
                 "code": "not-found", "status": 404,
-                "message": f"no route for {method} {path}"}})
+                "message": f"no route for {method} {path}"}}, _JSON
+        payload, content_type = answer
+        return 200, payload, content_type
 
-    async def _route(self, writer: asyncio.StreamWriter, method: str,
-                     path: str, query: Dict[str, List[str]],
-                     body: bytes) -> bool:
+    def _route(self, method: str, path: str, query: Dict[str, List[str]],
+               body: bytes) -> Optional[Tuple[Any, str]]:
+        """(payload, content type) of the route's 200, ``None`` for no
+        route; a rejected request raises its typed error."""
         engine = self.engine
         if path == "/healthz" and method == "GET":
-            await self._respond(writer, 200, {"ok": True,
-                                              "slot": engine.slot})
-        elif path == "/status" and method == "GET":
+            return {"ok": True, "slot": engine.slot}, _JSON
+        if path == "/status" and method == "GET":
             status = engine.cluster_status()
             status["service"] = self._service_status()
-            await self._respond(writer, 200, status)
-        elif path == "/tenants" and method == "GET":
-            await self._respond(writer, 200, engine.registry.status())
-        elif path == "/jobs" and method == "POST":
-            await self._respond(writer, 200,
-                                engine.submit(self._json_body(body)))
-        elif path == "/jobs" and method == "GET":
-            await self._respond(writer, 200, {"jobs": engine.list_jobs()})
-        elif path.startswith("/jobs/"):
-            await self._route_job(writer, method, path)
-        elif path == "/tick" and method == "POST":
+            return status, _JSON
+        if path == "/tenants" and method == "GET":
+            return engine.registry.status(), _JSON
+        if path == "/jobs" and method == "POST":
+            return engine.submit(self._json_body(body)), _JSON
+        if path == "/jobs" and method == "GET":
+            return {"jobs": engine.list_jobs()}, _JSON
+        if path.startswith("/jobs/"):
+            return self._route_job(method, path), _JSON
+        if path == "/tick" and method == "POST":
             if self.clock is not None:
                 raise BadRequestError(
                     "manual ticking is disabled: this daemon runs on a "
@@ -299,47 +385,39 @@ class ServiceDaemon:
             slots = payload.get("slots", 1)
             if not isinstance(slots, int) or isinstance(slots, bool):
                 raise BadRequestError("field 'slots' must be an integer")
-            await self._respond(writer, 200, self._do_tick(slots))
-        elif path == "/digest" and method == "GET":
-            await self._respond(writer, 200, {
-                "slot": engine.slot,
-                "records": engine.records_digest(),
-                "decisions": engine.decisions_digest(),
-                "idle": engine.idle})
-        elif path == "/metrics" and method == "GET":
-            await self._respond(
-                writer, 200, get_metrics().render_prometheus(),
-                content_type="text/plain; version=0.0.4")
-        elif path == "/stream" and method == "GET":
-            await self._stream(writer, query)
-        elif path == "/snapshot" and method == "POST":
+            return self._do_tick(slots), _JSON
+        if path == "/digest" and method == "GET":
+            return {"slot": engine.slot,
+                    "records": engine.records_digest(),
+                    "decisions": engine.decisions_digest(),
+                    "idle": engine.idle}, _JSON
+        if path == "/metrics" and method == "GET":
+            return (get_metrics().render_prometheus(),
+                    "text/plain; version=0.0.4")
+        if path == "/stream" and method == "GET":
+            return self._stream_limit(query), _NDJSON
+        if path == "/snapshot" and method == "POST":
             snapshot = take_snapshot(engine)
             if self.snapshot_path is not None:
                 save_snapshot(engine, self.snapshot_path)
                 snapshot["saved_to"] = self.snapshot_path
-            await self._respond(writer, 200, snapshot)
-        elif path == "/chaos/solver-fault" and method == "POST":
+            return snapshot, _JSON
+        if path == "/chaos/solver-fault" and method == "POST":
             if not self.chaos:
                 raise BadRequestError(
                     "chaos endpoints are disabled; start the daemon "
                     "with chaos enabled to use them")
             payload = self._json_body(body) if body else {}
-            depth = payload.get("depth", 1)
-            await self._respond(writer, 200,
-                                engine.inject_solver_fault(depth))
-        else:
-            return False
-        return True
+            return engine.inject_solver_fault(payload.get("depth", 1)), _JSON
+        return None
 
-    async def _route_job(self, writer: asyncio.StreamWriter, method: str,
-                         path: str) -> None:
+    def _route_job(self, method: str, path: str) -> Dict[str, Any]:
         tail = path[len("/jobs/"):]
         if method == "GET" and "/" not in tail and tail:
-            await self._respond(writer, 200, self.engine.job_status(tail))
-        elif method == "DELETE" and "/" not in tail and tail:
-            await self._respond(writer, 200, self.engine.cancel(tail))
-        else:
-            raise BadRequestError(f"no job route for {method} /jobs/{tail}")
+            return self.engine.job_status(tail)
+        if method == "DELETE" and "/" not in tail and tail:
+            return self.engine.cancel(tail)
+        raise BadRequestError(f"no job route for {method} /jobs/{tail}")
 
     def _service_status(self) -> Dict[str, Any]:
         mode = "manual" if self.clock is None else "realtime"
@@ -355,25 +433,33 @@ class ServiceDaemon:
 
     # -- streaming -------------------------------------------------------
 
-    async def _stream(self, writer: asyncio.StreamWriter,
-                      query: Dict[str, List[str]]) -> None:
-        """NDJSON per-slot status until ``count`` lines or disconnect."""
+    @staticmethod
+    def _stream_limit(query: Dict[str, List[str]]) -> Optional[int]:
+        """``/stream``'s ``?count=N`` line limit (``None``: unbounded)."""
         count_values = query.get("count", [])
-        limit: Optional[int] = None
-        if count_values:
-            try:
-                limit = int(count_values[0])
-            except ValueError:
-                raise BadRequestError(
-                    "query parameter 'count' must be an integer") from None
-            if limit < 1:
-                raise BadRequestError("'count' must be >= 1")
+        if not count_values:
+            return None
+        try:
+            limit = int(count_values[0])
+        except ValueError:
+            raise BadRequestError(
+                "query parameter 'count' must be an integer") from None
+        if limit < 1:
+            raise BadRequestError("'count' must be >= 1")
+        return limit
+
+    async def _stream(self, writer: asyncio.StreamWriter,
+                      limit: Optional[int]) -> None:
+        """NDJSON per-slot status until ``limit`` lines or disconnect.
+
+        The response has no length, so the connection closes after it.
+        """
         queue: asyncio.Queue = asyncio.Queue()
         self._subscribers.append(queue)
         try:
             writer.write((
                 "HTTP/1.1 200 OK\r\n"
-                "Content-Type: application/x-ndjson\r\n"
+                f"Content-Type: {_NDJSON}\r\n"
                 "Connection: close\r\n\r\n").encode("latin-1"))
             sent = 0
             # The current state first, so a subscriber is never blind

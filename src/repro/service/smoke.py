@@ -62,24 +62,26 @@ async def _drive_service(engine: ServiceEngine, specs, *,
     daemon = ServiceDaemon(engine)
     await daemon.start()
     try:
-        client = ServiceClient("127.0.0.1", daemon.port)
-        health = await client.healthz()
-        if not health.get("ok"):
-            raise ServiceError(f"daemon failed its health check: {health}")
-        for spec in specs:
-            await client.submit(submit_payload_from_spec(spec))
-        ticks = 0
-        digest = await client.request_json("GET", "/digest")
-        while not digest["idle"] and ticks < max_slots:
-            # Batch ticks to keep the HTTP round-trips off the critical
-            # path; correctness is per-slot regardless of batch size.
-            await client.tick(50)
-            ticks += 50
+        async with ServiceClient("127.0.0.1", daemon.port) as client:
+            health = await client.healthz()
+            if not health.get("ok"):
+                raise ServiceError(
+                    f"daemon failed its health check: {health}")
+            for spec in specs:
+                await client.submit(submit_payload_from_spec(spec))
+            ticks = 0
             digest = await client.request_json("GET", "/digest")
-        metrics_text = await client.metrics_text()
-        status = await client.status()
-        return {"digest": digest, "metrics_text": metrics_text,
-                "status": status}
+            while not digest["idle"] and ticks < max_slots:
+                # Batch ticks to keep the HTTP round-trips off the
+                # critical path; correctness is per-slot regardless of
+                # batch size.
+                await client.tick(50)
+                ticks += 50
+                digest = await client.request_json("GET", "/digest")
+            metrics_text = await client.metrics_text()
+            status = await client.status()
+            return {"digest": digest, "metrics_text": metrics_text,
+                    "status": status}
     finally:
         await daemon.stop()
 
@@ -191,13 +193,14 @@ def _crash_key(seed: int, index: int) -> str:
 async def _crash_phase_submit(port: int, jobs: int,
                               seed: int) -> List[str]:
     """Submit keyed jobs against the doomed first daemon, ticking along."""
-    client = ServiceClient("127.0.0.1", port, retries=2, seed=seed)
     job_ids: List[str] = []
-    for index in range(jobs):
-        status = await client.submit(_crash_payload(index),
-                                     idempotency_key=_crash_key(seed, index))
-        job_ids.append(str(status["job_id"]))
-        await client.tick(1)
+    async with ServiceClient("127.0.0.1", port, retries=2,
+                             seed=seed) as client:
+        for index in range(jobs):
+            status = await client.submit(
+                _crash_payload(index), idempotency_key=_crash_key(seed, index))
+            job_ids.append(str(status["job_id"]))
+            await client.tick(1)
     return job_ids
 
 
@@ -205,37 +208,38 @@ async def _crash_phase_verify(port: int, seed: int, expected: List[str], *,
                               max_ticks: int = 500
                               ) -> Tuple[int, Dict[str, Any]]:
     """Against the restarted daemon: nothing lost, retries dedup, drain."""
-    client = ServiceClient("127.0.0.1", port, retries=2, seed=seed)
-    listed = {str(job["job_id"]) for job in await client.jobs()}
-    missing = [job_id for job_id in expected if job_id not in listed]
-    if missing:
-        raise ServiceError(
-            f"crash recovery lost job(s): {', '.join(missing)}")
-    deduped = 0
-    for index, job_id in enumerate(expected):
-        status = await client.submit(
-            _crash_payload(index),
-            idempotency_key=_crash_key(seed, index))
-        if not status.get("deduplicated") or status["job_id"] != job_id:
+    async with ServiceClient("127.0.0.1", port, retries=2,
+                             seed=seed) as client:
+        listed = {str(job["job_id"]) for job in await client.jobs()}
+        missing = [job_id for job_id in expected if job_id not in listed]
+        if missing:
             raise ServiceError(
-                f"idempotent resubmit of {job_id} was not deduplicated: "
-                f"{status}")
-        deduped += 1
-    after = await client.jobs()
-    if len(after) != len(expected):
-        raise ServiceError(
-            f"resubmits changed the job count ({len(expected)} -> "
-            f"{len(after)}): a duplicate admission slipped through")
-    digest = await client.request_json("GET", "/digest")
-    ticks = 0
-    while not digest["idle"] and ticks < max_ticks:
-        await client.tick(10)
-        ticks += 10
+                f"crash recovery lost job(s): {', '.join(missing)}")
+        deduped = 0
+        for index, job_id in enumerate(expected):
+            status = await client.submit(
+                _crash_payload(index),
+                idempotency_key=_crash_key(seed, index))
+            if not status.get("deduplicated") or status["job_id"] != job_id:
+                raise ServiceError(
+                    f"idempotent resubmit of {job_id} was not deduplicated: "
+                    f"{status}")
+            deduped += 1
+        after = await client.jobs()
+        if len(after) != len(expected):
+            raise ServiceError(
+                f"resubmits changed the job count ({len(expected)} -> "
+                f"{len(after)}): a duplicate admission slipped through")
         digest = await client.request_json("GET", "/digest")
-    if not digest["idle"]:
-        raise ServiceError(
-            f"recovered daemon did not drain within {max_ticks} slots")
-    return deduped, digest
+        ticks = 0
+        while not digest["idle"] and ticks < max_ticks:
+            await client.tick(10)
+            ticks += 10
+            digest = await client.request_json("GET", "/digest")
+        if not digest["idle"]:
+            raise ServiceError(
+                f"recovered daemon did not drain within {max_ticks} slots")
+        return deduped, digest
 
 
 def run_crash_smoke(journal_dir: Optional[str] = None, *, jobs: int = 6,

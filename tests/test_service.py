@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
+import socket
 from contextlib import asynccontextmanager
 
 import pytest
@@ -37,6 +39,12 @@ from repro.service import (RealTimeClock, ServiceClient, ServiceConfig,
 from repro.service.smoke import run_service_smoke
 from repro.service.snapshot import SnapshotError
 
+#: The leak audit, enforced: an unclosed stream writer or transport (a
+#: pooled connection nobody closed) warns from ``__del__``, where pytest
+#: can only report it as unraisable — make that a failure here.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning")
+
 JOB = {"task_durations": [2, 2], "budget": 12}
 
 
@@ -48,12 +56,14 @@ def _config(**kw) -> ServiceConfig:
 
 @asynccontextmanager
 async def serving(config=None, **daemon_kw):
-    """Boot a manual-clock daemon on an ephemeral port; always stop it."""
+    """Boot a manual-clock daemon on an ephemeral port; always stop it
+    (and close the client's pooled connections first)."""
     engine = ServiceEngine(config or _config())
     daemon = ServiceDaemon(engine, **daemon_kw)
     await daemon.start()
     try:
-        yield daemon, ServiceClient("127.0.0.1", daemon.port)
+        async with ServiceClient("127.0.0.1", daemon.port) as client:
+            yield daemon, client
     finally:
         await daemon.stop()
 
@@ -209,32 +219,50 @@ def test_malformed_requests_get_typed_errors():
     asyncio.run(scenario())
 
 
+#: A well-formed request sent right behind each malformed one: a daemon
+#: that framed the leftover bytes as a next request would answer twice.
+PIPELINED = b"GET /healthz HTTP/1.1\r\n\r\n"
+
+
 @pytest.mark.parametrize("wire", [
     b"GARBAGE\r\n\r\n",
+    b"GET /healthz HTTP/2.0\r\n\r\n",
     b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+    b"POST /tick HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n"
+    b"\r\n{}",
+    b"POST /tick HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 40\r\n"
+    b"\r\n{}",
+    b"POST /tick HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b"2\r\n{}\r\n0\r\n\r\n",
     b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
     b"GET /status HTTP/1.1\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",
-], ids=["request-line", "content-length", "body-limit", "header-line"])
+], ids=["request-line", "http-version", "content-length",
+        "duplicate-content-length", "conflicting-content-length",
+        "transfer-encoding", "body-limit", "header-line"])
 def test_malformed_wire_requests_are_answered_not_dropped(wire, caplog):
     """Bytes no HTTP client would send still get a typed 400 — not a
-    silent close with an unhandled exception in the asyncio log."""
+    silent close with an unhandled exception in the asyncio log — and
+    the connection then closes: what follows cannot be framed."""
     async def scenario():
         async with serving() as (daemon, _client):
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", daemon.port)
-            writer.write(wire)
+            writer.write(wire + PIPELINED)
             await writer.drain()
-            answer = await reader.read()
+            answer = await asyncio.wait_for(reader.read(), 2.0)
             writer.close()
             await writer.wait_closed()
-            return answer
+            return answer, daemon.engine.slot
 
     with caplog.at_level("ERROR", logger="asyncio"):
-        answer = asyncio.run(scenario())
+        answer, slot = asyncio.run(scenario())
     head, _, body = answer.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+    assert answer.count(b"HTTP/1.1 ") == 1  # nothing after it was served
     error = json.loads(body)["error"]
     assert (error["code"], error["status"]) == ("bad-request", 400)
+    assert slot == 0  # no /tick body was acted on
     assert not caplog.records
 
 
@@ -247,7 +275,8 @@ def test_non_object_json_body_is_a_typed_400(path, body):
         async with serving(chaos=True) as (daemon, _client):
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", daemon.port)
-            writer.write(b"POST %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            writer.write(b"POST %s HTTP/1.1\r\nConnection: close\r\n"
+                         b"Content-Length: %d\r\n\r\n%s"
                          % (path.encode(), len(body), body))
             await writer.drain()
             answer = await reader.read()
@@ -260,6 +289,232 @@ def test_non_object_json_body_is_a_typed_400(path, body):
     error = json.loads(payload)["error"]
     assert (error["code"], error["status"]) == ("bad-request", 400)
     assert "JSON object" in error["message"]
+
+
+# ---------------------------------------------------------------------------
+# Persistent connections
+# ---------------------------------------------------------------------------
+
+
+def _count_connections(daemon: ServiceDaemon) -> list:
+    """Record every connection ``daemon`` accepts (call before start)."""
+    handle, peers = daemon._handle, []
+
+    async def counting(reader, writer):
+        peers.append(writer.get_extra_info("peername"))
+        await handle(reader, writer)
+
+    daemon._handle = counting
+    return peers
+
+
+async def _read_answer(reader: asyncio.StreamReader):
+    """One response read by its Content-Length: (head, body)."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 2.0)
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    return head, await reader.readexactly(length)
+
+
+def test_one_client_uses_one_connection_per_concurrent_caller():
+    async def scenario():
+        daemon = ServiceDaemon(ServiceEngine(_config()))
+        peers = _count_connections(daemon)
+        await daemon.start()
+        try:
+            async with ServiceClient("127.0.0.1", daemon.port) as client:
+                for k in range(5):
+                    await client.submit(dict(JOB, job_id=f"j{k}"))
+                    await client.tick()
+                    assert (await client.job(f"j{k}"))["job_id"] == f"j{k}"
+                await client.metrics_text()
+                await client.jobs()
+                sequential = len(peers)
+                for _round in range(3):
+                    await asyncio.gather(*(client.status() for _ in range(4)))
+                return sequential, len(peers)
+        finally:
+            await daemon.stop()
+
+    assert asyncio.run(scenario()) == (1, 4)
+
+
+@pytest.mark.parametrize("version, header, keep_alive", [
+    ("HTTP/1.1", "", True),
+    ("HTTP/1.1", "Connection: close\r\n", False),
+    ("HTTP/1.1", "Connection: Keep-Alive, Close\r\n", False),
+    ("HTTP/1.0", "", False),
+    ("HTTP/1.0", "Connection: keep-alive\r\n", True),
+])
+def test_daemon_honours_the_clients_connection_header(version, header,
+                                                      keep_alive):
+    async def scenario():
+        async with serving() as (daemon, _client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            try:
+                request = f"GET /healthz {version}\r\n{header}\r\n".encode()
+                writer.write(request)
+                head, body = await _read_answer(reader)
+                assert json.loads(body) == {"ok": True, "slot": 0}
+                if keep_alive:  # the same connection serves the next one
+                    writer.write(request)
+                    _head, again = await _read_answer(reader)
+                    assert json.loads(again) == {"ok": True, "slot": 0}
+                else:
+                    assert await asyncio.wait_for(reader.read(), 2.0) == b""
+                return head
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+    stated = b"keep-alive" if keep_alive else b"close"
+    assert b"\r\nConnection: " + stated + b"\r\n" in asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("stage", ["idle", "stalled"])
+def test_daemon_closes_a_connection_after_the_idle_deadline(stage,
+                                                            monkeypatch):
+    """Between requests (idle keep-alive) and inside one (a client that
+    stalls mid-body) the same deadline applies: the daemon hangs up."""
+    import repro.service.daemon as daemon_mod
+
+    monkeypatch.setattr(daemon_mod, "_IDLE_SECONDS", 0.2)
+
+    async def scenario():
+        async with serving() as (daemon, _client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            try:
+                if stage == "idle":
+                    writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+                    await _read_answer(reader)
+                else:
+                    writer.write(b"POST /jobs HTTP/1.1\r\n"
+                                 b"Content-Length: 40\r\n\r\n{")
+                await writer.drain()
+                started = asyncio.get_running_loop().time()
+                rest = await asyncio.wait_for(reader.read(), 2.0)
+                waited = asyncio.get_running_loop().time() - started
+                return rest, waited, len(daemon._inflight)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+    rest, waited, handlers = asyncio.run(scenario())
+    assert rest == b""  # closed, and a stalled request is never answered
+    assert 0.1 < waited < 1.5
+    assert handlers == 0
+
+
+def test_stop_closes_idle_and_stalled_connections_at_once():
+    """Neither an idle keep-alive connection nor a half-sent request is
+    in flight: stop() must not wait its drain bound for them."""
+    async def scenario():
+        daemon = ServiceDaemon(ServiceEngine(_config()))
+        await daemon.start()
+        connections = [await asyncio.open_connection("127.0.0.1", daemon.port)
+                       for _ in range(3)]
+        try:
+            (idle_reader, idle), (_, silent), (_, stalled) = connections
+            idle.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+            await _read_answer(idle_reader)
+            stalled.write(b"POST /jobs HTTP/1.1\r\nContent-Length: 40\r\n"
+                          b"\r\n{\"task_dur")
+            await stalled.drain()
+            await asyncio.sleep(0.05)  # the daemon is reading the body
+            started = asyncio.get_running_loop().time()
+            await daemon.stop()
+            took = asyncio.get_running_loop().time() - started
+            for reader, _writer in connections:
+                assert await asyncio.wait_for(reader.read(), 2.0) == b""
+            return took
+        finally:
+            for _reader, writer in connections:
+                writer.close()
+                await writer.wait_closed()
+
+    assert asyncio.run(scenario()) < 1.0
+
+
+def test_stop_delivers_the_whole_answer_a_slow_reader_is_owed():
+    """A keep-alive answer larger than the socket buffers, read slowly:
+    the handler waits for the next request only once the answer has
+    left its buffer, so stop(), closing the connection the moment it
+    waits, never cuts the answer's tail off."""
+    engine = ServiceEngine(_config())
+    for k in range(2000):
+        engine.submit(dict(JOB, job_id=f"job-{k:04d}"))
+
+    async def scenario():
+        daemon = ServiceDaemon(engine)
+        handle = daemon._handle
+
+        async def small_buffers(reader, writer):
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            await handle(reader, writer)
+
+        daemon._handle = small_buffers
+        await daemon.start()
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(("127.0.0.1", daemon.port))
+        reader, writer = await asyncio.open_connection(sock=sock)
+        try:
+            writer.write(b"GET /jobs HTTP/1.1\r\n\r\n")
+            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 2.0)
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            body = b""
+            while not daemon._reading:  # read slowly until it waits again
+                body += await asyncio.wait_for(reader.read(4096), 2.0)
+            await daemon.stop()
+            body += await asyncio.wait_for(
+                reader.readexactly(length - len(body)), 2.0)
+            return len(json.loads(body)["jobs"])
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    assert asyncio.run(scenario()) == 2000
+
+
+def test_aclose_closes_every_pooled_connection():
+    async def scenario():
+        async with serving() as (daemon, client):
+            await asyncio.gather(*(client.healthz() for _ in range(3)))
+            pooled = [writer for (_reader, writer), _since in client._pool]
+            await client.aclose()
+            # the daemon sees each close and ends its handler
+            for _ in range(100):
+                if not daemon._inflight:
+                    break
+                await asyncio.sleep(0.01)
+            return pooled, client._pool, len(daemon._inflight)
+
+    pooled, left, handlers = asyncio.run(scenario())
+    assert len(pooled) == 3 and all(w.is_closing() for w in pooled)
+    assert left == [] and handlers == 0
+
+
+def test_a_restarted_daemon_does_not_fail_a_pooled_read():
+    """The pool outlives the daemon it connected to; with ``retries=0``
+    a read still succeeds against the daemon that replaced it."""
+    async def scenario():
+        first = ServiceDaemon(ServiceEngine(_config()))
+        await first.start()
+        port = first.port
+        async with ServiceClient("127.0.0.1", port, retries=0) as client:
+            await client.tick(2)
+            assert (await client.healthz())["slot"] == 2
+            await first.stop()
+            second = ServiceDaemon(ServiceEngine(_config()))
+            await second.start(port=port)
+            try:
+                return await client.healthz()
+            finally:
+                await second.stop()
+
+    assert asyncio.run(scenario()) == {"ok": True, "slot": 0}
 
 
 def test_list_jobs_equals_per_job_status_in_every_state():
@@ -532,12 +787,12 @@ def test_snapshot_restore_over_http():
         daemon = ServiceDaemon(revived)
         await daemon.start()
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
-            digest = await client.request_json("GET", "/digest")
-            assert digest["decisions"] == reference["decisions"]
-            assert digest["slot"] == reference["slot"]
-            # the revived daemon keeps serving: same job, same state
-            assert (await client.job("x"))["state"] == "running"
+            async with ServiceClient("127.0.0.1", daemon.port) as client:
+                digest = await client.request_json("GET", "/digest")
+                assert digest["decisions"] == reference["decisions"]
+                assert digest["slot"] == reference["slot"]
+                # the revived daemon keeps serving: same job, same state
+                assert (await client.job("x"))["state"] == "running"
         finally:
             await daemon.stop()
 

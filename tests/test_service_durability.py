@@ -23,7 +23,9 @@ from repro.service.journal import RealFileOps
 from repro.service.smoke import (_crash_payload, _spawn_server,
                                  _wait_for_banner, run_crash_smoke)
 
-pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
+#: The leak audit, enforced (see tests/test_service.py).
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning")
 
 
 def _config(**kw) -> ServiceConfig:
@@ -51,14 +53,14 @@ def test_sigterm_drains_flushes_and_recovers(tmp_path):
         port = _wait_for_banner(proc)
 
         async def submit_some():
-            client = ServiceClient("127.0.0.1", port, retries=2)
-            ids = []
-            for index in range(3):
-                status = await client.submit(
-                    _crash_payload(index), idempotency_key=f"sig-{index}")
-                ids.append(str(status["job_id"]))
-            await client.tick(2)
-            return ids
+            async with ServiceClient("127.0.0.1", port, retries=2) as client:
+                ids = []
+                for index in range(3):
+                    status = await client.submit(
+                        _crash_payload(index), idempotency_key=f"sig-{index}")
+                    ids.append(str(status["job_id"]))
+                await client.tick(2)
+                return ids
 
         job_ids = asyncio.run(submit_some())
         proc.send_signal(signal.SIGTERM)
@@ -134,9 +136,9 @@ def test_mid_body_eof_is_retried_until_a_full_response():
         server = await asyncio.start_server(flaky, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         try:
-            client = ServiceClient("127.0.0.1", port, retries=2,
-                                   backoff_base=0.001)
-            return await client.request_json("GET", "/healthz")
+            async with ServiceClient("127.0.0.1", port, retries=2,
+                                     backoff_base=0.001) as client:
+                return await client.request_json("GET", "/healthz")
         finally:
             server.close()
             await server.wait_closed()
@@ -170,6 +172,126 @@ def test_mid_body_eof_without_retries_is_typed():
     assert "truncated body" in str(error)
 
 
+@pytest.mark.parametrize("answer", [
+    b"HTTP/1.1",
+    b"HTTP/1.1 200 OK\r\nContent-Le",
+    b"HTTP/1.1 2xx OK\r\nContent-Length: 2\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\n\r\n",
+], ids=["torn-status-line", "torn-head", "status-code", "content-length",
+        "no-content-length"])
+def test_a_malformed_response_is_typed_and_retried(answer):
+    """An unparseable response is a transport failure like any other:
+    retried, then a ``ServiceUnavailableError`` — never an
+    ``IndexError`` or ``ValueError`` out of the parser."""
+    hits = {"count": 0}
+
+    async def broken(reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        await reader.readuntil(b"\r\n\r\n")
+        hits["count"] += 1
+        writer.write(answer)
+        await writer.drain()
+        writer.close()
+
+    async def scenario():
+        server = await asyncio.start_server(broken, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            client = ServiceClient("127.0.0.1", port, retries=2,
+                                   backoff_base=0.001)
+            with pytest.raises(ServiceUnavailableError) as err:
+                await client.healthz()
+            return err.value
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    assert asyncio.run(scenario()).attempts == 3
+    assert hits["count"] == 3
+
+
+async def _serve_once_per_connection(seen: list, *, close: bool = False):
+    """A server that answers the first request on each connection and
+    hangs up on the second one unanswered — a pooled connection that
+    went stale just as the client reused it.  ``close`` makes it answer
+    ``Connection: close`` (but keep the socket open)."""
+    async def handle(reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        connection = len({index for index, _path in seen})
+        try:
+            for request in range(2):
+                head = await reader.readuntil(b"\r\n\r\n")
+                length = int(head.split(b"Content-Length: ")[1]
+                             .split(b"\r\n")[0])
+                await reader.readexactly(length)
+                seen.append((connection, head.split(b" ")[1].decode()))
+                if request == 1:
+                    break
+                body = b'{"ok": true, "slot": 0}'
+                writer.write(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                    b"Connection: %s\r\n\r\n%s"
+                    % (len(body), b"close" if close else b"keep-alive", body))
+                await writer.drain()
+        except asyncio.IncompleteReadError:
+            pass
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(handle, "127.0.0.1", 0)
+
+
+@pytest.mark.parametrize("retries", [0, 3])
+def test_a_stale_pooled_connection_resends_only_idempotent_requests(retries):
+    """A read that meets a dropped pooled connection is re-sent on a
+    fresh one, whatever ``retries`` says; ``/tick`` is sent once and
+    fails typed, however many retries are allowed."""
+    seen: list = []
+
+    async def scenario():
+        server = await _serve_once_per_connection(seen)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            async with ServiceClient("127.0.0.1", port, retries=retries,
+                                     backoff_base=0.001) as client:
+                await client.healthz()
+                read = await client.healthz()  # stale, then re-sent
+                with pytest.raises(ServiceUnavailableError) as err:
+                    await client.tick(1)  # stale: never re-sent
+                return read, err.value
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    read, error = asyncio.run(scenario())
+    assert read == {"ok": True, "slot": 0}
+    assert error.attempts == 1
+    assert seen == [(0, "/healthz"), (0, "/healthz"), (1, "/healthz"),
+                    (1, "/tick")]
+
+
+def test_the_client_honours_the_daemons_connection_close():
+    """A response saying ``Connection: close`` ends that connection's
+    use, even if the socket stays open: the next request opens another."""
+    seen: list = []
+
+    async def scenario():
+        server = await _serve_once_per_connection(seen, close=True)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            async with ServiceClient("127.0.0.1", port) as client:
+                for _ in range(3):
+                    assert (await client.healthz())["ok"] is True
+                return client._pool
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    assert asyncio.run(scenario()) == []
+    assert seen == [(0, "/healthz"), (1, "/healthz"), (2, "/healthz")]
+
+
 # ---------------------------------------------------------------------------
 # Idempotency keys over the wire: dedup through a live daemon.
 # ---------------------------------------------------------------------------
@@ -181,7 +303,8 @@ async def serving(config=None):
     daemon = ServiceDaemon(engine)
     await daemon.start()
     try:
-        yield ServiceClient("127.0.0.1", daemon.port)
+        async with ServiceClient("127.0.0.1", daemon.port) as client:
+            yield client
     finally:
         await daemon.stop()
 
@@ -207,8 +330,8 @@ def test_auto_keys_are_distinct_across_submits():
     """A retries-enabled client must never dedup two *different* submits."""
 
     async def scenario():
-        async with serving() as raw:
-            client = ServiceClient(raw.host, raw.port, retries=2)
+        async with serving() as raw, \
+                ServiceClient(raw.host, raw.port, retries=2) as client:
             one = await client.submit(_crash_payload(0))
             two = await client.submit(_crash_payload(1))
             return one, two, await client.jobs()
@@ -286,6 +409,7 @@ def test_refused_tick_stalls_the_slot_loop_but_does_not_end_it(tmp_path):
             await _until(lambda: engine.slot >= stalled_at + 3)
             assert (await client.status())["service"]["slot_loop"] == "ok"
         finally:
+            await client.aclose()
             await daemon.stop()  # returns, and reaches engine.close()
         assert engine.wal is None
         return engine.slot, engine.decisions_digest()
@@ -315,7 +439,8 @@ def test_a_dead_slot_loop_is_reported_and_stop_still_closes(tmp_path):
         await daemon.start()
         try:
             await _until(lambda: daemon._slot_task.done())
-            status = await ServiceClient("127.0.0.1", daemon.port).status()
+            async with ServiceClient("127.0.0.1", daemon.port) as client:
+                status = await client.status()
             assert status["service"]["slot_loop"] == \
                 "dead: RuntimeError: boom"
         finally:
