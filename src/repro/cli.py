@@ -516,7 +516,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                            clock=clock)
         else:
             engine = ServiceEngine(config, clock=clock)
-        daemon = ServiceDaemon(engine, clock=clock, chaos=args.chaos,
+        daemon = ServiceDaemon(engine, chaos=args.chaos,
                                snapshot_path=args.snapshot)
         await daemon.start(args.host, args.port)
         stop = asyncio.Event()
@@ -540,9 +540,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await daemon.stop()
 
     # Enabled before the engine exists so journal recovery lands in the
-    # registry /metrics serves.  No tracer: the daemon has no reader for
-    # spans, so recording them would only grow memory.
-    obs.enable(trace=False, metrics=True, ledger=True)
+    # registry /metrics serves.  No tracer and no completion ledger: the
+    # daemon has no reader for either, so recording them would only grow
+    # memory.
+    obs.enable(trace=False, metrics=True, ledger=False)
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:

@@ -1,10 +1,13 @@
 """Graceful planner degradation: the fallback ladder.
 
-A production scheduler cannot afford an unhandled solver exception or an
-unbounded solve: a scheduling event fires every time a container frees,
-and a planner that stalls or crashes stalls the whole cluster.  The
-:class:`DegradationPolicy` encodes the ladder the RUSH scheduler walks
-when its planning round fails or exceeds its time budget:
+A production scheduler cannot afford an unhandled solver exception: a
+scheduling event fires every time a container frees, and a planner that
+crashes stalls the whole cluster.  The :class:`DegradationPolicy` encodes
+the ladder the RUSH scheduler walks when its planning round fails — an
+:class:`~repro.errors.InfeasiblePlanError` or an injected solver fault
+(:class:`~repro.errors.SolverBudgetError`).  Nothing on the ladder reads
+the wall clock, so which rung serves a round is a function of the
+snapshot and the journaled faults alone:
 
 1. **primary** — the incremental solve: clean jobs reuse their presolved
    robust demand, the onion is solved cold (a plain cold solve when
@@ -13,7 +16,7 @@ when its planning round fails or exceeds its time budget:
 2. **cold_exact** — drop the presolved demands and re-solve from scratch.
    On the same snapshot it returns the primary's plan by construction;
    it catches corruption of the carried state and gives a failing solve
-   a second, independent chance within a fresh budget.
+   a second, independent chance.
 3. **last_good** — reuse the previous round's plan unchanged.  Slightly
    stale (its first-slot allocation still reflects the last snapshot)
    but safe: it was a feasible robust plan moments ago.
@@ -35,13 +38,27 @@ from repro import obs
 from repro.errors import ConfigurationError, ReproError
 from repro.core.planner import SchedulePlan
 
-__all__ = ["DegradationPolicy", "DegradationOutcome", "LADDER"]
+__all__ = ["DegradationPolicy", "DegradationOutcome", "LADDER",
+           "check_fault_depth"]
 
 #: The rungs, in the order they are attempted.
 LADDER = ("primary", "cold_exact", "last_good", "greedy_edf")
 
-#: The cold re-solve's time budget, as a multiple of the primary's.
-_COLD_BUDGET_MULTIPLE = 2.0
+
+def check_fault_depth(depth: object) -> int:
+    """Validate an injected solver fault's depth and return it.
+
+    The depth is how many rungs fail before one may serve: an ``int``
+    (not a ``bool``) in ``[1, len(LADDER) - 1]`` — 1 fails the primary,
+    the last value lands on the greedy-EDF floor, which cannot fail.
+    """
+    top = len(LADDER) - 1
+    if not isinstance(depth, int) or isinstance(depth, bool) \
+            or not 1 <= depth <= top:
+        raise ConfigurationError(
+            f"solver-fault depth must be an integer in [1, {top}], "
+            f"got {depth!r}")
+    return depth
 
 
 def _note_fallback(rung: str, errors: List[str]) -> None:
@@ -75,32 +92,12 @@ class DegradationOutcome:
 
 
 class DegradationPolicy:
-    """Catch solver failures and walk the fallback ladder.
+    """Catch solver failures and walk the fallback ladder."""
 
-    Parameters
-    ----------
-    time_budget:
-        Wall-clock seconds allowed per *primary* planning attempt
-        (cooperatively enforced inside the solver).  ``None`` disables
-        budget enforcement — failures are still caught.  The cold
-        re-solve gets twice this (a genuine retry deserves more room
-        than the attempt that just timed out).
-    """
-
-    def __init__(self, *, time_budget: Optional[float] = None) -> None:
-        if time_budget is not None and time_budget <= 0.0:
-            raise ConfigurationError(
-                f"time_budget must be positive, got {time_budget}")
-        self.time_budget = time_budget
+    def __init__(self) -> None:
         #: Fallback-rung usage counts over this policy's lifetime
         #: ("primary" is never counted — it is not a fallback).
         self.counts: Dict[str, int] = {}
-
-    @property
-    def cold_time_budget(self) -> Optional[float]:
-        if self.time_budget is None:
-            return None
-        return self.time_budget * _COLD_BUDGET_MULTIPLE
 
     @property
     def total_fallbacks(self) -> int:
@@ -113,8 +110,8 @@ class DegradationPolicy:
 
         Each attempt callable either returns a plan or raises a
         :class:`~repro.errors.ReproError` (which includes
-        ``SolverBudgetError``); anything else is a genuine bug and
-        propagates.  The first success wins.
+        ``InfeasiblePlanError`` and ``SolverBudgetError``); anything
+        else is a genuine bug and propagates.  The first success wins.
         """
         errors: List[str] = []
         for rung, attempt in attempts:

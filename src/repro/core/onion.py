@@ -42,7 +42,6 @@ budget the paper reports for its Java implementation (Figure 5).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,8 +49,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro import obs
-from repro.errors import (ConfigurationError, InfeasiblePlanError,
-                          SolverBudgetError)
+from repro.errors import ConfigurationError, InfeasiblePlanError
 from repro.utility.base import UtilityFunction
 from repro.utility.constant import ConstantUtility
 from repro.utility.linear import LinearUtility
@@ -343,8 +341,7 @@ class _PeeledLedger:
 def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                 tolerance: float = 0.01,
                 horizon: Optional[int] = None,
-                lookahead: int = 4,
-                budget_deadline: Optional[float] = None) -> OnionResult:
+                lookahead: int = 4) -> OnionResult:
     """Lexicographic max-min completion-time assignment (Algorithm 3).
 
     Parameters
@@ -363,21 +360,12 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         at the utility floor and several jobs could be the sacrifice (see
         the inline comment); 0 restores the paper's pure greedy rule,
         the reference ``tests/test_onion_lookahead.py`` compares against.
-    budget_deadline:
-        Absolute ``time.perf_counter()`` instant by which the solve must
-        finish.  Checked cooperatively before every feasibility probe,
-        evaluated or certified (so at least once per layer); exceeding it
-        raises
-        :class:`~repro.errors.SolverBudgetError` so a caller with a
-        degradation policy can fall back instead of stalling.
 
     Raises
     ------
     InfeasiblePlanError
         If even the bottom utility layer does not fit the horizon (only
         possible with an explicit, too-short horizon or zero capacity).
-    SolverBudgetError
-        If ``budget_deadline`` passes mid-solve.
     """
     if capacity <= 0:
         raise InfeasiblePlanError(f"cluster capacity must be positive, got {capacity}")
@@ -485,10 +473,6 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         """
         nonlocal checks, certified, carried
         nonlocal probed_idx, probed_mask, probed_top
-        if budget_deadline is not None and time.perf_counter() > budget_deadline:
-            raise SolverBudgetError(
-                f"onion solve exceeded its time budget after {checks} "
-                f"feasibility check(s)")
         if probed_idx is not active_idx:
             probed_idx = active_idx
             probed_mask = np.zeros(n_jobs, dtype=bool)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro import obs
-from repro.errors import ConfigurationError, SolverBudgetError
+from repro.errors import ConfigurationError
 from repro.core.mapping import ContainerPlan, MappingJob, map_time_slots
 from repro.core.onion import OnionJob, solve_onion
 from repro.core.wcde import WcdeCache, WcdeResult, solve_wcde_batch
@@ -316,26 +316,15 @@ class RushPlanner:
 
     def plan(self, jobs: Sequence[PlannerJob],
              horizon: Optional[int] = None, *,
-             presolved: Optional[Mapping[str, PresolvedDemand]] = None,
-             time_budget: Optional[float] = None) -> SchedulePlan:
+             presolved: Optional[Mapping[str, PresolvedDemand]] = None
+             ) -> SchedulePlan:
         """Produce a complete schedule plan for the given job snapshot.
 
         ``presolved`` maps job ids to WCDE answers from an earlier round
         that the caller knows are still valid (unchanged reference PMF,
         theta and delta); those jobs skip stage 1.
-
-        ``time_budget`` is a wall-clock allowance in seconds for the
-        whole round; exceeding it raises
-        :class:`~repro.errors.SolverBudgetError` from the stage that
-        noticed (checked cooperatively per WCDE batch, per onion
-        feasibility probe and before the mapping stage), leaving the
-        planner's caches consistent so a retry or fallback is safe.
         """
         started = time.perf_counter()
-        if time_budget is not None and time_budget <= 0.0:
-            raise ConfigurationError(
-                f"time_budget must be positive, got {time_budget}")
-        deadline = None if time_budget is None else started + time_budget
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("job ids must be unique within one plan")
@@ -371,10 +360,6 @@ class RushPlanner:
                 resolved = self.delta if job.delta is None else job.delta
                 groups.setdefault(float(resolved), []).append(job)
             for resolved, group in groups.items():
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise SolverBudgetError(
-                        "planning round exceeded its time budget during the "
-                        "WCDE stage")
                 solved = self._solve_batch(
                     [job.estimate.pmf for job in group], resolved)
                 for job, result in zip(group, solved):
@@ -407,17 +392,12 @@ class RushPlanner:
 
             onion_started = time.perf_counter()
             onion = solve_onion(onion_jobs, self.capacity,
-                                tolerance=self.tolerance, horizon=horizon,
-                                budget_deadline=deadline)
+                                tolerance=self.tolerance, horizon=horizon)
             stats.onion_seconds = time.perf_counter() - onion_started
             stats.peels = onion.layers
             stats.feasibility_checks = onion.feasibility_checks
             stats.certified_probes = onion.certified_probes
 
-            if deadline is not None and time.perf_counter() > deadline:
-                raise SolverBudgetError(
-                    "planning round exceeded its time budget before the "
-                    "mapping stage")
             mapping_started = time.perf_counter()
             mapping_jobs = []
             for job in jobs:
@@ -509,8 +489,7 @@ class IncrementalPlanner:
         self._memo.clear()
 
     def plan(self, jobs: Sequence[PlannerJob],
-             horizon: Optional[int] = None, *,
-             time_budget: Optional[float] = None) -> SchedulePlan:
+             horizon: Optional[int] = None) -> SchedulePlan:
         """One planning round; clean jobs skip the WCDE stage."""
         presolved: Dict[str, PresolvedDemand] = {}
         for job in jobs:
@@ -521,8 +500,7 @@ class IncrementalPlanner:
                 self.presolve_hits += 1
             else:
                 self.presolve_misses += 1
-        plan = self.planner.plan(jobs, horizon, presolved=presolved,
-                                 time_budget=time_budget)
+        plan = self.planner.plan(jobs, horizon, presolved=presolved)
         fresh = plan.presolved_demands()
         for job in jobs:
             self._memo[job.job_id] = _JobMemo(

@@ -153,10 +153,12 @@ class TenantQuotaError(ServiceError):
 
 
 class SolverBudgetError(ReproError):
-    """A planning round exhausted its wall-clock time budget.
+    """A planning round failed by injected solver fault.
 
-    Raised cooperatively from inside the onion-peeling solver when the
-    caller supplied a ``time_budget``.  The degradation ladder in
-    :class:`repro.schedulers.rush.RushScheduler` catches it and falls
-    back to a cheaper planning mode instead of stalling the cluster.
+    Raised by :meth:`repro.schedulers.rush.RushScheduler.inject_solver_fault`'s
+    armed rungs (the ``solver_budget`` chaos injector and the service's
+    ``/chaos/solver-fault``).  The degradation ladder catches it and
+    falls back to a cheaper planning mode instead of stalling the
+    cluster.  The planner itself reads no wall clock, so nothing else
+    raises it.
     """

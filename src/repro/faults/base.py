@@ -3,7 +3,7 @@
 RUSH's claim is robustness to *uncertain completion-times*, so the
 reproduction needs a way to manufacture that uncertainty on demand: tasks
 that crash, containers that vanish, samples that lie, demand that bursts
-in correlated waves, and a planner starved of its own time budget.  This
+in correlated waves, and a planner whose solve fails.  This
 module defines the pluggable protocol the cluster simulator drives; the
 concrete injectors live in :mod:`repro.faults.injectors` and are composed
 into a :class:`repro.faults.plan.FaultPlan`.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Mapping, Set, Type
 
+from repro.core.degradation import check_fault_depth
 from repro.errors import ConfigurationError
 from repro.faults.base import FaultContext, FaultInjector
 
@@ -279,16 +280,15 @@ class SolverBudgetInjector(FaultInjector):
     (the RUSH scheduler's degradation ladder).  ``depth`` controls how
     many rungs fail: 1 kills the primary (incremental) solve, 2 also the
     cold exact re-solve, 3 additionally discards the last good plan —
-    landing the scheduler on its greedy-EDF floor.
+    landing the scheduler on its greedy-EDF floor.  Any other depth is
+    refused (:func:`~repro.core.degradation.check_fault_depth`).
     """
 
     kind = "solver_budget"
 
     def __init__(self, rate: float = 0.01, depth: int = 1) -> None:
         super().__init__(rate)
-        if depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {depth}")
-        self.depth = depth
+        self.depth = check_fault_depth(depth)
 
     def on_slot(self, ctx: FaultContext) -> None:
         if not self._fires(ctx):

@@ -45,7 +45,7 @@ _RECORDING_ATTRS = frozenset({"fallback", "counts"})
 _RECORDING_CALLS = frozenset({"record", "append", "warning", "error"})
 
 #: ``time`` module functions that read the wall clock (banned) versus
-#: the monotonic/CPU clocks used for solver budgets (allowed).
+#: the monotonic/CPU clocks that time planner stages (allowed).
 _WALL_CLOCK_TIME = frozenset({
     "time", "time_ns", "localtime", "gmtime", "ctime", "strftime",
     "asctime",
@@ -204,14 +204,14 @@ class WallClockRule(Rule):
     were computed, which breaks replay, golden traces and the
     cold-vs-incremental bit-identity property.  The monotonic clocks
     (``perf_counter``, ``monotonic``, ``process_time``) are allowed:
-    they only feed cooperative solver budgets, never decisions encoded
-    in a plan.
+    they only time the planner's stages for ``PlanStats``, never feed a
+    decision encoded in a plan.
     """
 
     rule_id = "RL002"
     name = "wall-clock"
     rationale = ("deterministic paths must not read calendar time; "
-                 "solver budgets use monotonic clocks only")
+                 "stage timings use monotonic clocks only")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.is_deterministic:
@@ -231,7 +231,7 @@ def _wall_clock_findings(rule: Rule, ctx: FileContext) -> Iterator[Finding]:
             yield rule.finding(
                 ctx, call,
                 f"time.{func.attr}() reads the wall clock; use slot "
-                "counters (or a monotonic clock for budgets)")
+                "counters (or a monotonic clock for timings)")
         elif isinstance(func, ast.Name) and func.id in imports.time_names:
             yield rule.finding(
                 ctx, call,
@@ -514,8 +514,8 @@ class SolverExceptionRule(Rule):
     ``robust_demand``) must either re-raise or leave a trace the
     degradation machinery can see: touch ``PlanStats.fallback``, append
     to an error ledger, bump fallback ``counts``, or ``record`` a fault
-    event.  A handler that does none of these turns a
-    ``SolverBudgetError`` into silent schedule corruption — the failure
+    event.  A handler that does none of these turns an
+    ``InfeasiblePlanError`` into silent schedule corruption — the failure
     mode the graceful-degradation ladder exists to make observable.
     """
 
@@ -664,8 +664,8 @@ class ObsClockFreeRule(Rule):
     and orders them with a monotonic sequence number, which is what makes
     traces and metric snapshots byte-identical across same-seed runs and
     therefore golden-file testable.  RL002 would already ban the wall
-    clock but still admits ``time.perf_counter`` for solver budgets; the
-    observability layer has no budgets, so here *any* ``time`` or
+    clock but still admits ``time.perf_counter`` to time planner stages;
+    the observability layer times nothing, so here *any* ``time`` or
     ``datetime`` import (module or from-import, including monotonic
     clocks) is a violation.  Real timestamps, if a deployment wants
     them, belong in the exporter consuming the JSONL — outside this

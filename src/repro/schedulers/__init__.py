@@ -26,10 +26,9 @@ __all__ = [
 #: --scheduler-options``, a snapshot, a journal anchor — may set.  The
 #: options are written out, not reflected from the constructors: they
 #: are journaled with every commitment, so the surface is the paper's
-#: theta, delta and Delta plus the one deployment limit.
+#: theta, delta and Delta.
 POLICIES: Dict[str, Tuple[Callable[..., Scheduler], Tuple[str, ...]]] = {
-    "rush": (RushScheduler,
-             ("delta", "plan_time_budget", "theta", "tolerance")),
+    "rush": (RushScheduler, ("delta", "theta", "tolerance")),
     "fifo": (FifoScheduler, ()),
     "edf": (EdfScheduler, ()),
     "fair": (FairScheduler, ()),

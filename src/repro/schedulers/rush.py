@@ -41,7 +41,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro import obs
 from repro.cluster.job import JobSpec
-from repro.core.degradation import DegradationPolicy
+from repro.core.degradation import DegradationPolicy, check_fault_depth
 from repro.core.planner import (IncrementalPlanner, PlannerJob, PlanStats,
                                 RushPlanner, SchedulePlan)
 from repro.errors import SolverBudgetError
@@ -84,11 +84,6 @@ class RushScheduler(Scheduler):
         the spec's ``prior_runtime``; trace-fitted per-class estimators
         plug in as
         :meth:`~repro.estimation.empirical.TraceFittedEstimators.estimator_for`.
-    plan_time_budget:
-        Wall-clock seconds allowed per planning round (None = unlimited).
-        Overruns raise inside the solver and are absorbed by the
-        degradation ladder (incremental -> cold exact -> last-good plan
-        -> greedy EDF), whose policy is the ``degradation`` attribute.
     incremental:
         Track per-job dirtiness, reuse clean estimates and presolve their
         robust demands (default).  Off, every event recomputes everything
@@ -101,7 +96,6 @@ class RushScheduler(Scheduler):
     def __init__(self, *, theta: float = 0.9, delta: float = 0.7,
                  tolerance: float = 0.05,
                  estimator_factory: EstimatorFactory = _default_estimator_factory,
-                 plan_time_budget: Optional[float] = None,
                  incremental: bool = True) -> None:
         super().__init__()
         self._theta = theta
@@ -121,7 +115,9 @@ class RushScheduler(Scheduler):
         # guard against any pending-set change that slips past the hooks.
         self._dirty: Set[str] = set()
         self._estimates: Dict[str, Tuple[DemandEstimate, int]] = {}
-        self.degradation = DegradationPolicy(time_budget=plan_time_budget)
+        #: The fallback ladder (incremental -> cold exact -> last-good
+        #: plan -> greedy EDF) that absorbs a failed planning round.
+        self.degradation = DegradationPolicy()
         self._forced_failures = 0
         self.planner_seconds = 0.0
         self.plans_computed = 0
@@ -295,7 +291,8 @@ class RushScheduler(Scheduler):
         succeed (1 = primary only, 2 = also the cold re-solve, 3 = also
         discard the last good plan, landing on greedy EDF).
         """
-        self._forced_failures = max(self._forced_failures, int(depth))
+        self._forced_failures = max(self._forced_failures,
+                                    check_fault_depth(depth))
         self._plan_epoch = None  # the armed fault must hit a fresh solve
 
     @property
@@ -330,19 +327,16 @@ class RushScheduler(Scheduler):
         def primary() -> SchedulePlan:
             if forced >= 1:
                 raise SolverBudgetError("injected solver fault (primary)")
-            budget = self.degradation.time_budget
             if self._incremental is not None:
-                return self._incremental.plan(planner_jobs,
-                                              time_budget=budget)
-            return self._planner.plan(planner_jobs, time_budget=budget)
+                return self._incremental.plan(planner_jobs)
+            return self._planner.plan(planner_jobs)
 
         def cold_exact() -> SchedulePlan:
             if forced >= 2:
                 raise SolverBudgetError("injected solver fault (cold)")
             if self._incremental is not None:
                 self._incremental.reset()
-            return self._planner.plan(planner_jobs,
-                                      time_budget=self.degradation.cold_time_budget)
+            return self._planner.plan(planner_jobs)
 
         last_good = None if forced >= 3 else self._plan
         outcome = self.degradation.execute(

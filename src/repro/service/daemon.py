@@ -43,14 +43,15 @@ Every rejected request returns the typed error body from
 :func:`repro.service.protocol.error_payload`; a 500 with code
 ``internal`` always indicates a daemon bug, never a bad request.
 
-Two clock modes:
+Two clock modes, chosen by the engine's own clock:
 
-* **manual** (no real-time clock): time advances only through
+* **manual** (any other clock): time advances only through
   ``POST /tick``.  This is the driveable-clock mode integration tests
   and digest-equivalence smoke checks use — fully deterministic.
-* **real-time** (:class:`~repro.service.clock.RealTimeClock`): a
-  background loop awaits each slot boundary and ticks the engine, so
-  the daemon schedules in wall time while the core stays slot-indexed.
+* **real-time** (the engine runs on a
+  :class:`~repro.service.clock.RealTimeClock`): a background loop
+  awaits each slot boundary and ticks the engine, so the daemon
+  schedules in wall time while the core stays slot-indexed.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import BadRequestError, ConfigurationError, ServiceError
+from repro.errors import BadRequestError, ServiceError
 from repro.obs import get_metrics
 from repro.service.clock import RealTimeClock
 from repro.service.engine import ServiceEngine
@@ -84,17 +85,14 @@ class ServiceDaemon:
     """Serve one :class:`ServiceEngine` over HTTP until stopped."""
 
     def __init__(self, engine: ServiceEngine, *,
-                 clock: Optional[RealTimeClock] = None,
                  chaos: bool = False,
                  snapshot_path: Optional[str] = None) -> None:
-        if clock is not None and engine.clock is not clock:
-            # A divergent pair would tick the engine on a clock that
-            # never advances — construct the engine with this clock.
-            raise ConfigurationError(
-                "daemon clock must be the engine's own clock "
-                "(pass it to ServiceEngine/restore_engine too)")
         self.engine = engine
-        self.clock = clock
+        #: The slot loop's pacing clock: the engine's own, in real-time
+        #: mode; None in manual mode.
+        self.clock: Optional[RealTimeClock] = (
+            engine.clock if isinstance(engine.clock, RealTimeClock)
+            else None)
         self.chaos = chaos
         self.snapshot_path = snapshot_path
         self._server: Optional[asyncio.AbstractServer] = None

@@ -31,6 +31,7 @@ from repro.cluster.metrics import SimulationResult
 from repro.cluster.simulator import ClusterSimulator
 from repro.core.clock import (CancelEvent, Clock, QueueEventSource,
                               SubmitEvent)
+from repro.core.degradation import check_fault_depth
 from repro.errors import (BadRequestError, ConfigurationError, JobStateError,
                           ServiceError, UnknownJobError)
 from repro.faults.plan import FaultPlan
@@ -49,7 +50,7 @@ class ServiceConfig:
     """Frozen daemon configuration — everything replay needs, JSON-able.
 
     ``scheduler_options`` are keyword arguments for the policy builder
-    (e.g. ``{"theta": 0.95, "plan_time_budget": 0.5}`` for RUSH),
+    (e.g. ``{"theta": 0.95, "delta": 0.8}`` for RUSH),
     limited to the keys :data:`repro.schedulers.POLICIES` lists for the
     policy.  The ``capacity`` policy takes none: its queues are the
     tenant shares.
@@ -298,11 +299,10 @@ class ServiceEngine:
 
     def inject_solver_fault(self, depth: int = 1) -> Dict[str, Any]:
         """Arm a forced solver failure (the daemon-side chaos hook)."""
-        if not isinstance(depth, int) or isinstance(depth, bool) \
-                or not 1 <= depth <= 3:
-            raise BadRequestError(
-                f"solver-fault depth must be an integer in [1, 3], "
-                f"got {depth!r}")
+        try:
+            check_fault_depth(depth)
+        except ConfigurationError as exc:
+            raise BadRequestError(str(exc)) from None
         if not self.scheduler.has_solver:
             raise BadRequestError(
                 f"policy {self.config.policy!r} has no solver to sabotage")

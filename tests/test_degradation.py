@@ -1,14 +1,11 @@
-"""Tests for the planner degradation ladder and solver time budgets."""
+"""Tests for the planner degradation ladder and injected solver faults."""
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
 from repro.cluster import ClusterSimulator, JobSpec, run_simulation
-from repro.core.degradation import LADDER, DegradationPolicy
-from repro.core.onion import OnionJob, solve_onion
+from repro.core.degradation import LADDER, DegradationPolicy, check_fault_depth
 from repro.core.planner import PlannerJob, RushPlanner
 from repro.errors import (ConfigurationError, InfeasiblePlanError,
                           SolverBudgetError)
@@ -34,19 +31,17 @@ def planner_jobs(n=2):
 
 
 class TestDegradationPolicy:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DegradationPolicy(time_budget=0.0)
-        with pytest.raises(ConfigurationError):
-            DegradationPolicy(time_budget=-1.0)
-
-    def test_cold_budget_scales(self):
-        policy = DegradationPolicy(time_budget=2.0)
-        assert policy.cold_time_budget == 4.0
-        assert DegradationPolicy().cold_time_budget is None
-
     def test_ladder_order(self):
         assert LADDER == ("primary", "cold_exact", "last_good", "greedy_edf")
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_fault_depth_spans_the_rungs_above_the_floor(self, depth):
+        assert check_fault_depth(depth) == depth
+
+    @pytest.mark.parametrize("depth", [0, 4, -1, True, 1.5, "1", None])
+    def test_fault_depth_outside_the_ladder_is_refused(self, depth):
+        with pytest.raises(ConfigurationError, match=r"\[1, 3\]"):
+            check_fault_depth(depth)
 
     def test_primary_success_counts_nothing(self):
         policy = DegradationPolicy()
@@ -113,46 +108,14 @@ class TestDegradationPolicy:
             policy.execute([("primary", bug)], None)
 
 
-class TestSolverTimeBudget:
-    def test_onion_budget_exceeded_raises(self):
-        jobs = [OnionJob(f"j{k}", 10.0, LinearUtility(40.0, 1.0))
-                for k in range(4)]
-        with pytest.raises(SolverBudgetError):
-            solve_onion(jobs, 4, budget_deadline=time.perf_counter() - 1.0)
-
-    def test_onion_generous_budget_is_clean(self):
-        jobs = [OnionJob(f"j{k}", 10.0, LinearUtility(40.0, 1.0))
-                for k in range(4)]
-        result = solve_onion(jobs, 4,
-                             budget_deadline=time.perf_counter() + 60.0)
-        assert len(result.targets) == 4
-
-    def test_planner_time_budget_validation(self):
-        planner = RushPlanner(capacity=4)
-        with pytest.raises(ConfigurationError):
-            planner.plan(planner_jobs(), time_budget=0.0)
-
-    def test_planner_tiny_budget_raises(self):
-        planner = RushPlanner(capacity=4)
-        with pytest.raises(SolverBudgetError):
-            planner.plan(planner_jobs(6), time_budget=1e-12)
-
-    def test_planner_generous_budget_matches_unbudgeted(self):
-        planner = RushPlanner(capacity=4)
-        budgeted = planner.plan(planner_jobs(), time_budget=60.0)
-        free = RushPlanner(capacity=4).plan(planner_jobs())
-        assert budgeted.to_dict() == free.to_dict()
-
-
 class TestRushSchedulerDegradation:
     def _run(self, scheduler, n_jobs=3, **kw):
         specs = [spec(job_id=f"j{k}", arrival=k) for k in range(n_jobs)]
         return run_simulation(specs, 2, scheduler, max_slots=2000, **kw)
 
     def test_clean_run_never_degrades(self):
-        # Regression: a clean, unbudgeted run must not touch the ladder
-        # (an earlier draft shadowed the onion budget deadline with the
-        # peeling loop's slot deadline and degraded every round).
+        # A clean run must not touch the ladder: only an injected fault
+        # or an infeasible plan walks it.
         scheduler = RushScheduler()
         result = self._run(scheduler)
         assert result.fallbacks == {}
@@ -213,13 +176,13 @@ class TestRushSchedulerDegradation:
         assert any("injected solver fault" in err
                    for err in event.detail["errors"])
 
-    def test_tiny_budget_run_survives_and_records(self):
-        scheduler = RushScheduler(plan_time_budget=1e-12)
-        result = self._run(scheduler)
-        assert result.completed_count == 3
-        assert result.fallback_count > 0
-        assert set(result.fallbacks) <= {"cold_exact", "last_good",
-                                         "greedy_edf"}
+    @pytest.mark.parametrize("depth", [0, 4, True, 1.5])
+    def test_scheduler_refuses_a_depth_outside_the_ladder(self, depth):
+        scheduler = RushScheduler()
+        with pytest.raises(ConfigurationError):
+            scheduler.inject_solver_fault(depth)
+        ClusterSimulator(2, scheduler, seed=0).step()
+        assert scheduler.degradation.counts == {}  # nothing was armed
 
     def test_greedy_floor_matches_edf_order(self):
         # With the ladder forced to the floor, RUSH's grants collapse to

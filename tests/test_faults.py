@@ -287,6 +287,16 @@ class TestSolverBudgetInjector:
         sim.step()  # FifoScheduler has no inject_solver_fault
         assert sim.fault_log.count("solver_budget") == 0
 
+    @pytest.mark.parametrize("depth", [0, 4, True, 1.5])
+    def test_depth_outside_the_ladder_is_refused(self, depth):
+        # The same rule the scheduler and the service apply: a plan
+        # carrying such a depth neither loads nor round-trips.
+        with pytest.raises(ConfigurationError, match=r"depth .*\[1, 3\]"):
+            SolverBudgetInjector(depth=depth)
+        with pytest.raises(ConfigurationError, match=r"depth .*\[1, 3\]"):
+            FaultPlan.from_spec({"injectors": [
+                {"kind": "solver_budget", "depth": depth}]})
+
 
 class TestFaultPlanSpec:
     def test_round_trip(self):

@@ -221,3 +221,30 @@ def test_no_series_is_declared_outside_repro_obs():
     assert not inline, (
         "declare the series in repro.obs.metrics.CATALOG and emit it with "
         "obs.count / obs.set_gauge / obs.observe:\n" + "\n".join(inline))
+
+
+# The local stand-in for "a plan depends on its snapshot, not the wall
+# clock": the deterministic core reads no clock.  planner.py keeps
+# ``time`` for the PlanStats stage seconds, which are reported and never
+# decided on.
+
+_CLOCK_MODULES = {"time", "datetime"}
+
+
+def test_no_core_module_but_the_planner_imports_a_clock():
+    offenders = []
+    for path in sorted((SRC / "repro" / "core").rglob("*.py")):
+        if path.name == "planner.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            offenders += [f"{path.relative_to(SRC)}:{node.lineno}: {root}"
+                          for root in roots if root in _CLOCK_MODULES]
+    assert not offenders, (
+        "a wall-clock import in the deterministic core:\n"
+        + "\n".join(offenders))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-import types
 from pathlib import Path
 from typing import List, Optional
 from unittest import mock
@@ -27,7 +26,7 @@ from repro import obs
 from repro.cli import main as rush_main
 from repro.cluster import run_simulation
 from repro.core.onion import OnionJob, OnionResult, solve_onion
-from repro.errors import ConfigurationError, SolverBudgetError
+from repro.errors import ConfigurationError
 from repro.schedulers import RushScheduler
 from repro.ui.status import render_profile_text
 from repro.utility import (ConstantUtility, LinearUtility, SigmoidUtility,
@@ -253,36 +252,6 @@ def test_loose_fleet_in_three_classes_plans_within_two_passes_per_layer():
 
 
 # ---------------------------------------------------------------------------
-# (e) a certified stretch still honours the budget
-# ---------------------------------------------------------------------------
-
-def test_budget_deadline_expires_inside_a_certified_stretch():
-    """The budget is checked on every probe, certified ones included: a
-    clock that jumps past the deadline while a certificate is answering
-    stops the solve at the very next probe."""
-    jobs = [OnionJob(f"j{k:02d}", 40.0 + k,
-                     SigmoidUtility(600.0 + 7.0 * k, float(1 + k % 3), 0.05))
-            for k in range(60)]
-    clock = types.SimpleNamespace(now=0.0)
-    clock.perf_counter = lambda: clock.now
-    with recording() as calls, mock.patch.object(onion, "time", clock):
-        real_spy = onion._certify
-
-        def expiring(*args):
-            verdict = real_spy(*args)
-            if sum(v is not None for _, v in calls) == 20:
-                clock.now = 2.0
-            return verdict
-
-        with mock.patch.object(onion, "_certify", expiring):
-            with pytest.raises(SolverBudgetError):
-                solve_onion(jobs, 8, tolerance=0.05, budget_deadline=1.0)
-    answered = [verdict for _, verdict in calls]
-    assert sum(v is not None for v in answered) == 20
-    assert answered[-1] is not None  # it stopped on the next probe
-
-
-# ---------------------------------------------------------------------------
 # Unbounded utilities are refused at the door
 # ---------------------------------------------------------------------------
 
@@ -309,14 +278,14 @@ class BottomlessUtility(HyperbolicUtility):
     (BottomlessUtility(1.0, 5.0), "min_value"),
 ])
 def test_non_finite_utility_bound_is_a_configuration_error(utility, method):
-    """Used to bisect forever (``mid = inf``); the short budget makes the
-    old behaviour fail by raising the wrong error instead of hanging."""
+    """Used to bisect forever (``mid = inf``); the refusal comes before
+    the first probe, so it is immediate."""
     jobs = [OnionJob("ok", 10.0, LinearUtility(20.0, 1.0)),
             OnionJob("wild", 10.0, utility),
             OnionJob("wild2", 10.0, utility)]
     started = time.perf_counter()
     with pytest.raises(ConfigurationError) as raised:
-        solve_onion(jobs, 1, budget_deadline=time.perf_counter() + 2.0)
+        solve_onion(jobs, 1)
     assert time.perf_counter() - started < 1.0
     assert "'wild'" in str(raised.value) and method in str(raised.value)
 

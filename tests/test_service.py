@@ -33,9 +33,9 @@ import pytest
 from repro import obs
 from repro.errors import (BadRequestError, ConfigurationError, JobStateError,
                           TenantQuotaError, UnknownJobError)
-from repro.service import (RealTimeClock, ServiceClient, ServiceConfig,
-                           ServiceDaemon, ServiceEngine, ServiceRequestError,
-                           TenantSpec, restore_engine, take_snapshot)
+from repro.service import (ServiceClient, ServiceConfig, ServiceDaemon,
+                           ServiceEngine, ServiceRequestError, TenantSpec,
+                           restore_engine, take_snapshot)
 from repro.service.smoke import run_service_smoke
 from repro.service.snapshot import SnapshotError
 
@@ -661,17 +661,19 @@ def test_capacity_policy_rejects_scheduler_options():
 
 
 #: Options a JSON config could set before the census (each switched a
-#: planner approximation or a test-only A/B path on a live daemon).
+#: planner approximation or a test-only A/B path on a live daemon), and
+#: the wall-clock planning budget, which made decisions depend on host
+#: speed and so could not be replayed.
 REMOVED_OPTIONS = ("warm_start", "incremental", "work_conserving",
                    "compensate_runtime", "wcde_cache_size",
-                   "default_prior_runtime", "weighted", "default_runtime")
+                   "default_prior_runtime", "weighted", "default_runtime",
+                   "plan_time_budget")
 
 
 def test_scheduler_options_must_be_json_settable():
     from repro.schedulers import POLICIES
 
-    assert POLICIES["rush"][1] == ("delta", "plan_time_budget", "theta",
-                                   "tolerance")
+    assert POLICIES["rush"][1] == ("delta", "theta", "tolerance")
     for policy, (_builder, accepted) in POLICIES.items():
         if policy != "rush":
             assert accepted == ()
@@ -684,11 +686,9 @@ def test_scheduler_options_must_be_json_settable():
                                match=f"'{key}'.*accepted: {listed}$"):
                 ServiceConfig(capacity=4, policy=policy,
                               scheduler_options={key: True})
-    # What the perf ledger's server runs with, and the documented
-    # operator limit, stay valid.
+    # What the perf ledger's server runs with stays valid.
     ServiceConfig(capacity=4, policy="rush",
                   scheduler_options={"theta": 0.9, "delta": 0.7})
-    ServiceConfig(capacity=4, scheduler_options={"plan_time_budget": 0.5})
 
 
 def test_self_contradicting_config_is_refused_before_any_engine_exists():
@@ -704,8 +704,8 @@ def test_removed_option_is_refused_by_snapshot_restore(key):
     snapshot = take_snapshot(ServiceEngine(_config(policy="rush")))
     snapshot["config"]["scheduler_options"] = {key: True}
     with pytest.raises(SnapshotError,
-                       match=f"'{key}'.*accepted: delta, "
-                             "plan_time_budget, theta, tolerance"):
+                       match=f"'{key}'.*accepted: delta, theta, "
+                             "tolerance$"):
         restore_engine(snapshot)
 
 
@@ -887,28 +887,6 @@ def test_daemon_stop_closes_listener_and_streams():
     asyncio.run(scenario())
     # after asyncio.run returns nothing may linger (the conftest audit
     # fixture and the ResourceWarning filters enforce the rest)
-
-
-def test_daemon_rejects_clock_the_engine_does_not_share():
-    """A pacing clock the engine doesn't tick on is a wiring bug.
-
-    The slot loop would await boundaries on a clock that never
-    advances, degenerating into a catch-up spin, while the engine's own
-    slots stand still — so the constructor refuses the divergent pair
-    outright instead of serving a daemon whose time is broken.
-    """
-    engine = ServiceEngine(_config())
-    try:
-        with pytest.raises(ConfigurationError):
-            ServiceDaemon(engine, clock=RealTimeClock(slot_seconds=0.05))
-        shared = RealTimeClock(slot_seconds=0.05)
-        paired = ServiceEngine(_config(), clock=shared)
-        try:
-            ServiceDaemon(paired, clock=shared)  # correct wiring: accepted
-        finally:
-            paired.close()
-    finally:
-        engine.close()
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,7 @@ def test_refused_tick_stalls_the_slot_loop_but_does_not_end_it(tmp_path):
         ops = _FullDisk()
         engine, _writer = open_journal(tmp_path, _config(), clock=clock,
                                        file_ops=ops)
-        daemon = ServiceDaemon(engine, clock=clock)
+        daemon = ServiceDaemon(engine)
         await daemon.start()
         client = ServiceClient("127.0.0.1", daemon.port)
         try:
@@ -430,7 +430,7 @@ def test_a_dead_slot_loop_is_reported_and_stop_still_closes(tmp_path):
     async def scenario():
         clock = RealTimeClock(0.01)
         engine, writer = open_journal(tmp_path, _config(), clock=clock)
-        daemon = ServiceDaemon(engine, clock=clock)
+        daemon = ServiceDaemon(engine)
 
         def broken_tick(slots):
             raise RuntimeError("boom")
