@@ -88,7 +88,7 @@ class SimulationResult:
     ``timed_out`` marks a run truncated by its slot budget (its censored
     records are lower bounds, not outcomes).  ``fault_events`` is the
     full injected-fault stream of the run, and ``fallbacks`` counts the
-    scheduler's degradation-ladder rungs (e.g. ``{"cold_exact": 2}``) —
+    scheduler's degradation-ladder rungs (e.g. ``{"last_good": 2}``) —
     both empty for a healthy run.
 
     ``metrics`` is the :mod:`repro.obs` registry snapshot taken when the

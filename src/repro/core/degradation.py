@@ -13,16 +13,16 @@ snapshot and the journaled faults alone:
    robust demand, the onion is solved cold (a plain cold solve when
    incrementality is off).  The exact answer; the only rung used in a
    healthy run.
-2. **cold_exact** — drop the presolved demands and re-solve from scratch.
-   On the same snapshot it returns the primary's plan by construction;
-   it catches corruption of the carried state and gives a failing solve
-   a second, independent chance.
-3. **last_good** — reuse the previous round's plan unchanged.  Slightly
+2. **last_good** — reuse the previous round's plan unchanged.  Slightly
    stale (its first-slot allocation still reflects the last snapshot)
    but safe: it was a feasible robust plan moments ago.
-4. **greedy_edf** — no plan at all; the scheduler falls back to granting
+3. **greedy_edf** — no plan at all; the scheduler falls back to granting
    by earliest absolute deadline, the cheapest policy that still honours
    urgency.  The floor of the ladder — always succeeds.
+
+There is no second solve: a plan is a pure function of its snapshot, so
+re-solving the snapshot the primary just failed on could only fail
+again or return the same plan.
 
 Every fallback is counted here, tagged on the produced plan's
 :class:`~repro.core.planner.PlanStats` and recorded in the simulator's
@@ -32,7 +32,8 @@ so a chaotic run's planning story is fully observable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.errors import ConfigurationError, ReproError
@@ -42,7 +43,7 @@ __all__ = ["DegradationPolicy", "DegradationOutcome", "LADDER",
            "check_fault_depth"]
 
 #: The rungs, in the order they are attempted.
-LADDER = ("primary", "cold_exact", "last_good", "greedy_edf")
+LADDER = ("primary", "last_good", "greedy_edf")
 
 
 def check_fault_depth(depth: object) -> int:
@@ -50,7 +51,8 @@ def check_fault_depth(depth: object) -> int:
 
     The depth is how many rungs fail before one may serve: an ``int``
     (not a ``bool``) in ``[1, len(LADDER) - 1]`` — 1 fails the primary,
-    the last value lands on the greedy-EDF floor, which cannot fail.
+    so ``last_good`` serves; 2 also drops that plan, landing on the
+    greedy-EDF floor, which cannot fail.
     """
     top = len(LADDER) - 1
     if not isinstance(depth, int) or isinstance(depth, bool) \
@@ -61,30 +63,18 @@ def check_fault_depth(depth: object) -> int:
     return depth
 
 
-def _note_fallback(rung: str, errors: List[str]) -> None:
-    """Trace/count one degradation fallback (never called for primary)."""
-    tracer = obs.get_tracer()
-    if tracer.active:
-        tracer.event("degradation.fallback", rung=rung,
-                     failed_rungs=len(errors))
-    obs.count("rush_degradation_fallbacks_total", 1, rung)
-
-
+@dataclass
 class DegradationOutcome:
     """What one degraded planning round produced.
 
     ``plan`` is None exactly when the ladder bottomed out at
     ``greedy_edf``.  ``rung`` names the rung that served the round and
-    ``errors`` the stringified failures of the rungs above it.
+    ``errors`` the primary's stringified failure, if it failed.
     """
 
-    __slots__ = ("plan", "rung", "errors")
-
-    def __init__(self, plan: Optional[SchedulePlan], rung: str,
-                 errors: List[str]) -> None:
-        self.plan = plan
-        self.rung = rung
-        self.errors = errors
+    plan: Optional[SchedulePlan]
+    rung: str
+    errors: List[str]
 
     @property
     def degraded(self) -> bool:
@@ -103,33 +93,23 @@ class DegradationPolicy:
     def total_fallbacks(self) -> int:
         return sum(self.counts.values())
 
-    def execute(self,
-                attempts: Sequence[Tuple[str, Callable[[], SchedulePlan]]],
+    def execute(self, primary: Callable[[], SchedulePlan],
                 last_good: Optional[SchedulePlan]) -> DegradationOutcome:
-        """Run ``attempts`` in order; degrade to ``last_good`` then EDF.
+        """Run ``primary``; on failure serve ``last_good``, else EDF.
 
-        Each attempt callable either returns a plan or raises a
+        ``primary`` either returns a plan or raises a
         :class:`~repro.errors.ReproError` (which includes
         ``InfeasiblePlanError`` and ``SolverBudgetError``); anything
-        else is a genuine bug and propagates.  The first success wins.
+        else is a genuine bug and propagates.
         """
-        errors: List[str] = []
-        for rung, attempt in attempts:
-            try:
-                plan = attempt()
-            except ReproError as exc:
-                errors.append(f"{rung}: {exc}")
-                continue
-            if rung != "primary":
-                self.counts[rung] = self.counts.get(rung, 0) + 1
-                plan.stats.fallback = rung
-                _note_fallback(rung, errors)
-            return DegradationOutcome(plan, rung, errors)
+        try:
+            return DegradationOutcome(primary(), "primary", [])
+        except ReproError as exc:
+            errors = [f"primary: {exc}"]
+        rung = "greedy_edf" if last_good is None else "last_good"
         if last_good is not None:
-            self.counts["last_good"] = self.counts.get("last_good", 0) + 1
-            last_good.stats.fallback = "last_good"
-            _note_fallback("last_good", errors)
-            return DegradationOutcome(last_good, "last_good", errors)
-        self.counts["greedy_edf"] = self.counts.get("greedy_edf", 0) + 1
-        _note_fallback("greedy_edf", errors)
-        return DegradationOutcome(None, "greedy_edf", errors)
+            last_good.stats.fallback = rung
+        self.counts[rung] = self.counts.get(rung, 0) + 1
+        obs.get_tracer().event("degradation.fallback", rung=rung)
+        obs.count("rush_degradation_fallbacks_total", 1, rung)
+        return DegradationOutcome(last_good, rung, errors)

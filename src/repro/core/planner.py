@@ -153,9 +153,9 @@ class PlanStats:
     peels: int = 0
     feasibility_checks: int = 0
     certified_probes: int = 0
-    #: Degradation-ladder rung that produced this plan: "" for the
-    #: primary solve, else "cold_exact" / "last_good" (set by the
-    #: scheduler's :class:`~repro.core.degradation.DegradationPolicy`).
+    #: Degradation-ladder rung that served this plan: "" for the
+    #: primary solve, "last_good" once a later round reused it (set by
+    #: the scheduler's :class:`~repro.core.degradation.DegradationPolicy`).
     fallback: str = ""
 
     def add(self, other: "PlanStats") -> None:
@@ -483,10 +483,6 @@ class IncrementalPlanner:
     def forget(self, job_id: str) -> None:
         """Drop a departed job's state."""
         self._memo.pop(job_id, None)
-
-    def reset(self) -> None:
-        """Drop all incremental state (the per-job presolves)."""
-        self._memo.clear()
 
     def plan(self, jobs: Sequence[PlannerJob],
              horizon: Optional[int] = None) -> SchedulePlan:

@@ -115,8 +115,8 @@ class RushScheduler(Scheduler):
         # guard against any pending-set change that slips past the hooks.
         self._dirty: Set[str] = set()
         self._estimates: Dict[str, Tuple[DemandEstimate, int]] = {}
-        #: The fallback ladder (incremental -> cold exact -> last-good
-        #: plan -> greedy EDF) that absorbs a failed planning round.
+        #: The fallback ladder (incremental -> last-good plan -> greedy
+        #: EDF) that absorbs a failed planning round.
         self.degradation = DegradationPolicy()
         self._forced_failures = 0
         self.planner_seconds = 0.0
@@ -283,13 +283,11 @@ class RushScheduler(Scheduler):
         return estimate
 
     def inject_solver_fault(self, depth: int = 1) -> None:
-        """Arm a forced failure of the next planning round's solve(s).
+        """Arm a forced failure of the next planning round's solve.
 
-        The fault-injection hook the
-        :class:`~repro.faults.injectors.SolverBudgetInjector` drives:
-        ``depth`` rungs of the degradation ladder fail before one may
-        succeed (1 = primary only, 2 = also the cold re-solve, 3 = also
-        discard the last good plan, landing on greedy EDF).
+        The hook :class:`~repro.faults.injectors.SolverBudgetInjector`
+        drives: depth 1 fails the solve, so the last good plan serves;
+        2 also drops that plan, landing on greedy EDF.
         """
         self._forced_failures = max(self._forced_failures,
                                     check_fault_depth(depth))
@@ -325,33 +323,23 @@ class RushScheduler(Scheduler):
         self._forced_failures = 0
 
         def primary() -> SchedulePlan:
-            if forced >= 1:
+            if forced:
                 raise SolverBudgetError("injected solver fault (primary)")
-            if self._incremental is not None:
-                return self._incremental.plan(planner_jobs)
-            return self._planner.plan(planner_jobs)
+            return (self._incremental or self._planner).plan(planner_jobs)
 
-        def cold_exact() -> SchedulePlan:
-            if forced >= 2:
-                raise SolverBudgetError("injected solver fault (cold)")
-            if self._incremental is not None:
-                self._incremental.reset()
-            return self._planner.plan(planner_jobs)
-
-        last_good = None if forced >= 3 else self._plan
-        outcome = self.degradation.execute(
-            [("primary", primary), ("cold_exact", cold_exact)], last_good)
+        last_good = None if forced >= 2 else self._plan
+        outcome = self.degradation.execute(primary, last_good)
+        plan = outcome.plan
         if outcome.degraded:
             self.sim.fault_log.record(
                 now, f"degradation:{outcome.rung}", "planner",
                 errors=list(outcome.errors))
-        plan = outcome.plan
-        if plan is not None and outcome.rung != "last_good":
+        else:
+            # Only a *fresh* plan is recorded: a reused ``last_good`` one
+            # made no new promises and refreshed no estimates.
             self.planner_seconds += plan.solve_seconds
             self.plans_computed += 1
             self._totals.add(plan.stats)
-            # Only a *fresh* plan is recorded: a reused ``last_good`` one
-            # made no new promises and refreshed no estimates.
             obs.observe("rush_sched_dirty_jobs",
                         self.estimates_refreshed - refreshed_before)
             ledger = obs.get_ledger()

@@ -205,8 +205,8 @@ class ServiceEngine:
                       str(self.registry.tenant_of(job_id)))
             self._cancelling.add(job_id)
             self.events.push(CancelEvent(job_id), due=due)
-        elif kind == "solver_fault":
-            self.scheduler.inject_solver_fault(int(entry["depth"]))
+        elif kind == "solver_fault":  # the scheduler checks the depth
+            self.scheduler.inject_solver_fault(entry.get("depth"))
         else:
             raise ServiceError(f"unknown journal entry kind {kind!r}")
         self.journal.append(dict(entry))

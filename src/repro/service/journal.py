@@ -59,7 +59,9 @@ from typing import IO, Any, Dict, List, Mapping, Optional, Tuple, Union
 from repro import obs
 from repro.errors import ConfigurationError, ServiceError
 from repro.service.engine import ServiceConfig, ServiceEngine
-from repro.service.snapshot import load_snapshot, restore_engine, take_snapshot
+from repro.service.snapshot import (SNAPSHOT_VERSION, V1_FAULT_DEPTHS,
+                                    load_snapshot, restore_engine,
+                                    take_snapshot)
 
 if False:  # pragma: no cover - typing only, avoids a runtime cycle
     from repro.core.clock import Clock
@@ -486,7 +488,7 @@ def recover_engine(directory: Union[str, Path], *,
     the anchor replay use, and each ``checkpoint`` record must match
     the rebuilt decision digest exactly.  Returns the engine
     plus recovery stats (``last_seq``, ``applied``, ``deduped``,
-    ``truncated_bytes``, ``segments``, ``checkpoints``).
+    ``truncated_bytes``, ``segments``, ``checkpoints``, ``anchor_version``).
     """
     dirpath = Path(directory)
     ops = file_ops if file_ops is not None else RealFileOps()
@@ -503,6 +505,15 @@ def recover_engine(directory: Union[str, Path], *,
                 f"no journal found in {dirpath}", path=anchor_path)
         anchor = load_snapshot(anchor_path)
         anchor_seq = int(anchor.get("journal_seq", 0))
+        if anchor.get("version") == 1:
+            # Only a v1 release appends behind a v1 anchor (open_journal
+            # re-anchors before it appends): these depths count four rungs.
+            for path, offset, record in records:
+                if record.get("kind") == "solver_fault" \
+                        and int(record["seq"]) > anchor_seq:
+                    raise JournalCorruptError(
+                        f"this journal {V1_FAULT_DEPTHS}", path=path,
+                        offset=offset)
         engine = restore_engine(anchor, clock=clock)
 
         applied = deduped = skipped = checkpoints = 0
@@ -542,6 +553,7 @@ def recover_engine(directory: Union[str, Path], *,
             "truncated_bytes": truncated,
             "segments": len(_segment_paths(dirpath)),
             "slot": engine.slot,
+            "anchor_version": anchor.get("version"),
         }
         span.note(**stats)
     return engine, stats
@@ -574,7 +586,7 @@ def _apply_record(engine: ServiceEngine, record: Mapping[str, Any],
             path=path, offset=offset)
     try:
         engine.apply({k: v for k, v in record.items() if k != "seq"})
-    except ServiceError as exc:  # an unknown kind included
+    except (ServiceError, ConfigurationError) as exc:  # e.g. a bad depth
         raise JournalCorruptError(
             f"journaled {kind} no longer replays: {exc}",
             path=path, offset=offset) from exc
@@ -634,7 +646,9 @@ def open_journal(directory: Union[str, Path],
         dirpath, file_ops=ops, segment_max_bytes=segment_max_bytes,
         checkpoint_every=checkpoint_every, auto_compact=auto_compact,
         start_seq=start_seq)
-    if not has_anchor:
-        writer.compact(engine)  # the seq-0 anchor a fresh journal starts from
+    if stats.get("anchor_version") != SNAPSHOT_VERSION:
+        # A fresh journal's seq-0 anchor, or a recovered v1 journal's
+        # new one: no record this release appends sits behind a v1 anchor.
+        writer.compact(engine)
     engine.wal = writer
     return engine, writer

@@ -14,12 +14,14 @@ instead of assuming it.
 
 Format (JSON-able)::
 
-    {"format": "rush-service-snapshot", "version": 1,
+    {"format": "rush-service-snapshot", "version": 2,
      "config": {...},        # ServiceConfig.to_dict()
      "slot": 42,             # the slot the engine had reached
      "auto_seq": 7,          # auto-id counter, so new ids never collide
      "journal": [...],       # ordered submit/cancel/solver_fault entries
      "decisions_digest": "<sha256 of the decision stream>"}
+
+A version-1 file (four ladder rungs) that could carry a fault depth is refused.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = ["SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "take_snapshot",
            "restore_engine", "save_snapshot", "load_snapshot"]
 
 SNAPSHOT_FORMAT = "rush-service-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(ServiceError):
@@ -44,6 +46,18 @@ class SnapshotError(ServiceError):
 
     code = "snapshot-error"
     status = 500
+
+
+#: Why a version-1 file that could carry a solver-fault depth is refused.
+V1_FAULT_DEPTHS = ("was written by a version-1 release, whose solver-fault "
+                   "depths count four ladder rungs: refused, not replayed")
+
+
+def _could_carry_fault_depths(config: ServiceConfig, journal: list) -> bool:
+    spec = config.fault_spec if isinstance(config.fault_spec, Mapping) else {}
+    return any(isinstance(item, Mapping)
+               and item.get("kind") in ("solver_budget", "solver_fault")
+               for item in [*(spec.get("injectors") or ()), *journal])
 
 
 def take_snapshot(engine: ServiceEngine) -> Dict[str, Any]:
@@ -81,9 +95,9 @@ def restore_engine(snapshot: Mapping[str, Any], *,
     if snapshot.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError(
             f"not a service snapshot (format {snapshot.get('format')!r})")
-    if snapshot.get("version") != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"unsupported snapshot version {snapshot.get('version')!r}")
+    version = snapshot.get("version")
+    if version not in (1, SNAPSHOT_VERSION):
+        raise SnapshotError(f"unsupported snapshot version {version!r}")
     try:
         config = ServiceConfig.from_dict(snapshot["config"])
         target_slot = int(snapshot["slot"])
@@ -91,6 +105,8 @@ def restore_engine(snapshot: Mapping[str, Any], *,
         journal = list(snapshot.get("journal") or [])
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from None
+    if version == 1 and _could_carry_fault_depths(config, journal):
+        raise SnapshotError(f"this snapshot {V1_FAULT_DEPTHS}")
 
     engine = ServiceEngine(config, clock=clock)
     for entry in journal:
@@ -105,7 +121,11 @@ def restore_engine(snapshot: Mapping[str, Any], *,
                 f"slot {engine.slot}")
         while engine.slot < due:
             engine.apply({"kind": "tick", "due": engine.slot})
-        engine.apply(entry)
+        try:
+            engine.apply(entry)
+        except (ServiceError, ConfigurationError) as exc:  # e.g. a bad depth
+            raise SnapshotError(
+                f"journal entry no longer replays: {exc}") from None
     while engine.slot < target_slot:
         engine.apply({"kind": "tick", "due": engine.slot})
     if engine._auto_seq < auto_seq:

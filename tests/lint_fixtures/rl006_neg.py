@@ -5,7 +5,7 @@ def plan_round(planner, jobs, stats):
     try:
         return planner.plan(jobs)
     except RuntimeError:
-        stats.fallback = "cold_exact"
+        stats.fallback = "last_good"
         return None
 
 

@@ -32,22 +32,22 @@ def planner_jobs(n=2):
 
 class TestDegradationPolicy:
     def test_ladder_order(self):
-        assert LADDER == ("primary", "cold_exact", "last_good", "greedy_edf")
+        assert LADDER == ("primary", "last_good", "greedy_edf")
 
-    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [1, 2])
     def test_fault_depth_spans_the_rungs_above_the_floor(self, depth):
         assert check_fault_depth(depth) == depth
 
-    @pytest.mark.parametrize("depth", [0, 4, -1, True, 1.5, "1", None])
+    @pytest.mark.parametrize("depth", [0, 3, 4, -1, True, 1.5, "1", None])
     def test_fault_depth_outside_the_ladder_is_refused(self, depth):
-        with pytest.raises(ConfigurationError, match=r"\[1, 3\]"):
+        with pytest.raises(ConfigurationError, match=r"\[1, 2\]"):
             check_fault_depth(depth)
 
     def test_primary_success_counts_nothing(self):
         policy = DegradationPolicy()
         planner = RushPlanner(capacity=4)
         plan = planner.plan(planner_jobs())
-        outcome = policy.execute([("primary", lambda: plan)], None)
+        outcome = policy.execute(lambda: plan, None)
         assert outcome.rung == "primary"
         assert not outcome.degraded
         assert outcome.plan is plan
@@ -55,33 +55,33 @@ class TestDegradationPolicy:
         assert plan.stats.fallback == ""
 
     def test_fallback_to_second_attempt(self):
-        policy = DegradationPolicy()
-        planner = RushPlanner(capacity=4)
-        plan = planner.plan(planner_jobs())
-
-        def boom():
-            raise SolverBudgetError("nope")
-
-        outcome = policy.execute(
-            [("primary", boom), ("cold_exact", lambda: plan)], None)
-        assert outcome.rung == "cold_exact"
-        assert outcome.degraded
-        assert outcome.errors == ["primary: nope"]
-        assert policy.counts == {"cold_exact": 1}
-        assert plan.stats.fallback == "cold_exact"
-
-    def test_last_good_reuse(self):
+        # The rung below a failed primary: the last good plan.
         policy = DegradationPolicy()
         planner = RushPlanner(capacity=4)
         stale = planner.plan(planner_jobs())
 
         def boom():
+            raise SolverBudgetError("nope")
+
+        outcome = policy.execute(boom, stale)
+        assert outcome.rung == "last_good"
+        assert outcome.degraded
+        assert outcome.plan is stale
+        assert outcome.errors == ["primary: nope"]
+        assert stale.stats.fallback == "last_good"
+        assert policy.counts == {"last_good": 1}
+
+    def test_last_good_reuse(self):
+        policy = DegradationPolicy()
+        stale = RushPlanner(capacity=4).plan(planner_jobs())
+
+        def boom():
             raise InfeasiblePlanError("broken")
 
-        outcome = policy.execute(
-            [("primary", boom), ("cold_exact", boom)], stale)
+        outcome = policy.execute(boom, stale)
         assert outcome.rung == "last_good"
         assert outcome.plan is stale
+        assert outcome.errors == ["primary: broken"]
         assert stale.stats.fallback == "last_good"
         assert policy.counts == {"last_good": 1}
 
@@ -91,11 +91,10 @@ class TestDegradationPolicy:
         def boom():
             raise SolverBudgetError("starved")
 
-        outcome = policy.execute(
-            [("primary", boom), ("cold_exact", boom)], None)
+        outcome = policy.execute(boom, None)
         assert outcome.rung == "greedy_edf"
         assert outcome.plan is None
-        assert len(outcome.errors) == 2
+        assert outcome.errors == ["primary: starved"]
         assert policy.total_fallbacks == 1
 
     def test_non_repro_errors_propagate(self):
@@ -105,7 +104,7 @@ class TestDegradationPolicy:
             raise ValueError("genuine bug")
 
         with pytest.raises(ValueError):
-            policy.execute([("primary", bug)], None)
+            policy.execute(bug, None)
 
 
 class TestRushSchedulerDegradation:
@@ -122,37 +121,38 @@ class TestRushSchedulerDegradation:
         assert scheduler.degradation.total_fallbacks == 0
         assert result.completed_count == 3
 
-    def test_forced_depth_one_lands_on_cold_exact(self):
+    def test_forced_depth_one_with_no_plan_hits_floor(self):
+        # The first round has no last good plan to fall back to.
         scheduler = RushScheduler()
         sim = ClusterSimulator(2, scheduler, seed=0)
         sim.submit(spec())
         scheduler.inject_solver_fault(1)
         sim.step()
-        assert scheduler.degradation.counts.get("cold_exact", 0) == 1
-        assert scheduler.last_plan is not None
-        assert scheduler.last_plan.stats.fallback == "cold_exact"
+        assert scheduler.degradation.counts == {"greedy_edf": 1}
+        assert scheduler.last_plan is None
 
-    def test_forced_depth_two_reuses_last_good(self):
+    def test_forced_depth_one_reuses_last_good(self):
         scheduler = RushScheduler()
         sim = ClusterSimulator(2, scheduler, seed=0)
         sim.submit(spec(durations=(4, 4, 4)))
         sim.step()  # healthy round builds a last-good plan
         good = scheduler.last_plan
         assert good is not None
-        scheduler.inject_solver_fault(2)
+        scheduler.inject_solver_fault(1)
         for _ in range(20):  # next round fires when a container frees
             sim.step()
             if scheduler.degradation.counts:
                 break
-        assert scheduler.degradation.counts.get("last_good", 0) == 1
+        assert scheduler.degradation.counts == {"last_good": 1}
         assert scheduler.last_plan is good
+        assert good.stats.fallback == "last_good"
 
-    def test_forced_depth_three_hits_greedy_floor(self):
+    def test_forced_depth_two_hits_greedy_floor(self):
         scheduler = RushScheduler()
         sim = ClusterSimulator(2, scheduler, seed=0)
         sim.submit(spec(durations=(4, 4, 4)))
         sim.step()
-        scheduler.inject_solver_fault(3)
+        scheduler.inject_solver_fault(2)
         for _ in range(20):  # next round fires when a container frees
             sim.step()
             if scheduler.degradation.counts:
@@ -165,18 +165,22 @@ class TestRushSchedulerDegradation:
     def test_degradation_recorded_in_fault_log(self):
         scheduler = RushScheduler()
         sim = ClusterSimulator(2, scheduler, seed=0)
-        sim.submit(spec())
-        scheduler.inject_solver_fault(1)
+        sim.submit(spec(durations=(4, 4, 4)))
         sim.step()
+        scheduler.inject_solver_fault(1)
+        for _ in range(20):
+            sim.step()
+            if scheduler.degradation.counts:
+                break
         kinds = sim.fault_log.counts_by_kind()
-        assert kinds.get("degradation:cold_exact", 0) == 1
+        assert kinds.get("degradation:last_good", 0) == 1
         event = [e for e in sim.fault_log
-                 if e.kind == "degradation:cold_exact"][0]
+                 if e.kind == "degradation:last_good"][0]
         assert event.target == "planner"
         assert any("injected solver fault" in err
                    for err in event.detail["errors"])
 
-    @pytest.mark.parametrize("depth", [0, 4, True, 1.5])
+    @pytest.mark.parametrize("depth", [0, 3, 4, True, 1.5])
     def test_scheduler_refuses_a_depth_outside_the_ladder(self, depth):
         scheduler = RushScheduler()
         with pytest.raises(ConfigurationError):
@@ -193,7 +197,7 @@ class TestRushSchedulerDegradation:
         sim = ClusterSimulator(1, scheduler, seed=0)
         for s in specs:
             sim.submit(s)
-        scheduler.inject_solver_fault(3)
+        scheduler.inject_solver_fault(2)
         sim.step()
         granted = [j.job_id for j in sim.active_jobs if j.running_count > 0]
         edf = EdfScheduler()
@@ -214,7 +218,7 @@ class TestRushSchedulerDegradation:
             faults=FaultPlan([SolverBudgetInjector(rate=0.5, depth=1)],
                              seed=3))
         assert result.fault_count("solver_budget") > 0
-        assert result.fallbacks.get("cold_exact", 0) > 0
+        assert result.fallbacks.get("last_good", 0) > 0
         assert result.completed_count == 3
 
     def test_profile_reports_fallbacks(self):

@@ -301,10 +301,11 @@ class TestIncrementalEquivalence:
         assert not hasattr(IncrementalPlanner(planner, warm_start=False),
                            "warm_start")
 
-    def test_cold_exact_after_primary_returns_the_same_plan(self):
-        """The ladder's second rung on the snapshot its first rung solved:
-        drop the session's state, re-solve — an equal plan, probe for
-        probe, on the first round and on an unchanged replan."""
+    def test_session_plan_equals_fresh_planner_plan(self):
+        """A plan is a pure function of its snapshot: on the first round
+        and on an unchanged replan (every job presolved), the session's
+        plan is the one a fresh :class:`RushPlanner` makes for the same
+        jobs — equal, probe for probe."""
         jobs = [PlannerJob(f"j{i}", SigmoidUtility(40.0 + 9 * i, 1.0 + i % 3,
                                                    beta=0.2),
                            DemandEstimate(
@@ -313,19 +314,16 @@ class TestIncrementalEquivalence:
                                sample_count=4),
                            elapsed=float(i))
                 for i in range(12)]
-        planner = RushPlanner(4, tolerance=0.05)
-        session = IncrementalPlanner(planner)
+        session = IncrementalPlanner(RushPlanner(4, tolerance=0.05))
         for _ in range(2):
-            primary = session.plan(jobs)
-            session.reset()
-            cold_exact = planner.plan(jobs)
-            assert plans_equal(primary, cold_exact)
-            assert ((primary.stats.peels, primary.stats.feasibility_checks,
-                     primary.stats.certified_probes)
-                    == (cold_exact.stats.peels,
-                        cold_exact.stats.feasibility_checks,
-                        cold_exact.stats.certified_probes))
-            session.plan(jobs)              # refill the memo for round two
+            planned = session.plan(jobs)
+            fresh = RushPlanner(4, tolerance=0.05).plan(jobs)
+            assert plans_equal(planned, fresh)
+            assert ((planned.stats.peels, planned.stats.feasibility_checks,
+                     planned.stats.certified_probes)
+                    == (fresh.stats.peels, fresh.stats.feasibility_checks,
+                        fresh.stats.certified_probes))
+        assert session.presolve_hits == len(jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -530,7 +530,7 @@ def test_list_jobs_equals_per_job_status_in_every_state():
     engine.tick()
     engine.cancel("gone")
     engine.tick(8)
-    engine.inject_solver_fault(3)  # ladder bottoms out: a degraded slot
+    engine.inject_solver_fault(2)  # ladder bottoms out: a degraded slot
     engine.tick(2)
     engine.cancel("going")
     engine.submit(dict(JOB, job_id="fresh"))
@@ -836,9 +836,9 @@ def test_injected_solver_fault_reports_degradation_not_500():
 
             after = await client.job("j")  # a 200, not an error
             ladder = after["degradation"]
-            assert sum(ladder["fallbacks"].values()) >= 1
-            assert ladder["last_fallback"] in (
-                "cold_exact", "last_good", "greedy_edf")
+            # the healthy slot-0 plan serves the sabotaged round
+            assert ladder["fallbacks"] == {"last_good": 1}
+            assert ladder["last_fallback"] == "last_good"
             assert ladder["last_fallback_slot"] == 3
             # and the cluster kept scheduling through the fault
             status = await client.status()

@@ -15,7 +15,9 @@ that buys; this file checks the seam itself:
 * the ``solver_fault`` event kind — an injected fault is a journaled
   event like any other, so a chaos-driven daemon recovers;
 * format compatibility — a journal directory written by the commit
-  *before* this refactor recovers to the digest recorded beside it.
+  *before* this refactor recovers to the digest recorded beside it, and
+  one written while the degradation ladder had four rungs is refused:
+  its solver-fault depths name other rungs today.
 """
 
 from __future__ import annotations
@@ -25,14 +27,20 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 import repro.service.engine as engine_module
 from repro import obs
+from repro.errors import ReproError
 from repro.obs.metrics import CATALOG
-from repro.service import (ServiceConfig, ServiceEngine, TenantSpec,
-                           open_journal, recover_engine, restore_engine,
-                           take_snapshot)
+from repro.service import (JournalCorruptError, ServiceConfig, ServiceEngine,
+                           SnapshotError, TenantSpec, open_journal,
+                           recover_engine, restore_engine, take_snapshot)
+from repro.service.journal import ANCHOR_NAME
+from repro.service.snapshot import SNAPSHOT_VERSION
 
 GOLDEN_JOURNAL = Path(__file__).parent / "golden" / "journal_parent"
+GOLDEN_CHAOS_JOURNAL = Path(__file__).parent / "golden" / "journal_parent_chaos"
 
 RUSH = ServiceConfig(
     capacity=2, policy="rush", seed=1,
@@ -98,7 +106,7 @@ def _scripted_run(engine: ServiceEngine) -> None:
     engine.submit(dict(job, tenant="web", job_id="named"))
     engine.tick(2)
     engine.submit(dict(job, tenant="web", arrival=engine.slot + 3))
-    engine.inject_solver_fault(3)
+    engine.inject_solver_fault(2)
     engine.tick()
     engine.cancel("named")
     engine.submit(dict(job, tenant="batch", idempotency_key="k-1"))  # dedup
@@ -178,7 +186,7 @@ def test_chaos_driven_daemon_recovers_to_the_live_digest(tmp_path):
         engine.submit({"task_durations": [2, 3], "budget": 30.0,
                        "job_id": f"j{k}"})
     for _ in range(8):
-        engine.inject_solver_fault(3)
+        engine.inject_solver_fault(2)
         engine.tick()
     fallbacks = engine.scheduler.degradation_counts
     assert fallbacks.get("greedy_edf", 0) >= 3
@@ -195,6 +203,62 @@ def test_chaos_driven_daemon_recovers_to_the_live_digest(tmp_path):
     restored = restore_engine(snapshot)
     assert restored.scheduler.degradation_counts == fallbacks
     assert take_snapshot(restored) == snapshot
+
+
+#: A replayed ``solver_fault`` entry's depth, four ways wrong: absent, not
+#: a number, outside the ladder, a bool (the live path refuses it too).
+MALFORMED_DEPTHS = [{}, {"depth": "x"}, {"depth": 3}, {"depth": True}]
+
+
+@pytest.mark.parametrize("depth", MALFORMED_DEPTHS,
+                         ids=["missing", "string", "outside", "bool"])
+def test_a_malformed_fault_depth_on_replay_is_a_typed_error(tmp_path, depth):
+    """A snapshot file or a WAL record is outside input: a bad depth
+    must surface as the service's own error (``rush serve --restore``
+    answers ``error: …`` and exits 2), never a raw ``KeyError`` /
+    ``ValueError`` and never a silent replay."""
+    config = ServiceConfig(capacity=2, policy="rush")
+    engine = ServiceEngine(config)
+    engine.submit({"task_durations": [2, 3], "job_id": "j"})
+    engine.inject_solver_fault(1)
+    engine.tick(2)
+    snapshot = take_snapshot(engine)
+    (fault,) = [e for e in snapshot["journal"] if e["kind"] == "solver_fault"]
+    fault.pop("depth")
+    fault.update(depth)
+    with pytest.raises(SnapshotError, match="solver-fault depth") as err:
+        restore_engine(snapshot)
+    assert isinstance(err.value, ReproError)
+
+    live, writer = open_journal(tmp_path, config)
+    live.submit({"task_durations": [2, 3], "job_id": "j"})
+    writer.append(dict({"kind": "solver_fault", "due": live.slot}, **depth))
+    live.close()
+    with pytest.raises(JournalCorruptError, match="solver-fault depth"):
+        recover_engine(tmp_path)
+
+
+def test_a_v1_snapshot_loads_unless_it_could_carry_a_fault_depth():
+    """Versions 1 and 2 share a format; only a v1 file that could hold a
+    depth counted on the four-rung ladder is refused."""
+    engine = ServiceEngine(RUSH)
+    _scripted_run(engine)
+    faulted = dict(take_snapshot(engine), version=1)
+    with pytest.raises(SnapshotError, match="version-1"):
+        restore_engine(faulted)
+
+    clean = ServiceEngine(RUSH)
+    clean.submit({"task_durations": [3, 2], "tenant": "batch"})
+    clean.tick(4)
+    v1 = dict(take_snapshot(clean), version=1)
+    assert restore_engine(v1).decisions_digest() == clean.decisions_digest()
+
+    chaos = ServiceConfig(capacity=2, policy="rush", fault_spec={
+        "seed": 0, "injectors": [{"kind": "solver_budget", "rate": 0.1}]})
+    budgeted = dict(take_snapshot(ServiceEngine(chaos)), version=1)
+    with pytest.raises(SnapshotError, match="version-1"):
+        restore_engine(budgeted)
+    assert restore_engine(dict(budgeted, version=SNAPSHOT_VERSION)).slot == 0
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +290,45 @@ def test_journal_written_before_the_refactor_recovers_to_its_digest(tmp_path):
     assert engine.decisions_digest() == \
         expected["continued"]["decisions_digest"]
     assert engine.records_digest() == expected["continued"]["records_digest"]
+
+
+def test_journal_written_before_the_refactor_is_re_anchored_at_v2(tmp_path):
+    """``open_journal`` re-anchors a recovered v1 directory before it
+    appends, so no record this release writes sits behind a v1 anchor."""
+    expected = json.loads((GOLDEN_JOURNAL / "expected.json").read_text())
+    directory = tmp_path / "wal"
+    shutil.copytree(GOLDEN_JOURNAL, directory)
+    engine, writer = open_journal(directory)
+    anchor = json.loads((directory / ANCHOR_NAME).read_text())
+    assert anchor["version"] == SNAPSHOT_VERSION
+    assert anchor["journal_seq"] == expected["last_seq"] == writer.seq
+    assert not (directory / "wal-00000016.log").exists()
+    engine.tick()
+    digest = engine.decisions_digest()
+    engine.close()
+
+    reopened, stats = recover_engine(directory)
+    assert stats["anchor_version"] == SNAPSHOT_VERSION
+    assert reopened.decisions_digest() == digest
+
+
+def test_chaos_journal_written_on_the_four_rung_ladder_is_refused(tmp_path):
+    """``tests/golden/journal_parent_chaos`` holds depth-1, -2 and -3
+    faults journaled behind a v1 anchor (see its README).  Replaying
+    them would serve other rungs, so recovery refuses the directory at
+    the first fault record — and ``open_journal`` leaves it untouched."""
+    expected = json.loads(
+        (GOLDEN_CHAOS_JOURNAL / "expected.json").read_text())
+    first = expected["first_solver_fault"]
+    directory = tmp_path / "wal"
+    shutil.copytree(GOLDEN_CHAOS_JOURNAL, directory)
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    with pytest.raises(JournalCorruptError, match="version-1") as err:
+        recover_engine(directory)
+    assert Path(err.value.path).name == first["segment"]
+    assert err.value.offset == first["offset"]
+    with pytest.raises(JournalCorruptError, match="version-1"):
+        open_journal(directory)
+    assert {path.name: path.read_bytes()
+            for path in directory.iterdir()} == before

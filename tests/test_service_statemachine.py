@@ -8,7 +8,8 @@ refused after it was applied, cancel, tick, an injected solver fault,
 crash-and-recover and compaction, against a reference model that is
 three dicts: which job ids were accepted (and for whom), which
 idempotency key maps to which id, and the last state each job was seen
-in.
+in.  An injected fault's planning round must be served by the ladder
+rung its depth names, and no fallback happens without an armed fault.
 
 After every step:
 
@@ -39,6 +40,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
+from repro.core.degradation import LADDER
 from repro.errors import JobStateError, TenantQuotaError
 from repro.faults import FaultyFileOps
 from repro.service import (JournalWriteError, ServiceConfig, TenantSpec,
@@ -66,6 +68,7 @@ MAY_FOLLOW = {
     "cancelled": set(),
 }
 NEVER = 10 ** 9  # a write-op index no run reaches
+SERVE_WITHIN = 6  # slots an armed fault is watched for before moving on
 CHECKPOINT_EVERY = 3  # small, so upkeep runs (and can fail) mid-example
 
 durations = st.lists(st.integers(1, 3), min_size=1, max_size=3)
@@ -81,6 +84,10 @@ class ServiceLifecycle(RuleBasedStateMachine):
         self.first_id = {}    # idempotency key -> job id it first created
         self.seen = {}        # accepted job id -> last observed state
         self.fresh = 0
+        # The solver-fault depth armed but not yet spent on a planning
+        # round (0: none), and the fallback counts when last looked.
+        self.armed = 0
+        self.fallbacks = {}
 
     def _open(self) -> None:
         self.ops = FaultyFileOps(RealFileOps(), species="enospc",
@@ -159,11 +166,29 @@ class ServiceLifecycle(RuleBasedStateMachine):
         if self.ops.fired:
             assert "checkpoint" in self.engine.housekeeping_failure
 
-    @rule(depth=st.integers(1, 3))
+    @rule(depth=st.integers(1, len(LADDER) - 1))
     def inject_fault(self, depth):
         """A journaled event like any other: the degraded slots it
-        causes must replay, or ``crash_and_recover`` diverges."""
+        causes must replay, or ``crash_and_recover`` diverges.  The
+        planning round it hits is served by ``LADDER[depth]`` — by
+        ``greedy_edf`` when depth 1 finds no good plan to reuse."""
         assert self.engine.inject_solver_fault(depth)["armed"] is True
+        self.armed = max(self.armed, depth)  # armed faults do not stack
+        scheduler = self.engine.scheduler
+        for _ in range(SERVE_WITHIN):
+            had_plan = scheduler.last_plan is not None
+            self.engine.tick()
+            if scheduler.degradation_counts == self.fallbacks:
+                continue  # no planning round this slot
+            rung = LADDER[self.armed]
+            if rung == "last_good" and not had_plan:
+                rung = "greedy_edf"
+            expected = dict(self.fallbacks)
+            expected[rung] = expected.get(rung, 0) + 1
+            assert scheduler.degradation_counts == expected
+            return
+        # No round fired (no pending work met a free container): the
+        # fault stays armed and a later tick spends it.
 
     @precondition(lambda self: self.tenant_of)
     @rule(data=st.data())
@@ -197,6 +222,14 @@ class ServiceLifecycle(RuleBasedStateMachine):
         self.writer.compact(self.engine)
 
     # -- the invariant, checked after every step -------------------------
+
+    @invariant()
+    def a_fallback_spends_the_armed_fault(self):
+        counts = self.engine.scheduler.degradation_counts
+        if counts != self.fallbacks:
+            assert self.armed, f"a fallback with no fault armed: {counts}"
+            self.armed = 0
+            self.fallbacks = counts
 
     @invariant()
     def engine_agrees_with_the_model(self):
