@@ -66,7 +66,10 @@ class ClusterSimulator:
         self._record_decisions = record_decisions
         #: Grant stream of (slot, "grant", job_id) — recorded only when
         #: ``record_decisions`` is set (the service snapshot/restore
-        #: equivalence contract pins this stream).
+        #: equivalence contract pins this stream).  Append-only: only
+        #: ``_fire_scheduling_events`` appends to it, and nothing edits
+        #: or drops an entry — the service engine's rolling digest
+        #: folds each decision once and relies on that.
         self.decisions: List[Tuple[int, str, str]] = []
         self._jobs: Dict[str, SimJob] = {}
         self._pending_arrivals: List[SimJob] = []
@@ -246,7 +249,7 @@ class ClusterSimulator:
             if task is None:
                 raise SimulationError(
                     f"scheduler selected job {job_id!r} with no pending tasks")
-            if self._record_decisions:
+            if self._record_decisions:  # the one append (see __init__)
                 self.decisions.append((self.now, "grant", job_id))
             self.faults.on_launch(job, task)
             container = free.pop()

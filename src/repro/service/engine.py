@@ -36,7 +36,11 @@ from repro.errors import (BadRequestError, ConfigurationError, JobStateError,
                           ServiceError, UnknownJobError)
 from repro.faults.plan import FaultPlan
 from repro.schedulers import POLICIES, Scheduler
-from repro.service.protocol import (canonical_digest, parse_submit,
+# ``canonical_digest`` is no longer called here, but the perf ledger's
+# tracer (benchmarks/ledger/tracing.py) rebinds it on this module by
+# name, so the name stays until that tracer wraps layers, not symbols.
+from repro.service.protocol import canonical_digest  # noqa: F401
+from repro.service.protocol import (RollingDigest, parse_submit,
                                     records_digest)
 from repro.service.tenants import (TenantRegistry, TenantSpec,
                                    tenants_from_dicts)
@@ -149,6 +153,9 @@ class ServiceEngine:
         # lists has been released from the tenant registry.
         self._released_completed = 0
         self._released_cancelled = 0
+        # The decision stream folded so far.  ``sim.decisions`` is
+        # append-only, so each read folds only what was granted since.
+        self._decisions_digest = RollingDigest()
 
     # -- commit & apply --------------------------------------------------
 
@@ -425,7 +432,19 @@ class ServiceEngine:
         return list(self.sim.decisions)
 
     def decisions_digest(self) -> str:
-        return canonical_digest([list(d) for d in self.sim.decisions])
+        """SHA-256 of the canonical JSON of the decision stream.
+
+        The value is ``canonical_digest`` of the stream as a list of
+        ``[slot, kind, job_id]`` rows — the journal checkpoints, the
+        snapshot and ``/digest`` all carry it.  It is kept as a
+        :class:`~repro.service.protocol.RollingDigest`: a call folds
+        only the decisions granted since the previous call, so it costs
+        O(new decisions), not O(history).  That relies on
+        ``ClusterSimulator.decisions`` being append-only.
+        """
+        digest = self._decisions_digest
+        digest.extend(self.sim.decisions[digest.items:])
+        return digest.hexdigest()
 
     def records_digest(self) -> str:
         """Digest of completed-job outcomes (simulator-path comparable)."""

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.job import JobSpec
 from repro.cluster.metrics import scrub_nonfinite
@@ -29,7 +29,7 @@ from repro.workload.trace import spec_to_dict
 
 __all__ = [
     "SubmitRequest", "parse_submit", "error_payload", "canonical_digest",
-    "SENSITIVITIES",
+    "RollingDigest", "SENSITIVITIES",
 ]
 
 SENSITIVITIES = ("critical", "sensitive", "insensitive")
@@ -211,6 +211,12 @@ def error_payload(exc: ServiceError) -> Dict[str, Any]:
                       "message": str(exc)}}
 
 
+def _canonical_json(obj: Any) -> str:
+    """The canonical JSON form both digests below hash."""
+    return json.dumps(scrub_nonfinite(obj), sort_keys=True,
+                      separators=(",", ":"))
+
+
 def canonical_digest(obj: Any) -> str:
     """SHA-256 over the canonical JSON form of ``obj``.
 
@@ -219,6 +225,38 @@ def canonical_digest(obj: Any) -> str:
     use, so digests are comparable across the simulator path and the
     service path.
     """
-    blob = json.dumps(scrub_nonfinite(obj), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+class RollingDigest:
+    """:func:`canonical_digest` of an append-only list, paid per item once.
+
+    The canonical JSON of a list is ``"["``, its items' canonical JSON
+    joined by ``","``, then ``"]"``.  So the hash keeps a SHA-256 that
+    has been fed ``"["`` and every item folded so far; :meth:`extend`
+    feeds one batch of new items, and :meth:`hexdigest` closes a copy
+    with ``"]"``.  After folding ``items[:n]`` in any batching,
+    ``hexdigest() == canonical_digest(list(items[:n]))`` — the empty
+    list included.
+    """
+
+    def __init__(self) -> None:
+        self._sha = hashlib.sha256(b"[")
+        #: How many items have been folded in.
+        self.items = 0
+
+    def extend(self, items: Sequence[Any]) -> None:
+        """Fold the next ``items`` of the list, in order."""
+        if not items:
+            return
+        blob = _canonical_json(list(items))[1:-1]
+        if self.items:
+            blob = "," + blob
+        self._sha.update(blob.encode("utf-8"))
+        self.items += len(items)
+
+    def hexdigest(self) -> str:
+        """The digest of everything folded so far."""
+        closed = self._sha.copy()
+        closed.update(b"]")
+        return closed.hexdigest()

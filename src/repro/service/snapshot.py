@@ -21,7 +21,9 @@ Format (JSON-able)::
      "journal": [...],       # ordered submit/cancel/solver_fault entries
      "decisions_digest": "<sha256 of the decision stream>"}
 
-A version-1 file (four ladder rungs) that could carry a fault depth is refused.
+A file without a string ``decisions_digest`` is refused: it could only
+be replayed unverified.  A version-1 file (four ladder rungs) that could
+carry a fault depth is refused.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ def restore_engine(snapshot: Mapping[str, Any], *,
     implied by the entries' ``due`` slots), so tenant quotas, event
     ordering and fault streams all re-derive identically.  The rebuilt
     decision stream is checked against the snapshot's digest; a
-    mismatch raises :class:`SnapshotError` rather than resuming from a
-    silently divergent state.
+    mismatch — or a snapshot without a digest, which could only be
+    replayed unverified — raises :class:`SnapshotError` rather than
+    resuming from a silently divergent state.
 
     ``clock`` may be a real-time clock (its ``advance`` never sleeps, so
     replay is instant); the daemon rebases it afterwards.
@@ -107,6 +110,13 @@ def restore_engine(snapshot: Mapping[str, Any], *,
         raise SnapshotError(f"malformed snapshot: {exc}") from None
     if version == 1 and _could_carry_fault_depths(config, journal):
         raise SnapshotError(f"this snapshot {V1_FAULT_DEPTHS}")
+    # Every snapshot and anchor ever written carries the digest; one
+    # without it could only be replayed unverified, so it is refused.
+    expected = snapshot.get("decisions_digest")
+    if not isinstance(expected, str):
+        raise SnapshotError(
+            "snapshot has no decisions_digest to verify its replay "
+            f"against (got {type(expected).__name__})")
 
     engine = ServiceEngine(config, clock=clock)
     for entry in journal:
@@ -135,12 +145,11 @@ def restore_engine(snapshot: Mapping[str, Any], *,
             f"snapshot auto_seq {auto_seq} is not implied by its journal "
             f"(replay reached {engine._auto_seq}): new ids would collide")
 
-    expected = snapshot.get("decisions_digest")
     actual = engine.decisions_digest()
-    if expected is not None and actual != expected:
+    if actual != expected:
         raise SnapshotError(
             "replay diverged from the snapshotted run: decision "
-            f"digest {actual[:12]}… != expected {str(expected)[:12]}…")
+            f"digest {actual[:12]}… != expected {expected[:12]}…")
     return engine
 
 

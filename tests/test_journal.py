@@ -431,6 +431,37 @@ def test_anchor_with_a_retired_scheduler_option_fails_loudly(tmp_path):
             open_journal(tmp_path, config)
 
 
+def test_anchor_without_a_digest_fails_as_a_digest_mismatch_does(tmp_path):
+    """Recovery restores the anchor through ``restore_engine``: an anchor
+    whose digest was stripped is refused with the same typed error as
+    one whose digest does not match the replay."""
+    engine, writer = open_journal(tmp_path, CONFIG, **SINGLE_SEGMENT)
+    _drive(engine)
+    writer.compact(engine)  # an anchor with events and grants to verify
+    engine.close()
+    anchor_path = Path(tmp_path) / "anchor.json"
+    anchor = json.loads(anchor_path.read_text())
+    assert anchor["journal"], "the anchor must hold events to replay"
+
+    errors = []
+    for digest in ("0" * 64, None):
+        tampered = dict(anchor)
+        if digest is None:
+            del tampered["decisions_digest"]
+        else:
+            tampered["decisions_digest"] = digest
+        anchor_path.write_text(json.dumps(tampered))
+        with pytest.raises(ReproError) as err:
+            recover_engine(tmp_path)
+        errors.append(err.value)
+        with pytest.raises(type(err.value)):
+            open_journal(tmp_path, CONFIG)
+    mismatch, missing = errors
+    assert type(missing) is type(mismatch)
+    assert (missing.code, missing.status) == (mismatch.code, mismatch.status)
+    assert "no decisions_digest" in str(missing)
+
+
 def test_fresh_directory_requires_a_config(tmp_path):
     with pytest.raises(ConfigurationError, match="no journal"):
         open_journal(tmp_path / "empty")

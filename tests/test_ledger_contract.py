@@ -11,7 +11,8 @@ still recorded; and around one journaled submit + tick + reopen, the
 same for the service spans — a span that silently stops being recorded
 (say ``apply`` claiming the tenant slot without going through
 ``TenantRegistry.admit``) would otherwise only show as a zero in a
-traced benchmark run.
+traced benchmark run.  The same tracer also shows that no request
+re-serialises the whole decision stream: each decision is digested once.
 """
 
 from __future__ import annotations
@@ -114,3 +115,49 @@ def test_ledger_tracing_wraps_the_live_service_stack(tmp_path):
                                          "journal.recover_engine"}
     assert parents("tenants.admit") == {"engine.submit",
                                         "journal.recover_engine"}
+
+
+def test_each_decision_is_digested_once(tmp_path):
+    """With a checkpoint after every record, the decision digest is read
+    hundreds of times; none of those reads may re-serialise the stream
+    through ``canonical_digest`` (a ``protocol.canonical_digest`` span
+    under a tick, a submit or the journal's housekeeping), and the
+    rolling digest must have folded each decision exactly once."""
+    import repro.service.journal as journal_mod
+    from repro.service import ServiceConfig, canonical_digest
+
+    tracing = _load_tracing()
+    recorder = tracing.Recorder()
+    uninstall = tracing.install(recorder)
+    try:
+        engine, _writer = journal_mod.open_journal(
+            tmp_path, ServiceConfig(capacity=3, policy="rush"),
+            checkpoint_every=1)
+        for slot in range(60):
+            if slot % 3 == 0:
+                engine.submit({"task_durations": [2, 3, 1], "budget": 12.0})
+            engine.tick()
+        engine.close()
+    finally:
+        uninstall()
+    spans = recorder.spans
+    names = [span[0] for span in spans]
+    assert names.count("engine.tick") == 60
+    assert names.count("journal.note_applied") >= 60
+
+    def ancestors(span):
+        while span[3] >= 0:
+            span = spans[span[3]]
+            yield span[0]
+
+    hot = {"engine.tick", "engine.submit", "journal.note_applied"}
+    for span in spans:
+        if span[0] == "protocol.canonical_digest":
+            assert not hot & set(ancestors(span)), (
+                "a request re-serialised the whole decision stream")
+
+    decisions = engine.sim.decisions
+    assert len(decisions) >= 50
+    assert engine._decisions_digest.items == len(decisions)
+    assert engine.decisions_digest() == canonical_digest(
+        [list(d) for d in decisions])

@@ -813,6 +813,21 @@ def test_snapshot_tampering_is_detected():
         restore_engine(dict(snap, version=99))
 
 
+@pytest.mark.parametrize("digest", ["missing", None, 7, ["abc"]])
+def test_snapshot_without_a_digest_is_refused_not_replayed_unverified(digest):
+    """Every snapshot ever written carries its decision digest; one that
+    has none could only be replayed unverified, so it is refused."""
+    engine = _busy_engine()
+    snap = take_snapshot(engine)
+    assert restore_engine(snap).slot == engine.slot  # intact: restores
+    if digest == "missing":
+        snap.pop("decisions_digest")
+    else:
+        snap["decisions_digest"] = digest
+    with pytest.raises(SnapshotError, match="no decisions_digest"):
+        restore_engine(snap)
+
+
 # ---------------------------------------------------------------------------
 # Chaos: solver faults degrade the answer, not the request
 # ---------------------------------------------------------------------------
