@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.errors import ConfigurationError
 from repro.obs import get_tracer
@@ -105,6 +106,8 @@ class ContainerPlan:
     overflowed: Set[str] = field(default_factory=set)
     _queue_segments: List[List[Segment]] = field(default_factory=list, repr=False)
     _queue_starts: List[List[float]] = field(default_factory=list, repr=False)
+    _next_slot: Optional[Mapping[str, int]] = field(
+        default=None, repr=False, compare=False)
 
     def completion(self, job_id: str) -> float:
         """The planned completion-time of a job (slots from now)."""
@@ -127,13 +130,16 @@ class ContainerPlan:
                 counts[seg.job_id] = counts.get(seg.job_id, 0) + 1
         return counts
 
-    def next_slot_allocation(self) -> Dict[str, int]:
-        """The assignment for the immediate next slot.
+    def next_slot_allocation(self) -> Mapping[str, int]:
+        """The assignment for the immediate next slot, read-only.
 
         The RUSH feedback cycle only ever *applies* this first column of
-        the plan — a fresh plan is computed at the next scheduling event.
+        the plan — a fresh plan is computed at the next scheduling event —
+        but reads it once per free container, so it is computed once.
         """
-        return self.allocation_at(0.0)
+        if self._next_slot is None:
+            self._next_slot = MappingProxyType(self.allocation_at(0.0))
+        return self._next_slot
 
     def _index(self) -> None:
         per_queue: List[List[Segment]] = [[] for _ in range(self.capacity)]
@@ -143,6 +149,7 @@ class ContainerPlan:
             segs.sort(key=lambda s: s.start)
         self._queue_segments = per_queue
         self._queue_starts = [[s.start for s in segs] for segs in per_queue]
+        self._next_slot = None
 
 
 def map_time_slots(jobs: Sequence[MappingJob], capacity: int) -> ContainerPlan:

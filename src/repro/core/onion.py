@@ -25,11 +25,13 @@ functions of total completion-time) and Theorem 3's continuity slack is
 supported through ``compensation`` (the per-job budget reduction ``R_i``
 that makes the continuous-time-slot mapping achievable).
 
-A probe whose answer is already known is not evaluated: two exact
+A probe whose answer is already known is not evaluated: three exact
 certificates (:func:`_certify`) sit in front of the staircase pass — a
-level above some active job's own utility ceiling is infeasible, and a
+level above some active job's own utility ceiling is infeasible, a
 level verified with slack to spare stays feasible across the peels made
-at it.  ``OnionResult.feasibility_checks`` counts the passes evaluated,
+at it, and the bottleneck probe at the level the bisection has just
+found infeasible re-reads that pass instead of repeating it.
+``OnionResult.feasibility_checks`` counts the passes evaluated,
 ``certified_probes`` the rest.
 
 For speed the deadline evaluation is vectorized across jobs: the built-in
@@ -224,25 +226,33 @@ class _DeadlineBank:
     def raw_deadlines(self, level: float) -> npt.NDArray[np.float64]:
         """``U_i^{-1}(level)`` for every job, before elapsed/compensation."""
         d = np.empty(self._n, dtype=float)
-        if self._lin.size:
-            vals = np.where(
-                level <= 0.0, np.inf,
-                np.where(level > self._lin_top, -np.inf,
-                         self._lin_b + (self._lin_w - level) / self._lin_beta))
-            d[self._lin] = vals
-        if self._sig.size:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.clip(self._sig_w / max(level, 1e-300) - 1.0, 1e-300, None)
-                formula = self._sig_b + np.log(ratio) / self._sig_beta
-            vals = np.where(level <= 0.0, np.inf,
-                            np.where(level > self._sig_top, -np.inf, formula))
-            d[self._sig] = vals
-        if self._flat.size:
-            d[self._flat] = np.where(level <= self._flat_top, np.inf, -np.inf)
-        if self._step.size:
-            d[self._step] = np.where(
-                level <= 0.0, np.inf,
-                np.where(level > self._step_top, -np.inf, self._step_b))
+        if level <= 0.0:
+            # Every built-in class attains a non-positive level at any
+            # time (a constant's priority is >= 0); custom classes are
+            # asked below.
+            d.fill(np.inf)
+        else:
+            if self._lin.size:
+                vals = self._lin_b + (self._lin_w - level) / self._lin_beta
+                vals[level > self._lin_top] = -np.inf
+                d[self._lin] = vals
+            if self._sig.size:
+                # The log's argument is at least 1e-300: no divide or
+                # invalid floating-point state to silence.
+                vals = self._sig_w / max(level, 1e-300)
+                vals -= 1.0
+                np.maximum(vals, 1e-300, out=vals)
+                np.log(vals, out=vals)
+                vals /= self._sig_beta
+                vals += self._sig_b
+                vals[level > self._sig_top] = -np.inf
+                d[self._sig] = vals
+            if self._flat.size:
+                d[self._flat] = np.where(level <= self._flat_top,
+                                         np.inf, -np.inf)
+            if self._step.size:
+                d[self._step] = np.where(level > self._step_top,
+                                         -np.inf, self._step_b)
         for pos, util in zip(self._other, self._other_utils):
             d[pos] = util.deadline_for(level)
         return d
@@ -259,10 +269,13 @@ class _DeadlineBank:
         cached = self._level_memo.get(level)
         if cached is not None:
             return cached
-        d = self.raw_deadlines(level) - self._offsets
-        d = np.minimum(d, self._horizon)
-        finite = np.isfinite(d)
-        d[finite] = np.floor(d[finite] + 1e-9)
+        d = self.raw_deadlines(level)
+        d -= self._offsets
+        # Cap, nudge and floor in place: the floor of +-inf is +-inf, so
+        # every entry takes the same three ufuncs.
+        np.minimum(d, self._horizon, out=d)
+        d += 1e-9
+        np.floor(d, out=d)
         d.setflags(write=False)
         if len(self._level_memo) >= 1024:
             self._level_memo.clear()
@@ -299,8 +312,10 @@ class _DeadlineBank:
         if view is not None:
             return view
         d = self.deadlines(level)
-        order = np.argsort(d, kind="stable")
-        view = (order, d[order] * self._capacity, self._demands[order])
+        order = d.argsort(kind="stable")
+        dcap = d.take(order)
+        dcap *= self._capacity
+        view = (order, dcap, self._demands.take(order))
         if len(self._view_memo) >= 1024:
             self._view_memo.clear()
         self._view_memo[level] = view
@@ -413,6 +428,16 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     # that found it.  Peeling at that level's deadlines only moves the
     # peeled job later, so the slack survives the peel (see _certify).
     carried: Optional[Tuple[float, float]] = None
+    # Certificate C's state: the layer's most recent infeasible pass, as
+    # ``(level, slack, order, sel, act_pos, fro_pos)`` — enough to name
+    # its candidate bottlenecks again without re-running it.  Only the
+    # layer's own probes (no ``frozen`` override) record or consult it,
+    # and the peel drops it, so it always describes the current active
+    # set and ledger.
+    failed: Optional[Tuple[float, npt.NDArray[np.float64],
+                           npt.NDArray[np.intp], npt.NDArray[np.bool_],
+                           Optional[npt.NDArray[np.intp]],
+                           Optional[npt.NDArray[np.intp]]]] = None
     # Twice the rounding error of one staircase evaluation, times a 4x
     # safety factor: at most n + 2 sequential additions and one
     # subtraction on magnitudes bounded by sum(eta) + C * horizon.
@@ -469,9 +494,9 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         A probe whose verdict :func:`_certify` already knows returns it
         without the pass, counted in ``certified`` instead of ``checks``;
         only the layer's own probes (no ``frozen`` override) carry and
-        consult the slack margin.
+        consult the slack margin and the last infeasible pass.
         """
-        nonlocal checks, certified, carried
+        nonlocal checks, certified, carried, failed
         nonlocal probed_idx, probed_mask, probed_top
         if probed_idx is not active_idx:
             probed_idx = active_idx
@@ -479,12 +504,16 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             probed_mask[active_idx] = True
             probed_top = float(
                 bank.unreachable_above[active_idx].min(initial=np.inf))
-        verdict = _certify(level, probed_top,
-                           carried if frozen is None else None, slack_noise)
+        own = frozen is None
+        failed_at = failed[0] if own and failed is not None else None
+        verdict = _certify(level, probed_top, carried if own else None,
+                           slack_noise, failed_at)
         if verdict is not None:
             certified += 1
             if verdict or not need_candidates:
                 return verdict, []
+            if failed is not None and level == failed_at:
+                return False, _candidates(*failed[1:])
             # An unreachable level fails at the very first merged point:
             # -inf deadlines sort first, in index order, ahead of every
             # (finite) frozen time — so the pass would name exactly the
@@ -496,7 +525,7 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         sel = probed_mask.take(order)
         d_act = dcap_sorted.compress(sel)
         eta_act = eta_sorted.compress(sel)
-        if frozen is None:
+        if own:
             f_times, f_demands = ledger.scaled, ledger.demands
         else:
             f_times, f_demands = frozen
@@ -540,22 +569,16 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         # against the tolerance, so unreachable levels stay infeasible.
         margin = float(slack.min(initial=np.inf))
         if margin >= -1e-9:
-            if frozen is None:
+            if own:
                 carried = (level, margin)
             return True, []
+        if own:
+            # ``slack`` is scratch the next pass overwrites; the rest is
+            # fresh per pass (or the bank's memoized, unwritten view).
+            failed = (level, slack.copy(), order, sel, act_pos, fro_pos)
         if not need_candidates:
             return False, []
-        bad = ~(slack >= -1e-9)
-        first = int(np.argmax(bad))
-        if nf == 0:
-            count = first + 1
-        elif act_pos is not None:
-            count = int(act_pos.searchsorted(first, side="right"))
-        else:
-            count = first + 1 - int(fro_pos.searchsorted(first, side="right"))
-        if count == 0:  # pragma: no cover - defensive
-            count = 1
-        return False, [int(g) for g in order.compress(sel)[:count]]
+        return False, _candidates(slack, order, sel, act_pos, fro_pos)
 
     layer = 0
     seed: Optional[float] = None
@@ -664,6 +687,8 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             if carried is not None and carried[0] != low:
                 # (B) outlives a peel only at the level the peel used.
                 carried = None
+            # (C) does not: the peel changes the active set and ledger.
+            failed = None
             ledger.commit(
                 _peel_one(jobs[bottleneck], deadline, targets, layer, horizon),
                 float(demands[bottleneck]))
@@ -694,12 +719,37 @@ def _peel_one(job: OnionJob, deadline: float, targets: Dict[str, JobTarget],
     return completion
 
 
+def _candidates(slack: npt.NDArray[np.float64], order: npt.NDArray[np.intp],
+                sel: npt.NDArray[np.bool_],
+                act_pos: Optional[npt.NDArray[np.intp]],
+                fro_pos: Optional[npt.NDArray[np.intp]]) -> List[int]:
+    """The candidate bottlenecks an infeasible staircase pass names.
+
+    They are the active jobs at or before the pass's first violated
+    merged point, by global index in deadline order.  ``order`` and
+    ``sel`` are the pass's sorted view and active-set mask; ``act_pos``
+    / ``fro_pos`` are its merge positions (whichever block it searched;
+    both ``None`` when the ledger was empty).
+    """
+    first = int(np.argmax(~(slack >= -1e-9)))
+    if act_pos is not None:
+        count = int(act_pos.searchsorted(first, side="right"))
+    elif fro_pos is not None:
+        count = first + 1 - int(fro_pos.searchsorted(first, side="right"))
+    else:
+        count = first + 1
+    if count == 0:  # pragma: no cover - defensive
+        count = 1
+    return [int(g) for g in order.compress(sel)[:count]]
+
+
 def _certify(level: float, unreachable_above: float,
              carried: Optional[Tuple[float, float]],
-             slack_noise: float) -> Optional[bool]:
+             slack_noise: float,
+             failed_at: Optional[float]) -> Optional[bool]:
     """The verdict a staircase pass at ``level`` would return, or ``None``.
 
-    Two certificates, both exact — they answer only what the pass itself
+    Three certificates, all exact — they answer only what the pass itself
     would answer bit for bit, and abstain otherwise:
 
     (A) *Unreachable level.*  ``unreachable_above`` is the smallest of the
@@ -716,12 +766,24 @@ def _certify(level: float, unreachable_above: float,
     float evaluations of it differ by at most ``slack_noise``.  When
     ``m - slack_noise`` still clears the pass's own ``-1e-9`` threshold
     the pass is feasible; a tighter margin abstains and the pass runs.
+
+    (C) *Repeated infeasible level.*  ``failed_at`` is the level of the
+    layer's most recent infeasible pass, run on the same active set and
+    the same ledger (the caller drops it at every peel).  The pass is a
+    pure function of the level, the active set and the ledger, so the
+    repeat would evaluate the very same floats and fail the same way;
+    the caller re-reads its candidate bottlenecks from the slack, order
+    and merge positions it kept.  This answers the ``need_candidates``
+    probe at ``high``, which the bisection has always just evaluated
+    unless ``high`` is the ceiling and a later seed probe also failed.
     """
     if level > 0.0 and level > unreachable_above:
         return False
     if (carried is not None and level == carried[0]
             and carried[1] - slack_noise >= -1e-9):
         return True
+    if failed_at is not None and level == failed_at:
+        return False
     return None
 
 

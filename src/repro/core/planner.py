@@ -195,8 +195,9 @@ class SchedulePlan:
         """Staircase passes evaluated (``stats.feasibility_checks``)."""
         return self.stats.feasibility_checks
 
-    def next_slot_allocation(self) -> Dict[str, int]:
-        """Containers each job should hold in the immediate next slot."""
+    def next_slot_allocation(self) -> Mapping[str, int]:
+        """Containers each job should hold in the immediate next slot
+        (read-only; computed once per plan)."""
         return self.container_plan.next_slot_allocation()
 
     def impossible_jobs(self) -> List[str]:

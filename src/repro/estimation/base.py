@@ -26,6 +26,10 @@ from repro.estimation.pmf import Pmf
 
 __all__ = ["DemandEstimate", "DistributionEstimator"]
 
+#: The distribution of a job with no pending task, shared by every such
+#: estimate: a :class:`Pmf` is immutable (its arrays are read-only).
+_ZERO_DEMAND_PMF = Pmf.impulse(0)
+
 
 @dataclass(frozen=True)
 class DemandEstimate:
@@ -157,6 +161,6 @@ class DistributionEstimator(ABC):
     @staticmethod
     def _zero_demand_estimate(runtime: float, samples: int) -> DemandEstimate:
         """Estimate for a job with no pending tasks: an impulse at zero."""
-        return DemandEstimate(pmf=Pmf.impulse(0), bin_width=1.0,
+        return DemandEstimate(pmf=_ZERO_DEMAND_PMF, bin_width=1.0,
                               container_runtime=max(runtime, 1e-9),
                               sample_count=samples)

@@ -37,6 +37,33 @@ class TestDemandEstimate:
         assert est.quantile_demand(0.9) == pytest.approx(50.0)
 
 
+class TestZeroDemandEstimate:
+    """A job with no pending task reports one shared impulse at zero."""
+
+    ESTIMATORS = [MeanTimeEstimator(prior_runtime=3.0),
+                  GaussianEstimator(prior_mean=3.0, prior_std=1.0),
+                  EmpiricalEstimator(prior_runtime=3.0)]
+
+    def test_every_estimator_shares_one_pmf(self):
+        pmfs = [de.estimate(pending_tasks=0).pmf for de in self.ESTIMATORS]
+        assert all(pmf is pmfs[0] for pmf in pmfs)
+        assert pmfs[0] == Pmf.impulse(0)
+        # Shared safely: tests/test_pmf.py pins that a Pmf's arrays are
+        # read-only.
+        assert not pmfs[0].probs.flags.writeable
+
+    def test_wcde_cache_fingerprint_is_unchanged(self):
+        """The WCDE cache keys on ``DemandEstimate.fingerprint()``: the
+        shared impulse must hash exactly as a freshly built one did."""
+        for de in self.ESTIMATORS:
+            estimate = de.estimate(pending_tasks=0)
+            fresh = DemandEstimate(Pmf.impulse(0), bin_width=1.0,
+                                   container_runtime=3.0, sample_count=0)
+            assert estimate.fingerprint() == fresh.fingerprint()
+            assert estimate.fingerprint() == (
+                bytes.fromhex("eecf48da92c7c9e2865c6c2316277085"), 1.0)
+
+
 class TestObservation:
     def test_rejects_bad_runtimes(self):
         de = MeanTimeEstimator(prior_runtime=10)

@@ -142,6 +142,18 @@ class TestAllocationQueries:
         assert plan.allocation_at(4.0) == {"b": 2}
         assert plan.allocation_at(100.0) == {}
 
+    def test_next_slot_allocation_is_computed_once_and_read_only(self):
+        """The scheduler reads it once per free container: one mapping
+        object serves every read, and no reader can edit the plan."""
+        plan = map_time_slots([MappingJob("a", 8, 2, 4),
+                               MappingJob("b", 8, 2, 8)], 2)
+        first = plan.next_slot_allocation()
+        assert first == plan.allocation_at(0.0) == {"a": 2}
+        assert plan.next_slot_allocation() is first
+        with pytest.raises(TypeError):
+            first["a"] = 0  # type: ignore[index]
+        assert plan.next_slot_allocation() == {"a": 2}
+
     def test_capacity_never_exceeded(self):
         rng = np.random.default_rng(3)
         jobs = [MappingJob(f"j{i}", float(rng.integers(1, 50)),

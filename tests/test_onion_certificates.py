@@ -2,10 +2,11 @@
 
 ``repro.core.onion._certify`` answers a staircase probe without running
 the pass when the answer is already known (an unreachable level; a level
-whose slack margin survived the last peel).  Every test here compares a
-normal solve against one whose ``_certify`` always abstains — the solver
-the certificates were put in front of — and demands *equal* results, not
-results within a tolerance.
+whose slack margin survived the last peel; the level the layer's last
+infeasible pass ran at, asked again by the bottleneck probe).  Every
+test here compares a normal solve against one whose ``_certify`` always
+abstains — the solver the certificates were put in front of — and
+demands *equal* results, not results within a tolerance.
 """
 
 from __future__ import annotations
@@ -166,6 +167,69 @@ def test_custom_class_ahead_of_a_builtin_is_still_the_bottleneck():
     assert certified.targets["custom"].layer == 1
 
 
+@st.composite
+def small_capacity_bound_fleets(draw):
+    """5-25 jobs of every class, capacity sized so the default horizon is
+    at most 8 slots: the regime of a small fleet on a busy cluster, where
+    most layers bisect and peel one job into a non-empty ledger."""
+    count = draw(st.integers(5, 25))
+    custom_at = draw(st.integers(0, count - 1))
+    jobs = [OnionJob(
+        f"j{i}", float(draw(st.integers(1, 12))),
+        draw(utilities("custom" if i == custom_at else None)),
+        elapsed=draw(st.sampled_from([0.0, 0.0, 1.5, 3.0])),
+        compensation=draw(st.sampled_from([0.0, 0.0, 0.75])))
+        for i in range(count)]
+    target = draw(st.integers(2, 8))
+    total = sum(job.demand for job in jobs)
+    capacity = max(1, -(-int(total) // (target - 1)))
+    horizon = onion.default_horizon(jobs, capacity)
+    horizon += draw(st.integers(0, 8 - horizon))
+    return jobs, capacity, horizon
+
+
+def test_bottleneck_probe_certificate_on_small_capacity_bound_fleets():
+    """Certificate (C) — the bottleneck probe re-reads the infeasible pass
+    the bisection just ran — changes who answers, never the answer, and
+    it does fire on drawn fleets with a ledger to merge."""
+    fired: List[bool] = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=small_capacity_bound_fleets(),
+           tolerance=st.sampled_from([0.05, 0.01]))
+    def check(case, tolerance):
+        jobs, capacity, horizon = case
+        assert horizon <= 8
+        events = []
+        real_certify, real_candidates = onion._certify, onion._candidates
+
+        def certify(*args):
+            verdict = real_certify(*args)
+            level, _, _, _, failed_at = args
+            events.append(("C", verdict is False and level == failed_at))
+            return verdict
+
+        def candidates(slack, order, sel, act_pos, fro_pos):
+            events.append(("merged", act_pos is not None
+                           or fro_pos is not None))
+            return real_candidates(slack, order, sel, act_pos, fro_pos)
+
+        with mock.patch.object(onion, "_certify", certify), \
+                mock.patch.object(onion, "_candidates", candidates):
+            certified = solve_onion(jobs, capacity, tolerance=tolerance,
+                                    horizon=horizon)
+        with abstaining():
+            evaluated = solve_onion(jobs, capacity, tolerance=tolerance,
+                                    horizon=horizon)
+        assert_same_solve(certified, evaluated)
+        fired.append(any(
+            first == ("C", True) and second == ("merged", True)
+            for first, second in zip(events, events[1:])))
+
+    check()
+    assert any(fired)
+
+
 # ---------------------------------------------------------------------------
 # (b) the golden trace: only *which* probes were evaluated changed
 # ---------------------------------------------------------------------------
@@ -211,10 +275,10 @@ def test_slack_zero_falls_back_to_the_pass():
     assert_same_solve(certified, evaluated)
     verdicts = [verdict for _, verdict in calls]
     assert True not in verdicts  # (B) never answered ...
-    assert certified.certified_probes == verdicts.count(False) > 0  # (A) did
+    assert certified.certified_probes == verdicts.count(False) > 0  # (A), (C) did
     # ... although it was asked, layer after layer, about the level it
     # carried — with a margin of exactly 0 — and abstained each time.
-    asked = [verdict for (level, _, carried, _), verdict in calls
+    asked = [verdict for (level, _, carried, *_), verdict in calls
              if carried is not None and carried == (level, 0.0)]
     assert len(asked) >= 39 and set(asked) == {None}
     assert [certified.targets[job.job_id].target_completion
