@@ -10,9 +10,10 @@ nothing else: no baseline other than the code under test.
   layer must stay out of the hot path).
 * ``scale_sweep`` — one cold plan at 1k jobs (plus 5k and 10k under
   ``RUSH_FULL_SCALE=1``; the CI bench-smoke lane runs 1k only), reported
-  in absolute seconds.  Gate: the stateless cold plan, the incremental
-  planner's first plan and its replan of the unchanged snapshot are
-  bit-identical at every scale.
+  in absolute seconds.  Gate: the uncached cold plan
+  (``wcde_cache_size=0``), one planner's first plan and its replan of the
+  unchanged snapshot (every robust demand a cache hit) are bit-identical
+  at every scale.
 * ``certificates`` — one cold plan of a 200-job fleet that fits its
   capacity (the shape of the ledger's ``batch`` profile), reported as
   counts: peels, staircase passes evaluated, probes a certificate
@@ -53,7 +54,6 @@ import numpy as np
 from repro import (
     ConstantUtility,
     GaussianEstimator,
-    IncrementalPlanner,
     PlannerJob,
     RushPlanner,
     SchedulePlan,
@@ -166,9 +166,9 @@ def _time(fn, rounds: int = 3) -> float:
     return statistics.median(samples)
 
 
-def _planner() -> RushPlanner:
+def _planner(**options: int) -> RushPlanner:
     return RushPlanner(capacity=CAPACITY, theta=THETA, delta=DELTA,
-                       tolerance=TOLERANCE)
+                       tolerance=TOLERANCE, **options)
 
 
 def bench_obs_overhead() -> Dict:
@@ -176,11 +176,11 @@ def bench_obs_overhead() -> Dict:
     jobs = _make_jobs(STEADY_JOBS, seed=2)
 
     def steady_seconds() -> float:
-        incremental = IncrementalPlanner(_planner())
-        incremental.plan(jobs)              # fill the presolve memo
+        planner = _planner()
+        planner.plan(jobs)                  # fill the WCDE cache
         start = time.perf_counter()
         for _ in range(STEADY_ROUNDS):
-            incremental.plan(jobs)
+            planner.plan(jobs)
         return time.perf_counter() - start
 
     disabled = statistics.median(steady_seconds() for _ in range(5))
@@ -213,11 +213,10 @@ def bench_scale_sweep() -> Dict:
         cold_s = _time(lambda: _planner().plan(jobs),
                        rounds=3 if n <= 1000 else 1)
 
-        planner = _planner()
-        incremental = IncrementalPlanner(planner)
-        cold_plan = planner.plan(jobs)
-        first_plan = incremental.plan(jobs)
-        replan = incremental.plan(jobs)     # unchanged snapshot, presolved
+        cold_plan = _planner(wcde_cache_size=0).plan(jobs)
+        session = _planner()
+        first_plan = session.plan(jobs)
+        replan = session.plan(jobs)         # unchanged snapshot, all hits
         rows.append({
             "jobs": n, "cold_seconds": cold_s,
             "plans_bit_identical": (plans_equal(first_plan, cold_plan)
@@ -350,8 +349,9 @@ def run_all() -> Dict:
                       certificates["feasibility_checks"],
                       certificates["certified_probes"]))
     report = ("Planning engine, self-relative\n\n" + scale_table
-              + "\n\nGates: obs overhead <= %.2fx; cold, incremental and "
-              "unchanged-replan plans bit-identical at every scale; passes "
+              + "\n\nGates: obs overhead <= %.2fx; uncached cold plan, one "
+              "planner's first plan and its unchanged replan bit-identical "
+              "at every scale; passes "
               "<= %.1f x peels on the ceiling-capped fleet.\n"
               % (OBS_OVERHEAD_GATE, CAPPED_PASSES_PER_PEEL_GATE)
               + obs_line + "\n" + capped_line
@@ -372,7 +372,7 @@ def test_incremental_planner_benchmark_gates():
         % (payload["obs_overhead"]["overhead_ratio"], OBS_OVERHEAD_GATE))
     assert all(r["plans_bit_identical"]
                for r in payload["scale_sweep"]["sweep"]), (
-        "cold / incremental / replan divergence in the scale sweep")
+        "cold / first / replan divergence in the scale sweep")
     certificates = payload["certificates"]
     assert (certificates["feasibility_checks"]
             <= CAPPED_PASSES_PER_PEEL_GATE * certificates["peels"]), (

@@ -60,7 +60,6 @@ from repro.core import (
     OnionResult,
     PlannerJob,
     PlanStats,
-    PresolvedDemand,
     RushPlanner,
     SchedulePlan,
     WcdeCache,
@@ -162,7 +161,6 @@ __all__ = [
     "PlannerJob",
     "JobPlan",
     "PlanStats",
-    "PresolvedDemand",
     "SchedulePlan",
     "RushPlanner",
     "IncrementalPlanner",

@@ -32,7 +32,6 @@ from repro.core.planner import (
     JobPlan,
     PlannerJob,
     PlanStats,
-    PresolvedDemand,
     RushPlanner,
     SchedulePlan,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "PlannerJob",
     "JobPlan",
     "PlanStats",
-    "PresolvedDemand",
     "SchedulePlan",
     "RushPlanner",
     "IncrementalPlanner",

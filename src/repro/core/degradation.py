@@ -9,10 +9,9 @@ the ladder the RUSH scheduler walks when its planning round fails — an
 the wall clock, so which rung serves a round is a function of the
 snapshot and the journaled faults alone:
 
-1. **primary** — the incremental solve: clean jobs reuse their presolved
-   robust demand, the onion is solved cold (a plain cold solve when
-   incrementality is off).  The exact answer; the only rung used in a
-   healthy run.
+1. **primary** — the planner's solve: robust demands through the
+   content-addressed WCDE cache, the onion solved cold.  The exact
+   answer; the only rung used in a healthy run.
 2. **last_good** — reuse the previous round's plan unchanged.  Slightly
    stale (its first-slot allocation still reflects the last snapshot)
    but safe: it was a feasible robust plan moments ago.

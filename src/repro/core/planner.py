@@ -19,14 +19,11 @@ real resource manager) re-invokes it on every scheduling event, closing
 the paper's feedback cycle of estimation, recalculation and allocation —
 but between consecutive events most jobs' DE output is bit-identical, so
 re-solving stage 1 from scratch wastes almost all of its work.  What a
-planning session carries from one round to the next is only what is
-exact:
-
-* a content-addressed :class:`~repro.core.wcde.WcdeCache` memoizes WCDE
-  solves under ``(PMF fingerprint, theta, delta)``;
-* callers that track job dirtiness can hand back :class:`PresolvedDemand`
-  values so clean jobs skip stage 1 entirely (see
-  :class:`IncrementalPlanner`).
+planner carries from one round to the next is only what is exact: a
+content-addressed :class:`~repro.core.wcde.WcdeCache` memoizes WCDE
+solves under ``(PMF fingerprint, theta, delta)`` — the inputs eta
+depends on (Algorithm 2), so a job whose distribution did not move hits
+its entry whichever estimate object carries it.
 
 The onion itself is solved cold every round — every ``elapsed`` advances
 each slot, so consecutive peel orders share almost no prefix
@@ -54,8 +51,8 @@ from repro.estimation.base import DemandEstimate
 from repro.estimation.pmf import Pmf
 from repro.utility.base import UtilityFunction
 
-__all__ = ["PlannerJob", "JobPlan", "PlanStats", "PresolvedDemand",
-           "SchedulePlan", "RushPlanner", "IncrementalPlanner"]
+__all__ = ["PlannerJob", "JobPlan", "PlanStats", "SchedulePlan",
+           "RushPlanner", "IncrementalPlanner"]
 
 @dataclass(frozen=True)
 class PlannerJob:
@@ -91,22 +88,6 @@ class PlannerJob:
 
 
 @dataclass(frozen=True)
-class PresolvedDemand:
-    """A WCDE answer computed in an earlier round, still valid for a job.
-
-    ``eta`` and ``reference`` are in container-time-slots (bin width
-    already applied); ``iterations`` preserves the original bisection
-    count for reporting.  Valid exactly as long as the job's reference
-    PMF, ``theta`` and ``delta`` are unchanged — the invariant the caller
-    (scheduler dirty tracking) is responsible for.
-    """
-
-    eta: float
-    reference: float
-    iterations: int
-
-
-@dataclass(frozen=True)
 class JobPlan:
     """The planner's decision for one job.
 
@@ -135,9 +116,10 @@ class JobPlan:
 class PlanStats:
     """Perf counters for one planning round.
 
-    ``wcde_presolved`` jobs skipped stage 1 entirely (the caller supplied
-    a still-valid eta), ``wcde_cache_hits`` hit the content-addressed
-    memo, ``wcde_cache_misses`` paid a full bisection.  Stage seconds are
+    ``wcde_cache_hits`` jobs hit the content-addressed memo,
+    ``wcde_cache_misses`` paid a full bisection; ``wcde_presolved`` is
+    always 0 and stays only because the perf ledger's tracer reads it
+    (ROADMAP 10(ii) deletes it).  Stage seconds are
     wall-clock; ``peels`` is the onion layer count,
     ``feasibility_checks`` the staircase passes evaluated (the onion's
     unit of work) and ``certified_probes`` the probes a certificate
@@ -182,8 +164,6 @@ class SchedulePlan:
     solve_seconds: float
     stats: PlanStats = field(default_factory=PlanStats)
     _order: List[str] = field(default_factory=list, repr=False)
-    _presolved: Dict[str, PresolvedDemand] = field(default_factory=dict,
-                                                   repr=False)
 
     @property
     def layers(self) -> int:
@@ -208,15 +188,6 @@ class SchedulePlan:
     def utility_vector(self) -> List[float]:
         """Predicted utilities sorted non-decreasingly."""
         return sorted(plan.predicted_utility for plan in self.jobs.values())
-
-    def presolved_demands(self) -> Dict[str, PresolvedDemand]:
-        """Per-job WCDE answers (pre-``extra_demand``), for the next round.
-
-        Feed entries for *clean* jobs back into :meth:`RushPlanner.plan`
-        as ``presolved`` so they skip stage 1; :class:`IncrementalPlanner`
-        does this bookkeeping automatically.
-        """
-        return dict(self._presolved)
 
     def to_dict(self) -> dict:
         """JSON-compatible dump of the plan (schema-stable export).
@@ -316,15 +287,8 @@ class RushPlanner:
                 result.iterations)
 
     def plan(self, jobs: Sequence[PlannerJob],
-             horizon: Optional[int] = None, *,
-             presolved: Optional[Mapping[str, PresolvedDemand]] = None
-             ) -> SchedulePlan:
-        """Produce a complete schedule plan for the given job snapshot.
-
-        ``presolved`` maps job ids to WCDE answers from an earlier round
-        that the caller knows are still valid (unchanged reference PMF,
-        theta and delta); those jobs skip stage 1.
-        """
+             horizon: Optional[int] = None) -> SchedulePlan:
+        """Produce a complete schedule plan for the given job snapshot."""
         started = time.perf_counter()
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
@@ -338,43 +302,28 @@ class RushPlanner:
             etas: Dict[str, float] = {}
             refs: Dict[str, float] = {}
             iters: Dict[str, int] = {}
-            presolved_out: Dict[str, PresolvedDemand] = {}
             onion_jobs: List[OnionJob] = []
 
-            # Stage 1, batched: presolved jobs skip the solve entirely;
-            # everything else is grouped by resolved delta (theta is
-            # planner-wide) and handed to the vectorized batch solver in
-            # one call per group.
-            dirty: List[PlannerJob] = []
-            for job in jobs:
-                pre = presolved.get(job.job_id) if presolved else None
-                if pre is not None:
-                    stats.wcde_presolved += 1
-                    presolved_out[job.job_id] = pre
-                else:
-                    dirty.append(job)
-            if stats.wcde_presolved:
-                obs.count("rush_wcde_cache_total", stats.wcde_presolved,
-                          "presolve_reuse")
+            # Stage 1, batched: jobs are grouped by resolved delta (theta
+            # is planner-wide) and each group goes to the memo, or the
+            # vectorized batch solver, in one call.
             groups: Dict[float, List[PlannerJob]] = {}
-            for job in dirty:
+            for job in jobs:
                 resolved = self.delta if job.delta is None else job.delta
                 groups.setdefault(float(resolved), []).append(job)
+            results: Dict[str, WcdeResult] = {}
             for resolved, group in groups.items():
                 solved = self._solve_batch(
                     [job.estimate.pmf for job in group], resolved)
-                for job, result in zip(group, solved):
-                    presolved_out[job.job_id] = PresolvedDemand(
-                        eta=job.estimate.demand_at(result.eta_bin),
-                        reference=job.estimate.demand_at(
-                            result.reference_quantile),
-                        iterations=result.iterations)
+                results.update(zip((job.job_id for job in group), solved))
             for job in jobs:
-                pre = presolved_out[job.job_id]
-                eta = pre.eta + max(job.extra_demand, 0.0)
+                result = results[job.job_id]
+                eta = (job.estimate.demand_at(result.eta_bin)
+                       + max(job.extra_demand, 0.0))
                 etas[job.job_id] = eta
-                refs[job.job_id] = pre.reference
-                iters[job.job_id] = pre.iterations
+                refs[job.job_id] = job.estimate.demand_at(
+                    result.reference_quantile)
+                iters[job.job_id] = result.iterations
                 onion_jobs.append(OnionJob(
                     job_id=job.job_id, demand=eta, utility=job.utility,
                     elapsed=job.elapsed,
@@ -434,73 +383,33 @@ class RushPlanner:
                 jobs=job_plans, container_plan=container_plan, theta=self.theta,
                 horizon=onion.horizon,
                 solve_seconds=time.perf_counter() - started,
-                stats=stats, _order=list(ids), _presolved=presolved_out)
+                stats=stats, _order=list(ids))
             span.note(layers=onion.layers,
-                      feasibility_checks=onion.feasibility_checks,
-                      presolved=stats.wcde_presolved)
+                      feasibility_checks=onion.feasibility_checks)
         obs.count("rush_plans_total")
         return plan
 
 
-@dataclass
-class _JobMemo:
-    """Per-job incremental state: the estimate the presolve belongs to."""
-
-    estimate: DemandEstimate
-    delta: Optional[float]
-    presolved: PresolvedDemand
-
-
 class IncrementalPlanner:
-    """A planning session that carries state from one round to the next.
+    """A pass-through to :meth:`RushPlanner.plan`, kept only as a name.
 
-    Wraps a :class:`RushPlanner` and keeps, per job, the WCDE answer of
-    the last round together with the exact :class:`DemandEstimate` object
-    it was computed from.  A job whose caller hands back the *same
-    estimate object* (and per-job delta) is clean — its eta cannot have
-    changed — and is presolved; anything else falls through to the
-    planner's content-addressed WCDE cache and, failing that, a fresh
-    bisection.
-
-    Every plan is bit-identical to what a cold :class:`RushPlanner`
-    would produce for the same snapshot (the equivalence the property
-    tests pin down).
+    The planner's content-addressed :class:`~repro.core.wcde.WcdeCache`
+    is stage 1's only memo; this class holds no state.  It stays because
+    the perf ledger (``benchmarks/ledger``) constructs it by name, and
+    goes together with that call (ROADMAP 10(ii)).
     """
 
     def __init__(self, planner: RushPlanner, *, warm_start: bool = False) -> None:
         # The keyword is a literal — ``False`` and only ``False``; nothing
         # is stored.  The approximate onion mode it selected is gone and
-        # the name stays because benchmarks/ledger/offline.py passes it
-        # (ROADMAP 10 deletes the parameter together with that call).
+        # the name stays because benchmarks/ledger/offline.py passes it.
         if warm_start is not False:
             raise ConfigurationError(
                 "warm_start=True was removed with the approximate onion "
                 "mode: every plan is a cold, exact solve")
         self.planner = planner
-        self._memo: Dict[str, _JobMemo] = {}
-        self.presolve_hits = 0
-        self.presolve_misses = 0
-
-    def forget(self, job_id: str) -> None:
-        """Drop a departed job's state."""
-        self._memo.pop(job_id, None)
 
     def plan(self, jobs: Sequence[PlannerJob],
              horizon: Optional[int] = None) -> SchedulePlan:
-        """One planning round; clean jobs skip the WCDE stage."""
-        presolved: Dict[str, PresolvedDemand] = {}
-        for job in jobs:
-            memo = self._memo.get(job.job_id)
-            if (memo is not None and memo.estimate is job.estimate
-                    and memo.delta == job.delta):
-                presolved[job.job_id] = memo.presolved
-                self.presolve_hits += 1
-            else:
-                self.presolve_misses += 1
-        plan = self.planner.plan(jobs, horizon, presolved=presolved)
-        fresh = plan.presolved_demands()
-        for job in jobs:
-            self._memo[job.job_id] = _JobMemo(
-                estimate=job.estimate, delta=job.delta,
-                presolved=fresh[job.job_id])
-        return plan
+        """``planner.plan(jobs, horizon)``."""
+        return self.planner.plan(jobs, horizon)

@@ -278,8 +278,8 @@ class WcdeCache:
     ``hits`` / ``misses`` counters make the cache's effectiveness an
     observable number (surfaced by the planner's :class:`PlanStats
     <repro.core.planner.PlanStats>`); ``hits + misses`` is the number
-    of lookups made.  Jobs presolved by the caller never reach the cache
-    and are counted where that happens (``PlanStats.wcde_presolved``).
+    of lookups made: one per job per plan, since the planner sends every
+    job's reference through the cache.
 
     Hits are the steady-state hot path (one per job per replan), so they
     only bump a counter; a per-hit trace event would put span

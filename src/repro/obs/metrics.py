@@ -448,8 +448,7 @@ CATALOG: Dict[str, Series] = {row.name: row for row in (
     Series("rush_wcde_cache_total", "counter",
            "WcdeCache lookups by outcome",
            "is estimate churn defeating the memo: what share of per-job "
-           "robust-demand queries (hit, miss, presolve_reuse) paid a "
-           "fresh solve?",
+           "robust-demand queries (hit, miss) paid a fresh solve?",
            labels=("outcome",)),
 )}
 

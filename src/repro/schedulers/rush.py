@@ -22,16 +22,16 @@ no failure, no launch.  Their DE report is bit-identical, so the
 scheduler tracks per-job dirtiness — a job is marked dirty by a task
 completion, failure or launch (pending set changed) and at arrival — and
 re-runs the estimator only for dirty jobs.  Clean jobs reuse the cached
-:class:`~repro.estimation.base.DemandEstimate` *object*, which lets the
-:class:`~repro.core.planner.IncrementalPlanner` presolve their robust
-demand.  The expected
-remaining work of running tasks (``extra_demand``) drifts every slot and
-is recomputed on every plan; it sits outside the memoized stage.
+:class:`~repro.estimation.base.DemandEstimate`; their robust demand is
+then a hit in the planner's content-addressed WCDE cache, like that of
+any job whose distribution did not move.  The expected remaining work of
+running tasks (``extra_demand``) drifts every slot and is recomputed on
+every plan; it sits outside the memoized stage.
 
-``incremental=False`` recomputes every estimate and robust demand at
-every event.  It is kept, Python-only, as the reference the equivalence
-suites compare against (``tests/test_determinism_sweep.py``,
-``tests/test_chaos_properties.py``: both modes schedule identically).
+``incremental=False`` re-runs every job's estimator at every event.  It
+is kept as the reference the equivalence suites compare against
+(``tests/test_determinism_sweep.py``, ``tests/test_chaos_properties.py``:
+both modes schedule identically).
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 from repro import obs
 from repro.cluster.job import JobSpec
 from repro.core.degradation import DegradationPolicy, check_fault_depth
-from repro.core.planner import (IncrementalPlanner, PlannerJob, PlanStats,
-                                RushPlanner, SchedulePlan)
+from repro.core.planner import PlannerJob, PlanStats, RushPlanner, SchedulePlan
 from repro.errors import SolverBudgetError
 from repro.estimation.base import DemandEstimate, DistributionEstimator
 from repro.estimation.gaussian import GaussianEstimator
@@ -85,9 +84,9 @@ class RushScheduler(Scheduler):
         plug in as
         :meth:`~repro.estimation.empirical.TraceFittedEstimators.estimator_for`.
     incremental:
-        Track per-job dirtiness, reuse clean estimates and presolve their
-        robust demands (default).  Off, every event recomputes everything
-        — the reference path of the equivalence suites.
+        Track per-job dirtiness and reuse clean jobs' estimates (default).
+        Off, every event re-runs every estimator — the reference path of
+        the equivalence suites.
     """
 
     name = "RUSH"
@@ -105,7 +104,6 @@ class RushScheduler(Scheduler):
         self._incremental_enabled = incremental
         self._estimators: Dict[str, DistributionEstimator] = {}
         self._planner: Optional[RushPlanner] = None
-        self._incremental: Optional[IncrementalPlanner] = None
         self._plan: Optional[SchedulePlan] = None
         self._plan_epoch: Optional[tuple] = None
         self._completions = 0
@@ -115,7 +113,7 @@ class RushScheduler(Scheduler):
         # guard against any pending-set change that slips past the hooks.
         self._dirty: Set[str] = set()
         self._estimates: Dict[str, Tuple[DemandEstimate, int]] = {}
-        #: The fallback ladder (incremental -> last-good plan -> greedy
+        #: The fallback ladder (primary solve -> last-good plan -> greedy
         #: EDF) that absorbs a failed planning round.
         self.degradation = DegradationPolicy()
         self._forced_failures = 0
@@ -132,8 +130,6 @@ class RushScheduler(Scheduler):
         super().bind(sim)
         self._planner = RushPlanner(sim.capacity, theta=self._theta,
                                     delta=self._delta, tolerance=self._tolerance)
-        if self._incremental_enabled:
-            self._incremental = IncrementalPlanner(self._planner)
 
     def on_job_arrival(self, job) -> None:
         self._estimators[job.job_id] = self._estimator_factory(job.spec)
@@ -159,8 +155,6 @@ class RushScheduler(Scheduler):
         self._estimators.pop(job.job_id, None)
         self._estimates.pop(job.job_id, None)
         self._dirty.discard(job.job_id)
-        if self._incremental is not None:
-            self._incremental.forget(job.job_id)
 
     def on_job_cancelled(self, job) -> None:
         # Same cleanup as completion, plus an epoch bump: the active set
@@ -231,7 +225,6 @@ class RushScheduler(Scheduler):
         Returned keys: ``plans_computed``, ``planner_seconds``, per-stage
         seconds (``wcde_seconds``/``onion_seconds``/``mapping_seconds``),
         ``estimates_refreshed``/``estimates_reused`` (dirty tracking),
-        ``presolve_hits``/``presolve_misses`` (stage-1 skips),
         ``wcde_cache_hits``/``wcde_cache_misses``/``wcde_cache_hit_rate``
         (content-addressed memo), plus total onion ``peels``,
         ``feasibility_checks`` (passes evaluated) and ``certified_probes``
@@ -240,14 +233,9 @@ class RushScheduler(Scheduler):
         :func:`repro.ui.status.render_profile_text`.
         """
         cache = self._planner.wcde_cache if self._planner is not None else None
-        inc = self._incremental
         totals = self._totals
-        presolve_hits = inc.presolve_hits if inc is not None else 0
         hits = cache.hits if cache is not None else 0
         misses = cache.misses if cache is not None else 0
-        # A presolved job skipped its lookup because its answer was
-        # proved unchanged: a memoization win the rate must not undercount.
-        answered = hits + presolve_hits
         return {
             "fallbacks": self.degradation.total_fallbacks,
             "plans_computed": self.plans_computed,
@@ -257,12 +245,10 @@ class RushScheduler(Scheduler):
             "mapping_seconds": totals.mapping_seconds,
             "estimates_refreshed": self.estimates_refreshed,
             "estimates_reused": self.estimates_reused,
-            "presolve_hits": presolve_hits,
-            "presolve_misses": inc.presolve_misses if inc is not None else 0,
             "wcde_cache_hits": hits,
             "wcde_cache_misses": misses,
-            "wcde_cache_hit_rate": (answered / (answered + misses)
-                                    if answered + misses else 0.0),
+            "wcde_cache_hit_rate": (hits / (hits + misses)
+                                    if hits + misses else 0.0),
             "peels": totals.peels,
             "feasibility_checks": totals.feasibility_checks,
             "certified_probes": totals.certified_probes,
@@ -325,7 +311,7 @@ class RushScheduler(Scheduler):
         def primary() -> SchedulePlan:
             if forced:
                 raise SolverBudgetError("injected solver fault (primary)")
-            return (self._incremental or self._planner).plan(planner_jobs)
+            return self._planner.plan(planner_jobs)
 
         last_good = None if forced >= 2 else self._plan
         outcome = self.degradation.execute(primary, last_good)

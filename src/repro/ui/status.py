@@ -125,8 +125,8 @@ def render_profile_text(profile: Mapping[str, float]) -> str:
     """Planner-cost view over :meth:`RushScheduler.profile` counters.
 
     Shows where planning time went (WCDE / onion / mapping), how much
-    work the incremental engine skipped (estimate reuse, presolve hits,
-    WCDE-memo hit rate) and the onion effort (peels, feasibility checks
+    work the memo tiers skipped (estimate reuse, WCDE-memo hit rate)
+    and the onion effort (peels, feasibility checks
     evaluated, probes a certificate answered instead).
     """
     plans = int(profile.get("plans_computed", 0))
@@ -147,12 +147,9 @@ def render_profile_text(profile: Mapping[str, float]) -> str:
                               stage_rows, digits=3))
     refreshed = int(profile.get("estimates_refreshed", 0))
     reused = int(profile.get("estimates_reused", 0))
-    presolve_hits = int(profile.get("presolve_hits", 0))
-    presolve_misses = int(profile.get("presolve_misses", 0))
     lines.append(
         f"estimates: {refreshed} refreshed, {reused} reused "
-        f"(dirty tracking); presolve: {presolve_hits} hit(s), "
-        f"{presolve_misses} miss(es)")
+        f"(dirty tracking)")
     lines.append(
         f"WCDE memo: {int(profile.get('wcde_cache_hits', 0))} hit(s), "
         f"{int(profile.get('wcde_cache_misses', 0))} miss(es) "

@@ -7,10 +7,10 @@ hypothesis suite in ``test_incremental.py`` fuzzes the planner in
 isolation; this module sweeps the contract end-to-end across many seeds
 (it replaces the old single-seed ``rng(3)`` spot check):
 
-* **planner level** — for each seed, an :class:`IncrementalPlanner`
-  replanning an unchanged snapshot from its presolve memo, and one that
-  sees one job's estimate replaced, both produce the plan a cold
-  :class:`RushPlanner` produces;
+* **planner level** — for each seed, a :class:`RushPlanner` replanning
+  an unchanged snapshot from its warm WCDE cache, and one that sees one
+  job's estimate replaced, both produce the plan the uncached
+  ``RushPlanner(wcde_cache_size=0)`` produces, probe for probe;
 * **simulator level** — for each (seed, faults) point, a full
   simulation with ``RushScheduler(incremental=True)`` equals one with
   ``incremental=False``, fault events included, comparing the entire
@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    IncrementalPlanner,
     PlannerJob,
     RushPlanner,
     RushScheduler,
@@ -67,7 +66,14 @@ def plans_equal(a, b) -> bool:
            (pb.robust_demand, pb.reference_demand, pb.target_completion,
                 pb.planned_completion, pb.predicted_utility, pb.layer):
             return False
-    return a.next_slot_allocation() == b.next_slot_allocation()
+    return (a.next_slot_allocation() == b.next_slot_allocation()
+            and probes(a) == probes(b))
+
+
+def probes(plan):
+    """The onion's work on a plan: equal plans were reached probe for probe."""
+    return (plan.stats.peels, plan.stats.feasibility_checks,
+            plan.stats.certified_probes)
 
 
 def schedule_dict(result):
@@ -82,17 +88,21 @@ def schedule_dict(result):
 # churn, 20 seeds each
 # ---------------------------------------------------------------------------
 
+def cold_planner() -> RushPlanner:
+    """The uncached reference every warm plan is compared with."""
+    return RushPlanner(16, tolerance=0.05, wcde_cache_size=0)
+
+
 @pytest.mark.parametrize("seed", PLANNER_SEEDS)
 def test_warm_replan_equals_cold_plan(seed):
-    """"Warm" is the session's presolve memo — the only state a planning
-    session carries; the onion is solved cold either way."""
+    """"Warm" is the planner's WCDE cache — the only state a planner
+    carries across rounds; the onion is solved cold either way."""
     jobs = random_jobs(seed)
-    cold_plan = RushPlanner(16, tolerance=0.05).plan(jobs)
-    warm = IncrementalPlanner(RushPlanner(16, tolerance=0.05))
-    warm.plan(jobs)                       # fills the memo
+    warm = RushPlanner(16, tolerance=0.05)
+    warm.plan(jobs)                       # fills the cache
     replan = warm.plan(jobs)              # unchanged snapshot
-    assert replan.stats.wcde_presolved == len(jobs)
-    assert plans_equal(replan, cold_plan)
+    assert replan.stats.wcde_cache_hits == len(jobs)
+    assert plans_equal(replan, cold_planner().plan(jobs))
 
 
 @pytest.mark.parametrize("seed", PLANNER_SEEDS)
@@ -100,8 +110,8 @@ def test_incremental_equals_cold_after_churn(seed):
     """Perturb one job between plans; the next plan still matches cold."""
     rng = np.random.default_rng(seed + 1000)
     jobs = random_jobs(seed)
-    inc = IncrementalPlanner(RushPlanner(16, tolerance=0.05))
-    inc.plan(jobs)
+    warm = RushPlanner(16, tolerance=0.05)
+    warm.plan(jobs)
     victim = int(rng.integers(0, len(jobs)))
     jobs[victim] = PlannerJob(
         jobs[victim].job_id, jobs[victim].utility,
@@ -109,8 +119,9 @@ def test_incremental_equals_cold_after_churn(seed):
             Pmf.from_gaussian(float(rng.uniform(20, 80)), 8.0, tau_max=300),
             bin_width=1.0, container_runtime=5.0, sample_count=5),
         elapsed=jobs[victim].elapsed)
-    assert plans_equal(inc.plan(jobs),
-                       RushPlanner(16, tolerance=0.05).plan(jobs))
+    replan = warm.plan(jobs)
+    assert replan.stats.wcde_cache_misses == 1
+    assert plans_equal(replan, cold_planner().plan(jobs))
 
 
 # ---------------------------------------------------------------------------

@@ -248,3 +248,22 @@ def test_no_core_module_but_the_planner_imports_a_clock():
     assert not offenders, (
         "a wall-clock import in the deterministic core:\n"
         + "\n".join(offenders))
+
+
+# The local stand-in for "one memo tier in front of WCDE": the planner's
+# content-addressed WcdeCache answers every robust-demand lookup.
+# IncrementalPlanner survives only as an inert name the perf ledger
+# constructs, so nothing in the package may come to depend on it again.
+
+_INERT_SESSION_HOMES = {"repro/__init__.py", "repro/core/__init__.py",
+                        "repro/core/planner.py"}
+
+
+def test_only_the_planner_and_its_re_exports_name_incremental_planner():
+    naming = [path.relative_to(SRC).as_posix()
+              for path in sorted((SRC / "repro").rglob("*.py"))
+              if "IncrementalPlanner" in path.read_text(encoding="utf-8")]
+    assert set(naming) <= _INERT_SESSION_HOMES, (
+        "IncrementalPlanner is a pass-through kept for the perf ledger; "
+        "call RushPlanner.plan instead:\n"
+        + "\n".join(sorted(set(naming) - _INERT_SESSION_HOMES)))

@@ -1,14 +1,15 @@
-"""The incremental planning engine: memo, presolve and dirty tracking.
+"""The incremental planning engine: the WCDE memo and dirty tracking.
 
 Three layers of guarantees:
 
 * :class:`~repro.core.wcde.WcdeCache` is a content-addressed, bounded
   LRU whose hits return the exact solve result, and the lazy
   ``worst_pmf`` matches the eager solve;
-* :class:`~repro.core.planner.IncrementalPlanner` is *bit-identical*
-  to the stateless cold planner — same robust demands, targets and
-  next-slot grants — under hypothesis-fuzzed job sets and arbitrary
-  estimate-churn sequences;
+* a :class:`~repro.core.planner.RushPlanner` reused across rounds (its
+  cache warm) is *bit-identical* to the uncached reference
+  ``RushPlanner(wcde_cache_size=0)`` — same robust demands, targets,
+  next-slot grants and onion probes — under hypothesis-fuzzed job sets
+  and arbitrary estimate-churn sequences;
 * :class:`~repro.schedulers.rush.RushScheduler` invalidates its cached
   per-job estimates exactly when the paper's feedback cycle demands:
   on arrival, task launch, completion and failure — and only then.
@@ -91,7 +92,14 @@ def plans_equal(a, b) -> bool:
            (pb.robust_demand, pb.reference_demand, pb.target_completion,
                 pb.planned_completion, pb.predicted_utility, pb.layer):
             return False
-    return a.next_slot_allocation() == b.next_slot_allocation()
+    return (a.next_slot_allocation() == b.next_slot_allocation()
+            and probes(a) == probes(b))
+
+
+def probes(plan):
+    """The onion's work on a plan: equal plans were reached probe for probe."""
+    return (plan.stats.peels, plan.stats.feasibility_checks,
+            plan.stats.certified_probes)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +192,7 @@ class TestWcdeCache:
 
 
 # ---------------------------------------------------------------------------
-# IncrementalPlanner == cold planner, bit for bit
+# A warm planner == the uncached planner, bit for bit
 # ---------------------------------------------------------------------------
 
 class TestIncrementalEquivalence:
@@ -196,18 +204,17 @@ class TestIncrementalEquivalence:
                     min_size=0, max_size=8))
     def test_bit_identical_under_churn(self, raw, capacity, theta, delta,
                                        churn):
-        """Presolved replanning equals the cold path after arbitrary churn.
+        """A warm replan equals the uncached path after arbitrary churn.
 
         Each churn step replaces one job's estimate object (as a fresh DE
-        report would) and bumps its elapsed/extra_demand; the incremental
-        planner must still reproduce the stateless planner exactly.
+        report would) and bumps its elapsed/extra_demand; the planner
+        reused across rounds must still reproduce the uncached planner
+        exactly.
         """
         jobs = build_jobs(raw)
         cold = RushPlanner(capacity, theta=theta, delta=delta,
                            tolerance=0.05, wcde_cache_size=0)
-        warm = IncrementalPlanner(
-            RushPlanner(capacity, theta=theta, delta=delta, tolerance=0.05),
-            warm_start=False)
+        warm = RushPlanner(capacity, theta=theta, delta=delta, tolerance=0.05)
 
         assert plans_equal(cold.plan(jobs), warm.plan(jobs))
 
@@ -231,58 +238,27 @@ class TestIncrementalEquivalence:
                                    extra_demand=old.extra_demand + 0.5)
             assert plans_equal(cold.plan(jobs), warm.plan(jobs))
 
-    def test_presolve_counters_track_reuse(self):
-        raw_jobs = [
-            PlannerJob(f"j{i}", LinearUtility(200.0, 1.0),
-                       DemandEstimate(Pmf.from_gaussian(40 + i, 6, tau_max=120),
-                                      bin_width=1.0, container_runtime=5.0,
-                                      sample_count=4))
-            for i in range(4)]
-        warm = IncrementalPlanner(RushPlanner(16), warm_start=False)
-        warm.plan(raw_jobs)
-        assert warm.presolve_misses == 4 and warm.presolve_hits == 0
-        plan = warm.plan(raw_jobs)
-        assert warm.presolve_hits == 4
-        assert plan.stats.wcde_presolved == 4
-
-    def test_presolve_reuse_feeds_cache_hit_rate(self):
-        """A warm replan presolves every job, so the round performs zero
-        cache lookups.  The reuse is counted where it happens — on the
-        planner (``presolve_hits``, ``PlanStats.wcde_presolved``) — and
-        ``hits + misses`` on the cache is exactly the lookups made; the
-        scheduler's ``profile()`` folds the two into one hit rate.
-        """
-        raw_jobs = [
-            PlannerJob(f"j{i}", LinearUtility(200.0, 1.0),
-                       DemandEstimate(Pmf.from_gaussian(40 + i, 6, tau_max=120),
-                                      bin_width=1.0, container_runtime=5.0,
-                                      sample_count=4))
-            for i in range(4)]
+    def test_bin_width_stays_outside_the_content_key(self):
+        """Two jobs whose PMFs are bit-identical but whose bins are 1 and
+        10 slots wide share one cache entry — the key is the distribution's
+        content, theta and delta — and each eta is scaled by its own
+        width afterwards: exactly 10x apart, each the uncached planner's."""
+        pmf = Pmf.from_gaussian(40, 6, tau_max=120)
+        jobs = [PlannerJob(f"w{width:g}", LinearUtility(2000.0, 1.0),
+                           DemandEstimate(Pmf(pmf.probs), bin_width=width,
+                                          container_runtime=5.0,
+                                          sample_count=4))
+                for width in (1.0, 10.0)]
         planner = RushPlanner(16)
-        warm = IncrementalPlanner(planner, warm_start=False)
-        cache = planner.wcde_cache
-        warm.plan(raw_jobs)
-        assert warm.presolve_hits == 0
-        assert (cache.hits, cache.misses) == (0, 4)
-        plan = warm.plan(raw_jobs)
-        assert warm.presolve_hits == plan.stats.wcde_presolved == 4
-        # No new lookups happened: 4 lookups in all, 8 demand queries.
-        assert (cache.hits, cache.misses) == (0, 4)
-        lookups = warm.presolve_hits + warm.presolve_misses - 4
-        assert cache.hits + cache.misses == lookups
-        cache.clear()
-        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-
-    def test_forget_drops_presolve_entry(self):
-        job = PlannerJob("solo", LinearUtility(200.0, 1.0),
-                         DemandEstimate(Pmf.from_gaussian(40, 6, tau_max=120),
-                                        bin_width=1.0, container_runtime=5.0,
-                                        sample_count=4))
-        warm = IncrementalPlanner(RushPlanner(16), warm_start=False)
-        warm.plan([job])
-        warm.forget("solo")
-        warm.plan([job])
-        assert warm.presolve_hits == 0 and warm.presolve_misses == 2
+        plan = planner.plan(jobs)
+        assert (planner.wcde_cache.misses, planner.wcde_cache.hits) == (1, 1)
+        assert len(planner.wcde_cache) == 1
+        narrow, wide = (plan.jobs[job.job_id].robust_demand for job in jobs)
+        assert wide == 10 * narrow
+        uncached = RushPlanner(16, wcde_cache_size=0).plan(jobs)
+        for job in jobs:
+            assert (plan.jobs[job.job_id].robust_demand
+                    == uncached.jobs[job.job_id].robust_demand)
 
     def test_the_onion_has_no_approximate_mode(self):
         """One onion — cold, certified, exact.  Nothing takes a warm start,
@@ -303,9 +279,9 @@ class TestIncrementalEquivalence:
 
     def test_session_plan_equals_fresh_planner_plan(self):
         """A plan is a pure function of its snapshot: on the first round
-        and on an unchanged replan (every job presolved), the session's
-        plan is the one a fresh :class:`RushPlanner` makes for the same
-        jobs — equal, probe for probe."""
+        and on an unchanged replan (every job a cache hit), the warm
+        planner's plan is the one the uncached planner makes for the
+        same jobs — equal, probe for probe."""
         jobs = [PlannerJob(f"j{i}", SigmoidUtility(40.0 + 9 * i, 1.0 + i % 3,
                                                    beta=0.2),
                            DemandEstimate(
@@ -314,16 +290,13 @@ class TestIncrementalEquivalence:
                                sample_count=4),
                            elapsed=float(i))
                 for i in range(12)]
-        session = IncrementalPlanner(RushPlanner(4, tolerance=0.05))
+        session = RushPlanner(4, tolerance=0.05)
         for _ in range(2):
             planned = session.plan(jobs)
-            fresh = RushPlanner(4, tolerance=0.05).plan(jobs)
+            fresh = RushPlanner(4, tolerance=0.05,
+                                wcde_cache_size=0).plan(jobs)
             assert plans_equal(planned, fresh)
-            assert ((planned.stats.peels, planned.stats.feasibility_checks,
-                     planned.stats.certified_probes)
-                    == (fresh.stats.peels, fresh.stats.feasibility_checks,
-                        fresh.stats.certified_probes))
-        assert session.presolve_hits == len(jobs)
+        assert planned.stats.wcde_cache_hits == len(jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +360,6 @@ class TestRushSchedulerInvalidation:
         sched._current_plan()
         assert sched.estimates_refreshed == 3
         assert sched.estimates_reused == 3
-        assert sched.profile()["presolve_hits"] == 3
 
     def test_same_epoch_returns_cached_plan(self):
         sched, sim = _scheduler_with_jobs(2)
@@ -478,7 +450,9 @@ class TestRushSchedulerInvalidation:
         sched._current_plan()
         assert sched.estimates_reused == 0
         assert sched.estimates_refreshed == 4
-        assert sched.profile()["presolve_hits"] == 0
+        # Four fresh estimate objects of one distribution: the content
+        # cache still pays a single bisection.
+        assert sched.profile()["wcde_cache_misses"] == 1
 
     def test_profile_reports_all_counters(self):
         sched, sim = _scheduler_with_jobs(2)
@@ -486,8 +460,7 @@ class TestRushSchedulerInvalidation:
         profile = sched.profile()
         for key in ("plans_computed", "planner_seconds", "wcde_seconds",
                     "onion_seconds", "mapping_seconds", "estimates_refreshed",
-                    "estimates_reused", "presolve_hits", "presolve_misses",
-                    "wcde_cache_hits", "wcde_cache_misses",
+                    "estimates_reused", "wcde_cache_hits", "wcde_cache_misses",
                     "wcde_cache_hit_rate", "peels", "feasibility_checks"):
             assert key in profile
         assert profile["plans_computed"] == 1
