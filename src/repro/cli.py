@@ -31,9 +31,9 @@ The subcommands cover the workflow an operator would actually use:
     source tree; exit 0 means clean.
 ``rush serve``
     Run the asyncio scheduler daemon: job submit/cancel/query over
-    HTTP, an NDJSON status stream, Prometheus ``/metrics``, and
-    journal-replay snapshots (``--snapshot``/``--restore``).  With
-    ``--smoke`` it instead runs the CI equivalence battery: replay a
+    HTTP, an NDJSON status stream, Prometheus ``/metrics``, and (with
+    ``--journal-dir``) a write-ahead journal that survives a restart.
+    With ``--smoke`` it instead runs the CI equivalence battery: replay a
     scenario through the HTTP API and diff the outcome digest against
     the simulator path.
 
@@ -62,10 +62,14 @@ from repro.schedulers import POLICIES
 from repro.cluster.simulator import run_simulation
 from repro.analysis.scenario import render_scenario_text, save_scenario_json
 from repro.service import (RealTimeClock, ServiceConfig, ServiceDaemon,
-                           ServiceEngine, load_snapshot, open_journal,
-                           restore_engine, run_service_smoke,
+                           ServiceEngine, open_journal, run_service_smoke,
                            tenants_from_dicts)
 from repro.service.smoke import SMOKE_SCENARIO, run_crash_smoke
+# ``restore_engine`` is no longer called here, but the perf ledger's
+# tracer (benchmarks/ledger/tracing.py) rebinds it on this module by
+# name, so the name stays until that tracer wraps layers, not symbols
+# (ROADMAP 10(ii)).
+from repro.service.snapshot import restore_engine  # noqa: F401
 from repro.ui.status import (render_fault_text, render_profile_text,
                              render_status_html, render_status_text)
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
@@ -236,11 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                             '{"name": "b", "share": 0.5}]\'')
     serve.add_argument("--chaos", action="store_true",
                        help="enable the /chaos fault-injection endpoints")
-    serve.add_argument("--snapshot", metavar="PATH",
-                       help="persist POST /snapshot to this file")
-    serve.add_argument("--restore", action="store_true",
-                       help="restore state from --snapshot at boot "
-                            "(journal replay, digest-verified)")
     serve.add_argument("--journal-dir", metavar="DIR",
                        help="durable write-ahead journal: every "
                             "submit/cancel/tick is fsynced to DIR before "
@@ -483,12 +482,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         report = run_crash_smoke(args.journal_dir, seed=args.seed)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    if args.restore and args.journal_dir:
-        raise ReproError(
-            "--restore and --journal-dir are mutually exclusive: the "
-            "journal directory carries its own recovery anchor")
-    if args.restore and not args.snapshot:
-        raise ReproError("--restore requires --snapshot PATH")
 
     def parsed(flag: str, text: str) -> object:
         try:
@@ -508,16 +501,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     durable = bool(args.journal_dir)
 
     async def _serve() -> None:
-        if args.restore:
-            engine = restore_engine(load_snapshot(args.snapshot),
-                                    clock=clock)
-        elif durable:
+        if durable:
             engine, _writer = open_journal(args.journal_dir, config,
                                            clock=clock)
         else:
             engine = ServiceEngine(config, clock=clock)
-        daemon = ServiceDaemon(engine, chaos=args.chaos,
-                               snapshot_path=args.snapshot)
+        daemon = ServiceDaemon(engine, chaos=args.chaos)
         await daemon.start(args.host, args.port)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()

@@ -23,7 +23,7 @@ __all__ = [
 
 #: The one policy-name table (CLI, service and scenario library read
 #: it): builder, plus the keyword options a JSON config — ``rush serve
-#: --scheduler-options``, a snapshot, a journal anchor — may set.  The
+#: --scheduler-options`` or a journal anchor — may set.  The
 #: options are written out, not reflected from the constructors: they
 #: are journaled with every commitment, so the surface is the paper's
 #: theta, delta and Delta.

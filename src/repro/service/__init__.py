@@ -12,8 +12,11 @@ here through the :class:`~repro.core.clock.Clock` /
   HTTP front end (JSON endpoints, NDJSON ``/stream``, Prometheus
   ``/metrics``), paced by :class:`~repro.service.clock.RealTimeClock`
   or driven manually through ``POST /tick``;
-* :mod:`~repro.service.snapshot` — restart-surviving snapshots by
-  config+journal replay, verified against the decision-stream digest;
+* :mod:`~repro.service.journal` — the write-ahead journal behind
+  ``rush serve --journal-dir``, the one way the service survives a
+  restart: every event is fsynced before it is applied, and recovery
+  replays the log (from its :mod:`~repro.service.snapshot`-encoded
+  anchor) verified against the decision-stream digest;
 * :class:`~repro.service.client.ServiceClient` and
   :mod:`~repro.service.smoke` — the test/CI side of the same wire
   protocol.
@@ -39,8 +42,7 @@ from repro.service.protocol import (canonical_digest, error_payload,
                                     submit_payload_from_spec)
 from repro.service.smoke import run_crash_smoke, run_service_smoke
 from repro.service.snapshot import (SnapshotError, load_snapshot,
-                                    restore_engine, save_snapshot,
-                                    take_snapshot)
+                                    restore_engine, take_snapshot)
 from repro.service.tenants import (DEFAULT_TENANT, TenantRegistry,
                                    TenantSpec, tenants_from_dicts)
 
@@ -51,7 +53,6 @@ __all__ = [
     "RealFileOps", "atomic_write_text", "open_journal", "recover_engine",
     "canonical_digest", "error_payload", "parse_submit", "records_digest",
     "submit_payload_from_spec", "run_service_smoke", "run_crash_smoke",
-    "SnapshotError", "load_snapshot", "restore_engine", "save_snapshot",
-    "take_snapshot", "DEFAULT_TENANT", "TenantRegistry", "TenantSpec",
-    "tenants_from_dicts",
+    "SnapshotError", "load_snapshot", "restore_engine", "take_snapshot",
+    "DEFAULT_TENANT", "TenantRegistry", "TenantSpec", "tenants_from_dicts",
 ]

@@ -16,10 +16,9 @@ Transport failures — connection refused, a connection reset mid-body, a
 torn or unparseable response — surface as
 :class:`ServiceUnavailableError` carrying the attempt count, never a raw
 ``OSError``, ``ValueError`` or ``IndexError``.  Only idempotent requests
-are ever sent twice: reads, cancels, snapshots, and submits that carry
-an idempotency key (auto-generated when retries are enabled,
-deduplicated server-side, so a retry after an ambiguous crash never
-double-admits).
+are ever sent twice: reads, cancels, and submits that carry an
+idempotency key (auto-generated when retries are enabled, deduplicated
+server-side, so a retry after an ambiguous crash never double-admits).
 One that fails on a *reused* connection — the daemon dropped it, or
 restarted, while it sat in the pool — is re-sent at once on a fresh
 connection without using up an attempt; with ``retries > 0`` other
@@ -302,9 +301,6 @@ class ServiceClient:
         # ambiguous, and re-ticking is not idempotent.
         return await self.request_json("POST", "/tick", {"slots": slots},
                                        idempotent=False)
-
-    async def snapshot(self) -> Dict[str, Any]:
-        return await self.request_json("POST", "/snapshot")
 
     async def chaos_solver_fault(self, depth: int = 1) -> Dict[str, Any]:
         # Never re-sent: each call journals one more solver fault.

@@ -36,7 +36,7 @@ class RealTimeClock:
     accumulation (boundaries are computed from the origin, not from
     "now + interval").
 
-    After a snapshot restore the engine fast-forwards ``slot`` far past
+    After a journal recovery the engine fast-forwards ``slot`` far past
     real time; :meth:`rebase` re-anchors the origin so the loop resumes
     pacing from the present instead of spinning to catch up.
     """

@@ -24,7 +24,6 @@ POST      /tick                    advance N slots (manual-clock mode only)
 GET       /stream                  NDJSON per-slot status; ``?count=N`` bounds
 GET       /digest                  canonical records/decisions digests
 GET       /metrics                 Prometheus text exposition
-POST      /snapshot                take (and persist) a restart snapshot
 POST      /chaos/solver-fault      arm a forced solver failure (``--chaos``)
 ========  =======================  ==========================================
 
@@ -66,7 +65,11 @@ from repro.obs import get_metrics
 from repro.service.clock import RealTimeClock
 from repro.service.engine import ServiceEngine
 from repro.service.protocol import error_payload
-from repro.service.snapshot import save_snapshot, take_snapshot
+# ``take_snapshot`` is no longer called here, but the perf ledger's
+# tracer (benchmarks/ledger/tracing.py) rebinds it on this module by
+# name, so the name stays until that tracer wraps layers, not symbols
+# (ROADMAP 10(ii)).
+from repro.service.snapshot import take_snapshot  # noqa: F401
 
 __all__ = ["ServiceDaemon"]
 
@@ -85,8 +88,7 @@ class ServiceDaemon:
     """Serve one :class:`ServiceEngine` over HTTP until stopped."""
 
     def __init__(self, engine: ServiceEngine, *,
-                 chaos: bool = False,
-                 snapshot_path: Optional[str] = None) -> None:
+                 chaos: bool = False) -> None:
         self.engine = engine
         #: The slot loop's pacing clock: the engine's own, in real-time
         #: mode; None in manual mode.
@@ -94,7 +96,6 @@ class ServiceDaemon:
             engine.clock if isinstance(engine.clock, RealTimeClock)
             else None)
         self.chaos = chaos
-        self.snapshot_path = snapshot_path
         self._server: Optional[asyncio.AbstractServer] = None
         self._slot_task: Optional[asyncio.Task] = None
         #: ``ok`` | ``stalled: <code>`` | ``dead: <Type>: …`` (``/status``).
@@ -394,12 +395,6 @@ class ServiceDaemon:
                     "text/plain; version=0.0.4")
         if path == "/stream" and method == "GET":
             return self._stream_limit(query), _NDJSON
-        if path == "/snapshot" and method == "POST":
-            snapshot = take_snapshot(engine)
-            if self.snapshot_path is not None:
-                save_snapshot(engine, self.snapshot_path)
-                snapshot["saved_to"] = self.snapshot_path
-            return snapshot, _JSON
         if path == "/chaos/solver-fault" and method == "POST":
             if not self.chaos:
                 raise BadRequestError(

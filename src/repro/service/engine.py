@@ -7,7 +7,7 @@ protocols, validates and journals every external request, and advances
 one slot per ``tick()``.  The asyncio daemon is a thin shell that
 paces ``tick()`` against a real-time clock and translates HTTP into
 these methods — which is why the whole service layer can be tested, and
-its snapshot/restore proven bit-identical, without ever opening a
+its journal recovery proven bit-identical, without ever opening a
 socket.
 
 Determinism contract: the engine's visible behaviour (decision stream,
@@ -15,8 +15,8 @@ job outcomes) is a pure function of (config, journal).  Every external
 input lands in the journal *with the slot it becomes due*, external
 events only enter the simulator through the event source at slot
 boundaries, and the scheduler stack below is the already-pinned
-deterministic core.  Snapshot = config + journal + slot; restore =
-replay.  See :mod:`repro.service.snapshot`.
+deterministic core.  The journal's anchor = config + journal + slot;
+recovery = replay.  See :mod:`repro.service.journal`.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class ServiceEngine:
     methods only validate and build the journal entry; :meth:`_commit`
     makes it durable, applies it and runs journal housekeeping; and
     :meth:`apply` — given nothing but the entry — is the only code that
-    changes engine state, for live requests, snapshot restore and WAL
+    changes engine state, for live requests, anchor replay and WAL
     recovery alike.  Live ≡ replay holds by construction: the live
     engine acts on exactly what it journaled.
     """
@@ -138,8 +138,9 @@ class ServiceEngine:
             config.capacity, self.scheduler, seed=config.seed,
             faults=faults, clock=clock, events=self.events,
             record_decisions=True)
-        #: Every applied entry except ticks, in order (the snapshot's
-        #: journal; ticks are implied by the entries' ``due`` slots).
+        #: Every applied entry except ticks, in order (what the WAL's
+        #: ``anchor.json`` freezes at compaction; ticks are implied by
+        #: the entries' ``due`` slots).
         self.journal: List[Dict[str, Any]] = []
         #: Optional write-ahead log (duck-typed: ``append``,
         #: ``note_applied``, ``close``; see :mod:`repro.service.journal`).
@@ -436,7 +437,7 @@ class ServiceEngine:
 
         The value is ``canonical_digest`` of the stream as a list of
         ``[slot, kind, job_id]`` rows — the journal checkpoints, the
-        snapshot and ``/digest`` all carry it.  It is kept as a
+        anchor and ``/digest`` all carry it.  It is kept as a
         :class:`~repro.service.protocol.RollingDigest`: a call folds
         only the decisions granted since the previous call, so it costs
         O(new decisions), not O(history).  That relies on

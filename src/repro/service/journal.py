@@ -1,13 +1,12 @@
 """The durable write-ahead journal behind ``rush serve --journal-dir``.
 
-PR 8's snapshot machinery made the daemon restart-safe *if someone
-snapshotted*; this module makes it crash-safe by construction.  Every
-externally-visible event — ``submit``, ``cancel``, ``solver_fault``,
-each ``tick`` slot — is framed, appended and fsynced to a segment file
-*before* the engine applies it, so an accepted request is durable by
-the time its HTTP response leaves the socket.  Recovery is the same
-replay the snapshot path already proves correct — both call the one
-:meth:`~repro.service.engine.ServiceEngine.apply` the live path does:
+This module is the one way the service survives a restart, and it makes
+the daemon crash-safe by construction.  Every externally-visible event
+— ``submit``, ``cancel``, ``solver_fault``, each ``tick`` slot — is
+framed, appended and fsynced to a segment file *before* the engine
+applies it, so an accepted request is durable by the time its HTTP
+response leaves the socket.  Recovery replays the log through the one
+:meth:`~repro.service.engine.ServiceEngine.apply` the live path calls:
 the engine's behaviour is a pure function of (config, journal), so
 scanning the log and re-applying it through a fresh engine re-derives
 the exact pre-crash decision stream — and periodic checkpoint records
@@ -133,7 +132,7 @@ class RealFileOps:
 
     This class and :meth:`JournalWriter.append` are the only sanctioned
     write paths under ``repro.service`` (lint rule RL015); everything
-    else — snapshots included — routes through here so the fsync
+    else — the anchor included — routes through here so the fsync
     discipline and the disk-fault injection seam cover every byte the
     service persists.  Satisfies
     :class:`repro.faults.disk.JournalFileOps`.
@@ -187,10 +186,9 @@ def atomic_write_text(path: Union[str, Path], text: str, *,
                       file_ops: Optional[Any] = None) -> None:
     """Write-then-rename with an fsync on both file and directory.
 
-    The durable variant of the snapshot module's old tmp+rename: after
-    this returns, a crash leaves either the old content or the new —
-    never a torn mixture.  All service-side whole-file writes (snapshot
-    persistence, the journal anchor) go through here.
+    After this returns, a crash leaves either the old content or the
+    new — never a torn mixture.  Every service-side whole-file write
+    (the journal anchor) goes through here.
     """
     ops = file_ops if file_ops is not None else RealFileOps()
     target = Path(path)
@@ -504,7 +502,12 @@ def recover_engine(directory: Union[str, Path], *,
             raise JournalCorruptError(
                 f"no journal found in {dirpath}", path=anchor_path)
         anchor = load_snapshot(anchor_path)
-        anchor_seq = int(anchor.get("journal_seq", 0))
+        anchor_seq = anchor.get("journal_seq", 0)
+        if not isinstance(anchor_seq, int) or isinstance(anchor_seq, bool) \
+                or anchor_seq < 0:
+            raise JournalCorruptError(
+                "anchor journal_seq must be an integer >= 0, got "
+                f"{anchor_seq!r}", path=anchor_path)
         if anchor.get("version") == 1:
             # Only a v1 release appends behind a v1 anchor (open_journal
             # re-anchors before it appends): these depths count four rungs.

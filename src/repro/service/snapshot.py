@@ -1,18 +1,21 @@
-"""Snapshot and restore of the service's full scheduling state.
+"""The codec for the journal's ``anchor.json``: freeze and replay.
 
 The engine's behaviour is a pure function of (config, journal): every
 external input is journaled with the slot it became due, and everything
 below the journal — planner, estimators, utility ledger, fault streams —
-is deterministic given the slot sequence.  So a snapshot does not
+is deterministic given the slot sequence.  So the anchor that
+:meth:`~repro.service.journal.JournalWriter.compact` writes does not
 serialize the planner's matrices or the estimators' sample buffers at
-all; it freezes the *inputs* (config + journal + current slot) and
-restore rebuilds the state by replaying them through a fresh engine.
-That is both simpler and stronger than pickling internals: the restored
-daemon provably re-derives the same decisions, and the snapshot carries
-a digest of the decision stream so restore can verify the equivalence
-instead of assuming it.
+all; :func:`take_snapshot` freezes the *inputs* (config + journal +
+current slot) and :func:`restore_engine` rebuilds the state by
+replaying them through a fresh engine, for
+:func:`~repro.service.journal.recover_engine`.  That is both simpler
+and stronger than pickling internals: the rebuilt engine provably
+re-derives the same decisions, and the anchor carries a digest of the
+decision stream so recovery can verify the equivalence instead of
+assuming it.
 
-Format (JSON-able)::
+Format (JSON-able; the journal adds ``"journal_seq": N``)::
 
     {"format": "rush-service-snapshot", "version": 2,
      "config": {...},        # ServiceConfig.to_dict()
@@ -21,9 +24,10 @@ Format (JSON-able)::
      "journal": [...],       # ordered submit/cancel/solver_fault entries
      "decisions_digest": "<sha256 of the decision stream>"}
 
-A file without a string ``decisions_digest`` is refused: it could only
-be replayed unverified.  A version-1 file (four ladder rungs) that could
-carry a fault depth is refused.
+The anchor is input from outside the program, so it is checked, not
+trusted: a file without a string ``decisions_digest`` is refused (it
+could only be replayed unverified), and so is a version-1 file (four
+ladder rungs) that could carry a fault depth.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.errors import ConfigurationError, ServiceError
 from repro.service.engine import ServiceConfig, ServiceEngine
 
 __all__ = ["SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "take_snapshot",
-           "restore_engine", "save_snapshot", "load_snapshot"]
+           "restore_engine", "load_snapshot"]
 
 SNAPSHOT_FORMAT = "rush-service-snapshot"
 SNAPSHOT_VERSION = 2
@@ -151,19 +155,6 @@ def restore_engine(snapshot: Mapping[str, Any], *,
             "replay diverged from the snapshotted run: decision "
             f"digest {actual[:12]}… != expected {expected[:12]}…")
     return engine
-
-
-def save_snapshot(engine: ServiceEngine, path: Union[str, Path]) -> None:
-    """Write a snapshot atomically and durably to ``path``.
-
-    Routed through the journal's write-then-rename-then-fsync helper —
-    the single sanctioned write path under ``repro.service`` (RL015).
-    """
-    # Imported lazily: journal.py imports this module at the top level.
-    from repro.service.journal import atomic_write_text
-
-    blob = json.dumps(take_snapshot(engine), sort_keys=True, indent=2)
-    atomic_write_text(Path(path), blob + "\n")
 
 
 def load_snapshot(path: Union[str, Path]) -> Dict[str, Any]:

@@ -16,7 +16,7 @@ has two halves here:
   job-level, so per-tenant fairness is delegated to quotas.
 
 The registry is deterministic state: it is rebuilt identically from the
-journal on snapshot restore.
+journal on recovery.
 """
 
 from __future__ import annotations
@@ -192,5 +192,5 @@ class TenantRegistry:
 
 def tenants_from_dicts(data: Sequence[Mapping[str, Any]]
                        ) -> Tuple[TenantSpec, ...]:
-    """Parse a tenant list from JSON (CLI --tenants / snapshot config)."""
+    """Parse a tenant list from JSON (CLI --tenants / anchor config)."""
     return tuple(TenantSpec.from_dict(item) for item in data)

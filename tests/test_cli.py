@@ -191,8 +191,9 @@ class TestServeBootFailure:
         assert not obs.get_ledger().active
 
     def test_flag_error(self, capsys):
-        assert run_cli("serve", "--restore") == 2
-        assert "--restore requires --snapshot" in capsys.readouterr().err
+        assert run_cli("serve", "--manual", "--scheduler-options", "{") == 2
+        assert "--scheduler-options is not valid JSON" \
+            in capsys.readouterr().err
         self._assert_obs_off()
 
     def test_journal_config_mismatch(self, tmp_path, capsys):
@@ -281,6 +282,18 @@ class TestSimulateObservability:
             run_cli("metrics", "--trace", str(small_trace))
         assert exit_info.value.code == 2
         assert "invalid choice: 'metrics'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--restore"],
+                                   ["--snapshot", "state.json", "--restore"]])
+def test_retired_snapshot_flags_are_usage_errors(flags, capsys):
+    """``--journal-dir`` is the one way ``rush serve`` survives a
+    restart; the manual snapshot flags are unknown arguments."""
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("serve", "--manual", *flags)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" \
+        in capsys.readouterr().err
 
 
 #: The retired duplicate-attempt wrapper's flag, spelled in halves so

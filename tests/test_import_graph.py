@@ -267,3 +267,30 @@ def test_only_the_planner_and_its_re_exports_name_incremental_planner():
         "IncrementalPlanner is a pass-through kept for the perf ledger; "
         "call RushPlanner.plan instead:\n"
         + "\n".join(sorted(set(naming) - _INERT_SESSION_HOMES)))
+
+
+# The local stand-in for "one way to survive a restart": the write-ahead
+# journal.  service/snapshot.py is the codec for its anchor.json, so only
+# the journal freezes, reads or replays one.  Calls are checked, not
+# imports: cli.py and daemon.py keep a name the perf ledger rebinds.
+
+_SNAPSHOT_CODEC = {"take_snapshot", "restore_engine", "load_snapshot"}
+
+
+def test_only_the_journal_reads_or_writes_a_snapshot():
+    callers = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path.relative_to(SRC).as_posix() == "repro/service/journal.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in _SNAPSHOT_CODEC:
+                callers.append(f"{path.relative_to(SRC)}:{node.lineno}: "
+                               f"{name}(")
+    assert not callers, (
+        "the journal's anchor is the only snapshot; restart through "
+        "open_journal / recover_engine:\n" + "\n".join(callers))

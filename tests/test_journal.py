@@ -462,6 +462,32 @@ def test_anchor_without_a_digest_fails_as_a_digest_mismatch_does(tmp_path):
     assert "no decisions_digest" in str(missing)
 
 
+@pytest.mark.parametrize("seq", ["x", None, [1], 1.5, True, -1])
+def test_malformed_anchor_journal_seq_is_a_typed_refusal(tmp_path, capsys,
+                                                         seq):
+    """``anchor.json`` is input from outside the program: a
+    ``journal_seq`` that is not a plain integer >= 0 is refused with
+    :class:`JournalCorruptError` naming the anchor — never a raw
+    ``ValueError``/``TypeError``, and never truncated to a seq."""
+    from repro.cli import main
+
+    engine, writer = open_journal(tmp_path, CONFIG, **SINGLE_SEGMENT)
+    _drive(engine)
+    writer.compact(engine)
+    engine.close()
+    anchor_path = Path(tmp_path) / "anchor.json"
+    anchor = json.loads(anchor_path.read_text())
+    anchor["journal_seq"] = seq
+    anchor_path.write_text(json.dumps(anchor))
+
+    with pytest.raises(JournalCorruptError, match="journal_seq") as err:
+        recover_engine(tmp_path)
+    assert err.value.path == str(anchor_path)
+    assert main(["serve", "--manual", "--port", "0",
+                 "--journal-dir", str(tmp_path)]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_fresh_directory_requires_a_config(tmp_path):
     with pytest.raises(ConfigurationError, match="no journal"):
         open_journal(tmp_path / "empty")

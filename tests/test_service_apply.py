@@ -213,8 +213,8 @@ MALFORMED_DEPTHS = [{}, {"depth": "x"}, {"depth": 3}, {"depth": True}]
 @pytest.mark.parametrize("depth", MALFORMED_DEPTHS,
                          ids=["missing", "string", "outside", "bool"])
 def test_a_malformed_fault_depth_on_replay_is_a_typed_error(tmp_path, depth):
-    """A snapshot file or a WAL record is outside input: a bad depth
-    must surface as the service's own error (``rush serve --restore``
+    """A journal anchor or a WAL record is outside input: a bad depth
+    must surface as the service's own error (``rush serve --journal-dir``
     answers ``error: …`` and exits 2), never a raw ``KeyError`` /
     ``ValueError`` and never a silent replay."""
     config = ServiceConfig(capacity=2, policy="rush")
