@@ -5,9 +5,9 @@ Time advances in fixed slots (the paper's discrete time model, e.g. one
 second per slot).  Within a slot the simulator
 
 1. admits newly arrived jobs,
-2. fires *scheduling events* while containers are free and work is
-   pending — each event asks the pluggable scheduler for one job and
-   launches that job's next task, matching YARN's container-grant loop
+2. fires a *scheduling event* when a container is free — the pluggable
+   scheduler allocates the free containers in one call and each granted
+   job's next task launches in order, matching YARN's container grants
    driven by the RUSH CA unit ("the CA unit is triggered whenever there is
    an empty container in the system"),
 3. advances every running task by one slot, releasing containers whose
@@ -236,11 +236,12 @@ class ClusterSimulator:
 
     def _fire_scheduling_events(self) -> None:
         free = [c for c in self.containers if c.is_available(self.now)]
-        while free and any(j.pending_count > 0 for j in self._active):
-            job_id = self.scheduler.select_job()
+        if not free:
+            return
+        # One allocation per event; each grant launches before the next.
+        for container, job_id in zip(reversed(free),
+                                     self.scheduler.allocate(len(free))):
             self.scheduling_decisions += 1
-            if job_id is None:
-                break  # the scheduler deliberately idles remaining containers
             job = self._jobs.get(job_id)
             if job is None or job not in self._active:
                 raise SimulationError(
@@ -252,7 +253,6 @@ class ClusterSimulator:
             if self._record_decisions:  # the one append (see __init__)
                 self.decisions.append((self.now, "grant", job_id))
             self.faults.on_launch(job, task)
-            container = free.pop()
             container.assign(task, self.now)
             job.note_launched()
             self.scheduler.on_task_launched(job, task)

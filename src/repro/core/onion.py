@@ -384,8 +384,8 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     """
     if capacity <= 0:
         raise InfeasiblePlanError(f"cluster capacity must be positive, got {capacity}")
-    if tolerance <= 0:
-        raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
+    if not 0.0 < tolerance < math.inf:  # NaN fails too
+        raise ConfigurationError(f"tolerance={tolerance} must be finite and > 0")
     ids = [job.job_id for job in jobs]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("job ids must be unique within one solve")

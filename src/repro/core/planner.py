@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.errors import ConfigurationError
@@ -175,9 +175,8 @@ class SchedulePlan:
         """Staircase passes evaluated (``stats.feasibility_checks``)."""
         return self.stats.feasibility_checks
 
-    def next_slot_allocation(self) -> Mapping[str, int]:
-        """Containers each job should hold in the immediate next slot
-        (read-only; computed once per plan)."""
+    def next_slot_allocation(self) -> Dict[str, int]:
+        """Containers each job should hold in the immediate next slot."""
         return self.container_plan.next_slot_allocation()
 
     def impossible_jobs(self) -> List[str]:
@@ -254,12 +253,12 @@ class RushPlanner:
                  wcde_cache_size: int = 4096) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity}")
-        if not 0.0 <= theta <= 1.0:
+        if not 0.0 <= theta <= 1.0:  # each test written so NaN fails it
             raise ConfigurationError(f"theta={theta} outside [0, 1]")
-        if delta < 0.0:
-            raise ConfigurationError(f"delta={delta} must be >= 0")
-        if tolerance <= 0.0:
-            raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
+        if not 0.0 <= delta < math.inf:
+            raise ConfigurationError(f"delta={delta} must be finite and >= 0")
+        if not 0.0 < tolerance < math.inf:
+            raise ConfigurationError(f"tolerance={tolerance} must be finite and > 0")
         if wcde_cache_size < 0:
             raise ConfigurationError(
                 f"wcde_cache_size must be >= 0, got {wcde_cache_size}")

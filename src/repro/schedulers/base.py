@@ -1,19 +1,19 @@
 """Scheduler plug-in interface for the cluster substrate.
 
-A scheduler answers one question — *which active job gets the next free
-container?* — and optionally listens to lifecycle events (arrivals, task
-launches/completions) to maintain internal state, exactly the surface the
-RUSH CA unit has against the YARN resource manager.
+A scheduler answers one question per scheduling event — *which jobs get
+the free containers?* (:meth:`Scheduler.allocate`, by default one
+:meth:`~Scheduler.select_job` per container) — and may listen to lifecycle
+events (arrivals, task launches/completions), exactly the surface the RUSH
+CA unit has against the YARN resource manager.
 
-Returning ``None`` from :meth:`select_job` deliberately leaves the
-remaining containers idle for this slot; most policies here are
-work-conserving and never do, but the interface permits it.
+Granting fewer containers than are free deliberately idles the rest for
+this slot; the policies here are work-conserving and never do.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro.errors import SimulationError
 
@@ -70,6 +70,15 @@ class Scheduler(ABC):
     @abstractmethod
     def select_job(self) -> Optional[str]:
         """Pick the job to receive the next free container, or ``None``."""
+
+    def allocate(self, free: int) -> Iterable[str]:
+        """Job ids for up to ``free`` containers; each is launched before
+        the next is drawn, so each :meth:`select_job` sees the last."""
+        for _ in range(free):
+            job_id = self.select_job()
+            if job_id is None:
+                return
+            yield job_id
 
     # -- lifecycle hooks (optional) ---------------------------------------------
 

@@ -23,8 +23,8 @@ __all__ = ["EdfScheduler", "edf_key"]
 def edf_key(job) -> tuple:
     """Sort key for earliest-absolute-deadline ordering of sim jobs.
 
-    Shared by :class:`EdfScheduler` and the RUSH degradation ladder's
-    greedy-EDF floor, so both rank identically.
+    Shared by :class:`EdfScheduler`, RRH's fallback and the RUSH ladder's
+    greedy-EDF floor, so all three rank identically.
     """
     deadline = job.spec.deadline
     if not math.isfinite(deadline):

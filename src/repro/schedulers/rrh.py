@@ -33,6 +33,7 @@ import math
 from typing import Optional
 
 from repro.schedulers.base import Scheduler
+from repro.schedulers.edf import edf_key
 
 __all__ = ["RrhScheduler"]
 
@@ -96,8 +97,4 @@ class RrhScheduler(Scheduler):
         if best_id is not None:
             return best_id
         # No utility at risk anywhere; serve the earliest deadline instead.
-        def fallback(job):
-            deadline = job.spec.deadline
-            return (deadline if math.isfinite(deadline) else math.inf,
-                    job.arrival, job.job_id)
-        return min(candidates, key=fallback).job_id
+        return min(candidates, key=edf_key).job_id

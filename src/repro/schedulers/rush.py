@@ -1,21 +1,19 @@
 """The RUSH scheduler: the CA unit of Section IV on the cluster substrate.
 
 Each job gets a Distribution Estimator unit at arrival; completed-task
-runtimes stream into it.  Whenever a container frees, the scheduler
+runtimes stream into it.  At each scheduling event the scheduler
 
 1. refreshes the demand estimate of every *dirty* active job,
 2. invokes the :class:`~repro.core.planner.RushPlanner` (WCDE -> onion
-   peeling -> continuous time-slot mapping),
+   peeling -> continuous time-slot mapping) once,
 3. reads only the *first slot* of the resulting container plan and grants
-   the free container to the job with the largest gap between its planned
-   and current container count — exactly the CA rule of the paper
-   ("selects a job that has the largest difference between the new and old
-   assignments").
+   each free container in turn to the job with the largest gap between
+   its planned and current container count — exactly the CA rule of the
+   paper ("selects a job that has the largest difference between the new
+   and old assignments").
 
 The full plan is recomputed at the next scheduling event, closing the
 feedback cycle that lets RUSH recover from earlier estimation mistakes.
-Plans are cached within a (slot, completion-count) epoch so several grants
-in the same slot reuse one solve.
 
 Between consecutive events, most jobs observed nothing: no task sample,
 no failure, no launch.  Their DE report is bit-identical, so the
@@ -37,7 +35,8 @@ both modes schedule identically).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Set, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.cluster.job import JobSpec
@@ -63,6 +62,13 @@ def _default_estimator_factory(spec: JobSpec) -> DistributionEstimator:
     return GaussianEstimator(
         prior_mean=_DEFAULT_PRIOR_RUNTIME if prior is None else prior,
         min_samples=2)
+
+
+def _fill(order: list, grants: List[str], free: int) -> List[str]:
+    """``grants``, then each job in ``order`` up to its pending count."""
+    rest = (job.job_id for job in order
+            for _ in range(job.pending_count - grants.count(job.job_id)))
+    return grants + list(islice(rest, free - len(grants)))
 
 
 class RushScheduler(Scheduler):
@@ -105,8 +111,6 @@ class RushScheduler(Scheduler):
         self._estimators: Dict[str, DistributionEstimator] = {}
         self._planner: Optional[RushPlanner] = None
         self._plan: Optional[SchedulePlan] = None
-        self._plan_epoch: Optional[tuple] = None
-        self._completions = 0
         # Dirty tracking: jobs whose DE inputs changed since their cached
         # estimate was computed.  The cache stores the estimate together
         # with the pending count it was computed for, as a belt-and-braces
@@ -144,51 +148,50 @@ class RushScheduler(Scheduler):
         # unless a fault injector corrupted the observation.
         self._estimators[job.job_id].observe(float(task.runtime_sample))
         self._dirty.add(job.job_id)
-        self._completions += 1
 
     def on_task_failed(self, job, task) -> None:
         self._estimators[job.job_id].observe_failure(float(task.executed))
         self._dirty.add(job.job_id)
-        self._completions += 1  # any task event invalidates the plan epoch
 
     def on_job_complete(self, job) -> None:
         self._estimators.pop(job.job_id, None)
         self._estimates.pop(job.job_id, None)
         self._dirty.discard(job.job_id)
 
-    def on_job_cancelled(self, job) -> None:
-        # Same cleanup as completion, plus an epoch bump: the active set
-        # changed mid-slot, so any cached plan mentioning the job is stale.
-        self.on_job_complete(job)
-        self._plan_epoch = None
+    on_job_cancelled = on_job_complete  # same cleanup
 
     # -- the CA decision rule ----------------------------------------------------
 
-    def select_job(self) -> Optional[str]:
+    def allocate(self, free: int) -> Iterable[str]:
+        """This event's grants, all read from one fresh plan: exactly the
+        per-container rule, since no launch fault changes what it reads."""
         candidates = self._candidates()
         if not candidates:
-            return None
+            return []
         plan = self._current_plan()
         if plan is None:
             # The degradation ladder bottomed out: no usable plan this
             # round.  Stay live with the greedy-EDF floor.
-            return min(candidates, key=edf_key).job_id
+            return _fill(sorted(candidates, key=edf_key), [], free)
+        # The CA rule: each grant goes to the job with the largest integer
+        # gap below its next-slot share (first in active order on a tie),
+        # closing one unit of it, so the grants are every job's k-th unit
+        # of gap sorted by (k - gap, position).
         desired = plan.next_slot_allocation()
-        best_id: Optional[str] = None
-        best_gap = 0.0
-        for job in candidates:
-            gap = desired.get(job.job_id, 0) - job.running_count
-            if gap > best_gap + 1e-12:
-                best_gap = gap
-                best_id = job.job_id
-        if best_id is not None:
-            return best_id
+        short = sorted((k - gap, position, job.job_id)
+                       for position, job in enumerate(candidates)
+                       for gap in [desired.get(job.job_id, 0) - job.running_count]
+                       for k in range(min(gap, job.pending_count)))
+        grants = [job_id for _, _, job_id in short[:free]]
+        if len(grants) == free:
+            return grants
         # No job is below its planned share; stay work-conserving but keep
         # the plan's urgency order — grant by earliest planned completion,
         # NOT by nominal budget (insensitive jobs often carry short budgets
         # yet must wait, which is the whole point of RUSH).  Equal targets
         # (typically horizon-deferred jobs) break toward the job with the
-        # most utility left to recover by running sooner.
+        # most utility left to recover by running sooner.  No key moves
+        # within a slot: one sort orders every remaining grant.
         now = self.sim.now
         def fallback(job):
             target = plan.jobs[job.job_id].target_completion \
@@ -197,11 +200,12 @@ class RushScheduler(Scheduler):
             recoverable = (job.utility.value(elapsed)
                            - job.utility.value(elapsed + target)
                            if math.isfinite(target) else 0.0)
-            deadline = job.spec.deadline
-            return (target, -recoverable,
-                    deadline if math.isfinite(deadline) else math.inf,
-                    job.arrival, job.job_id)
-        return min(candidates, key=fallback).job_id
+            return (target, -recoverable) + edf_key(job)
+        return _fill(sorted(candidates, key=fallback), grants, free)
+
+    def select_job(self) -> Optional[str]:
+        # Unused by the simulator; the ledger's tracer binds it (10(ii)).
+        return next(iter(self.allocate(1)), None)
 
     # -- planning ------------------------------------------------------------------
 
@@ -277,7 +281,6 @@ class RushScheduler(Scheduler):
         """
         self._forced_failures = max(self._forced_failures,
                                     check_fault_depth(depth))
-        self._plan_epoch = None  # the armed fault must hit a fresh solve
 
     @property
     def degradation_counts(self) -> Dict[str, int]:
@@ -285,9 +288,6 @@ class RushScheduler(Scheduler):
         return dict(self.degradation.counts)
 
     def _current_plan(self) -> Optional[SchedulePlan]:
-        epoch = (self.sim.now, self._completions, len(self.sim.active_jobs))
-        if self._plan_epoch == epoch:
-            return self._plan  # may be None: greedy-EDF mode for this epoch
         now = self.sim.now
         refreshed_before = self.estimates_refreshed
         planner_jobs = []
@@ -335,5 +335,4 @@ class RushScheduler(Scheduler):
                                    now + job_plan.planned_completion,
                                    self._theta)
         self._plan = plan
-        self._plan_epoch = epoch
         return plan

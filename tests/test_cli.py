@@ -157,6 +157,17 @@ class TestServeOptions:
         err = capsys.readouterr().err
         assert "error: --scheduler-options is not valid JSON" in err
 
+    @pytest.mark.parametrize("text", ['{"delta": NaN}',
+                                      '{"tolerance": Infinity}',
+                                      '{"theta": NaN}'])
+    def test_non_finite_options_are_refused(self, text, capsys):
+        """Python's json accepts NaN and Infinity; the planner must not."""
+        code = run_cli("serve", "--manual", "--port", "0",
+                       "--scheduler-options", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_non_object_options_are_rejected(self, capsys):
         code = run_cli("serve", "--manual", "--port", "0",
                        "--scheduler-options", "[1]")

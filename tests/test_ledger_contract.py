@@ -13,12 +13,18 @@ same for the service spans — a span that silently stops being recorded
 ``TenantRegistry.admit``) would otherwise only show as a zero in a
 traced benchmark run.  The same tracer also shows that no request
 re-serialises the whole decision stream: each decision is digested once.
+The ledger's driver, schedule and offline modules are imported here too,
+so a name they import from ``repro`` cannot vanish unnoticed.
 """
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from repro import (GaussianEstimator, IncrementalPlanner, LinearUtility,
                    PlannerJob, RushPlanner)
@@ -36,6 +42,31 @@ SERVICE_SPANS = ("engine.submit", "engine.tick", "protocol.parse_submit",
                  "tenants.admit", "journal.append", "journal.fsync",
                  "journal.note_applied", "simulator.step",
                  "journal.recover_engine", "snapshot.restore_engine")
+
+
+LEDGER = TRACING.parent
+
+
+@pytest.fixture
+def ledger_path(monkeypatch):
+    """The ledger directory on ``sys.path``, as its scripts run; the
+    ledger modules imported meanwhile are dropped again afterwards."""
+    monkeypatch.syspath_prepend(str(LEDGER))
+    yield
+    for name, module in list(sys.modules.items()):
+        if Path(getattr(module, "__file__", None) or "/").parent == LEDGER:
+            del sys.modules[name]
+
+
+def test_ledger_modules_import(ledger_path):
+    from repro.service import ServiceEngine
+
+    driver, schedule, offline = (importlib.import_module(name) for name in
+                                 ("driver", "schedule", "offline"))
+    assert callable(schedule.build_schedule)
+    assert callable(offline.run_offline)
+    # The driver's scheduler options must still boot a RUSH engine.
+    ServiceEngine(driver.service_config(4)).close()
 
 
 def _load_tracing():
@@ -115,6 +146,38 @@ def test_ledger_tracing_wraps_the_live_service_stack(tmp_path):
                                          "journal.recover_engine"}
     assert parents("tenants.admit") == {"engine.submit",
                                         "journal.recover_engine"}
+
+
+def test_ledger_tracing_wraps_a_journaled_rush_tick(tmp_path):
+    """A RUSH tick plans under ``simulator.step``.  The scheduler span
+    stays bound but unrecorded: the simulator allocates each event in
+    one ``allocate`` call, and ``select_job`` only resolves."""
+    import repro.service.journal as journal_mod
+    from repro.service import ServiceConfig
+
+    tracing = _load_tracing()
+    recorder = tracing.Recorder()
+    uninstall = tracing.install(recorder)
+    try:
+        engine, _writer = journal_mod.open_journal(
+            tmp_path, ServiceConfig(capacity=2, policy="rush"))
+        engine.submit({"task_durations": [2, 2, 2], "budget": 9.0})
+        engine.tick()
+        engine.close()
+    finally:
+        uninstall()
+    spans = recorder.spans
+    names = [span[0] for span in spans]
+    assert names.count("planner.plan") == 1
+    assert "scheduler.select_job" not in names
+
+    def ancestors(span):
+        while span[3] >= 0:
+            span = spans[span[3]]
+            yield span[0]
+
+    plan = spans[names.index("planner.plan")]
+    assert list(ancestors(plan))[-2:] == ["simulator.step", "engine.tick"]
 
 
 def test_each_decision_is_digested_once(tmp_path):

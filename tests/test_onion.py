@@ -33,6 +33,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             solve_onion([linear_job("a", 10, 10)], 1, tolerance=0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ConfigurationError, match="finite"):
+            solve_onion([linear_job("a", 10, 10)], 1, tolerance=tolerance)
+
     def test_duplicate_ids(self):
         with pytest.raises(ConfigurationError):
             solve_onion([linear_job("a", 10, 10), linear_job("a", 5, 5)], 1)

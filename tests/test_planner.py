@@ -29,6 +29,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             RushPlanner(4, tolerance=0)
 
+    @pytest.mark.parametrize("option", ["theta", "delta", "tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_are_refused(self, option, value):
+        """NaN fails every comparison, so a range check must be written to
+        reject it; an infinite delta or tolerance is no setting either."""
+        with pytest.raises(ConfigurationError, match=option):
+            RushPlanner(4, **{option: value})
+
     def test_duplicate_ids(self):
         planner = RushPlanner(4)
         job = PlannerJob("x", LinearUtility(50, 1), estimate(20, 3))
