@@ -17,8 +17,11 @@ nothing else: no baseline other than the code under test.
 * ``certificates`` — one cold plan of a 200-job fleet that fits its
   capacity (the shape of the ledger's ``batch`` profile), reported as
   counts: peels, staircase passes evaluated, probes a certificate
-  answered.  Gate: passes <= 1.5 x peels.  Deterministic, so the lane
-  catches a certificate that stopped firing without timing anything.
+  answered, and inserts into the onion's peeled ledger (one per layer
+  that bisects, one per run of tied layers peeled in one step).  Gates:
+  passes <= 1.5 x peels, and ledger inserts <= passes.  Deterministic,
+  so the lane catches a certificate or a run that stopped firing
+  without timing anything.
 * ``plan_stability`` — how much of plan(t) survives into plan(t+1) on
   the ledger's ``steady-fleet`` and ``api-mixed`` write streams (100
   slots, seeds 3 and 5, applied slot by slot to an in-process
@@ -61,6 +64,7 @@ from repro import (
     obs,
 )
 from repro.analysis import format_table
+from repro.core import onion
 from repro.service.engine import ServiceEngine
 
 from _shared import FULL_SCALE, write_report
@@ -90,6 +94,8 @@ OBS_OVERHEAD_GATE = 1.10
 #: utility ceilings must not pay a bisection per layer.
 CAPPED_JOBS = 200
 CAPPED_PASSES_PER_PEEL_GATE = 1.5
+#: ... nor one peeled-ledger insert per layer: tied layers peel as a run.
+CAPPED_INSERTS_PER_PASS_GATE = 1.0
 
 #: Plan-to-plan stability: ledger workloads x seeds, slots per run.
 STABILITY_WORKLOADS = ("steady-fleet", "api-mixed")
@@ -226,10 +232,20 @@ def bench_scale_sweep() -> Dict:
 
 def bench_certificates() -> Dict:
     """Evaluated vs certified probes of one ceiling-capped cold plan."""
-    stats = _planner().plan(_make_capped_fleet(CAPPED_JOBS)).stats
+    inserts = 0
+    commit = onion._PeeledLedger.commit
+
+    def counting(self, completions, demands):
+        nonlocal inserts
+        inserts += 1
+        commit(self, completions, demands)
+
+    with mock.patch.object(onion._PeeledLedger, "commit", counting):
+        stats = _planner().plan(_make_capped_fleet(CAPPED_JOBS)).stats
     return {"jobs": CAPPED_JOBS, "peels": stats.peels,
             "feasibility_checks": stats.feasibility_checks,
-            "certified_probes": stats.certified_probes}
+            "certified_probes": stats.certified_probes,
+            "ledger_inserts": inserts}
 
 
 def _peel_sequence(plan: SchedulePlan) -> List[FrozenSet[str]]:
@@ -319,7 +335,9 @@ def run_all() -> Dict:
         "delta": DELTA,
         "tolerance": TOLERANCE,
         "gates": {"obs_max_overhead_ratio": OBS_OVERHEAD_GATE,
-                  "capped_max_passes_per_peel": CAPPED_PASSES_PER_PEEL_GATE},
+                  "capped_max_passes_per_peel": CAPPED_PASSES_PER_PEEL_GATE,
+                  "capped_max_ledger_inserts_per_pass":
+                      CAPPED_INSERTS_PER_PASS_GATE},
         "obs_overhead": overhead,
         "scale_sweep": scale,
         "certificates": certificates,
@@ -344,16 +362,19 @@ def run_all() -> Dict:
                    overhead["overhead_ratio"], overhead["spans_recorded"],
                    overhead["metrics_registered"]))
     capped_line = ("Ceiling-capped fleet (%d jobs): %d peel(s), %d pass(es) "
-                   "evaluated, %d probe(s) certified."
+                   "evaluated, %d probe(s) certified, %d ledger insert(s)."
                    % (certificates["jobs"], certificates["peels"],
                       certificates["feasibility_checks"],
-                      certificates["certified_probes"]))
+                      certificates["certified_probes"],
+                      certificates["ledger_inserts"]))
     report = ("Planning engine, self-relative\n\n" + scale_table
               + "\n\nGates: obs overhead <= %.2fx; uncached cold plan, one "
               "planner's first plan and its unchanged replan bit-identical "
               "at every scale; passes "
-              "<= %.1f x peels on the ceiling-capped fleet.\n"
-              % (OBS_OVERHEAD_GATE, CAPPED_PASSES_PER_PEEL_GATE)
+              "<= %.1f x peels and ledger inserts <= %.1f x passes on the "
+              "ceiling-capped fleet.\n"
+              % (OBS_OVERHEAD_GATE, CAPPED_PASSES_PER_PEEL_GATE,
+                 CAPPED_INSERTS_PER_PASS_GATE)
               + obs_line + "\n" + capped_line
               + "\n\nConsecutive plans of a served fleet (%d slots, no "
               "gate)\n\n" % stability["slots"] + stability_table)
@@ -379,6 +400,13 @@ def test_incremental_planner_benchmark_gates():
         "%d staircase passes for %d peels on the ceiling-capped fleet: "
         "the feasibility certificates stopped answering"
         % (certificates["feasibility_checks"], certificates["peels"]))
+    assert (certificates["ledger_inserts"]
+            <= CAPPED_INSERTS_PER_PASS_GATE
+            * certificates["feasibility_checks"]), (
+        "%d peeled-ledger inserts for %d passes on the ceiling-capped "
+        "fleet: tied layers stopped peeling as one run"
+        % (certificates["ledger_inserts"],
+           certificates["feasibility_checks"]))
 
 
 if __name__ == "__main__":

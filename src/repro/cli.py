@@ -44,6 +44,7 @@ Installed as the ``rush`` console script; also runnable as
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -497,6 +498,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(capacity=args.capacity, policy=args.policy,
                            seed=args.seed, scheduler_options=options,
                            tenants=tenants)
+    if not args.manual and not 0 < args.slot_seconds < math.inf:
+        # NaN fails too; RealTimeClock would raise a bare ValueError.
+        raise ConfigurationError(
+            f"--slot-seconds must be finite and positive, "
+            f"got {args.slot_seconds}")
     clock = None if args.manual else RealTimeClock(args.slot_seconds)
     durable = bool(args.journal_dir)
 

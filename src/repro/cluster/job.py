@@ -112,8 +112,9 @@ class SimJob:
     as many attempts completed as it has logical tasks.
     """
 
-    __slots__ = ("spec", "tasks", "_next_pending", "_running", "_failed",
-                 "_pending", "_completed", "completion_time")
+    __slots__ = ("spec", "tasks", "_next_pending", "_first_running",
+                 "_running", "_failed", "_pending", "_completed",
+                 "completion_time")
 
     def __init__(self, spec: JobSpec) -> None:
         self.spec = spec
@@ -123,6 +124,8 @@ class SimJob:
             self.tasks.append(Task(task_id=task_id, job_id=spec.job_id,
                                    duration=d, logical_id=task_id))
         self._next_pending = 0
+        #: No attempt below this index is running, nor ever will be.
+        self._first_running = 0
         self._pending = len(self.tasks)
         self._running = 0
         self._failed = 0
@@ -185,11 +188,20 @@ class SimJob:
         """Slots each currently-running task has been executing.
 
         In ``self.tasks`` order: callers sum floats over the ages, so the
-        order is part of the result.
+        order is part of the result.  Attempts launch in index order
+        through :meth:`next_pending` (retries are appended), so every
+        running one lies between the first still running and the pending
+        pointer; a finished attempt never runs again.
         """
         if not self._running:
             return []
-        return [now - t.start_time for t in self.tasks
+        tasks = self.tasks
+        first = self._first_running
+        while tasks[first].state is not TaskState.RUNNING:
+            first += 1
+        self._first_running = first
+        return [now - t.start_time
+                for t in tasks[first:self._next_pending + 1]
                 if t.state is TaskState.RUNNING and t.start_time is not None]
 
     def elapsed(self, now: int) -> int:

@@ -132,15 +132,6 @@ class ContainerPlan:
         the plan RUSH applies, once per scheduling event."""
         return self.allocation_at(0.0)
 
-    def _index(self) -> None:
-        per_queue: List[List[Segment]] = [[] for _ in range(self.capacity)]
-        for seg in self.segments:
-            per_queue[seg.queue].append(seg)
-        for segs in per_queue:
-            segs.sort(key=lambda s: s.start)
-        self._queue_segments = per_queue
-        self._queue_starts = [[s.start for s in segs] for segs in per_queue]
-
 
 def map_time_slots(jobs: Sequence[MappingJob], capacity: int) -> ContainerPlan:
     """Run Algorithm 4 and return the resulting container plan.
@@ -160,6 +151,13 @@ def map_time_slots(jobs: Sequence[MappingJob], capacity: int) -> ContainerPlan:
     with get_tracer().span("mapping.solve", jobs=len(jobs),
                            capacity=capacity) as span:
         plan = ContainerPlan(capacity=capacity)
+        segments = plan.segments
+        # The per-queue index fills as the queues do: a queue only ever
+        # grows at its end, so its segments arrive in increasing start.
+        queue_segments: List[List[Segment]] = [[] for _ in range(capacity)]
+        queue_starts: List[List[float]] = [[] for _ in range(capacity)]
+        plan._queue_segments = queue_segments
+        plan._queue_starts = queue_starts
         occupation = [0.0] * capacity
         for job in sorted(jobs, key=lambda j: (j.target_completion,
                                                -j.tie_break, j.job_id)):
@@ -169,37 +167,43 @@ def map_time_slots(jobs: Sequence[MappingJob], capacity: int) -> ContainerPlan:
                 continue
             finish = 0.0
             target = float(job.target_completion)
+            job_id, runtime = job.job_id, job.runtime
             for k in range(capacity):
                 if remaining == 0:
                     break
-                if occupation[k] >= target:
+                start = occupation[k]
+                if start >= target:
                     continue
                 # Tasks placeable while the queue occupation stays below T_i;
                 # the last one may overshoot to < T_i + R_i.
-                fit = int(math.ceil((target - occupation[k]) / job.runtime
-                                    - 1e-9))
+                fit = int(math.ceil((target - start) / runtime - 1e-9))
                 take = min(fit, remaining)
                 if take <= 0:
                     continue
-                seg = Segment(job_id=job.job_id, queue=k, start=occupation[k],
-                              tasks=take, runtime=job.runtime)
-                plan.segments.append(seg)
-                occupation[k] = seg.end
-                finish = max(finish, seg.end)
+                seg = Segment(job_id, k, start, take, runtime)
+                segments.append(seg)
+                queue_segments[k].append(seg)
+                queue_starts[k].append(start)
+                # Segment.end's own expression, evaluated once.
+                end = occupation[k] = start + take * runtime
+                if end > finish:
+                    finish = end
                 remaining -= take
             while remaining > 0:
                 # Infeasible targets: force the residue onto the
                 # least-occupied queue, one task at a time, and flag the job
                 # as overflowed.
-                plan.overflowed.add(job.job_id)
+                plan.overflowed.add(job_id)
                 k = min(range(capacity), key=occupation.__getitem__)
-                seg = Segment(job_id=job.job_id, queue=k, start=occupation[k],
-                              tasks=1, runtime=job.runtime)
-                plan.segments.append(seg)
-                occupation[k] = seg.end
-                finish = max(finish, seg.end)
+                start = occupation[k]
+                seg = Segment(job_id, k, start, 1, runtime)
+                segments.append(seg)
+                queue_segments[k].append(seg)
+                queue_starts[k].append(start)
+                end = occupation[k] = start + runtime
+                if end > finish:
+                    finish = end
                 remaining -= 1
-            plan.completions[job.job_id] = finish
-        plan._index()
+            plan.completions[job_id] = finish
         span.note(makespan=plan.makespan, overflowed=len(plan.overflowed))
     return plan

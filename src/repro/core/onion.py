@@ -32,7 +32,11 @@ level verified with slack to spare stays feasible across the peels made
 at it, and the bottleneck probe at the level the bisection has just
 found infeasible re-reads that pass instead of repeating it.
 ``OnionResult.feasibility_checks`` counts the passes evaluated,
-``certified_probes`` the rest.
+``certified_probes`` the rest.  A layer that evaluates no pass and ends
+at its starting seed is a fixed point: the layers after it ask the same
+probes until a peel moves the ceiling or the lowest unreachable
+threshold, so that run of tied layers is peeled in one step
+(:func:`_tied_run`), each replayed probe still asked of :func:`_certify`.
 
 For speed the deadline evaluation is vectorized across jobs: the built-in
 utility classes (linear, sigmoid, constant, step) are grouped into numpy
@@ -343,14 +347,24 @@ class _PeeledLedger:
         self.demands: npt.NDArray[np.float64] = self._rows[1, :0]
         self.scaled: npt.NDArray[np.float64] = self._rows[2, :0]
 
-    def commit(self, completion: float, demand: float) -> None:
-        """Insert one pair after every equal time — the stable order."""
+    def commit(self, completions: npt.NDArray[np.float64],
+               demands: npt.NDArray[np.float64]) -> None:
+        """Merge pairs in, in the order one-at-a-time inserts would leave.
+
+        Each pair lands after every equal time already committed, and
+        pairs of one call that share a time keep their order: exactly a
+        stable sort of the committed pairs followed by the new ones.  The
+        committed prefix is already sorted, so the sort is a merge.
+        """
         n = self.times.size
-        pos = int(self.times.searchsorted(completion, side="right"))
-        rows = self._rows
-        rows[:, pos + 1:n + 1] = rows[:, pos:n]
-        rows[:, pos] = (completion, demand, float(completion) * self._capacity)
-        self.times, self.demands, self.scaled = rows[:, :n + 1]
+        times, committed, scaled = self._rows[:, :n + completions.size]
+        times[n:] = completions
+        committed[n:] = demands
+        order = times.argsort(kind="stable")
+        times[:] = times[order]
+        committed[:] = committed[order]
+        np.multiply(times, self._capacity, out=scaled)
+        self.times, self.demands, self.scaled = times, committed, scaled
 
 
 def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
@@ -453,6 +467,9 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     probed_idx: Optional[npt.NDArray[np.intp]] = None
     probed_mask = np.zeros(0, dtype=bool)
     probed_top = math.inf
+    # The current layer's own certified probes, ``(level, verdict)`` in
+    # the order asked: the template a run of tied layers replays.
+    probe_log: List[Tuple[float, bool]] = []
 
     # Preallocated scratch for the merge: merged size is at most every job
     # plus one tentative lookahead pin, so one set of buffers serves every
@@ -510,6 +527,8 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                            slack_noise, failed_at)
         if verdict is not None:
             certified += 1
+            if own:
+                probe_log.append((level, verdict))
             if verdict or not need_candidates:
                 return verdict, []
             if failed is not None and level == failed_at:
@@ -594,6 +613,9 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         active_idx = np.array(active, dtype=int)
         while active_idx.size:
             layer += 1
+            layer_checks = checks
+            layer_seed = seed
+            probe_log.clear()
             ceiling = float(bank.max_values[active_idx].max())
             ok = staircase(ceiling, active_idx)[0]
             if ok:
@@ -690,13 +712,54 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             # (C) does not: the peel changes the active set and ledger.
             failed = None
             ledger.commit(
-                _peel_one(jobs[bottleneck], deadline, targets, layer, horizon),
-                float(demands[bottleneck]))
+                np.array([_peel_one(jobs[bottleneck], deadline, targets,
+                                    layer, horizon)], dtype=float),
+                demands[bottleneck:bottleneck + 1])
             # A fresh array each layer: the probe cache keys on its identity.
             active_idx = active_idx[active_idx != bottleneck]
             if trail is not None:
                 trail.append({"layer": layer, "low": low, "high": high,
                               "peeled": jobs[bottleneck].job_id})
+            if checks > layer_checks or low != layer_seed:
+                continue
+
+            # A certified run of tied layers.  This layer evaluated no
+            # pass, so ``failed`` stayed None and its bottleneck probe was
+            # answered by (A): one candidate, no lookahead.  Its ``low``
+            # is its starting seed, certified by (B), so ``carried``
+            # survived the peel.  The next layer starts from the same
+            # seed and ``carried``; with the same ceiling and the same
+            # ``probed_top`` it asks the same probes, gets the same
+            # verdicts, lands on the same ``(low, high)`` and peels the
+            # first active job whose deadline at ``high`` is -inf — a
+            # fixed point, until a peel changes the ceiling or
+            # ``probed_top``.  Peel that run in one step.
+            run = _tied_run(bank, active_idx, high, probed_top, ceiling)
+            # Every replayed probe still asks _certify, with the state the
+            # layer it stands for would hold (``failed`` is None after a
+            # peel); the first disagreement hands that layer back to the
+            # ordinary loop.
+            for count in range(run.size):
+                if any(_certify(level, probed_top, carried, slack_noise, None)
+                       is not verdict for level, verdict in probe_log):
+                    run = run[:count]
+                    break
+            if not run.size:
+                continue
+            deadlines = bank.deadlines(low)
+            completions = np.empty(run.size)
+            for k, i in enumerate(run):
+                layer += 1
+                completions[k] = _peel_one(jobs[i], float(deadlines[i]),
+                                           targets, layer, horizon)
+                if trail is not None:
+                    trail.append({"layer": layer, "low": low, "high": high,
+                                  "peeled": jobs[i].job_id})
+            certified += run.size * len(probe_log)
+            ledger.commit(completions, demands.take(run))
+            kept = np.ones(n_jobs, dtype=bool)
+            kept[run] = False
+            active_idx = active_idx.compress(kept.take(active_idx))
 
         solve_span.note(layers=layer, feasibility_checks=checks)
         if trail is not None:
@@ -741,6 +804,34 @@ def _candidates(slack: npt.NDArray[np.float64], order: npt.NDArray[np.intp],
     if count == 0:  # pragma: no cover - defensive
         count = 1
     return [int(g) for g in order.compress(sel)[:count]]
+
+
+def _tied_run(bank: _DeadlineBank, active_idx: npt.NDArray[np.intp],
+              high: float, probed_top: float,
+              ceiling: float) -> npt.NDArray[np.intp]:
+    """The jobs the layers after a zero-pass fixed point peel, in order.
+
+    ``high``, ``probed_top`` and ``ceiling`` are the fixed-point layer's;
+    ``active_idx`` is the active set it left (index order).  Each layer
+    of the run peels the first active job whose deadline at ``high`` is
+    -inf — certificate (A)'s bottleneck — so the run is those jobs in
+    index order.  It ends with the last job whose own threshold is
+    ``probed_top`` (after that peel the active minimum moves), and sooner
+    if a peel would take the last job of the layer's ceiling with it.
+    """
+    run = active_idx.compress(bank.deadlines(high).take(active_idx) == -np.inf)
+    tops = np.flatnonzero(bank.unreachable_above.take(run) == probed_top)
+    if not tops.size:
+        return run[:0]
+    run = run[:tops[-1] + 1]
+    kept = np.ones(bank.max_values.size, dtype=bool)
+    kept[run] = False
+    rest = bank.max_values.take(active_idx.compress(kept.take(active_idx)))
+    # Layer k of the run starts with run[k:] still active: its ceiling is
+    # the larger of the rest's and run[k:]'s, which only falls with k.
+    tail = np.maximum.accumulate(bank.max_values.take(run)[::-1])[::-1]
+    np.maximum(tail, rest.max(initial=-np.inf), out=tail)
+    return run[:int(np.count_nonzero(tail == ceiling))]
 
 
 def _certify(level: float, unreachable_above: float,

@@ -18,6 +18,7 @@ module's clocks back into a decision path; the lint carve-out test
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 
 __all__ = ["RealTimeClock"]
@@ -42,9 +43,9 @@ class RealTimeClock:
     """
 
     def __init__(self, slot_seconds: float, *, start: int = 0) -> None:
-        if slot_seconds <= 0:
+        if not 0 < slot_seconds < math.inf:  # NaN fails too
             raise ValueError(
-                f"slot_seconds must be positive, got {slot_seconds}")
+                f"slot_seconds must be finite and positive, got {slot_seconds}")
         self.slot_seconds = float(slot_seconds)
         self._start = int(start)
         self._slot = int(start)

@@ -333,13 +333,14 @@ class SwfMapConfig:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {self.capacity}")
-        if self.slot_seconds <= 0:
+        if not 0 < self.slot_seconds < math.inf:  # NaN fails too
             raise ConfigurationError(
-                f"slot_seconds must be positive, got {self.slot_seconds}")
+                f"slot_seconds must be finite and positive, got {self.slot_seconds}")
         if self.max_tasks < 1:
             raise ConfigurationError(f"max_tasks must be >= 1, got {self.max_tasks}")
-        if self.budget_ratio <= 0:
-            raise ConfigurationError("budget_ratio must be positive")
+        if not 0 < self.budget_ratio < math.inf:
+            raise ConfigurationError(
+                f"budget_ratio must be finite and positive, got {self.budget_ratio}")
         if self.classify not in ("tercile", "uniform"):
             raise ConfigurationError(f"unknown classify rule {self.classify!r}")
         if self.max_jobs is not None and self.max_jobs < 1:

@@ -234,7 +234,8 @@ def _peel(job: OnionJob, deadline: float, ledger: _PeeledLedger,
     else:
         completion = int(min(max(deadline, 1.0), horizon))
     value = job.utility.value(job.elapsed + completion)
-    ledger.commit(completion, job.demand)
+    ledger.commit(np.array([completion], dtype=float),
+                  np.array([job.demand]))
     targets[job.job_id] = JobTarget(
         job_id=job.job_id, target_completion=completion,
         utility_value=value, layer=layer, achievable=value > 1e-9)

@@ -168,6 +168,32 @@ class TestServeOptions:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_slot_seconds_are_refused(self, value, monkeypatch,
+                                                 capsys):
+        """Refused before the daemon boots: NaN would pace with
+        ``sleep(nan)`` and ``inf`` never tick."""
+        async def boot_then_interrupt(self, host, port):
+            raise KeyboardInterrupt  # a boot that got this far serves
+
+        monkeypatch.setattr(ServiceDaemon, "start", boot_then_interrupt)
+        code = run_cli("serve", "--port", "0", "--slot-seconds", value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: --slot-seconds must be finite and positive" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--slot-seconds", "--ratio"])
+    def test_ingest_refuses_non_finite_mapping(self, flag, tmp_path,
+                                               capsys):
+        from repro.workload.scenarios import bundled_swf_path
+
+        code = run_cli("ingest", "--swf", str(bundled_swf_path()),
+                       "--out", str(tmp_path / "t.jsonl"), flag, "nan")
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_non_object_options_are_rejected(self, capsys):
         code = run_cli("serve", "--manual", "--port", "0",
                        "--scheduler-options", "[1]")

@@ -239,6 +239,14 @@ def test_real_time_clock_rejects_nonpositive_slot():
         RealTimeClock(slot_seconds=0.0)
 
 
+@pytest.mark.parametrize("slot_seconds", [math.nan, math.inf])
+def test_real_time_clock_rejects_non_finite_slot(slot_seconds):
+    """A NaN slot would make every wait a ``sleep(nan)``; an infinite
+    one never ticks."""
+    with pytest.raises(ValueError):
+        RealTimeClock(slot_seconds=slot_seconds)
+
+
 # ---------------------------------------------------------------------------
 # The RL002 carve-out: service is exempt, core is not — and the
 # exemption is positional, not a hole in the rule.

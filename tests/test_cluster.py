@@ -257,6 +257,50 @@ class TestSimulator:
         assert compared > 200 and 0 < idle < compared
         assert sim.task_failures
 
+    def test_running_task_ages_reaches_appended_retries(self):
+        """A retry is appended after every original attempt; the window
+        from the first running attempt to the pending pointer must still
+        reach it, and keep the ``tasks`` order, as attempts ahead of it
+        finish."""
+        job = SimJob(spec(durations=(4, 4, 4, 4)))
+
+        def launch(now):
+            task = job.next_pending()
+            task.launch(now)
+            job.note_launched()
+            return task
+
+        def scanned(now):
+            return [now - t.start_time for t in job.tasks
+                    if t.state is TaskState.RUNNING]
+
+        def finish(task, now):
+            while not task.advance(now):
+                pass
+            if task.state is TaskState.FAILED:
+                job.note_failed(task)
+            else:
+                job.note_completed(task)
+
+        t0, t1, t2, t3 = (launch(now) for now in range(4))
+        t0.fail_after = 1
+        finish(t0, 3)
+        retry = launch(4)
+        assert job.tasks.index(retry) == 4          # appended after t3
+        assert job.running_task_ages(5) == scanned(5) == [4, 3, 2, 1]
+        finish(t1, 6)
+        assert job.running_task_ages(7) == scanned(7) == [5, 4, 3]
+        finish(t3, 8)                               # a hole in the window
+        retry.fail_after = 2
+        finish(retry, 8)
+        again = launch(9)
+        assert job.tasks.index(again) == 5
+        assert job.running_task_ages(10) == scanned(10) == [8, 1]
+        for task in (t2, again):
+            finish(task, 11)
+        assert job.running_task_ages(12) == scanned(12) == []
+        assert job.is_complete
+
     def test_work_conservation(self):
         """Busy container slots equal total ground-truth work when done."""
         specs = [spec(job_id=f"j{i}", arrival=i, durations=(2, 3, 1))

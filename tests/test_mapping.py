@@ -172,3 +172,44 @@ class TestAllocationQueries:
             by_job[seg.job_id] = by_job.get(seg.job_id, 0) + seg.tasks
         assert by_job["a"] == MappingJob("a", 17, 3, 10).task_count
         assert by_job["b"] == MappingJob("b", 9, 2, 12).task_count
+
+
+class TestQueueIndex:
+    """The per-queue index is built while pouring; it must be what
+    sorting the segments by queue and start gives."""
+
+    @staticmethod
+    def _sorted_index(plan):
+        per_queue = [[] for _ in range(plan.capacity)]
+        for seg in plan.segments:
+            per_queue[seg.queue].append(seg)
+        for segs in per_queue:
+            segs.sort(key=lambda s: s.start)
+        return per_queue, [[s.start for s in segs] for segs in per_queue]
+
+    def test_index_equals_the_sorted_segments(self):
+        overflowed = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.integers(min_value=1, max_value=6),
+               st.lists(st.tuples(st.floats(min_value=0.0, max_value=80.0),
+                                  st.floats(min_value=0.5, max_value=8.0),
+                                  st.integers(min_value=0, max_value=40),
+                                  st.sampled_from([0.0, 0.5, 2.0])),
+                        max_size=12))
+        def check(capacity, raw):
+            jobs = [MappingJob(f"j{i}", demand, runtime, target, tie)
+                    for i, (demand, runtime, target, tie) in enumerate(raw)]
+            plan = map_time_slots(jobs, capacity)
+            segments, starts = self._sorted_index(plan)
+            assert plan._queue_segments == segments
+            assert plan._queue_starts == starts
+            expected = {}
+            for seg in plan.segments:
+                if seg.start <= 0.0 < seg.end:
+                    expected[seg.job_id] = expected.get(seg.job_id, 0) + 1
+            assert plan.next_slot_allocation() == expected
+            overflowed.append(bool(plan.overflowed))
+
+        check()
+        assert any(overflowed) and not all(overflowed)

@@ -297,6 +297,13 @@ class TestMapping:
         with pytest.raises(ConfigurationError):
             SwfMapConfig(max_jobs=0)
 
+    @pytest.mark.parametrize("field", ["slot_seconds", "budget_ratio"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_map_config_rejected(self, field, value):
+        """NaN compares false against ``<= 0``; infinity is no width."""
+        with pytest.raises(ConfigurationError, match=field):
+            SwfMapConfig(**{field: value})
+
     def test_ingestion_metrics_emitted_when_enabled(self):
         handle = obs.enable(trace=False, metrics=True, ledger=False)
         load_swf_workload(bundled_swf_path())
