@@ -6,8 +6,10 @@ nothing else: no baseline other than the code under test.
 * ``obs_overhead`` — steady-state replanning of an unchanged snapshot
   with the ``repro.obs`` span tracer + metrics registry + completion
   ledger enabled versus the default null instruments, on the same code.
-  Gate: enabled/disabled wall-clock ratio <= 1.10 (the observability
-  layer must stay out of the hot path).
+  Gate: the median enabled/disabled wall-clock ratio over five pairs of
+  rounds <= 1.10 (the observability layer must stay out of the hot
+  path).  The pairs interleave, the order alternating pair by pair, so
+  host drift lands on both sides of a ratio instead of between them.
 * ``scale_sweep`` — one cold plan at 1k jobs (plus 5k and 10k under
   ``RUSH_FULL_SCALE=1``; the CI bench-smoke lane runs 1k only), reported
   in absolute seconds.  Gate: the uncached cold plan
@@ -189,21 +191,35 @@ def bench_obs_overhead() -> Dict:
             planner.plan(jobs)
         return time.perf_counter() - start
 
-    disabled = statistics.median(steady_seconds() for _ in range(5))
-    obs.enable(trace=True, metrics=True, ledger=True)
-    try:
-        enabled = statistics.median(steady_seconds() for _ in range(5))
-        spans = len(obs.get_tracer().spans)
-        metric_names = len(obs.get_metrics().snapshot())
-    finally:
-        obs.reset()
+    def enabled_seconds() -> float:
+        nonlocal spans, metric_names
+        obs.enable(trace=True, metrics=True, ledger=True)
+        try:
+            seconds = steady_seconds()
+            spans += len(obs.get_tracer().spans)
+            metric_names = len(obs.get_metrics().snapshot())
+        finally:
+            obs.reset()
+        return seconds
+
+    spans = metric_names = 0
+    disabled: List[float] = []
+    enabled: List[float] = []
+    for pair in range(5):
+        if pair % 2:
+            enabled.append(enabled_seconds())
+            disabled.append(steady_seconds())
+        else:
+            disabled.append(steady_seconds())
+            enabled.append(enabled_seconds())
 
     return {
         "jobs": STEADY_JOBS,
         "rounds": STEADY_ROUNDS,
-        "disabled_seconds": disabled,
-        "enabled_seconds": enabled,
-        "overhead_ratio": enabled / disabled,
+        "disabled_seconds": statistics.median(disabled),
+        "enabled_seconds": statistics.median(enabled),
+        "overhead_ratio": statistics.median(
+            on / off for on, off in zip(enabled, disabled)),
         "spans_recorded": spans,
         "metrics_registered": metric_names,
     }

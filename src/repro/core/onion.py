@@ -38,6 +38,12 @@ probes until a peel moves the ceiling or the lowest unreachable
 threshold, so that run of tied layers is peeled in one step
 (:func:`_tied_run`), each replayed probe still asked of :func:`_certify`.
 
+When the first layer bottoms out at the utility floor, some jobs must
+end there, and *which* ones decides the rest of the vector.  One
+Moore–Hodgson pass (:func:`_moore_hodgson`) picks the fewest: at the
+deadlines for ``floor + tolerance`` the staircase is a single machine of
+speed ``C``, and keeping the most jobs on time there is ``1||sum U_j``.
+
 For speed the deadline evaluation is vectorized across jobs: the built-in
 utility classes (linear, sigmoid, constant, step) are grouped into numpy
 parameter arrays, while arbitrary user classes fall back to a scalar call.
@@ -47,9 +53,10 @@ budget the paper reports for its Java implementation (Figure 5).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -217,9 +224,9 @@ class _DeadlineBank:
         self.unreachable_above[self._sig] = self._sig_top
         self.unreachable_above[self._flat] = self._flat_top
         self.unreachable_above[self._step] = self._step_top
-        # Utility ceilings, evaluated once: the layer loop and the
-        # bottleneck lookahead take maxima over (subsets of) these
-        # thousands of times per solve.
+        # Utility ceilings, evaluated once: the layer loop and the tied
+        # runs take maxima over (subsets of) these thousands of times per
+        # solve.
         self.max_values = np.array([job.utility.max_value() for job in jobs],
                                    dtype=float)
         self._level_memo: Dict[float, npt.NDArray[np.float64]] = {}
@@ -266,9 +273,9 @@ class _DeadlineBank:
 
         Entries are ``-inf`` when the level is unreachable for the job.
         Results are memoized per level for the lifetime of the bank: the
-        bisection grids of consecutive layers and of the bottleneck
-        lookahead revisit the same levels constantly, so most queries of
-        one solve are dict hits.  The returned array is read-only.
+        bisection grids of consecutive layers revisit the same levels
+        constantly, so most queries of one solve are dict hits.  The
+        returned array is read-only.
         """
         cached = self._level_memo.get(level)
         if cached is not None:
@@ -304,9 +311,8 @@ class _DeadlineBank:
         integer, so the scaling is order-preserving and collapses no
         ties (integer-times-capacity products stay exact far beyond any
         realistic horizon).  Memoized per level: the bisection grids of
-        consecutive layers and of the bottleneck lookahead revisit
-        levels constantly, so one ``argsort`` typically serves many
-        checks.
+        consecutive layers revisit levels constantly, so one ``argsort``
+        typically serves many checks.
         """
         if self._demands is None or self._capacity is None:
             raise ConfigurationError(
@@ -369,8 +375,7 @@ class _PeeledLedger:
 
 def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                 tolerance: float = 0.01,
-                horizon: Optional[int] = None,
-                lookahead: int = 4) -> OnionResult:
+                horizon: Optional[int] = None) -> OnionResult:
     """Lexicographic max-min completion-time assignment (Algorithm 3).
 
     Parameters
@@ -384,11 +389,6 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     horizon:
         Scheduling horizon in slots.  Defaults to
         :func:`default_horizon`, which always admits the bottom layer.
-    lookahead:
-        Maximum bottleneck candidates evaluated when a layer bottoms out
-        at the utility floor and several jobs could be the sacrifice (see
-        the inline comment); 0 restores the paper's pure greedy rule,
-        the reference ``tests/test_onion_lookahead.py`` compares against.
 
     Raises
     ------
@@ -444,10 +444,9 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     carried: Optional[Tuple[float, float]] = None
     # Certificate C's state: the layer's most recent infeasible pass, as
     # ``(level, slack, order, sel, act_pos, fro_pos)`` — enough to name
-    # its candidate bottlenecks again without re-running it.  Only the
-    # layer's own probes (no ``frozen`` override) record or consult it,
-    # and the peel drops it, so it always describes the current active
-    # set and ledger.
+    # its bottleneck again without re-running it.  Every peel and the
+    # sacrifice drop it, so it always describes the current active set
+    # and ledger.
     failed: Optional[Tuple[float, npt.NDArray[np.float64],
                            npt.NDArray[np.intp], npt.NDArray[np.bool_],
                            Optional[npt.NDArray[np.intp]],
@@ -460,10 +459,9 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
 
     # One-slot identity cache for what a probe needs of its active set —
     # the boolean mask and the lowest level any member cannot reach: every
-    # check of one layer's bisection (and of one lookahead candidate)
-    # passes the same index-array object, so both are rebuilt only once
-    # per layer and once per candidate.  Holding a strong reference to the
-    # key array makes the ``is`` test safe against id reuse.
+    # check of one layer's bisection passes the same index-array object,
+    # so both are rebuilt only once per layer.  Holding a strong reference
+    # to the key array makes the ``is`` test safe against id reuse.
     probed_idx: Optional[npt.NDArray[np.intp]] = None
     probed_mask = np.zeros(0, dtype=bool)
     probed_top = math.inf
@@ -471,47 +469,41 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     # the order asked: the template a run of tied layers replays.
     probe_log: List[Tuple[float, bool]] = []
 
-    # Preallocated scratch for the merge: merged size is at most every job
-    # plus one tentative lookahead pin, so one set of buffers serves every
-    # check without re-allocating on the hot path.
-    d_buf = np.empty(n_jobs + 1)
-    e_buf = np.empty(n_jobs + 1)
-    s_buf = np.empty(n_jobs + 1)
-    comp_buf = np.empty(n_jobs + 1, dtype=bool)
-    pos_buf = np.arange(n_jobs + 1)
+    # Preallocated scratch for the merge: merged size is at most every
+    # job, so one set of buffers serves every check without re-allocating
+    # on the hot path.
+    d_buf = np.empty(n_jobs)
+    e_buf = np.empty(n_jobs)
+    s_buf = np.empty(n_jobs)
+    comp_buf = np.empty(n_jobs, dtype=bool)
+    pos_buf = np.arange(n_jobs)
 
     def staircase(level: float, active_idx: npt.NDArray[np.intp],
-                  frozen: Optional[Tuple[npt.NDArray[np.float64],
-                                         npt.NDArray[np.float64]]] = None,
-                  need_candidates: bool = False,
-                  ) -> Tuple[bool, List[int]]:
+                  need_bottleneck: bool = False) -> Tuple[bool, Optional[int]]:
         """Check the staircase condition (12) at *all* deadlines.
 
         Active jobs' deadlines come from the utility level; peeled jobs
-        (plus any tentative pin the bottleneck lookahead pre-merged into
-        ``frozen``) contribute their frozen targets.  The condition must
-        hold at every merged deadline point: a peeled job finishing just
-        after an active one still competes for the same early capacity.
+        contribute their frozen targets.  The condition must hold at
+        every merged deadline point: a peeled job finishing just after an
+        active one still competes for the same early capacity.
 
         The whole layer is evaluated in one vectorized pass: the active
         jobs are a boolean-gather restriction of the bank's memoized
-        per-level sorted view, merged with the (already sorted) frozen
-        commitments by ``searchsorted`` position arithmetic instead of a
+        per-level sorted view, merged with the (already sorted) peeled
+        ledger by ``searchsorted`` position arithmetic instead of a
         per-check ``argsort``.  The merge reproduces the historical
         concatenation order exactly — on equal deadlines active entries
-        precede frozen ones, and both blocks keep their internal order —
+        precede peeled ones, and both blocks keep their internal order —
         so prefix sums accumulate in the same sequence and every
         feasibility verdict is bit-identical to the scalar path.
 
-        On failure with ``need_candidates``, the active jobs at or before
-        the first violated point — the candidate bottlenecks — are
-        returned by global index, in deadline order; probe callers leave
-        it false and get an empty list, skipping that bookkeeping.
+        On failure with ``need_bottleneck``, the last active job at or
+        before the first violated point — the paper's bottleneck — is
+        returned by global index; probe callers leave it false and get
+        ``None``, skipping that bookkeeping.
 
         A probe whose verdict :func:`_certify` already knows returns it
-        without the pass, counted in ``certified`` instead of ``checks``;
-        only the layer's own probes (no ``frozen`` override) carry and
-        consult the slack margin and the last infeasible pass.
+        without the pass, counted in ``certified`` instead of ``checks``.
         """
         nonlocal checks, certified, carried, failed
         nonlocal probed_idx, probed_mask, probed_top
@@ -521,33 +513,27 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             probed_mask[active_idx] = True
             probed_top = float(
                 bank.unreachable_above[active_idx].min(initial=np.inf))
-        own = frozen is None
-        failed_at = failed[0] if own and failed is not None else None
-        verdict = _certify(level, probed_top, carried if own else None,
-                           slack_noise, failed_at)
+        failed_at = failed[0] if failed is not None else None
+        verdict = _certify(level, probed_top, carried, slack_noise, failed_at)
         if verdict is not None:
             certified += 1
-            if own:
-                probe_log.append((level, verdict))
-            if verdict or not need_candidates:
-                return verdict, []
+            probe_log.append((level, verdict))
+            if verdict or not need_bottleneck:
+                return verdict, None
             if failed is not None and level == failed_at:
-                return False, _candidates(*failed[1:])
+                return False, _bottleneck(*failed[1:])
             # An unreachable level fails at the very first merged point:
             # -inf deadlines sort first, in index order, ahead of every
-            # (finite) frozen time — so the pass would name exactly the
+            # (finite) peeled time — so the pass would name exactly the
             # first active job whose deadline is -inf.
             unreachable = bank.deadlines(level)[active_idx] == -np.inf
-            return False, [int(active_idx[int(np.argmax(unreachable))])]
+            return False, int(active_idx[int(np.argmax(unreachable))])
         checks += 1
         order, dcap_sorted, eta_sorted = bank.level_view(level)
         sel = probed_mask.take(order)
         d_act = dcap_sorted.compress(sel)
         eta_act = eta_sorted.compress(sel)
-        if own:
-            f_times, f_demands = ledger.scaled, ledger.demands
-        else:
-            f_times, f_demands = frozen
+        f_times, f_demands = ledger.scaled, ledger.demands
         na, nf = d_act.size, f_times.size
         act_pos = None
         fro_pos = None
@@ -561,7 +547,7 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             # the complement positions take the other block via a boolean
             # scatter, so only one searchsorted runs per check.  Sides
             # reproduce the historical tie order exactly: on equal
-            # deadlines every active entry precedes every frozen one.
+            # deadlines every active entry precedes every peeled one.
             if na <= nf:
                 act_pos = f_times.searchsorted(d_act, side="left")
                 act_pos += pos_buf[:na]
@@ -588,16 +574,14 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         # against the tolerance, so unreachable levels stay infeasible.
         margin = float(slack.min(initial=np.inf))
         if margin >= -1e-9:
-            if own:
-                carried = (level, margin)
-            return True, []
-        if own:
-            # ``slack`` is scratch the next pass overwrites; the rest is
-            # fresh per pass (or the bank's memoized, unwritten view).
-            failed = (level, slack.copy(), order, sel, act_pos, fro_pos)
-        if not need_candidates:
-            return False, []
-        return False, _candidates(slack, order, sel, act_pos, fro_pos)
+            carried = (level, margin)
+            return True, None
+        # ``slack`` is scratch the next pass overwrites; the rest is fresh
+        # per pass (or the bank's memoized, unwritten view).
+        failed = (level, slack.copy(), order, sel, act_pos, fro_pos)
+        if not need_bottleneck:
+            return False, None
+        return False, _bottleneck(slack, order, sel, act_pos, fro_pos)
 
     layer = 0
     seed: Optional[float] = None
@@ -652,58 +636,39 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                     low = mid
                 else:
                     high = mid
-            _, candidates = staircase(high, active_idx, need_candidates=True)
-            if not candidates:  # pragma: no cover - defensive
-                candidates = [int(active_idx[0])]
-            bottleneck = candidates[-1]  # the paper's greedy pick
+            _, bottleneck = staircase(high, active_idx, need_bottleneck=True)
+            if bottleneck is None:  # pragma: no cover - defensive
+                bottleneck = int(active_idx[0])
             seed = low
 
-            # Sacrifice ambiguity (a refinement beyond the paper's greedy
-            # rule): when the layer bottoms out at the utility floor, the
-            # peeled job escapes the binding constraint entirely — its
-            # floor-level deadline is the horizon — so WHICH prefix member is
-            # sacrificed changes what later layers can achieve.  A one-step
-            # lookahead picks the candidate whose sacrifice maximizes the next
-            # layer's max-min level.  (At interior levels every prefix member
-            # is provably capped at L*, so the greedy pick is optimal there.)
-            if (lookahead > 0 and len(candidates) > 1
-                    and low <= global_floor + tolerance):
-                shortlist = candidates[-lookahead:]
-                best_level = -math.inf
-                for candidate in shortlist:
-                    pin = _clamp_completion(
-                        float(bank.deadlines(low)[candidate]), horizon)
-                    # Pre-merge the tentative pin into the frozen ledger
-                    # once per candidate (historical tie order: ledger
-                    # entries precede the pin on equal times) so every
-                    # lookahead check skips the extra-commitment merge.
-                    # Times are capacity-scaled to match the staircase's
-                    # pre-scaled deadline views.
-                    lt, ld = ledger.times, ledger.demands
-                    ins = int(lt.searchsorted(float(pin), side="right"))
-                    f_times = np.empty(lt.size + 1)
-                    f_times[:ins] = ledger.scaled[:ins]
-                    f_times[ins] = float(pin) * capacity
-                    f_times[ins + 1:] = ledger.scaled[ins:]
-                    f_demands = np.empty(ld.size + 1)
-                    f_demands[:ins] = ld[:ins]
-                    f_demands[ins] = float(demands[candidate])
-                    f_demands[ins + 1:] = ld[ins:]
-                    frozen = (f_times, f_demands)
-                    remaining = active_idx[active_idx != candidate]
-                    level = _lookahead_level(
-                        staircase, remaining, frozen, global_floor,
-                        float(bank.max_values[remaining].max())
-                        if remaining.size else global_floor,
-                        tolerance, prune_below=best_level)
-                    if level > best_level + 1e-12:
-                        best_level = level
-                        bottleneck = candidate
-                if math.isfinite(best_level):
-                    # The lookahead verified this level feasible for the
-                    # remaining jobs with the winner pinned — a tighter
-                    # (still exact) seed for the next layer.
-                    seed = max(seed, best_level)
+            # The first layer bottoms out at the utility floor: a job
+            # sacrificed here escapes the binding constraint entirely (its
+            # floor-level deadline is the horizon), so WHICH jobs end at
+            # the floor decides what the later layers can reach.  The
+            # jobs that end above it must fit at ``floor + tolerance``;
+            # one Moore–Hodgson pass keeps the most of them and names the
+            # rest.  They are pinned at the horizon in one commit, and the
+            # layer runs again on the jobs kept.  Levels only rise from
+            # layer to layer, so no later layer starts a floor of its own.
+            if layer == 1 and low <= global_floor + tolerance:
+                mask = np.zeros(n_jobs, dtype=bool)
+                mask[active_idx] = True
+                dropped = _moore_hodgson(
+                    *bank.level_view(global_floor + tolerance), mask)
+                if dropped.size:
+                    ledger.commit(
+                        np.array([_peel_one(jobs[i], math.inf, targets, layer,
+                                            horizon) for i in dropped],
+                                 dtype=float),
+                        demands.take(dropped))
+                    carried = failed = None
+                    mask[dropped] = False
+                    active_idx = active_idx.compress(mask.take(active_idx))
+                    if trail is not None:
+                        trail.append({"layer": layer, "low": low,
+                                      "high": high, "sacrificed": [
+                                          jobs[i].job_id for i in dropped]})
+                    continue
 
             deadline = float(bank.deadlines(low)[bottleneck])
             if carried is not None and carried[0] != low:
@@ -725,14 +690,13 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
 
             # A certified run of tied layers.  This layer evaluated no
             # pass, so ``failed`` stayed None and its bottleneck probe was
-            # answered by (A): one candidate, no lookahead.  Its ``low``
-            # is its starting seed, certified by (B), so ``carried``
-            # survived the peel.  The next layer starts from the same
-            # seed and ``carried``; with the same ceiling and the same
-            # ``probed_top`` it asks the same probes, gets the same
-            # verdicts, lands on the same ``(low, high)`` and peels the
-            # first active job whose deadline at ``high`` is -inf — a
-            # fixed point, until a peel changes the ceiling or
+            # answered by (A).  Its ``low`` is its starting seed, certified
+            # by (B), so ``carried`` survived the peel.  The next layer
+            # starts from the same seed and ``carried``; with the same
+            # ceiling and the same ``probed_top`` it asks the same probes,
+            # gets the same verdicts, lands on the same ``(low, high)`` and
+            # peels the first active job whose deadline at ``high`` is
+            # -inf — a fixed point, until a peel changes the ceiling or
             # ``probed_top``.  Peel that run in one step.
             run = _tied_run(bank, active_idx, high, probed_top, ceiling)
             # Every replayed probe still asks _certify, with the state the
@@ -782,17 +746,17 @@ def _peel_one(job: OnionJob, deadline: float, targets: Dict[str, JobTarget],
     return completion
 
 
-def _candidates(slack: npt.NDArray[np.float64], order: npt.NDArray[np.intp],
+def _bottleneck(slack: npt.NDArray[np.float64], order: npt.NDArray[np.intp],
                 sel: npt.NDArray[np.bool_],
                 act_pos: Optional[npt.NDArray[np.intp]],
-                fro_pos: Optional[npt.NDArray[np.intp]]) -> List[int]:
-    """The candidate bottlenecks an infeasible staircase pass names.
+                fro_pos: Optional[npt.NDArray[np.intp]]) -> int:
+    """The bottleneck an infeasible staircase pass names.
 
-    They are the active jobs at or before the pass's first violated
-    merged point, by global index in deadline order.  ``order`` and
-    ``sel`` are the pass's sorted view and active-set mask; ``act_pos``
-    / ``fro_pos`` are its merge positions (whichever block it searched;
-    both ``None`` when the ledger was empty).
+    It is the last active job at or before the pass's first violated
+    merged point, by global index.  ``order`` and ``sel`` are the pass's
+    sorted view and active-set mask; ``act_pos`` / ``fro_pos`` are its
+    merge positions (whichever block it searched; both ``None`` when the
+    ledger was empty).
     """
     first = int(np.argmax(~(slack >= -1e-9)))
     if act_pos is not None:
@@ -801,9 +765,43 @@ def _candidates(slack: npt.NDArray[np.float64], order: npt.NDArray[np.intp],
         count = first + 1 - int(fro_pos.searchsorted(first, side="right"))
     else:
         count = first + 1
-    if count == 0:  # pragma: no cover - defensive
-        count = 1
-    return [int(g) for g in order.compress(sel)[:count]]
+    return int(order.compress(sel)[max(count, 1) - 1])
+
+
+def _moore_hodgson(order: npt.NDArray[np.intp],
+                   dcap: npt.NDArray[np.float64],
+                   eta: npt.NDArray[np.float64],
+                   active: npt.NDArray[np.bool_]) -> npt.NDArray[np.intp]:
+    """The fewest active jobs whose removal makes the rest fit (Moore 1968).
+
+    ``(order, dcap, eta)`` is a level's sorted view
+    (:meth:`_DeadlineBank.level_view`), ``active`` the mask of the jobs
+    it is asked about; the peeled ledger must be empty.  In EDF order,
+    each job joins the kept set; when the kept prefix overflows ``C * d``
+    the largest demand in it leaves (the earliest, among equals).  A job
+    that cannot fit even alone — an unreachable level included — leaves
+    at once.  The kept set is then a largest staircase-feasible subset,
+    under the same ``-1e-9`` slack threshold the pass applies.  Returns
+    the removed jobs by global index, in EDF order.
+    """
+    sel = active.take(order)
+    ids = order.compress(sel)
+    removed: List[int] = []
+    kept: List[Tuple[float, int]] = []  # a max-heap on demand
+    prefix = 0.0
+    for k, (d, e) in enumerate(zip(dcap.compress(sel).tolist(),
+                                   eta.compress(sel).tolist())):
+        if not d - e >= -1e-9:
+            removed.append(k)
+            continue
+        heapq.heappush(kept, (-e, k))
+        prefix += e
+        while not d - prefix >= -1e-9:
+            largest, j = heapq.heappop(kept)
+            prefix += largest
+            removed.append(j)
+    removed.sort()
+    return ids.take(removed)
 
 
 def _tied_run(bank: _DeadlineBank, active_idx: npt.NDArray[np.intp],
@@ -863,8 +861,8 @@ def _certify(level: float, unreachable_above: float,
     the same ledger (the caller drops it at every peel).  The pass is a
     pure function of the level, the active set and the ledger, so the
     repeat would evaluate the very same floats and fail the same way;
-    the caller re-reads its candidate bottlenecks from the slack, order
-    and merge positions it kept.  This answers the ``need_candidates``
+    the caller re-reads its bottleneck from the slack, order
+    and merge positions it kept.  This answers the ``need_bottleneck``
     probe at ``high``, which the bisection has always just evaluated
     unless ``high`` is the ceiling and a later seed probe also failed.
     """
@@ -882,48 +880,3 @@ def _clamp_completion(deadline: float, horizon: int) -> int:
     if not math.isfinite(deadline):
         return horizon
     return int(min(max(deadline, 1.0), horizon))
-
-
-def _lookahead_level(staircase: Callable[..., Tuple[bool, List[int]]],
-                     remaining_idx: npt.NDArray[np.intp],
-                     frozen: Tuple[npt.NDArray[np.float64],
-                                   npt.NDArray[np.float64]],
-                     floor: float, ceiling: float,
-                     tolerance: float,
-                     prune_below: float = -math.inf) -> float:
-    """Max-min level the remaining jobs could reach after a tentative peel.
-
-    ``staircase`` is the layer feasibility oracle; the tentative
-    bottleneck's pin arrives pre-merged into the ``frozen``
-    (times, demands) commitment arrays.
-
-    ``prune_below`` is the incumbent best level of the candidate scan.
-    The caller only consumes this function's result through the strict
-    comparison ``level > prune_below + 1e-12``, so once the bisection's
-    upper bracket falls to ``prune_below + 1e-12`` the final ``low``
-    (always strictly below ``high``) can no longer win and the remaining
-    probes are skipped.  The returned sentinel fails the comparison the
-    same way the fully-bisected value would, keeping every peel decision
-    identical to the unpruned scan.
-    """
-    if remaining_idx.size == 0:
-        return math.inf
-    if ceiling <= prune_below + 1e-12:
-        return prune_below
-    ok, _ = staircase(ceiling, remaining_idx, frozen)
-    if ok:
-        return ceiling
-    ok, _ = staircase(floor, remaining_idx, frozen)
-    if not ok:  # pragma: no cover - the pin never breaks the bottom layer
-        return floor - 1.0
-    low, high = floor, ceiling
-    while high - low > tolerance:
-        if high <= prune_below + 1e-12:
-            return prune_below
-        mid = 0.5 * (low + high)
-        ok, _ = staircase(mid, remaining_idx, frozen)
-        if ok:
-            low = mid
-        else:
-            high = mid
-    return low

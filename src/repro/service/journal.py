@@ -650,8 +650,9 @@ def open_journal(directory: Union[str, Path],
         checkpoint_every=checkpoint_every, auto_compact=auto_compact,
         start_seq=start_seq)
     if stats.get("anchor_version") != SNAPSHOT_VERSION:
-        # A fresh journal's seq-0 anchor, or a recovered v1 journal's
-        # new one: no record this release appends sits behind a v1 anchor.
+        # A fresh journal's seq-0 anchor, or a recovered older journal's
+        # new one: no record this release appends sits behind an older
+        # anchor.
         writer.compact(engine)
     engine.wal = writer
     return engine, writer

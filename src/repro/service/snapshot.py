@@ -17,7 +17,7 @@ assuming it.
 
 Format (JSON-able; the journal adds ``"journal_seq": N``)::
 
-    {"format": "rush-service-snapshot", "version": 2,
+    {"format": "rush-service-snapshot", "version": 3,
      "config": {...},        # ServiceConfig.to_dict()
      "slot": 42,             # the slot the engine had reached
      "auto_seq": 7,          # auto-id counter, so new ids never collide
@@ -27,7 +27,9 @@ Format (JSON-able; the journal adds ``"journal_seq": N``)::
 The anchor is input from outside the program, so it is checked, not
 trusted: a file without a string ``decisions_digest`` is refused (it
 could only be replayed unverified), and so is a version-1 file (four
-ladder rungs) that could carry a fault depth.
+ladder rungs) that could carry a fault depth, and a version-1 or -2
+file of the ``rush`` policy, whose planner chose the jobs left at the
+utility floor by a rule since retired.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ __all__ = ["SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "take_snapshot",
            "restore_engine", "load_snapshot"]
 
 SNAPSHOT_FORMAT = "rush-service-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(ServiceError):
@@ -57,6 +59,14 @@ class SnapshotError(ServiceError):
 #: Why a version-1 file that could carry a solver-fault depth is refused.
 V1_FAULT_DEPTHS = ("was written by a version-1 release, whose solver-fault "
                    "depths count four ladder rungs: refused, not replayed")
+
+
+#: Why a version-1 or -2 file of the ``rush`` policy is refused; formatted
+#: with the file's version.
+PRE_V3_RUSH = ("was written by a version-{} release, whose RUSH planner "
+               "sacrificed jobs at the utility floor by the retired floor "
+               "look-ahead, so its decisions no longer replay: refused, "
+               "not replayed")
 
 
 def _could_carry_fault_depths(config: ServiceConfig, journal: list) -> bool:
@@ -103,7 +113,7 @@ def restore_engine(snapshot: Mapping[str, Any], *,
         raise SnapshotError(
             f"not a service snapshot (format {snapshot.get('format')!r})")
     version = snapshot.get("version")
-    if version not in (1, SNAPSHOT_VERSION):
+    if version not in (1, 2, SNAPSHOT_VERSION):
         raise SnapshotError(f"unsupported snapshot version {version!r}")
     try:
         config = ServiceConfig.from_dict(snapshot["config"])
@@ -114,6 +124,8 @@ def restore_engine(snapshot: Mapping[str, Any], *,
         raise SnapshotError(f"malformed snapshot: {exc}") from None
     if version == 1 and _could_carry_fault_depths(config, journal):
         raise SnapshotError(f"this snapshot {V1_FAULT_DEPTHS}")
+    if version != SNAPSHOT_VERSION and config.policy == "rush":
+        raise SnapshotError(f"this snapshot {PRE_V3_RUSH.format(version)}")
     # Every snapshot and anchor ever written carries the digest; one
     # without it could only be replayed unverified, so it is refused.
     expected = snapshot.get("decisions_digest")

@@ -14,12 +14,17 @@ that baseline so the claim is checkable:
   structure as :func:`repro.core.onion.solve_onion` but uses the LP as the
   feasibility oracle.
 
-Equality of the two solvers' answers (up to the bisection tolerance) is a
-property test; their runtime gap is the onion-vs-LP ablation benchmark.
+It is a referee, so it shares no private code with the onion: deadlines
+come from the public ``UtilityFunction.deadline_for``, the peeled ledger
+is a plain sorted list, and the floor-level sacrifice is its own
+Moore–Hodgson pass over :func:`lp_feasible`.  Equality of the two
+solvers' answers (up to the bisection tolerance) is a property test;
+their runtime gap is the onion-vs-LP ablation benchmark.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,15 +33,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from repro.errors import ConfigurationError, InfeasiblePlanError
-from repro.core.onion import (
-    JobTarget,
-    OnionJob,
-    OnionResult,
-    _DeadlineBank,
-    _PeeledLedger,
-    _lookahead_level,
-    default_horizon,
-)
+from repro.core.onion import JobTarget, OnionJob, OnionResult, default_horizon
 
 __all__ = ["lp_feasible", "solve_tas_lp"]
 
@@ -102,14 +99,16 @@ def lp_feasible(deadlines: Sequence[float], demands: Sequence[float],
 
 def solve_tas_lp(jobs: Sequence[OnionJob], capacity: int, *,
                  tolerance: float = 0.01,
-                 horizon: Optional[int] = None,
-                 lookahead: int = 4) -> OnionResult:
+                 horizon: Optional[int] = None) -> OnionResult:
     """Lexicographic max-min TAS with the LP feasibility oracle.
 
     Mirrors :func:`repro.core.onion.solve_onion` layer for layer; only the
     feasibility test differs.  The bottleneck of a layer is still located
-    with the staircase test (the LP reports feasibility, not a certificate),
-    which is sound because Theorem 2 makes the two tests equivalent.
+    with a staircase test (the LP reports feasibility, not a certificate),
+    which is sound because Theorem 2 makes the two tests equivalent.  When
+    the first layer bottoms out at the utility floor, :func:`_moore_hodgson`
+    names the jobs that end there; they are pinned at the horizon and the
+    layer runs again on the rest.
     """
     if capacity <= 0:
         raise InfeasiblePlanError(f"cluster capacity must be positive, got {capacity}")
@@ -129,44 +128,40 @@ def solve_tas_lp(jobs: Sequence[OnionJob], capacity: int, *,
         else:
             active.append(i)
 
-    bank = _DeadlineBank(jobs, horizon)
-    ledger = _PeeledLedger(len(jobs), capacity)
-    demands = np.array([job.demand for job in jobs], dtype=float)
+    #: Peeled ``(completion, demand)`` pairs, kept sorted.
+    ledger: List[Tuple[float, float]] = []
     checks = 0
 
-    def lp_check(level: float, active_idx: np.ndarray) -> bool:
+    def deadlines(level: float, idx: Sequence[int]) -> List[float]:
+        return [_deadline(jobs[i], level, horizon) for i in idx]
+
+    def lp_check(level: float) -> bool:
         nonlocal checks
         checks += 1
-        d = bank.deadlines(level)[active_idx]
         # Fold the peeled ledger in as additional fixed jobs.
-        return lp_feasible(list(d) + list(ledger.times),
-                           list(demands[active_idx]) + list(ledger.demands),
+        return lp_feasible(deadlines(level, active) + [t for t, _ in ledger],
+                           [jobs[i].demand for i in active]
+                           + [eta for _, eta in ledger],
                            capacity, horizon)
 
-    def staircase(level: float, active_idx: np.ndarray,
-                  frozen: Optional[Tuple[np.ndarray, np.ndarray]] = None):
-        # ``frozen`` stands in for the peeled ledger: the lookahead passes
-        # the ledger with its tentative pin already merged in.
-        f_times, f_demands = ((ledger.times, ledger.demands)
-                              if frozen is None else frozen)
-        d_active = bank.deadlines(level)[active_idx]
-        d_all = np.concatenate([d_active, f_times])
-        eta_all = np.concatenate([demands[active_idx], f_demands])
-        is_active = np.zeros(d_all.size, dtype=bool)
-        is_active[: d_active.size] = True
-        order = np.argsort(d_all, kind="stable")
-        prefix = np.cumsum(eta_all[order])
-        active_sorted = is_active[order]
-        with np.errstate(invalid="ignore"):
-            slack = capacity * d_all[order] - prefix
-        violated = np.nonzero(~(slack >= -1e-9))[0]
-        if violated.size == 0:
-            return True, []
-        first = int(violated[0])
-        active_positions = np.nonzero(active_sorted[: first + 1])[0]
-        if not active_positions.size:  # pragma: no cover - defensive
-            active_positions = np.nonzero(active_sorted)[0][:1]
-        return False, [int(active_idx[order[pos]]) for pos in active_positions]
+    def bottleneck(level: float) -> int:
+        """The last active job at or before the first violated point.
+
+        On equal deadlines active entries come first, in index order.
+        """
+        points = sorted(
+            [(d, 0, jobs[i].demand, i)
+             for i, d in zip(active, deadlines(level, active))]
+            + [(t, 1, eta, -1) for t, eta in ledger],
+            key=lambda point: point[:2])
+        prefix, last = 0.0, active[0]
+        for d, _, eta, i in points:
+            if i >= 0:
+                last = i
+            prefix += eta
+            if not capacity * d - prefix >= -1e-9:
+                break
+        return last
 
     global_floor = min((job.utility.min_value() for job in jobs), default=0.0)
     global_floor = min(global_floor, 0.0)
@@ -174,68 +169,80 @@ def solve_tas_lp(jobs: Sequence[OnionJob], capacity: int, *,
     layer = 0
     while active:
         layer += 1
-        active_idx = np.array(active, dtype=int)
         ceiling = max(jobs[i].utility.max_value() for i in active)
-        if lp_check(ceiling, active_idx):
-            deadlines = bank.deadlines(ceiling)[active_idx]
-            for pos, i in enumerate(active_idx):
-                _peel(jobs[i], float(deadlines[pos]), ledger, targets, layer, horizon)
-            active.clear()
+        if lp_check(ceiling):
+            for i, d in zip(active, deadlines(ceiling, active)):
+                _peel(jobs[i], d, ledger, targets, layer, horizon)
             break
         low, high = global_floor, ceiling
-        if not lp_check(low, active_idx):
+        if not lp_check(low):
             raise InfeasiblePlanError(
                 "even the minimum utility layer does not fit the horizon "
                 f"(horizon={horizon}, capacity={capacity})")
         while high - low > tolerance:
             mid = 0.5 * (low + high)
-            if lp_check(mid, active_idx):
+            if lp_check(mid):
                 low = mid
             else:
                 high = mid
-        _, candidates = staircase(high, active_idx)
-        if not candidates:  # pragma: no cover - defensive
-            candidates = [active[0]]
-        bottleneck = candidates[-1]
-        # Same floor-level sacrifice lookahead as solve_onion (Theorem 2
-        # lets the cheap staircase oracle stand in for the LP here).
-        if (lookahead > 0 and len(candidates) > 1
-                and low <= global_floor + tolerance):
-            best_level = -math.inf
-            for candidate in candidates[-lookahead:]:
-                pin = min(max(float(bank.deadlines(low)[candidate]), 1.0),
-                          horizon)
-                if not math.isfinite(pin):
-                    pin = float(horizon)
-                remaining = np.array([i for i in active if i != candidate],
-                                     dtype=int)
-                frozen = (np.append(ledger.times, pin),
-                          np.append(ledger.demands, demands[candidate]))
-                level = _lookahead_level(
-                    staircase, remaining, frozen, global_floor,
-                    max((jobs[i].utility.max_value() for i in remaining),
-                        default=global_floor),
-                    tolerance)
-                if level > best_level + 1e-12:
-                    best_level = level
-                    bottleneck = candidate
-        deadline = float(bank.deadlines(low)[bottleneck])
-        _peel(jobs[bottleneck], deadline, ledger, targets, layer, horizon)
-        active.remove(bottleneck)
+        if layer == 1 and low <= global_floor + tolerance:
+            dropped = [active[pos] for pos in _moore_hodgson(
+                deadlines(global_floor + tolerance, active),
+                [jobs[i].demand for i in active], capacity, horizon)]
+            for i in dropped:
+                _peel(jobs[i], math.inf, ledger, targets, layer, horizon)
+                active.remove(i)
+            if dropped:
+                continue
+        peeled = bottleneck(high)
+        _peel(jobs[peeled], _deadline(jobs[peeled], low, horizon), ledger,
+              targets, layer, horizon)
+        active.remove(peeled)
 
     return OnionResult(targets=targets, layers=layer,
                        feasibility_checks=checks, horizon=horizon)
 
 
-def _peel(job: OnionJob, deadline: float, ledger: _PeeledLedger,
+def _deadline(job: OnionJob, level: float, horizon: int) -> float:
+    """Whole slots from now by which ``job`` still attains ``level``."""
+    d = job.utility.deadline_for(level) - job.elapsed - job.compensation
+    if d == -math.inf:
+        return d
+    return float(math.floor(min(d, horizon) + 1e-9))
+
+
+def _moore_hodgson(deadlines: Sequence[float], demands: Sequence[float],
+                   capacity: int, horizon: int) -> List[int]:
+    """Positions of the fewest jobs whose removal makes the rest LP-feasible.
+
+    Moore (1968) for ``1||sum U_j``: in deadline order each job joins the
+    kept set; when the set stops being feasible, its largest demand
+    leaves (the earliest, among equals).  A job infeasible on its own
+    leaves at once.
+    """
+    kept: List[int] = []
+    dropped: List[int] = []
+    for k in sorted(range(len(deadlines)), key=lambda k: deadlines[k]):
+        if not lp_feasible([deadlines[k]], [demands[k]], capacity, horizon):
+            dropped.append(k)
+            continue
+        kept.append(k)
+        if not lp_feasible([deadlines[j] for j in kept],
+                           [demands[j] for j in kept], capacity, horizon):
+            largest = max(kept, key=lambda j: demands[j])
+            kept.remove(largest)
+            dropped.append(largest)
+    return sorted(dropped)
+
+
+def _peel(job: OnionJob, deadline: float, ledger: List[Tuple[float, float]],
           targets: Dict[str, JobTarget], layer: int, horizon: int) -> None:
     if not math.isfinite(deadline):
         completion = horizon
     else:
         completion = int(min(max(deadline, 1.0), horizon))
     value = job.utility.value(job.elapsed + completion)
-    ledger.commit(np.array([completion], dtype=float),
-                  np.array([job.demand]))
+    bisect.insort(ledger, (float(completion), job.demand))
     targets[job.job_id] = JobTarget(
         job_id=job.job_id, target_completion=completion,
         utility_value=value, layer=layer, achievable=value > 1e-9)

@@ -201,7 +201,7 @@ def test_bottleneck_probe_certificate_on_small_capacity_bound_fleets():
         jobs, capacity, horizon = case
         assert horizon <= 8
         events = []
-        real_certify, real_candidates = onion._certify, onion._candidates
+        real_certify, real_bottleneck = onion._certify, onion._bottleneck
 
         def certify(*args):
             verdict = real_certify(*args)
@@ -209,13 +209,13 @@ def test_bottleneck_probe_certificate_on_small_capacity_bound_fleets():
             events.append(("C", verdict is False and level == failed_at))
             return verdict
 
-        def candidates(slack, order, sel, act_pos, fro_pos):
+        def bottleneck(slack, order, sel, act_pos, fro_pos):
             events.append(("merged", act_pos is not None
                            or fro_pos is not None))
-            return real_candidates(slack, order, sel, act_pos, fro_pos)
+            return real_bottleneck(slack, order, sel, act_pos, fro_pos)
 
         with mock.patch.object(onion, "_certify", certify), \
-                mock.patch.object(onion, "_candidates", candidates):
+                mock.patch.object(onion, "_bottleneck", bottleneck):
             certified = solve_onion(jobs, capacity, tolerance=tolerance,
                                     horizon=horizon)
         with abstaining():

@@ -14,15 +14,18 @@ that buys; this file checks the seam itself:
   journal-derived ``rush_*`` series on the metrics registry;
 * the ``solver_fault`` event kind — an injected fault is a journaled
   event like any other, so a chaos-driven daemon recovers;
-* format compatibility — a journal directory written by the commit
-  *before* this refactor recovers to the digest recorded beside it, and
-  one written while the degradation ladder had four rungs is refused:
-  its solver-fault depths name other rungs today.
+* format compatibility — a journal directory written by an earlier
+  release recovers to the digest recorded beside it; one written while
+  the degradation ladder had four rungs is refused (its solver-fault
+  depths name other rungs today), and so is a RUSH journal anchored
+  before version 3 (its planner sacrificed by the retired floor
+  lookahead), while a baseline one still recovers and is re-anchored.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -47,6 +50,7 @@ RUSH = ServiceConfig(
     scheduler_options={"theta": 0.9, "delta": 0.7},
     tenants=(TenantSpec("batch", share=0.5),
              TenantSpec("web", share=0.5, max_active=3)))
+BASELINE = dataclasses.replace(RUSH, policy="edf", scheduler_options={})
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +243,29 @@ def test_a_malformed_fault_depth_on_replay_is_a_typed_error(tmp_path, depth):
 
 
 def test_a_v1_snapshot_loads_unless_it_could_carry_a_fault_depth():
-    """Versions 1 and 2 share a format; only a v1 file that could hold a
-    depth counted on the four-rung ladder is refused."""
+    """Versions 1 to 3 share a format; a v1 file that could hold a depth
+    counted on the four-rung ladder is refused, and so is any pre-v3
+    file of the RUSH policy, whose floor-level sacrifice rule is gone."""
     engine = ServiceEngine(RUSH)
     _scripted_run(engine)
     faulted = dict(take_snapshot(engine), version=1)
     with pytest.raises(SnapshotError, match="version-1"):
         restore_engine(faulted)
 
-    clean = ServiceEngine(RUSH)
-    clean.submit({"task_durations": [3, 2], "tenant": "batch"})
-    clean.tick(4)
-    v1 = dict(take_snapshot(clean), version=1)
-    assert restore_engine(v1).decisions_digest() == clean.decisions_digest()
+    for config in (BASELINE, RUSH):
+        clean = ServiceEngine(config)
+        clean.submit({"task_durations": [3, 2], "tenant": "batch"})
+        clean.tick(4)
+        for version in (1, 2):
+            old = dict(take_snapshot(clean), version=version)
+            if config.policy == "rush":
+                with pytest.raises(SnapshotError,
+                                   match=f"version-{version} .*floor "
+                                         "look-ahead"):
+                    restore_engine(old)
+            else:
+                assert (restore_engine(old).decisions_digest()
+                        == clean.decisions_digest())
 
     chaos = ServiceConfig(capacity=2, policy="rush", fault_spec={
         "seed": 0, "injectors": [{"kind": "solver_budget", "rate": 0.1}]})
@@ -267,10 +281,9 @@ def test_a_v1_snapshot_loads_unless_it_could_carry_a_fault_depth():
 
 def test_journal_written_before_the_refactor_recovers_to_its_digest(tmp_path):
     """``tests/golden/journal_parent`` is an anchor plus one rotated
-    segment written by the commit before ``apply`` existed (see its
-    README); the record kinds and the v1 anchor are unchanged on disk,
-    so today's recovery must land on the digests recorded then — and
-    keep deciding exactly as that engine went on to."""
+    segment written by an earlier release (see its README); today's
+    recovery must land on the digests recorded then — and keep deciding
+    exactly as that engine went on to."""
     expected = json.loads((GOLDEN_JOURNAL / "expected.json").read_text())
     directory = tmp_path / "wal"
     shutil.copytree(GOLDEN_JOURNAL, directory)
@@ -292,24 +305,64 @@ def test_journal_written_before_the_refactor_recovers_to_its_digest(tmp_path):
     assert engine.records_digest() == expected["continued"]["records_digest"]
 
 
-def test_journal_written_before_the_refactor_is_re_anchored_at_v2(tmp_path):
-    """``open_journal`` re-anchors a recovered v1 directory before it
-    appends, so no record this release writes sits behind a v1 anchor."""
-    expected = json.loads((GOLDEN_JOURNAL / "expected.json").read_text())
-    directory = tmp_path / "wal"
-    shutil.copytree(GOLDEN_JOURNAL, directory)
-    engine, writer = open_journal(directory)
+def _anchor_at(directory: Path, version: int) -> None:
+    """Rewrite the anchor's version: versions 2 and 3 share the format,
+    so this is the directory a version-2 release would have written."""
     anchor = json.loads((directory / ANCHOR_NAME).read_text())
+    (directory / ANCHOR_NAME).write_text(json.dumps(dict(anchor,
+                                                         version=version)))
+
+
+def test_baseline_journal_before_the_bump_is_re_anchored(tmp_path):
+    """A baseline policy decides as it did before version 3, so its v2
+    journal recovers — and ``open_journal`` re-anchors it at the current
+    version before it appends."""
+    engine, writer = open_journal(tmp_path, BASELINE, segment_max_bytes=1024,
+                                  checkpoint_every=4)
+    job = {"task_durations": [3, 2, 2], "budget": 20.0}
+    for slot in range(8):
+        engine.submit(dict(job, tenant=("batch", "web")[slot % 2]))
+        if slot == 3:
+            engine.cancel("web-2")
+        engine.tick()
+    digest, last_seq = engine.decisions_digest(), writer.seq
+    engine.close()
+    _anchor_at(tmp_path, 2)
+
+    recovered, stats = recover_engine(tmp_path)
+    assert stats["anchor_version"] == 2
+    assert recovered.decisions_digest() == digest
+
+    engine, writer = open_journal(tmp_path)
+    anchor = json.loads((tmp_path / ANCHOR_NAME).read_text())
     assert anchor["version"] == SNAPSHOT_VERSION
-    assert anchor["journal_seq"] == expected["last_seq"] == writer.seq
-    assert not (directory / "wal-00000016.log").exists()
+    assert anchor["journal_seq"] == last_seq == writer.seq
     engine.tick()
     digest = engine.decisions_digest()
     engine.close()
 
-    reopened, stats = recover_engine(directory)
+    reopened, stats = recover_engine(tmp_path)
     assert stats["anchor_version"] == SNAPSHOT_VERSION
     assert reopened.decisions_digest() == digest
+
+
+def test_rush_journal_before_the_bump_is_refused(tmp_path):
+    """The golden RUSH journal, anchored at version 2: its records would
+    replay under another sacrifice rule, so recovery refuses it with the
+    typed error — and ``open_journal`` leaves it untouched."""
+    directory = tmp_path / "wal"
+    shutil.copytree(GOLDEN_JOURNAL, directory)
+    (directory / "expected.json").unlink()
+    (directory / "README.md").unlink()
+    _anchor_at(directory, 2)
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    with pytest.raises(SnapshotError, match="version-2 .*floor look-ahead"):
+        recover_engine(directory)
+    with pytest.raises(SnapshotError, match="floor look-ahead"):
+        open_journal(directory)
+    assert {path.name: path.read_bytes()
+            for path in directory.iterdir()} == before
 
 
 def test_chaos_journal_written_on_the_four_rung_ladder_is_refused(tmp_path):

@@ -115,13 +115,18 @@ class TestSolveTasLp:
 
     def test_floor_lookahead_scores_each_sacrifice(self):
         """Three jobs whose first layer bottoms out at the floor: which
-        one is sacrificed decides the rest of the vector, and the
-        reference has to score the shortlist, not take its first member."""
+        one is sacrificed decides the rest of the vector.  Both solvers
+        run their own Moore–Hodgson pass, which drops c — the largest
+        demand in the prefix that overflows at floor + tolerance — and
+        pins it at the horizon."""
         jobs = [OnionJob("a", 2, LinearUtility(3, 0, beta=0.35)),
                 OnionJob("b", 7, LinearUtility(9, 1, beta=0.372)),
                 OnionJob("c", 8, LinearUtility(5, 0, beta=0.328))]
         onion = solve_onion(jobs, 2, tolerance=1e-3, horizon=14)
         lp = solve_tas_lp(jobs, 2, tolerance=1e-3, horizon=14)
+        for result in (onion, lp):
+            assert result.targets["c"].target_completion == 14
+            assert not result.targets["c"].achievable
         assert onion.utility_vector() == pytest.approx([0.0, 0.70, 2.49],
                                                        abs=0.01)
         assert lp.utility_vector() == pytest.approx(onion.utility_vector(),
@@ -130,7 +135,7 @@ class TestSolveTasLp:
     @pytest.mark.parametrize("seed", range(40))
     def test_reference_is_never_lexicographically_worse(self, seed):
         """Tight 3-5-job fleets, where floor layers (and so the sacrifice
-        lookahead) are the rule rather than the exception."""
+        pass) are the rule rather than the exception."""
         rng = np.random.default_rng(seed)
         jobs = [OnionJob(f"j{i}", float(rng.integers(2, 10)),
                          LinearUtility(float(rng.integers(3, 11)),
