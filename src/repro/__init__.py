@@ -75,7 +75,6 @@ from repro import obs
 from repro.analysis.calibration import CalibrationReport, calibration_report
 from repro.analysis.chaos import ChaosPoint, ChaosReport, chaos_sweep
 from repro.analysis.experiment import Experiment, ExperimentResults
-from repro.core.degradation import DegradationOutcome, DegradationPolicy
 from repro.obs import CompletionLedger, MetricsRegistry, SpanTracer
 from repro.faults import (
     FaultEvent,
@@ -164,8 +163,6 @@ __all__ = [
     "SchedulePlan",
     "RushPlanner",
     "IncrementalPlanner",
-    "DegradationPolicy",
-    "DegradationOutcome",
     # estimation
     "Pmf",
     "kl_divergence",

@@ -137,7 +137,7 @@ class PlanStats:
     certified_probes: int = 0
     #: Degradation-ladder rung that served this plan: "" for the
     #: primary solve, "last_good" once a later round reused it (set by
-    #: the scheduler's :class:`~repro.core.degradation.DegradationPolicy`).
+    #: :meth:`~repro.schedulers.rush.RushScheduler._current_plan`).
     fallback: str = ""
 
     def add(self, other: "PlanStats") -> None:

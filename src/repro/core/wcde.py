@@ -114,12 +114,13 @@ class WcdeResult:
                 f"iterations={self.iterations})")
 
 
-def solve_wcde(reference: Pmf, theta: float, delta: float, *,
-               need_worst_pmf: bool = True) -> WcdeResult:
+def solve_wcde(reference: Pmf, theta: float, delta: float) -> WcdeResult:
     """Solve the WCDE problem for one reference (Algorithm 2).
 
     A batch of one: :func:`solve_wcde_batch` is the only solver, so the
-    scalar entry point cannot drift from the path the planner runs.
+    scalar entry point cannot drift from the path the planner runs.  The
+    adversary's boundary distribution (``worst_pmf``/``worst_kl``) is
+    materialized lazily on first access.
 
     Parameters
     ----------
@@ -130,18 +131,8 @@ def solve_wcde(reference: Pmf, theta: float, delta: float, *,
     delta:
         Entropy threshold ``delta_i >= 0``; larger values concede more
         ground to the adversary and yield more conservative schedules.
-    need_worst_pmf:
-        When true (the default, matching the historical API), the
-        adversary's boundary distribution is materialized before the
-        result is returned.  Pass ``False`` on hot paths that only
-        consume ``eta_bin``/``reference_quantile``; the ``worst_pmf`` and
-        ``worst_kl`` attributes then run the REM solve lazily on first
-        access.
     """
-    result = solve_wcde_batch([reference], theta, delta)[0]
-    if need_worst_pmf:
-        result._materialize()
-    return result
+    return solve_wcde_batch([reference], theta, delta)[0]
 
 
 def solve_wcde_batch(references: Sequence[Pmf], theta: float,

@@ -158,7 +158,7 @@ class SolverBudgetError(ReproError):
     Raised by :meth:`repro.schedulers.rush.RushScheduler.inject_solver_fault`'s
     armed rungs (the ``solver_budget`` chaos injector and the service's
     ``/chaos/solver-fault``).  The degradation ladder catches it and
-    falls back to a cheaper planning mode instead of stalling the
-    cluster.  The planner itself reads no wall clock, so nothing else
-    raises it.
+    serves the last good plan, or grants by greedy EDF, instead of
+    stalling the cluster.  The planner itself reads no wall clock, so
+    nothing else raises it.
     """

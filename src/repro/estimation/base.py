@@ -76,18 +76,6 @@ class DemandEstimate:
         """The theta-quantile of the remaining demand, in slots."""
         return self.pmf.quantile(theta) * self.bin_width
 
-    def fingerprint(self) -> tuple[bytes, float]:
-        """Content key of everything a robust-demand solve depends on.
-
-        Two estimates with equal fingerprints yield identical WCDE
-        answers (in slots) for any ``(theta, delta)``: the key covers the
-        exact reference distribution and the bin width that converts its
-        quantiles to container-time-slots.  ``container_runtime`` and
-        ``sample_count`` are deliberately excluded — they do not enter
-        the solve.
-        """
-        return (self.pmf.fingerprint(), self.bin_width)
-
 
 class DistributionEstimator(ABC):
     """Online estimator of one job's remaining-demand distribution.

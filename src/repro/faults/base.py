@@ -73,7 +73,7 @@ class FaultLog:
     """Append-only record of every fault injected during one run.
 
     Shared between the fault plan (injections) and the scheduler's
-    degradation policy (fallbacks), so one stream tells the whole story
+    degradation ladder (fallbacks), so one stream tells the whole story
     of a chaotic run.  Exposed on :class:`SimulationResult` as
     ``fault_events``.
     """

@@ -278,10 +278,10 @@ class SolverBudgetInjector(FaultInjector):
     Every slot, with probability ``rate * intensity``, arms a forced
     solver failure on schedulers exposing ``inject_solver_fault(depth)``
     (the RUSH scheduler's degradation ladder).  ``depth`` controls how
-    many rungs fail: 1 kills the primary (incremental) solve, so the
-    round runs on the last good plan; 2 also discards that plan —
-    landing the scheduler on its greedy-EDF floor.  Any other depth is
-    refused (:func:`~repro.core.degradation.check_fault_depth`).
+    many rungs fail: 1 fails the primary solve, so the round runs on
+    the last good plan; 2 also discards that plan — landing the
+    scheduler on its greedy-EDF floor.  Any other depth is refused
+    (:func:`~repro.core.degradation.check_fault_depth`).
     """
 
     kind = "solver_budget"

@@ -40,9 +40,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.cluster.job import JobSpec
-from repro.core.degradation import DegradationPolicy, check_fault_depth
+from repro.core.degradation import check_fault_depth
 from repro.core.planner import PlannerJob, PlanStats, RushPlanner, SchedulePlan
-from repro.errors import SolverBudgetError
+from repro.errors import ReproError, SolverBudgetError
 from repro.estimation.base import DemandEstimate, DistributionEstimator
 from repro.estimation.gaussian import GaussianEstimator
 from repro.schedulers.base import Scheduler
@@ -117,9 +117,8 @@ class RushScheduler(Scheduler):
         # guard against any pending-set change that slips past the hooks.
         self._dirty: Set[str] = set()
         self._estimates: Dict[str, Tuple[DemandEstimate, int]] = {}
-        #: The fallback ladder (primary solve -> last-good plan -> greedy
-        #: EDF) that absorbs a failed planning round.
-        self.degradation = DegradationPolicy()
+        #: Rounds each fallback rung served (see ``_current_plan``).
+        self._fallbacks: Dict[str, int] = {}
         self._forced_failures = 0
         self.planner_seconds = 0.0
         self.plans_computed = 0
@@ -241,7 +240,7 @@ class RushScheduler(Scheduler):
         hits = cache.hits if cache is not None else 0
         misses = cache.misses if cache is not None else 0
         return {
-            "fallbacks": self.degradation.total_fallbacks,
+            "fallbacks": sum(self._fallbacks.values()),
             "plans_computed": self.plans_computed,
             "planner_seconds": self.planner_seconds,
             "wcde_seconds": totals.wcde_seconds,
@@ -285,7 +284,7 @@ class RushScheduler(Scheduler):
     @property
     def degradation_counts(self) -> Dict[str, int]:
         """Fallback-rung usage counts (exported on SimulationResult)."""
-        return dict(self.degradation.counts)
+        return dict(self._fallbacks)
 
     def _current_plan(self) -> Optional[SchedulePlan]:
         now = self.sim.now
@@ -307,19 +306,24 @@ class RushScheduler(Scheduler):
         assert self._planner is not None
         forced = self._forced_failures
         self._forced_failures = 0
-
-        def primary() -> SchedulePlan:
+        plan: Optional[SchedulePlan]
+        try:
             if forced:
                 raise SolverBudgetError("injected solver fault (primary)")
-            return self._planner.plan(planner_jobs)
-
-        last_good = None if forced >= 2 else self._plan
-        outcome = self.degradation.execute(primary, last_good)
-        plan = outcome.plan
-        if outcome.degraded:
-            self.sim.fault_log.record(
-                now, f"degradation:{outcome.rung}", "planner",
-                errors=list(outcome.errors))
+            plan = self._planner.plan(planner_jobs)
+        except ReproError as exc:
+            # The fallback ladder (repro.core.degradation): serve the last
+            # good plan, or none -- the greedy-EDF floor -- when there is
+            # none yet or a depth-2 fault drops it.
+            plan = None if forced >= 2 else self._plan
+            rung = "greedy_edf" if plan is None else "last_good"
+            if plan is not None:
+                plan.stats.fallback = rung
+            self._fallbacks[rung] = self._fallbacks.get(rung, 0) + 1
+            obs.get_tracer().event("degradation.fallback", rung=rung)
+            obs.count("rush_degradation_fallbacks_total", 1, rung)
+            self.sim.fault_log.record(now, f"degradation:{rung}", "planner",
+                                      errors=[f"primary: {exc}"])
         else:
             # Only a *fresh* plan is recorded: a reused ``last_good`` one
             # made no new promises and refreshed no estimates.

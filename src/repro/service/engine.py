@@ -214,6 +214,9 @@ class ServiceEngine:
             self._cancelling.add(job_id)
             self.events.push(CancelEvent(job_id), due=due)
         elif kind == "solver_fault":  # the scheduler checks the depth
+            if not self.scheduler.has_solver:
+                raise ServiceError(f"policy {self.config.policy!r} has no "
+                                   "solver to sabotage")
             self.scheduler.inject_solver_fault(entry.get("depth"))
         else:
             raise ServiceError(f"unknown journal entry kind {kind!r}")

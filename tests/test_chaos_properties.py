@@ -206,7 +206,7 @@ class TestNoUnhandledSolverFailures:
             max_slots=1500)
         # the run produced a result (no exception escaped the ladder) and
         # every failed solve is accounted for on a recorded rung
-        assert result.fallback_count == scheduler.degradation.total_fallbacks
+        assert result.fallback_count == scheduler.profile()["fallbacks"]
         degradations = sum(1 for e in result.fault_events
                            if e.kind.startswith("degradation:"))
         assert degradations == result.fallback_count

@@ -53,15 +53,14 @@ class TestZeroDemandEstimate:
         assert not pmfs[0].probs.flags.writeable
 
     def test_wcde_cache_fingerprint_is_unchanged(self):
-        """The WCDE cache keys on ``DemandEstimate.fingerprint()``: the
-        shared impulse must hash exactly as a freshly built one did."""
+        """The WCDE cache keys on the estimate's ``pmf.fingerprint()``:
+        the shared impulse must hash exactly as a freshly built one did."""
+        fresh = Pmf.impulse(0).fingerprint()
         for de in self.ESTIMATORS:
-            estimate = de.estimate(pending_tasks=0)
-            fresh = DemandEstimate(Pmf.impulse(0), bin_width=1.0,
-                                   container_runtime=3.0, sample_count=0)
-            assert estimate.fingerprint() == fresh.fingerprint()
-            assert estimate.fingerprint() == (
-                bytes.fromhex("eecf48da92c7c9e2865c6c2316277085"), 1.0)
+            fingerprint = de.estimate(pending_tasks=0).pmf.fingerprint()
+            assert fingerprint == fresh
+            assert fingerprint == bytes.fromhex(
+                "eecf48da92c7c9e2865c6c2316277085")
 
 
 class TestObservation:

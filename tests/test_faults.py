@@ -280,7 +280,7 @@ class TestSolverBudgetInjector:
         sim.step()
         assert sim.fault_log.count("solver_budget") >= 1
         # the first round has no last good plan: depth 1 lands on the floor
-        assert sim.scheduler.degradation.counts.get("greedy_edf", 0) >= 1
+        assert sim.scheduler.degradation_counts.get("greedy_edf", 0) >= 1
 
     def test_noop_on_plain_scheduler(self):
         sim = make_sim([spec(durations=(2,))],

@@ -3,8 +3,7 @@
 Three layers of guarantees:
 
 * :class:`~repro.core.wcde.WcdeCache` is a content-addressed, bounded
-  LRU whose hits return the exact solve result, and the lazy
-  ``worst_pmf`` matches the eager solve;
+  LRU whose hits return the exact solve result;
 * a :class:`~repro.core.planner.RushPlanner` reused across rounds (its
   cache warm) is *bit-identical* to the uncached reference
   ``RushPlanner(wcde_cache_size=0)`` — same robust demands, targets,
@@ -164,18 +163,6 @@ class TestWcdeCache:
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (0, 0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(pmfs, st.floats(min_value=0.05, max_value=0.999),
-           st.floats(min_value=0.0, max_value=1.5))
-    def test_lazy_worst_pmf_matches_eager(self, pmf, theta, delta):
-        lazy = solve_wcde(pmf, theta, delta, need_worst_pmf=False)
-        eager = solve_wcde(pmf, theta, delta, need_worst_pmf=True)
-        assert lazy.eta_bin == eager.eta_bin
-        assert lazy.reference_quantile == eager.reference_quantile
-        assert lazy.worst_kl == eager.worst_kl
-        assert np.array_equal(lazy.worst_pmf.probs,
-                              eager.worst_pmf.probs)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(pmfs, min_size=1, max_size=5),

@@ -242,6 +242,35 @@ def test_a_malformed_fault_depth_on_replay_is_a_typed_error(tmp_path, depth):
         recover_engine(tmp_path)
 
 
+def test_a_solver_fault_the_anchor_policy_cannot_take_is_a_snapshot_error():
+    """An ``edf`` anchor that journals a ``solver_fault`` entry is refused
+    with the replay's typed error, as the live path answers 400, never
+    with the simulator's raw "no solver to sabotage"."""
+    engine = ServiceEngine(BASELINE)
+    engine.submit({"task_durations": [2, 3], "job_id": "j",
+                   "tenant": "batch"})
+    engine.tick(2)
+    snapshot = take_snapshot(engine)
+    snapshot["journal"].append(
+        {"kind": "solver_fault", "due": engine.slot, "depth": 1})
+    with pytest.raises(SnapshotError, match="'edf' has no solver"):
+        restore_engine(snapshot)
+
+
+def test_a_solver_fault_the_wal_policy_cannot_take_is_journal_corrupt(
+        tmp_path):
+    """The same entry as a WAL record fails recovery at its segment and
+    byte offset."""
+    live, writer = open_journal(tmp_path, BASELINE)
+    live.submit({"task_durations": [2, 3], "job_id": "j", "tenant": "batch"})
+    writer.append({"kind": "solver_fault", "due": live.slot, "depth": 1})
+    live.close()
+    with pytest.raises(JournalCorruptError,
+                       match="'edf' has no solver") as err:
+        recover_engine(tmp_path)
+    assert err.value.path is not None and err.value.offset is not None
+
+
 def test_a_v1_snapshot_loads_unless_it_could_carry_a_fault_depth():
     """Versions 1 to 3 share a format; a v1 file that could hold a depth
     counted on the four-rung ladder is refused, and so is any pre-v3
