@@ -34,8 +34,8 @@ found infeasible re-reads that pass instead of repeating it.
 ``OnionResult.feasibility_checks`` counts the passes evaluated,
 ``certified_probes`` the rest.  A layer that evaluates no pass and ends
 at its starting seed is a fixed point: the layers after it ask the same
-probes until a peel moves the ceiling or the lowest unreachable
-threshold, so that run of tied layers is peeled in one step
+probes until a peel moves the highest or the lowest active ceiling,
+so that run of tied layers is peeled in one step
 (:func:`_tied_run`), each replayed probe still asked of :func:`_certify`.
 
 When the first layer bottoms out at the utility floor, some jobs must
@@ -44,11 +44,14 @@ Moore–Hodgson pass (:func:`_moore_hodgson`) picks the fewest: at the
 deadlines for ``floor + tolerance`` the staircase is a single machine of
 speed ``C``, and keeping the most jobs on time there is ``1||sum U_j``.
 
-For speed the deadline evaluation is vectorized across jobs: the built-in
-utility classes (linear, sigmoid, constant, step) are grouped into numpy
-parameter arrays, while arbitrary user classes fall back to a scalar call.
-This keeps a full lexicographic solve for 1000 jobs within the interactive
-budget the paper reports for its Java implementation (Figure 5).
+For speed the deadline evaluation is vectorized across jobs: jobs whose
+utility class states a closed-form inverse (``PARAMS`` and ``inverse``,
+:mod:`repro.utility.base`) are grouped by class into stacked parameter
+arrays and answered by that class's own inverse, while any other class is
+asked through its scalar ``deadline_for``; every job then takes the one
+ceiling rule.  This keeps a full lexicographic solve for 1000 jobs within
+the interactive budget the paper reports for its Java implementation
+(Figure 5).
 """
 
 from __future__ import annotations
@@ -56,18 +59,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 import numpy.typing as npt
 
 from repro import obs
 from repro.errors import ConfigurationError, InfeasiblePlanError
-from repro.utility.base import UtilityFunction
-from repro.utility.constant import ConstantUtility
-from repro.utility.linear import LinearUtility
-from repro.utility.sigmoid import SigmoidUtility
-from repro.utility.step import StepUtility
+from repro.utility.base import UtilityFunction, apply_ceiling_rule
 
 __all__ = ["OnionJob", "JobTarget", "OnionResult", "solve_onion",
            "default_horizon"]
@@ -162,9 +161,11 @@ def default_horizon(jobs: Sequence[OnionJob], capacity: int) -> int:
 class _DeadlineBank:
     """Vectorized ``U_i^{-1}(L)`` across a fixed set of jobs.
 
-    Groups jobs of the built-in utility classes into parameter arrays so a
-    level query costs a handful of numpy expressions rather than one
-    Python call per job.  Unknown classes are handled by a scalar loop.
+    Groups jobs by utility class, stacking each class's ``PARAMS`` so a
+    level query costs one call of each class's ``inverse`` rather than
+    one Python call per job.  Classes without ``PARAMS`` are asked one
+    job at a time.  Every entry equals the job's own ``deadline_for``
+    bit for bit.
     """
 
     def __init__(self, jobs: Sequence[OnionJob], horizon: int,
@@ -174,61 +175,29 @@ class _DeadlineBank:
         self._horizon = horizon
         self._demands = demands
         self._capacity = capacity
-        offsets = np.array([job.elapsed + job.compensation for job in jobs])
-        self._offsets = offsets
-        lin_idx, sig_idx, flat_idx, step_idx, other_idx = [], [], [], [], []
+        self._offsets = np.array([job.elapsed + job.compensation
+                                  for job in jobs])
+        members: Dict[Type[UtilityFunction], List[int]] = {}
+        self._other: List[Tuple[int, UtilityFunction]] = []
         for i, job in enumerate(jobs):
-            u = job.utility
-            if isinstance(u, LinearUtility):
-                lin_idx.append(i)
-            elif isinstance(u, SigmoidUtility):
-                sig_idx.append(i)
-            elif isinstance(u, ConstantUtility):
-                flat_idx.append(i)
-            elif isinstance(u, StepUtility):
-                step_idx.append(i)
+            if job.utility.PARAMS:
+                members.setdefault(type(job.utility), []).append(i)
             else:
-                other_idx.append(i)
-        self._lin = np.array(lin_idx, dtype=int)
-        self._sig = np.array(sig_idx, dtype=int)
-        self._flat = np.array(flat_idx, dtype=int)
-        self._step = np.array(step_idx, dtype=int)
-        self._other = other_idx
-        self._other_utils = [jobs[i].utility for i in other_idx]
-
-        def params(idx: Sequence[int], attr: str) -> npt.NDArray[np.float64]:
-            return np.array([getattr(jobs[i].utility, attr) for i in idx], dtype=float)
-
-        self._lin_b = params(lin_idx, "budget")
-        self._lin_w = params(lin_idx, "priority")
-        self._lin_beta = params(lin_idx, "beta")
-        self._sig_b = params(sig_idx, "budget")
-        self._sig_w = params(sig_idx, "priority")
-        self._sig_beta = params(sig_idx, "beta")
-        with np.errstate(over="ignore"):
-            self._sig_max = self._sig_w / (1.0 + np.exp(-self._sig_beta * self._sig_b))
-        self._flat_w = params(flat_idx, "priority")
-        self._step_b = params(step_idx, "budget")
-        self._step_w = params(step_idx, "priority")
-        # The level above which each class answers -inf, computed once:
-        # raw_deadlines compares against these very floats, so a caller
-        # that reads them (certificate A) predicts its -inf bit-exactly.
-        self._lin_top = self._lin_beta * self._lin_b + self._lin_w + 1e-15
-        self._sig_top = self._sig_max + 1e-15
-        self._flat_top = self._flat_w + 1e-15
-        self._step_top = self._step_w + 1e-15
-        #: Per job, the level above which its deadline is ``-inf`` at any
-        #: positive level; ``+inf`` for custom classes (never predicted).
-        self.unreachable_above = np.full(self._n, np.inf)
-        self.unreachable_above[self._lin] = self._lin_top
-        self.unreachable_above[self._sig] = self._sig_top
-        self.unreachable_above[self._flat] = self._flat_top
-        self.unreachable_above[self._step] = self._step_top
-        # Utility ceilings, evaluated once: the layer loop and the tied
-        # runs take maxima over (subsets of) these thousands of times per
-        # solve.
+                self._other.append((i, job.utility))
+        self._groups = [
+            (cls, np.array(idx), np.array(
+                [[getattr(jobs[i].utility, name) for i in idx]
+                 for name in cls.PARAMS], dtype=float))
+            for cls, idx in members.items()]
+        # Utility ceilings and floors, evaluated once: the ceiling rule
+        # reads both at every level, and the layer loop and the tied runs
+        # take maxima over (subsets of) the ceilings thousands of times
+        # per solve.  A level above ``max_values[i]`` gives job ``i`` the
+        # deadline -inf — what certificate (A) predicts.
         self.max_values = np.array([job.utility.max_value() for job in jobs],
                                    dtype=float)
+        self.floors = np.array([job.utility.min_value() for job in jobs],
+                               dtype=float)
         self._level_memo: Dict[float, npt.NDArray[np.float64]] = {}
         self._view_memo: Dict[float, Tuple[npt.NDArray[np.intp],
                                            npt.NDArray[np.float64],
@@ -237,35 +206,11 @@ class _DeadlineBank:
     def raw_deadlines(self, level: float) -> npt.NDArray[np.float64]:
         """``U_i^{-1}(level)`` for every job, before elapsed/compensation."""
         d = np.empty(self._n, dtype=float)
-        if level <= 0.0:
-            # Every built-in class attains a non-positive level at any
-            # time (a constant's priority is >= 0); custom classes are
-            # asked below.
-            d.fill(np.inf)
-        else:
-            if self._lin.size:
-                vals = self._lin_b + (self._lin_w - level) / self._lin_beta
-                vals[level > self._lin_top] = -np.inf
-                d[self._lin] = vals
-            if self._sig.size:
-                # The log's argument is at least 1e-300: no divide or
-                # invalid floating-point state to silence.
-                vals = self._sig_w / max(level, 1e-300)
-                vals -= 1.0
-                np.maximum(vals, 1e-300, out=vals)
-                np.log(vals, out=vals)
-                vals /= self._sig_beta
-                vals += self._sig_b
-                vals[level > self._sig_top] = -np.inf
-                d[self._sig] = vals
-            if self._flat.size:
-                d[self._flat] = np.where(level <= self._flat_top,
-                                         np.inf, -np.inf)
-            if self._step.size:
-                d[self._step] = np.where(level > self._step_top,
-                                         -np.inf, self._step_b)
-        for pos, util in zip(self._other, self._other_utils):
+        for cls, idx, params in self._groups:
+            d[idx] = cls.inverse(params, level)
+        for pos, util in self._other:
             d[pos] = util.deadline_for(level)
+        apply_ceiling_rule(d, level, self.floors, self.max_values)
         return d
 
     def deadlines(self, level: float) -> npt.NDArray[np.float64]:
@@ -423,17 +368,16 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     n_jobs = len(jobs)
     demands = np.array([job.demand for job in jobs], dtype=float)
     bank = _DeadlineBank(jobs, horizon, demands, capacity)
-    floors = np.array([job.utility.min_value() for job in jobs], dtype=float)
     # An unbounded ceiling makes every bisection midpoint infinite and the
     # layer loop endless; refuse it before the first probe.
     for method, bounds in (("max_value", bank.max_values),
-                           ("min_value", floors)):
+                           ("min_value", bank.floors)):
         unbounded = np.flatnonzero(~np.isfinite(bounds))
         if unbounded.size:
             raise ConfigurationError(
                 f"job {jobs[unbounded[0]].job_id!r}: utility {method}() must "
                 f"be finite, got {bounds[unbounded[0]]}")
-    global_floor = min(float(floors.min(initial=0.0)), 0.0)
+    global_floor = min(float(bank.floors.min(initial=0.0)), 0.0)
     ledger = _PeeledLedger(n_jobs, capacity)
     checks = 0
     certified = 0
@@ -511,8 +455,7 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             probed_idx = active_idx
             probed_mask = np.zeros(n_jobs, dtype=bool)
             probed_mask[active_idx] = True
-            probed_top = float(
-                bank.unreachable_above[active_idx].min(initial=np.inf))
+            probed_top = float(bank.max_values[active_idx].min(initial=np.inf))
         failed_at = failed[0] if failed is not None else None
         verdict = _certify(level, probed_top, carried, slack_noise, failed_at)
         if verdict is not None:
@@ -813,12 +756,12 @@ def _tied_run(bank: _DeadlineBank, active_idx: npt.NDArray[np.intp],
     ``active_idx`` is the active set it left (index order).  Each layer
     of the run peels the first active job whose deadline at ``high`` is
     -inf — certificate (A)'s bottleneck — so the run is those jobs in
-    index order.  It ends with the last job whose own threshold is
+    index order.  It ends with the last job whose own ceiling is
     ``probed_top`` (after that peel the active minimum moves), and sooner
     if a peel would take the last job of the layer's ceiling with it.
     """
     run = active_idx.compress(bank.deadlines(high).take(active_idx) == -np.inf)
-    tops = np.flatnonzero(bank.unreachable_above.take(run) == probed_top)
+    tops = np.flatnonzero(bank.max_values.take(run) == probed_top)
     if not tops.size:
         return run[:0]
     run = run[:tops[-1] + 1]
@@ -832,7 +775,7 @@ def _tied_run(bank: _DeadlineBank, active_idx: npt.NDArray[np.intp],
     return run[:int(np.count_nonzero(tail == ceiling))]
 
 
-def _certify(level: float, unreachable_above: float,
+def _certify(level: float, lowest_ceiling: float,
              carried: Optional[Tuple[float, float]],
              slack_noise: float,
              failed_at: Optional[float]) -> Optional[bool]:
@@ -841,11 +784,12 @@ def _certify(level: float, unreachable_above: float,
     Three certificates, all exact — they answer only what the pass itself
     would answer bit for bit, and abstain otherwise:
 
-    (A) *Unreachable level.*  ``unreachable_above`` is the smallest of the
-    active jobs' ``_DeadlineBank.unreachable_above`` thresholds.  A
-    positive level above it gives that job the deadline ``-inf``; its
-    slack is ``-inf`` whatever the order and the prefix sums, so the pass
-    is infeasible before a single sum is formed.
+    (A) *Unreachable level.*  ``lowest_ceiling`` is the smallest of the
+    active jobs' ``max_value()`` (``_DeadlineBank.max_values``).  By the
+    ceiling rule every class obeys, a level above it gives that job the
+    deadline ``-inf`` (its floor is no higher); its slack is
+    ``-inf`` whatever the order and the prefix sums, so the pass is
+    infeasible before a single sum is formed.
 
     (B) *Margin-carried level.*  ``carried = (level, m)`` says a real pass
     at this level had minimum slack ``m`` and every peel since pinned a
@@ -866,7 +810,7 @@ def _certify(level: float, unreachable_above: float,
     probe at ``high``, which the bisection has always just evaluated
     unless ``high`` is the ceiling and a later seed probe also failed.
     """
-    if level > 0.0 and level > unreachable_above:
+    if level > lowest_ceiling:
         return False
     if (carried is not None and level == carried[0]
             and carried[1] - slack_noise >= -1e-9):

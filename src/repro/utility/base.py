@@ -10,6 +10,13 @@ sibling modules, and users may subclass :class:`UtilityFunction` to
 describe their own quality-of-service requirements, exactly like the
 paper's job configuration interface encourages.
 
+The inverse is asked in two shapes: one job at a time
+(:meth:`UtilityFunction.deadline_for`) and for a whole fleet at once
+(the onion's deadline bank).  Both read one definition per class: a
+class that lists its parameters in ``PARAMS`` states its closed form
+once, vectorised, in :meth:`UtilityFunction.inverse`, and both shapes
+wrap it in the one ceiling rule, :func:`apply_ceiling_rule`.
+
 Completion-times are measured in time slots since job submission.
 """
 
@@ -17,10 +24,28 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from typing import Tuple
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.errors import ConfigurationError
 
-__all__ = ["UtilityFunction"]
+__all__ = ["UtilityFunction", "apply_ceiling_rule"]
+
+
+def apply_ceiling_rule(deadlines: npt.NDArray[np.float64], level: float,
+                       floors: npt.NDArray[np.float64],
+                       ceilings: npt.NDArray[np.float64]) -> None:
+    """Overwrite, in place, the deadlines the bounds alone decide.
+
+    A level at or below a job's ``min_value()`` (its floor) is attained
+    at every completion-time: ``+inf``.  A level above its
+    ``max_value()`` (its ceiling) is attained at none: ``-inf``.  The
+    floor wins a tie, as it does in :meth:`UtilityFunction.deadline_for`.
+    """
+    deadlines[level > ceilings] = -np.inf
+    deadlines[level <= floors] = np.inf
 
 
 class UtilityFunction(ABC):
@@ -30,7 +55,17 @@ class UtilityFunction(ABC):
     ``t1 <= t2`` — satisfaction never increases with delay.  The planner
     relies on this monotonicity for the correctness of its bisection
     searches.
+
+    A class with a closed-form inverse names, in ``PARAMS``, the
+    attributes it reads, and states the form once in :meth:`inverse`;
+    ``deadline_for``, equality, hashing and ``repr`` are then derived
+    from that list.  A class without one keeps ``PARAMS`` empty and may
+    override ``deadline_for``, which must follow the ceiling rule.
     """
+
+    #: The attributes :meth:`inverse` reads, one row of its ``params``
+    #: each, in that order; empty for a class without a closed form.
+    PARAMS: Tuple[str, ...] = ()
 
     @abstractmethod
     def value(self, completion_time: float) -> float:
@@ -48,20 +83,37 @@ class UtilityFunction(ABC):
     def min_value(self) -> float:
         """The (finite) infimum of the utility as the completion-time grows."""
 
+    @classmethod
+    def inverse(cls, params: npt.NDArray[np.float64],
+                level: float) -> npt.NDArray[np.float64]:
+        """``U^{-1}(level)`` in closed form, one entry per column of
+        ``params`` (one row per name in ``PARAMS``).
+
+        Entries whose level is at or below the floor or above the
+        ceiling are overwritten by the ceiling rule, but are computed
+        first: the form must raise no floating-point state at any level.
+        """
+        raise NotImplementedError(f"{cls.__name__} has no closed-form inverse")
+
     def deadline_for(self, level: float) -> float:
         """Latest completion-time that still attains utility >= ``level``.
 
         Returns ``math.inf`` when every completion-time attains the level
         (the job imposes no constraint at this utility layer) and
         ``-math.inf`` when no completion-time does (the level is above the
-        job's ceiling).  Concrete classes override this with a closed form;
-        this default performs a monotone bisection on :meth:`value` so
-        user-defined utilities work out of the box.
+        job's ceiling).  A class with ``PARAMS`` answers through
+        :meth:`inverse`, as a batch of one; otherwise this default performs
+        a monotone bisection on :meth:`value` so user-defined utilities
+        work out of the box.
         """
         if level <= self.min_value():
             return math.inf
         if level > self.max_value():
             return -math.inf
+        if self.PARAMS:
+            column = np.array([[getattr(self, name)] for name in self.PARAMS],
+                              dtype=float)
+            return float(self.inverse(column, level)[0])
         lo, hi = 0.0, 1.0
         while self.value(hi) >= level:
             hi *= 2.0
@@ -76,6 +128,27 @@ class UtilityFunction(ABC):
             if hi - lo <= 1e-9 * max(1.0, hi):
                 break
         return lo
+
+    # -- derived from PARAMS ----------------------------------------------
+
+    def __repr__(self) -> str:
+        if not self.PARAMS:
+            return object.__repr__(self)
+        fields = ", ".join(f"{name}={getattr(self, name)}"
+                           for name in self.PARAMS)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if not self.PARAMS or type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.PARAMS)
+
+    def __hash__(self) -> int:
+        if not self.PARAMS:
+            return object.__hash__(self)
+        return hash((type(self).__name__,
+                     *(getattr(self, name) for name in self.PARAMS)))
 
     # -- shared validation helpers --------------------------------------
 

@@ -117,21 +117,16 @@ def utility_to_config(utility: UtilityFunction) -> Dict[str, Any]:
     """Serialize a built-in utility back to its configuration mapping.
 
     Round-trips with :func:`utility_from_config` for the shipped classes;
-    raises :class:`ConfigurationError` for unknown custom classes.
+    raises :class:`ConfigurationError` for unknown custom classes.  A class
+    with ``PARAMS`` is written as those parameters under its registered
+    name, ``FooUtility`` -> ``"foo"``.
     """
-    if isinstance(utility, LinearUtility):
-        return {"class": "linear", "budget": utility.budget,
-                "priority": utility.priority, "beta": utility.beta}
-    if isinstance(utility, SigmoidUtility):
-        return {"class": "sigmoid", "budget": utility.budget,
-                "priority": utility.priority, "beta": utility.beta}
-    if isinstance(utility, ConstantUtility):
-        return {"class": "constant", "priority": utility.priority}
-    if isinstance(utility, StepUtility):
-        return {"class": "step", "budget": utility.budget,
-                "priority": utility.priority}
     if isinstance(utility, PiecewiseUtility):
         return {"class": "piecewise", "points": list(utility.breakpoints)}
+    name = type(utility).__name__.removesuffix("Utility").lower()
+    if utility.PARAMS and name in _BUILDERS:
+        return {"class": name,
+                **{param: getattr(utility, param) for param in utility.PARAMS}}
     raise ConfigurationError(
         f"cannot serialize utility of type {type(utility).__name__}")
 

@@ -9,7 +9,8 @@ the paper's experiments.
 
 from __future__ import annotations
 
-import math
+import numpy as np
+import numpy.typing as npt
 
 from repro.utility.base import UtilityFunction
 
@@ -20,6 +21,7 @@ class ConstantUtility(UtilityFunction):
     """``U(T) = priority`` for every completion-time ``T``."""
 
     __slots__ = ("priority",)
+    PARAMS = ("priority",)
 
     def __init__(self, priority: float) -> None:
         self.priority = self._require_non_negative("priority", priority)
@@ -33,16 +35,8 @@ class ConstantUtility(UtilityFunction):
     def min_value(self) -> float:
         return self.priority
 
-    def deadline_for(self, level: float) -> float:
-        return math.inf if level <= self.priority else -math.inf
-
-    def __repr__(self) -> str:
-        return f"ConstantUtility(priority={self.priority})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConstantUtility):
-            return NotImplemented
-        return self.priority == other.priority
-
-    def __hash__(self) -> int:
-        return hash(("ConstantUtility", self.priority))
+    @classmethod
+    def inverse(cls, params: npt.NDArray[np.float64],
+                level: float) -> npt.NDArray[np.float64]:
+        # Floor and ceiling coincide: the ceiling rule decides every level.
+        return np.full(params.shape[1], np.inf)

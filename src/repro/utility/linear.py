@@ -9,7 +9,8 @@ jobs whose value erodes steadily with delay.
 
 from __future__ import annotations
 
-import math
+import numpy as np
+import numpy.typing as npt
 
 from repro.utility.base import UtilityFunction
 
@@ -31,6 +32,7 @@ class LinearUtility(UtilityFunction):
     """
 
     __slots__ = ("budget", "priority", "beta")
+    PARAMS = ("budget", "priority", "beta")
 
     def __init__(self, budget: float, priority: float, beta: float = 1.0) -> None:
         self.budget = self._require_non_negative("budget", budget)
@@ -46,27 +48,13 @@ class LinearUtility(UtilityFunction):
     def min_value(self) -> float:
         return 0.0
 
-    def deadline_for(self, level: float) -> float:
-        if level <= 0.0:
-            return math.inf
-        if level > self.max_value():
-            return -math.inf
+    @classmethod
+    def inverse(cls, params: npt.NDArray[np.float64],
+                level: float) -> npt.NDArray[np.float64]:
         # Solve beta * (B - T) + W = level for T.
-        return self.budget + (self.priority - level) / self.beta
+        budget, priority, beta = params
+        return budget + (priority - level) / beta
 
     def zero_utility_time(self) -> float:
         """First completion-time at which the utility hits zero."""
         return self.budget + self.priority / self.beta
-
-    def __repr__(self) -> str:
-        return (f"LinearUtility(budget={self.budget}, priority={self.priority}, "
-                f"beta={self.beta})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearUtility):
-            return NotImplemented
-        return (self.budget, self.priority, self.beta) == (
-            other.budget, other.priority, other.beta)
-
-    def __hash__(self) -> int:
-        return hash(("LinearUtility", self.budget, self.priority, self.beta))

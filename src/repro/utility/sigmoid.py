@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.utility.base import UtilityFunction
 
 __all__ = ["SigmoidUtility"]
@@ -29,6 +32,7 @@ class SigmoidUtility(UtilityFunction):
     """``U(T) = priority / (1 + exp(beta * (T - budget)))``."""
 
     __slots__ = ("budget", "priority", "beta")
+    PARAMS = ("budget", "priority", "beta")
 
     def __init__(self, budget: float, priority: float, beta: float = 0.5) -> None:
         self.budget = self._require_non_negative("budget", budget)
@@ -47,25 +51,19 @@ class SigmoidUtility(UtilityFunction):
     def min_value(self) -> float:
         return 0.0
 
-    def deadline_for(self, level: float) -> float:
-        if level <= 0.0:
-            return math.inf
-        if level > self.max_value():
-            return -math.inf
-        if level >= self.priority:  # only possible when level == max == priority edge
-            return 0.0
-        # Solve priority / (1 + exp(beta (T - B))) = level for T.
-        return self.budget + math.log(self.priority / level - 1.0) / self.beta
-
-    def __repr__(self) -> str:
-        return (f"SigmoidUtility(budget={self.budget}, priority={self.priority}, "
-                f"beta={self.beta})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SigmoidUtility):
-            return NotImplemented
-        return (self.budget, self.priority, self.beta) == (
-            other.budget, other.priority, other.beta)
-
-    def __hash__(self) -> int:
-        return hash(("SigmoidUtility", self.budget, self.priority, self.beta))
+    @classmethod
+    def inverse(cls, params: npt.NDArray[np.float64],
+                level: float) -> npt.NDArray[np.float64]:
+        # Solve priority / (1 + exp(beta (T - B))) = level for T.  The
+        # log's argument is at least 1e-300: no divide or invalid state,
+        # and a ceiling that rounds to the priority itself stays finite.
+        budget, priority, beta = params
+        d = priority / max(level, 1e-300)
+        d -= 1.0
+        np.maximum(d, 1e-300, out=d)
+        np.log(d, out=d)
+        d /= beta
+        d += budget
+        # A level at or below the ceiling is attained at time 0, so its
+        # deadline is never in the past.
+        return np.maximum(d, 0.0, out=d)

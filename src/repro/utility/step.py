@@ -10,7 +10,8 @@ which makes it a useful oracle in tests.
 
 from __future__ import annotations
 
-import math
+import numpy as np
+import numpy.typing as npt
 
 from repro.utility.base import UtilityFunction
 
@@ -21,6 +22,7 @@ class StepUtility(UtilityFunction):
     """``U(T) = priority`` if ``T <= budget`` else ``0``."""
 
     __slots__ = ("budget", "priority")
+    PARAMS = ("budget", "priority")
 
     def __init__(self, budget: float, priority: float) -> None:
         self.budget = self._require_non_negative("budget", budget)
@@ -35,20 +37,9 @@ class StepUtility(UtilityFunction):
     def min_value(self) -> float:
         return 0.0
 
-    def deadline_for(self, level: float) -> float:
-        if level <= 0.0:
-            return math.inf
-        if level > self.priority:
-            return -math.inf
-        return self.budget
-
-    def __repr__(self) -> str:
-        return f"StepUtility(budget={self.budget}, priority={self.priority})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StepUtility):
-            return NotImplemented
-        return (self.budget, self.priority) == (other.budget, other.priority)
-
-    def __hash__(self) -> int:
-        return hash(("StepUtility", self.budget, self.priority))
+    @classmethod
+    def inverse(cls, params: npt.NDArray[np.float64],
+                level: float) -> npt.NDArray[np.float64]:
+        # Full priority up to the budget: every level the ceiling rule
+        # leaves open is met exactly until then.
+        return params[0].copy()

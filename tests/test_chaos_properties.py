@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.cluster import ClusterSimulator, JobSpec, run_simulation
 from repro.cluster.task import TaskState
 from repro.faults import (
@@ -199,14 +200,20 @@ class TestNoUnhandledSolverFailures:
     @given(workload=workloads, seed=st.integers(0, 2**16),
            intensity=st.floats(0.0, 6.0))
     def test_every_intensity_runs_to_result(self, workload, seed, intensity):
-        scheduler = RushScheduler()
-        result = run_simulation(
-            make_specs(workload), 2, scheduler,
-            faults=default_chaos_plan(seed=seed, intensity=intensity),
-            max_slots=1500)
+        handle = obs.enable(trace=True, metrics=False, ledger=False)
+        try:
+            result = run_simulation(
+                make_specs(workload), 2, RushScheduler(),
+                faults=default_chaos_plan(seed=seed, intensity=intensity),
+                max_slots=1500)
+        finally:
+            obs.reset()
         # the run produced a result (no exception escaped the ladder) and
-        # every failed solve is accounted for on a recorded rung
-        assert result.fallback_count == scheduler.profile()["fallbacks"]
+        # every failed solve is accounted for on a recorded rung: once in
+        # the trace, as it happened, and once in the fault log
+        traced = sum(1 for span in handle.tracer.spans
+                     if span.name == "degradation.fallback")
+        assert result.fallback_count == traced
         degradations = sum(1 for e in result.fault_events
                            if e.kind.startswith("degradation:"))
         assert degradations == result.fallback_count

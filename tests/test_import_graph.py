@@ -250,6 +250,41 @@ def test_no_core_module_but_the_planner_imports_a_clock():
         + "\n".join(offenders))
 
 
+# The local stand-in for "one utility inverse per class": the core reads
+# a job's utility only through UtilityFunction (PARAMS, inverse, the
+# ceiling rule), so no module under repro/core may import or name a
+# concrete class and branch on it.
+
+_UTILITY_CLASS_MODULES = {"linear", "sigmoid", "constant", "step",
+                          "piecewise"}
+_UTILITY_CLASSES = {"LinearUtility", "SigmoidUtility", "ConstantUtility",
+                    "StepUtility", "PiecewiseUtility"}
+
+
+def test_no_core_module_imports_or_names_a_utility_class():
+    offenders = []
+    for path in sorted((SRC / "repro" / "core").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                modules = []
+            hits = [module for module in modules
+                    if module.startswith("repro.utility.")
+                    and module.split(".")[2] in _UTILITY_CLASS_MODULES]
+            if isinstance(node, ast.Name) and node.id in _UTILITY_CLASSES:
+                hits.append(node.id)
+            if isinstance(node, ast.alias) and node.name in _UTILITY_CLASSES:
+                hits.append(node.name)
+            offenders += [f"{path.relative_to(SRC)}:{getattr(node, 'lineno', '?')}:"
+                          f" {hit}" for hit in hits]
+    assert not offenders, (
+        "a concrete utility class in the core (read PARAMS / inverse "
+        "instead):\n" + "\n".join(offenders))
+
+
 # The local stand-in for "one memo tier in front of WCDE": the planner's
 # content-addressed WcdeCache answers every robust-demand lookup.
 # IncrementalPlanner survives only as an inert name the perf ledger

@@ -30,8 +30,8 @@ from repro.core.onion import OnionJob, OnionResult, solve_onion
 from repro.errors import ConfigurationError
 from repro.schedulers import RushScheduler
 from repro.ui.status import render_profile_text
-from repro.utility import (ConstantUtility, LinearUtility, SigmoidUtility,
-                           StepUtility)
+from repro.utility import (ConstantUtility, LinearUtility, PiecewiseUtility,
+                           SigmoidUtility, StepUtility)
 from repro.utility.base import UtilityFunction
 
 from .test_obs import small_specs
@@ -40,7 +40,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class HyperbolicUtility(UtilityFunction):
-    """A user-defined class: the bank cannot predict where it turns -inf."""
+    """A user-defined class with no closed form: the bank asks its
+    bisecting ``deadline_for`` one job at a time."""
 
     def __init__(self, priority: float, scale: float) -> None:
         self.priority = priority
@@ -164,6 +165,29 @@ def test_custom_class_ahead_of_a_builtin_is_still_the_bottleneck():
     certified, evaluated = solve_both(jobs, 2, tolerance=0.01)
     assert_same_solve(certified, evaluated)
     assert certified.certified_probes > 0
+    assert certified.targets["custom"].layer == 1
+
+
+@pytest.mark.parametrize("custom", [
+    HyperbolicUtility(1.0, 10.0),
+    PiecewiseUtility([(0.0, 1.0), (30.0, 0.0)]),
+], ids=["hyperbolic", "piecewise"])
+def test_a_level_above_a_user_class_ceiling_is_certified(custom):
+    """(A) reads every job's ``max_value()``, user classes included: a
+    bisection probe above the user job's ceiling of 1 is answered
+    without a pass, as it is for a built-in class."""
+    jobs = [OnionJob("custom", 4.0, custom)] + [
+        OnionJob(f"s{k}", 4.0, StepUtility(20.0, 3.0)) for k in range(3)]
+    with recording() as calls:
+        certified = solve_onion(jobs, 2, tolerance=0.01)
+    with abstaining():
+        evaluated = solve_onion(jobs, 2, tolerance=0.01)
+    assert_same_solve(certified, evaluated)
+    # The user job's ceiling is the active minimum, exactly.
+    above = [verdict for (level, lowest_ceiling, *_), verdict in calls
+             if lowest_ceiling == 1.0  # rushlint: disable=RL003 (exact ceiling)
+             and level > 1.0]
+    assert len(above) >= 3 and set(above) == {False}
     assert certified.targets["custom"].layer == 1
 
 

@@ -4,7 +4,7 @@ would, one by one.
 When a layer evaluates no staircase pass and ends where it started (its
 ``low`` is its seed), the layers after it ask the same probes and get
 the same certified verdicts until a peel moves the active ceiling or
-the active set's lowest unreachable threshold, so ``solve_onion`` peels
+the active set's lowest ceiling, so ``solve_onion`` peels
 that run at once.  The differential below compares the solve with one
 whose ``_certify`` always abstains — no certificate, hence no run — and
 with one that peels layer by layer (``_tied_run`` patched to return no
@@ -14,8 +14,8 @@ classes' own ceilings.  The layer-by-layer solve must match in every
 count, not only in the sum: a run that outlives ``probed_top`` answers
 by certificate probes the layers would have evaluated, and changes no
 target.  Hand mutations of ``_tied_run`` that it catches: dropping the
-stop at the last job whose threshold is ``probed_top``, skipping the
-ceiling check, and peeling the run in ``unreachable_above`` order
+stop at the last job whose ceiling is ``probed_top``, skipping the
+ceiling check, and peeling the run in ``max_values`` order
 instead of index order.
 """
 

@@ -16,6 +16,7 @@ from repro.utility import (
     SigmoidUtility,
     StepUtility,
     UtilityFunction,
+    utility_to_config,
 )
 
 times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -203,6 +204,51 @@ class TestGenericProperties:
             return
         late = deadline + max(1e-6, abs(deadline)) * 1e-5 + 1e-6
         assert utility.value(late) <= level + 1e-6 * max(1.0, level)
+
+
+class TestDerivedFromParams:
+    """``repr``, equality, hashing and ``utility_to_config`` are derived
+    from ``PARAMS``; each reads exactly what the hand-written one did."""
+
+    CASES = [
+        (LinearUtility(10, 2, 0.5),
+         "LinearUtility(budget=10.0, priority=2.0, beta=0.5)",
+         {"class": "linear", "budget": 10.0, "priority": 2.0, "beta": 0.5},
+         ("LinearUtility", 10.0, 2.0, 0.5)),
+        (SigmoidUtility(600, 5, 0.8),
+         "SigmoidUtility(budget=600.0, priority=5.0, beta=0.8)",
+         {"class": "sigmoid", "budget": 600.0, "priority": 5.0, "beta": 0.8},
+         ("SigmoidUtility", 600.0, 5.0, 0.8)),
+        (ConstantUtility(3),
+         "ConstantUtility(priority=3.0)",
+         {"class": "constant", "priority": 3.0},
+         ("ConstantUtility", 3.0)),
+        (StepUtility(50, 2.5),
+         "StepUtility(budget=50.0, priority=2.5)",
+         {"class": "step", "budget": 50.0, "priority": 2.5},
+         ("StepUtility", 50.0, 2.5)),
+    ]
+
+    @pytest.mark.parametrize("utility, text, config, hashed", CASES)
+    def test_repr_config_and_hash_are_unchanged(self, utility, text, config,
+                                                hashed):
+        assert repr(utility) == text
+        assert list(utility_to_config(utility).items()) == list(config.items())
+        assert hash(utility) == hash(hashed)
+
+    def test_equality_is_per_class(self):
+        assert StepUtility(5, 1) == StepUtility(5, 1)
+        assert StepUtility(5, 1) != StepUtility(5, 2)
+        assert LinearUtility(0, 1, 1) != SigmoidUtility(0, 1, 1)
+
+    def test_piecewise_keeps_its_own(self):
+        u = PiecewiseUtility([(0, 2), (10, 1)])
+        assert repr(u) == "PiecewiseUtility([(0.0, 2.0), (10.0, 1.0)])"
+        assert utility_to_config(u) == {"class": "piecewise",
+                                        "points": [(0.0, 2.0), (10.0, 1.0)]}
+        # Without PARAMS, equality and hashing stay by identity.
+        assert u != PiecewiseUtility([(0, 2), (10, 1)])
+        assert hash(u) == object.__hash__(u)
 
 
 class TestDefaultBisectionFallback:
