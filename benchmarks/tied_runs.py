@@ -8,7 +8,10 @@ Every run is a fresh subprocess that imports its checkout's ``src``;
 the write schedule comes from this tree's ``benchmarks/ledger``, read
 only.  Per run, over the window's ticks:
 
-* ``tick_p50_ms`` — the median ``ServiceEngine.tick``;
+* ``tick_p50_ms`` — the median ``ServiceEngine.tick``, wall clock;
+* ``tick_cpu_p50_ms`` / ``tick_cpu_mean_ms`` — the median and mean of
+  the same ticks in thread CPU time (``time.thread_time``), which a
+  host that drifts in speed within a session blurs less than wall time;
 * ``wcde`` / ``onion`` / ``mapping`` ms per plan — ``PlanStats``' stage
   seconds;
 * peels, passes evaluated and probes certified per plan — they must
@@ -43,8 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "benchmarks" / "ledger"
 
 SLOTS = 100
-TIMINGS = ("tick_p50_ms", "wcde_ms_per_plan", "onion_ms_per_plan",
-           "mapping_ms_per_plan")
+TIMINGS = ("tick_p50_ms", "tick_cpu_p50_ms", "tick_cpu_mean_ms",
+           "wcde_ms_per_plan", "onion_ms_per_plan", "mapping_ms_per_plan")
 COUNTS = ("plans", "peels_per_plan", "passes_per_plan",
           "certified_per_plan", "ledger_inserts_per_plan",
           "decisions_digest")
@@ -90,6 +93,7 @@ def probe(checkout: str, workload: str, seed: int, slots: int
         commit(self, *args)
 
     ticks: List[float] = []
+    cpu: List[float] = []
     reset()
     with mock.patch.object(RushPlanner, "plan", plan), \
             mock.patch.object(onion._PeeledLedger, "commit", counting):
@@ -111,11 +115,12 @@ def probe(checkout: str, workload: str, seed: int, slots: int
         tick = engine.tick
 
         def timed_tick(*args: Any, **kwargs: Any) -> Any:
-            started = time.perf_counter()
+            started, cpu_started = time.perf_counter(), time.thread_time()
             try:
                 return tick(*args, **kwargs)
             finally:
                 ticks.append(time.perf_counter() - started)
+                cpu.append(time.thread_time() - cpu_started)
 
         engine.tick = timed_tick  # type: ignore[method-assign]
         reset()
@@ -125,6 +130,8 @@ def probe(checkout: str, workload: str, seed: int, slots: int
     plans = max(acc["plans"], 1)
     return {
         "tick_p50_ms": round(statistics.median(ticks) * 1e3, 3),
+        "tick_cpu_p50_ms": round(statistics.median(cpu) * 1e3, 3),
+        "tick_cpu_mean_ms": round(statistics.fmean(cpu) * 1e3, 3),
         "wcde_ms_per_plan": round(acc["wcde"] * 1e3 / plans, 3),
         "onion_ms_per_plan": round(acc["onion"] * 1e3 / plans, 3),
         "mapping_ms_per_plan": round(acc["mapping"] * 1e3 / plans, 3),
@@ -156,7 +163,8 @@ def measure(trees: Dict[str, str], workload: str, seed: int, slots: int,
             run = _spawn(trees[label], workload, seed, slots)
             runs[label].append(run)
             print(f"{workload} seed {seed} pair {k} {label}: tick p50 "
-                  f"{run['tick_p50_ms']:.2f} ms, onion "
+                  f"{run['tick_p50_ms']:.2f} ms, mean tick CPU "
+                  f"{run['tick_cpu_mean_ms']:.2f} ms, onion "
                   f"{run['onion_ms_per_plan']:.2f} ms/plan", file=sys.stderr)
     cell: Dict[str, Any] = {"workload": workload, "seed": seed,
                             "slots": slots, "pairs": pairs}
@@ -174,9 +182,11 @@ def measure(trees: Dict[str, str], workload: str, seed: int, slots: int,
     cell["digests_equal"] = len({cell[label]["decisions_digest"]
                                  for label in labels}) == 1
     for label in labels[1:]:
-        cell[label]["tick_wins"] = sum(
-            mine["tick_p50_ms"] < theirs["tick_p50_ms"]
-            for mine, theirs in zip(runs[label], runs[base]))
+        for key, wins in (("tick_p50_ms", "tick_wins"),
+                          ("tick_cpu_mean_ms", "tick_cpu_wins")):
+            cell[label][wins] = sum(
+                mine[key] < theirs[key]
+                for mine, theirs in zip(runs[label], runs[base]))
     return cell
 
 

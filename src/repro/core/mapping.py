@@ -25,10 +25,13 @@ late, mirroring the zero-utility "red rows" of the paper's web interface.
 
 from __future__ import annotations
 
+import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import get_tracer
@@ -74,8 +77,44 @@ class MappingJob:
         return int(math.ceil(self.demand / self.runtime - 1e-9))
 
 
-@dataclass(frozen=True)
-class Segment:
+class MappingColumns(NamedTuple):
+    """The jobs of one mapping as columns, aligned by position.
+
+    One sequence per field of :class:`MappingJob`.  ``RushPlanner.plan``
+    hands these to :func:`map_time_slots` instead of building a
+    ``MappingJob`` per job, and runs :meth:`check` on them first;
+    :func:`map_time_slots` converts a list of ``MappingJob`` once with
+    :meth:`of`.
+    """
+
+    job_ids: Sequence[str]
+    demands: Sequence[float]
+    runtimes: Sequence[float]
+    targets: Sequence[int]
+    tie_breaks: Sequence[float]
+
+    @classmethod
+    def of(cls, jobs: Sequence[MappingJob]) -> "MappingColumns":
+        """The columns of already validated jobs."""
+        return cls([job.job_id for job in jobs], [job.demand for job in jobs],
+                   [job.runtime for job in jobs],
+                   [job.target_completion for job in jobs],
+                   [job.tie_break for job in jobs])
+
+    def check(self) -> None:
+        """Raise what ``MappingJob`` raises for the first invalid job."""
+        demands = np.asarray(self.demands, dtype=float)
+        runtimes = np.asarray(self.runtimes, dtype=float)
+        bad = ~(np.isfinite(demands) & (demands >= 0))
+        bad |= ~(np.isfinite(runtimes) & (runtimes > 0))
+        bad |= np.asarray(self.targets) < 0
+        if bad.any():
+            i = int(bad.argmax())
+            MappingJob(self.job_ids[i], self.demands[i], self.runtimes[i],
+                       self.targets[i], self.tie_breaks[i])
+
+
+class Segment(NamedTuple):
     """A run of consecutive tasks of one job on one container queue."""
 
     job_id: str
@@ -133,22 +172,25 @@ class ContainerPlan:
         return self.allocation_at(0.0)
 
 
-def map_time_slots(jobs: Sequence[MappingJob], capacity: int) -> ContainerPlan:
+def map_time_slots(jobs: Union[Sequence[MappingJob], MappingColumns],
+                   capacity: int) -> ContainerPlan:
     """Run Algorithm 4 and return the resulting container plan.
 
     Jobs are sorted by target completion-time; ties resolve by job id so
     the mapping is deterministic.  Each queue accepts whole tasks of a job
     while its occupation is still below the job's target, overshooting by
     less than one task runtime — the source of Theorem 3's ``T_i + R_i``
-    completion bound.
+    completion bound.  ``jobs`` are ``MappingJob`` records or checked
+    :class:`MappingColumns`.
     """
     if capacity <= 0:
         raise ConfigurationError(f"capacity must be positive, got {capacity}")
-    ids = [job.job_id for job in jobs]
+    cols = jobs if isinstance(jobs, MappingColumns) else MappingColumns.of(jobs)
+    ids = cols.job_ids
     if len(set(ids)) != len(ids):
         raise ConfigurationError("job ids must be unique within one mapping")
 
-    with get_tracer().span("mapping.solve", jobs=len(jobs),
+    with get_tracer().span("mapping.solve", jobs=len(ids),
                            capacity=capacity) as span:
         plan = ContainerPlan(capacity=capacity)
         segments = plan.segments
@@ -159,26 +201,39 @@ def map_time_slots(jobs: Sequence[MappingJob], capacity: int) -> ContainerPlan:
         plan._queue_segments = queue_segments
         plan._queue_starts = queue_starts
         occupation = [0.0] * capacity
-        for job in sorted(jobs, key=lambda j: (j.target_completion,
-                                               -j.tie_break, j.job_id)):
-            remaining = job.task_count
+        # Only queues below the job's target take tasks.  Targets rise
+        # from job to job and occupations only grow, so the queues below
+        # the current target are kept in index order in ``below`` and the
+        # rest wait in a heap on their occupation until a target passes
+        # them; a pour that reaches the target moves its queue back.  An
+        # overflow may raise any queue past its heap key or the target:
+        # the queue is then visited early and takes no task, as the walk
+        # over every queue would skip it.
+        below: List[int] = []
+        waiting: List[Tuple[float, int]] = [(0.0, k) for k in range(capacity)]
+        # Ids are unique, so the sort never compares past them.
+        for target_completion, _, job_id, demand, runtime in sorted(zip(
+                cols.targets, [-tie for tie in cols.tie_breaks], ids,
+                cols.demands, cols.runtimes)):
+            # MappingJob.task_count's expression.
+            remaining = int(math.ceil(demand / runtime - 1e-9))
             if remaining == 0:
-                plan.completions[job.job_id] = 0.0
+                plan.completions[job_id] = 0.0
                 continue
             finish = 0.0
-            target = float(job.target_completion)
-            job_id, runtime = job.job_id, job.runtime
-            for k in range(capacity):
-                if remaining == 0:
-                    break
+            target = float(target_completion)
+            while waiting and waiting[0][0] < target:
+                insort(below, heapq.heappop(waiting)[1])
+            pos = 0
+            while remaining and pos < len(below):
+                k = below[pos]
                 start = occupation[k]
-                if start >= target:
-                    continue
                 # Tasks placeable while the queue occupation stays below T_i;
                 # the last one may overshoot to < T_i + R_i.
                 fit = int(math.ceil((target - start) / runtime - 1e-9))
                 take = min(fit, remaining)
                 if take <= 0:
+                    pos += 1
                     continue
                 seg = Segment(job_id, k, start, take, runtime)
                 segments.append(seg)
@@ -189,6 +244,11 @@ def map_time_slots(jobs: Sequence[MappingJob], capacity: int) -> ContainerPlan:
                 if end > finish:
                     finish = end
                 remaining -= take
+                if end >= target:
+                    del below[pos]
+                    heapq.heappush(waiting, (end, k))
+                else:
+                    pos += 1
             while remaining > 0:
                 # Infeasible targets: force the residue onto the
                 # least-occupied queue, one task at a time, and flag the job

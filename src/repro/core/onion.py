@@ -32,11 +32,13 @@ level verified with slack to spare stays feasible across the peels made
 at it, and the bottleneck probe at the level the bisection has just
 found infeasible re-reads that pass instead of repeating it.
 ``OnionResult.feasibility_checks`` counts the passes evaluated,
-``certified_probes`` the rest.  A layer that evaluates no pass and ends
+``certified_probes`` the rest.  A pass whose earliest active job cannot
+fit even alone fails there, before it sorts or sums anything
+(:func:`_first_point_failure`).  A layer that evaluates no pass and ends
 at its starting seed is a fixed point: the layers after it ask the same
 probes until a peel moves the highest or the lowest active ceiling,
 so that run of tied layers is peeled in one step
-(:func:`_tied_run`), each replayed probe still asked of :func:`_certify`.
+(:func:`_tied_run`), its probes asked of :func:`_certify` once.
 
 When the first layer bottoms out at the utility floor, some jobs must
 end there, and *which* ones decides the rest of the vector.  One
@@ -59,7 +61,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -111,8 +113,43 @@ class OnionJob:
                 f"job {self.job_id!r}: compensation must be >= 0, got {self.compensation}")
 
 
-@dataclass(frozen=True)
-class JobTarget:
+class OnionColumns(NamedTuple):
+    """The jobs of one solve as columns, aligned by position.
+
+    One sequence per field of :class:`OnionJob`.  ``RushPlanner.plan``
+    hands these to :func:`solve_onion` instead of building an
+    ``OnionJob`` per job, and runs :meth:`check` on them first;
+    :func:`solve_onion` converts a list of ``OnionJob`` once with
+    :meth:`of`.
+    """
+
+    job_ids: Sequence[str]
+    demands: Sequence[float]
+    utilities: Sequence[UtilityFunction]
+    elapsed: Sequence[float]
+    compensation: Sequence[float]
+
+    @classmethod
+    def of(cls, jobs: Sequence[OnionJob]) -> "OnionColumns":
+        """The columns of already validated jobs."""
+        return cls([job.job_id for job in jobs], [job.demand for job in jobs],
+                   [job.utility for job in jobs],
+                   [job.elapsed for job in jobs],
+                   [job.compensation for job in jobs])
+
+    def check(self) -> None:
+        """Raise what ``OnionJob`` raises for the first invalid job."""
+        demands = np.asarray(self.demands, dtype=float)
+        bad = ~(np.isfinite(demands) & (demands >= 0))
+        bad |= np.asarray(self.elapsed, dtype=float) < 0
+        bad |= np.asarray(self.compensation, dtype=float) < 0
+        if bad.any():
+            i = int(bad.argmax())
+            OnionJob(self.job_ids[i], self.demands[i], self.utilities[i],
+                     self.elapsed[i], self.compensation[i])
+
+
+class JobTarget(NamedTuple):
     """The peeled decision for one job.
 
     ``target_completion`` counts slots from now; the job is expected to be
@@ -148,13 +185,15 @@ class OnionResult:
         return sorted(t.utility_value for t in self.targets.values())
 
 
-def default_horizon(jobs: Sequence[OnionJob], capacity: int) -> int:
+def default_horizon(jobs: Union[Sequence[OnionJob], OnionColumns],
+                    capacity: int) -> int:
     """A horizon long enough that the bottom utility layer is feasible.
 
     ``ceil(total_demand / capacity)`` slots suffice to fit all demand, with
     one extra slot of slack for the integer rounding of deadlines.
     """
-    total = sum(job.demand for job in jobs)
+    total = sum(jobs.demands if isinstance(jobs, OnionColumns)
+                else [job.demand for job in jobs])
     return max(1, int(math.ceil(total / max(capacity, 1))) + 1)
 
 
@@ -163,30 +202,36 @@ class _DeadlineBank:
 
     Groups jobs by utility class, stacking each class's ``PARAMS`` so a
     level query costs one call of each class's ``inverse`` rather than
-    one Python call per job.  Classes without ``PARAMS`` are asked one
-    job at a time.  Every entry equals the job's own ``deadline_for``
-    bit for bit.
+    one Python call per job.  Classes without ``PARAMS``, and subclasses
+    that override ``deadline_for``, are asked one job at a time.  Every
+    entry equals the job's own ``deadline_for`` bit for bit.
     """
 
-    def __init__(self, jobs: Sequence[OnionJob], horizon: int,
+    def __init__(self, jobs: Union[Sequence[OnionJob], OnionColumns],
+                 horizon: int,
                  demands: Optional[npt.NDArray[np.float64]] = None,
                  capacity: Optional[float] = None) -> None:
-        self._n = len(jobs)
+        cols = jobs if isinstance(jobs, OnionColumns) else OnionColumns.of(jobs)
+        utilities = cols.utilities
+        self._n = len(utilities)
         self._horizon = horizon
         self._demands = demands
         self._capacity = capacity
-        self._offsets = np.array([job.elapsed + job.compensation
-                                  for job in jobs])
+        self._offsets = np.array([elapsed + compensation for elapsed, compensation
+                                  in zip(cols.elapsed, cols.compensation)])
         members: Dict[Type[UtilityFunction], List[int]] = {}
         self._other: List[Tuple[int, UtilityFunction]] = []
-        for i, job in enumerate(jobs):
-            if job.utility.PARAMS:
-                members.setdefault(type(job.utility), []).append(i)
+        for i, utility in enumerate(utilities):
+            cls = type(utility)
+            # A subclass that overrides ``deadline_for`` answers through
+            # it, not through the ``inverse`` it may inherit.
+            if cls.PARAMS and cls.deadline_for is UtilityFunction.deadline_for:
+                members.setdefault(cls, []).append(i)
             else:
-                self._other.append((i, job.utility))
+                self._other.append((i, utility))
         self._groups = [
             (cls, np.array(idx), np.array(
-                [[getattr(jobs[i].utility, name) for i in idx]
+                [[getattr(utilities[i], name) for i in idx]
                  for name in cls.PARAMS], dtype=float))
             for cls, idx in members.items()]
         # Utility ceilings and floors, evaluated once: the ceiling rule
@@ -194,10 +239,14 @@ class _DeadlineBank:
         # take maxima over (subsets of) the ceilings thousands of times
         # per solve.  A level above ``max_values[i]`` gives job ``i`` the
         # deadline -inf — what certificate (A) predicts.
-        self.max_values = np.array([job.utility.max_value() for job in jobs],
+        self.max_values = np.array([u.max_value() for u in utilities],
                                    dtype=float)
-        self.floors = np.array([job.utility.min_value() for job in jobs],
+        self.floors = np.array([u.min_value() for u in utilities],
                                dtype=float)
+        # Their extremes let a level skip a mask that would change nothing
+        # (a NaN extreme skips none).
+        self._bounds = (float(self.max_values.min(initial=np.inf)),
+                        float(self.floors.max(initial=-np.inf)))
         self._level_memo: Dict[float, npt.NDArray[np.float64]] = {}
         self._view_memo: Dict[float, Tuple[npt.NDArray[np.intp],
                                            npt.NDArray[np.float64],
@@ -210,7 +259,8 @@ class _DeadlineBank:
             d[idx] = cls.inverse(params, level)
         for pos, util in self._other:
             d[pos] = util.deadline_for(level)
-        apply_ceiling_rule(d, level, self.floors, self.max_values)
+        apply_ceiling_rule(d, level, self.floors, self.max_values,
+                           bounds=self._bounds)
         return d
 
     def deadlines(self, level: float) -> npt.NDArray[np.float64]:
@@ -318,7 +368,8 @@ class _PeeledLedger:
         self.times, self.demands, self.scaled = times, committed, scaled
 
 
-def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
+def solve_onion(jobs: Union[Sequence[OnionJob], OnionColumns], capacity: int,
+                *,
                 tolerance: float = 0.01,
                 horizon: Optional[int] = None) -> OnionResult:
     """Lexicographic max-min completion-time assignment (Algorithm 3).
@@ -326,7 +377,8 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     Parameters
     ----------
     jobs:
-        The active jobs with their robust demands.
+        The active jobs with their robust demands, as ``OnionJob`` records
+        or as checked :class:`OnionColumns`.
     capacity:
         Cluster capacity ``C`` in containers.
     tolerance:
@@ -345,29 +397,28 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         raise InfeasiblePlanError(f"cluster capacity must be positive, got {capacity}")
     if not 0.0 < tolerance < math.inf:  # NaN fails too
         raise ConfigurationError(f"tolerance={tolerance} must be finite and > 0")
-    ids = [job.job_id for job in jobs]
+    cols = jobs if isinstance(jobs, OnionColumns) else OnionColumns.of(jobs)
+    ids = cols.job_ids
     if len(set(ids)) != len(ids):
         raise ConfigurationError("job ids must be unique within one solve")
     if horizon is None:
-        horizon = default_horizon(jobs, capacity)
+        horizon = default_horizon(cols, capacity)
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
 
     targets: Dict[str, JobTarget] = {}
     active: List[int] = []
-    for i, job in enumerate(jobs):
-        if job.demand <= 0.0:
+    for i, demand in enumerate(cols.demands):
+        if demand <= 0.0:
             # Nothing left to run: the job completes "now" at full utility.
-            value = job.utility.value(job.elapsed)
-            targets[job.job_id] = JobTarget(
-                job_id=job.job_id, target_completion=0,
-                utility_value=value, layer=0, achievable=value > 0.0)
+            value = cols.utilities[i].value(cols.elapsed[i])
+            targets[ids[i]] = JobTarget(ids[i], 0, value, 0, value > 0.0)
         else:
             active.append(i)
 
-    n_jobs = len(jobs)
-    demands = np.array([job.demand for job in jobs], dtype=float)
-    bank = _DeadlineBank(jobs, horizon, demands, capacity)
+    n_jobs = len(ids)
+    demands = np.array(cols.demands, dtype=float)
+    bank = _DeadlineBank(cols, horizon, demands, capacity)
     # An unbounded ceiling makes every bisection midpoint infinite and the
     # layer loop endless; refuse it before the first probe.
     for method, bounds in (("max_value", bank.max_values),
@@ -375,7 +426,7 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         unbounded = np.flatnonzero(~np.isfinite(bounds))
         if unbounded.size:
             raise ConfigurationError(
-                f"job {jobs[unbounded[0]].job_id!r}: utility {method}() must "
+                f"job {ids[unbounded[0]]!r}: utility {method}() must "
                 f"be finite, got {bounds[unbounded[0]]}")
     global_floor = min(float(bank.floors.min(initial=0.0)), 0.0)
     ledger = _PeeledLedger(n_jobs, capacity)
@@ -387,14 +438,15 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     # peeled job later, so the slack survives the peel (see _certify).
     carried: Optional[Tuple[float, float]] = None
     # Certificate C's state: the layer's most recent infeasible pass, as
-    # ``(level, slack, order, sel, act_pos, fro_pos)`` — enough to name
-    # its bottleneck again without re-running it.  Every peel and the
-    # sacrifice drop it, so it always describes the current active set
-    # and ledger.
-    failed: Optional[Tuple[float, npt.NDArray[np.float64],
-                           npt.NDArray[np.intp], npt.NDArray[np.bool_],
-                           Optional[npt.NDArray[np.intp]],
-                           Optional[npt.NDArray[np.intp]]]] = None
+    # ``(level, named)`` — ``named`` is the bottleneck when the pass
+    # stopped at its first active point, else ``(slack, order, sel, act_pos,
+    # fro_pos)``, enough to name it again without re-running the pass.
+    # Every peel and the sacrifice drop it, so it always describes the
+    # current active set and ledger.
+    failed: Optional[Tuple[float, Union[int, Tuple[
+        npt.NDArray[np.float64], npt.NDArray[np.intp], npt.NDArray[np.bool_],
+        Optional[npt.NDArray[np.intp]],
+        Optional[npt.NDArray[np.intp]]]]]] = None
     # Twice the rounding error of one staircase evaluation, times a 4x
     # safety factor: at most n + 2 sequential additions and one
     # subtraction on magnitudes bounded by sum(eta) + C * horizon.
@@ -444,7 +496,9 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
         On failure with ``need_bottleneck``, the last active job at or
         before the first violated point — the paper's bottleneck — is
         returned by global index; probe callers leave it false and get
-        ``None``, skipping that bookkeeping.
+        ``None``, skipping that bookkeeping.  A pass whose first active
+        job cannot fit even alone (:func:`_first_point_failure`) stops
+        there, before the sorted view, the merge and the prefix sums.
 
         A probe whose verdict :func:`_certify` already knows returns it
         without the pass, counted in ``certified`` instead of ``checks``.
@@ -464,7 +518,9 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             if verdict or not need_bottleneck:
                 return verdict, None
             if failed is not None and level == failed_at:
-                return False, _bottleneck(*failed[1:])
+                named = failed[1]
+                return False, (named if isinstance(named, int)
+                               else _bottleneck(*named))
             # An unreachable level fails at the very first merged point:
             # -inf deadlines sort first, in index order, ahead of every
             # (finite) peeled time — so the pass would name exactly the
@@ -472,6 +528,11 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             unreachable = bank.deadlines(level)[active_idx] == -np.inf
             return False, int(active_idx[int(np.argmax(unreachable))])
         checks += 1
+        first = _first_point_failure(bank.deadlines(level), active_idx,
+                                     demands, capacity)
+        if first is not None:
+            failed = (level, first)
+            return False, first if need_bottleneck else None
         order, dcap_sorted, eta_sorted = bank.level_view(level)
         sel = probed_mask.take(order)
         d_act = dcap_sorted.compress(sel)
@@ -521,7 +582,7 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             return True, None
         # ``slack`` is scratch the next pass overwrites; the rest is fresh
         # per pass (or the bank's memoized, unwritten view).
-        failed = (level, slack.copy(), order, sel, act_pos, fro_pos)
+        failed = (level, (slack.copy(), order, sel, act_pos, fro_pos))
         if not need_bottleneck:
             return False, None
         return False, _bottleneck(slack, order, sel, act_pos, fro_pos)
@@ -534,7 +595,7 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
     # per-layer trace *event* a per-job Span allocation on the planner's
     # hot path, which is what the benchmark's obs-overhead gate polices.
     trail: Optional[List[Dict[str, object]]] = [] if tracer.active else None
-    with tracer.span("onion.solve", jobs=len(jobs),
+    with tracer.span("onion.solve", jobs=n_jobs,
                      capacity=capacity,
                      horizon=horizon) as solve_span:
         active_idx = np.array(active, dtype=int)
@@ -550,7 +611,7 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                 # Nothing probes after this, so the ledger is left alone.
                 deadlines = bank.deadlines(ceiling)
                 for i in active_idx:
-                    _peel_one(jobs[i], float(deadlines[i]), targets, layer,
+                    _peel_one(cols, i, float(deadlines[i]), targets, layer,
                               horizon)
                 if trail is not None:
                     trail.append({"layer": layer, "level": ceiling,
@@ -600,8 +661,8 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                     *bank.level_view(global_floor + tolerance), mask)
                 if dropped.size:
                     ledger.commit(
-                        np.array([_peel_one(jobs[i], math.inf, targets, layer,
-                                            horizon) for i in dropped],
+                        np.array([_peel_one(cols, i, math.inf, targets,
+                                            layer, horizon) for i in dropped],
                                  dtype=float),
                         demands.take(dropped))
                     carried = failed = None
@@ -610,7 +671,7 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                     if trail is not None:
                         trail.append({"layer": layer, "low": low,
                                       "high": high, "sacrificed": [
-                                          jobs[i].job_id for i in dropped]})
+                                          ids[i] for i in dropped]})
                     continue
 
             deadline = float(bank.deadlines(low)[bottleneck])
@@ -620,14 +681,14 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             # (C) does not: the peel changes the active set and ledger.
             failed = None
             ledger.commit(
-                np.array([_peel_one(jobs[bottleneck], deadline, targets,
+                np.array([_peel_one(cols, bottleneck, deadline, targets,
                                     layer, horizon)], dtype=float),
                 demands[bottleneck:bottleneck + 1])
             # A fresh array each layer: the probe cache keys on its identity.
             active_idx = active_idx[active_idx != bottleneck]
             if trail is not None:
                 trail.append({"layer": layer, "low": low, "high": high,
-                              "peeled": jobs[bottleneck].job_id})
+                              "peeled": ids[bottleneck]})
             if checks > layer_checks or low != layer_seed:
                 continue
 
@@ -642,26 +703,23 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
             # -inf — a fixed point, until a peel changes the ceiling or
             # ``probed_top``.  Peel that run in one step.
             run = _tied_run(bank, active_idx, high, probed_top, ceiling)
-            # Every replayed probe still asks _certify, with the state the
-            # layer it stands for would hold (``failed`` is None after a
-            # peel); the first disagreement hands that layer back to the
-            # ordinary loop.
-            for count in range(run.size):
-                if any(_certify(level, probed_top, carried, slack_noise, None)
-                       is not verdict for level, verdict in probe_log):
-                    run = run[:count]
-                    break
-            if not run.size:
+            # Every layer of the run would ask _certify the same probes
+            # with the same state (``failed`` is None after a peel), so
+            # they are asked once; a disagreement hands the run back to
+            # the ordinary loop.  Each replayed probe still counts.
+            if not run.size or any(
+                    _certify(level, probed_top, carried, slack_noise, None)
+                    is not verdict for level, verdict in probe_log):
                 continue
             deadlines = bank.deadlines(low)
             completions = np.empty(run.size)
             for k, i in enumerate(run):
                 layer += 1
-                completions[k] = _peel_one(jobs[i], float(deadlines[i]),
+                completions[k] = _peel_one(cols, i, float(deadlines[i]),
                                            targets, layer, horizon)
                 if trail is not None:
                     trail.append({"layer": layer, "low": low, "high": high,
-                                  "peeled": jobs[i].job_id})
+                                  "peeled": ids[i]})
             certified += run.size * len(probe_log)
             ledger.commit(completions, demands.take(run))
             kept = np.ones(n_jobs, dtype=bool)
@@ -678,15 +736,39 @@ def solve_onion(jobs: Sequence[OnionJob], capacity: int, *,
                        certified_probes=certified)
 
 
-def _peel_one(job: OnionJob, deadline: float, targets: Dict[str, JobTarget],
-              layer: int, horizon: int) -> int:
-    """Freeze one job's target; returns its completion-time."""
+def _peel_one(cols: OnionColumns, i: int, deadline: float,
+              targets: Dict[str, JobTarget], layer: int, horizon: int) -> int:
+    """Freeze job ``i``'s target; returns its completion-time."""
     completion = _clamp_completion(deadline, horizon)
-    value = job.utility.value(job.elapsed + completion)
-    targets[job.job_id] = JobTarget(
-        job_id=job.job_id, target_completion=completion,
-        utility_value=value, layer=layer, achievable=value > 1e-9)
+    value = cols.utilities[i].value(cols.elapsed[i] + completion)
+    job_id = cols.job_ids[i]
+    targets[job_id] = JobTarget(job_id, completion, value, layer,
+                                value > 1e-9)
     return completion
+
+
+def _first_point_failure(deadlines: npt.NDArray[np.float64],
+                         active_idx: npt.NDArray[np.intp],
+                         demands: npt.NDArray[np.float64],
+                         capacity: float) -> Optional[int]:
+    """The bottleneck of a pass that fails at its first active point.
+
+    The first active point of the merge is the active job with the
+    earliest deadline (the lowest index on a tie: ``active_idx`` is
+    ascending and the sorted view is stable).  If that job cannot fit
+    even alone, ``d * C - eta < -1e-9``, the pass fails whatever
+    follows: peeled entries merged before it only add demand to its
+    prefix (a sum of non-negative floats rounds to no less than its
+    last term), so its slack is no larger.  The first violated point is
+    then that one or a peeled one before it, and either way no active
+    job precedes it but this one — the job the pass names.  Returns
+    ``None`` when the pass must run (a NaN deadline among the active
+    jobs included).
+    """
+    own = deadlines.take(active_idx)
+    k = int(own.argmin())
+    job = int(active_idx[k])
+    return job if own[k] * capacity - demands[job] < -1e-9 else None
 
 
 def _bottleneck(slack: npt.NDArray[np.float64], order: npt.NDArray[np.intp],

@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.core.mapping import ContainerPlan, MappingJob, map_time_slots
-from repro.core.onion import OnionJob, solve_onion
+from repro.core.mapping import ContainerPlan, MappingColumns, map_time_slots
+from repro.core.onion import OnionColumns, solve_onion
 from repro.core.wcde import WcdeCache, WcdeResult, solve_wcde_batch
 from repro.estimation.base import DemandEstimate
 from repro.estimation.pmf import Pmf
@@ -54,8 +55,7 @@ from repro.utility.base import UtilityFunction
 __all__ = ["PlannerJob", "JobPlan", "PlanStats", "SchedulePlan",
            "RushPlanner", "IncrementalPlanner"]
 
-@dataclass(frozen=True)
-class PlannerJob:
+class PlannerJob(NamedTuple):
     """A job snapshot handed to the planner.
 
     Attributes
@@ -87,8 +87,7 @@ class PlannerJob:
     extra_demand: float = 0.0
 
 
-@dataclass(frozen=True)
-class JobPlan:
+class JobPlan(NamedTuple):
     """The planner's decision for one job.
 
     ``robust_demand`` is ``eta_i`` plus the job's ``extra_demand``
@@ -298,11 +297,6 @@ class RushPlanner:
             hits0 = cache.hits if cache is not None else 0
             misses0 = cache.misses if cache is not None else 0
 
-            etas: Dict[str, float] = {}
-            refs: Dict[str, float] = {}
-            iters: Dict[str, int] = {}
-            onion_jobs: List[OnionJob] = []
-
             # Stage 1, batched: jobs are grouped by resolved delta (theta
             # is planner-wide) and each group goes to the memo, or the
             # vectorized batch solver, in one call.
@@ -315,27 +309,30 @@ class RushPlanner:
                 solved = self._solve_batch(
                     [job.estimate.pmf for job in group], resolved)
                 results.update(zip((job.job_id for job in group), solved))
+            # The rest of the round reads columns, one entry per job in
+            # ``jobs`` order, and builds no per-job record until JobPlan.
+            etas: List[float] = []
+            refs: List[float] = []
+            runtimes: List[float] = []
             for job in jobs:
                 result = results[job.job_id]
-                eta = (job.estimate.demand_at(result.eta_bin)
-                       + max(job.extra_demand, 0.0))
-                etas[job.job_id] = eta
-                refs[job.job_id] = job.estimate.demand_at(
-                    result.reference_quantile)
-                iters[job.job_id] = result.iterations
-                onion_jobs.append(OnionJob(
-                    job_id=job.job_id, demand=eta, utility=job.utility,
-                    elapsed=job.elapsed,
-                    compensation=job.estimate.container_runtime))
+                estimate = job.estimate
+                etas.append(estimate.demand_at(result.eta_bin)
+                            + max(job.extra_demand, 0.0))
+                refs.append(estimate.demand_at(result.reference_quantile))
+                runtimes.append(estimate.container_runtime)
+            utilities = [job.utility for job in jobs]
+            elapsed = [job.elapsed for job in jobs]
+            onion_jobs = OnionColumns(ids, etas, utilities, elapsed, runtimes)
+            onion_jobs.check()
             if cache is not None:
                 stats.wcde_cache_hits = cache.hits - hits0
                 stats.wcde_cache_misses = cache.misses - misses0
             stats.wcde_seconds = time.perf_counter() - started
 
             if horizon is None:
-                total = sum(etas.values())
-                max_runtime = max((job.estimate.container_runtime for job in jobs),
-                                  default=1.0)
+                total = sum(etas)
+                max_runtime = max(runtimes, default=1.0)
                 horizon = max(1, int(math.ceil(total / self.capacity))
                               + int(math.ceil(max_runtime)) + 1)
 
@@ -348,35 +345,38 @@ class RushPlanner:
             stats.certified_probes = onion.certified_probes
 
             mapping_started = time.perf_counter()
-            mapping_jobs = []
-            for job in jobs:
-                target = onion.targets[job.job_id].target_completion
-                runtime = job.estimate.container_runtime
-                # Tie-break equal targets by the utility recoverable from
-                # finishing one task-runtime earlier, so a salvageable late job
-                # is packed ahead of a completion-time-insensitive one.
-                earlier = max(target - runtime, 0.0)
-                recoverable = (job.utility.value(job.elapsed + earlier)
-                               - job.utility.value(job.elapsed + target))
-                mapping_jobs.append(MappingJob(
-                    job_id=job.job_id, demand=etas[job.job_id], runtime=runtime,
-                    target_completion=target, tie_break=recoverable))
+            decided = [onion.targets[job_id] for job_id in ids]
+            targets = [decision.target_completion for decision in decided]
+            shared = Counter(targets)
+            tie_breaks: List[float] = []
+            for target, runtime, utility, done in zip(
+                    targets, runtimes, utilities, elapsed):
+                recoverable = 0.0
+                if shared[target] > 1:
+                    # Tie-break equal targets by the utility recoverable
+                    # from finishing one task-runtime earlier, so a
+                    # salvageable late job is packed ahead of a
+                    # completion-time-insensitive one.  A job alone at
+                    # its target is never compared on it.
+                    earlier = max(target - runtime, 0.0)
+                    recoverable = (utility.value(done + earlier)
+                                   - utility.value(done + target))
+                tie_breaks.append(recoverable)
+            mapping_jobs = MappingColumns(ids, etas, runtimes, targets,
+                                          tie_breaks)
+            mapping_jobs.check()
             container_plan = map_time_slots(mapping_jobs, self.capacity)
             stats.mapping_seconds = time.perf_counter() - mapping_started
 
-            job_plans: Dict[str, JobPlan] = {}
-            for job in jobs:
-                target = onion.targets[job.job_id]
-                job_plans[job.job_id] = JobPlan(
-                    job_id=job.job_id,
-                    robust_demand=etas[job.job_id],
-                    reference_demand=refs[job.job_id],
-                    target_completion=target.target_completion,
-                    planned_completion=container_plan.completion(job.job_id),
-                    predicted_utility=target.utility_value,
-                    achievable=target.achievable,
-                    layer=target.layer,
-                    wcde_iterations=iters[job.job_id])
+            completions = container_plan.completions
+            job_plans: Dict[str, JobPlan] = {
+                job_id: JobPlan(job_id, eta, ref, decision.target_completion,
+                                completions[job_id], decision.utility_value,
+                                decision.achievable, decision.layer,
+                                result.iterations)
+                for job_id, eta, ref, decision, result in zip(
+                    ids, etas, refs, decided,
+                    (results[job_id] for job_id in ids))}
 
             plan = SchedulePlan(
                 jobs=job_plans, container_plan=container_plan, theta=self.theta,

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import EstimationError
 from repro.estimation.base import DemandEstimate, DistributionEstimator
-from repro.estimation.pmf import Pmf
+from repro.estimation.pmf import Pmf, gaussian_pmf
 
 if TYPE_CHECKING:  # imported lazily: estimation must not pull in cluster
     from repro.cluster.job import JobSpec
@@ -117,8 +117,8 @@ class EmpiricalEstimator(DistributionEstimator):
         std = task.std() * math.sqrt(pending_tasks)
         upper = mean + 6.0 * std
         width = self._choose_bin_width(upper)
-        pmf = Pmf.from_gaussian(mean / width, std / width,
-                                tau_max=max(1, int(math.ceil(upper / width))))
+        pmf = gaussian_pmf(mean / width, std / width,
+                           max(1, int(math.ceil(upper / width))))
         return DemandEstimate(pmf=pmf, bin_width=width,
                               container_runtime=runtime,
                               sample_count=self.sample_count)

@@ -18,7 +18,7 @@ import math
 
 from repro.errors import EstimationError
 from repro.estimation.base import DemandEstimate, DistributionEstimator
-from repro.estimation.pmf import Pmf
+from repro.estimation.pmf import gaussian_pmf
 
 __all__ = ["GaussianEstimator"]
 
@@ -86,8 +86,8 @@ class GaussianEstimator(DistributionEstimator):
         total_std = std * math.sqrt(pending_tasks)
         upper = total_mean + 6.0 * total_std
         width = self._choose_bin_width(upper)
-        pmf = Pmf.from_gaussian(total_mean / width, total_std / width,
-                                tau_max=max(1, int(math.ceil(upper / width))))
+        pmf = gaussian_pmf(total_mean / width, total_std / width,
+                           max(1, int(math.ceil(upper / width))))
         return DemandEstimate(pmf=pmf, bin_width=width,
                               container_runtime=mean,
                               sample_count=self.sample_count)

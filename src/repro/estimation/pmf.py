@@ -14,6 +14,7 @@ speak :class:`Pmf`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from typing import Iterable, Optional, Sequence, Union
@@ -23,7 +24,7 @@ import numpy.typing as npt
 
 from repro.errors import DistributionError
 
-__all__ = ["Pmf", "kl_divergence"]
+__all__ = ["Pmf", "gaussian_pmf", "kl_divergence"]
 
 #: Probabilities smaller than this are treated as exact zeros when
 #: validating and when computing KL divergences.
@@ -288,6 +289,19 @@ class Pmf:
         a = self.padded(size - 1) if self._probs.size < size else self
         b = other.padded(size - 1) if other._probs.size < size else other
         return Pmf((1.0 - weight) * a.probs + weight * b.probs, normalize=True)
+
+
+@functools.lru_cache(maxsize=128, typed=True)
+def gaussian_pmf(mean: float, std: float, tau_max: int) -> Pmf:
+    """:meth:`Pmf.from_gaussian`, memoized on its exact arguments.
+
+    The Gaussian DE classes report through here: a job whose moments and
+    pending count did not move asks for the very same discretisation
+    again, and a :class:`Pmf` is immutable, so the one built first (with
+    its cached fingerprint) is handed out again.  The memo keeps the 128
+    most recently used.
+    """
+    return Pmf.from_gaussian(mean, std, tau_max=tau_max)
 
 
 def kl_divergence(p: Union[Pmf, npt.NDArray[np.float64]],

@@ -300,9 +300,8 @@ class RushScheduler(Scheduler):
             extra = sum(max(runtime - age, 0.25 * runtime)
                         for age in job.running_task_ages(now))
             planner_jobs.append(PlannerJob(
-                job_id=job.job_id, utility=job.utility,
-                estimate=estimate, elapsed=float(job.elapsed(now)),
-                extra_demand=extra))
+                job.job_id, job.utility, estimate, float(job.elapsed(now)),
+                None, extra))
         assert self._planner is not None
         forced = self._forced_failures
         self._forced_failures = 0

@@ -36,16 +36,25 @@ __all__ = ["UtilityFunction", "apply_ceiling_rule"]
 
 def apply_ceiling_rule(deadlines: npt.NDArray[np.float64], level: float,
                        floors: npt.NDArray[np.float64],
-                       ceilings: npt.NDArray[np.float64]) -> None:
+                       ceilings: npt.NDArray[np.float64], *,
+                       bounds: Tuple[float, float] = (-math.inf, math.inf)
+                       ) -> None:
     """Overwrite, in place, the deadlines the bounds alone decide.
 
     A level at or below a job's ``min_value()`` (its floor) is attained
     at every completion-time: ``+inf``.  A level above its
     ``max_value()`` (its ceiling) is attained at none: ``-inf``.  The
     floor wins a tie, as it does in :meth:`UtilityFunction.deadline_for`.
+
+    ``bounds`` may give ``(min(ceilings), max(floors))``, computed once by
+    a caller that asks many levels: a level at or below the lowest
+    ceiling, or above the highest floor, then skips the mask it cannot
+    change.  A NaN bound skips nothing.
     """
-    deadlines[level > ceilings] = -np.inf
-    deadlines[level <= floors] = np.inf
+    if not level <= bounds[0]:
+        deadlines[level > ceilings] = -np.inf
+    if not level > bounds[1]:
+        deadlines[level <= floors] = np.inf
 
 
 class UtilityFunction(ABC):
@@ -60,7 +69,9 @@ class UtilityFunction(ABC):
     attributes it reads, and states the form once in :meth:`inverse`;
     ``deadline_for``, equality, hashing and ``repr`` are then derived
     from that list.  A class without one keeps ``PARAMS`` empty and may
-    override ``deadline_for``, which must follow the ceiling rule.
+    override ``deadline_for``, which must follow the ceiling rule; so may
+    a subclass that inherits ``PARAMS``, and the onion then asks its
+    override, not the inherited ``inverse``.
     """
 
     #: The attributes :meth:`inverse` reads, one row of its ``params``

@@ -213,3 +213,76 @@ class TestQueueIndex:
 
         check()
         assert any(overflowed) and not all(overflowed)
+
+
+def walk_every_queue(jobs, capacity):
+    """Algorithm 4 as it read before the mapping kept the queues below
+    the target apart: every job walks the queues from 0 and skips the
+    ones already at its target.  Returns ``(segments, completions,
+    overflowed)`` as plain tuples."""
+    segments, completions, overflowed = [], {}, set()
+    occupation = [0.0] * capacity
+    for job in sorted(jobs, key=lambda j: (j.target_completion,
+                                           -j.tie_break, j.job_id)):
+        remaining = job.task_count
+        if remaining == 0:
+            completions[job.job_id] = 0.0
+            continue
+        finish, target = 0.0, float(job.target_completion)
+        for k in range(capacity):
+            if remaining == 0:
+                break
+            start = occupation[k]
+            if start >= target:
+                continue
+            fit = int(math.ceil((target - start) / job.runtime - 1e-9))
+            take = min(fit, remaining)
+            if take <= 0:
+                continue
+            segments.append((job.job_id, k, start, take, job.runtime))
+            end = occupation[k] = start + take * job.runtime
+            finish = max(finish, end)
+            remaining -= take
+        while remaining > 0:
+            overflowed.add(job.job_id)
+            k = min(range(capacity), key=occupation.__getitem__)
+            start = occupation[k]
+            segments.append((job.job_id, k, start, 1, job.runtime))
+            end = occupation[k] = start + job.runtime
+            finish = max(finish, end)
+            remaining -= 1
+        completions[job.job_id] = finish
+    return segments, completions, overflowed
+
+
+class TestQueuesBelowTheTarget:
+    """Visiting only the queues below a job's target pours exactly what
+    walking every queue does — overflow, near-target queues that take no
+    task, and shared targets included."""
+
+    def test_equals_walking_every_queue(self):
+        seen = {"overflow": False, "shared": False}
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.integers(min_value=1, max_value=8),
+               st.lists(st.tuples(st.floats(min_value=0.0, max_value=80.0),
+                                  st.sampled_from([0.5, 1.0, 1.5, 3.0,
+                                                   1.0 / 3.0, 7.25]),
+                                  st.integers(min_value=0, max_value=30),
+                                  st.sampled_from([0.0, 0.5, 2.0])),
+                        max_size=25))
+        def check(capacity, raw):
+            jobs = [MappingJob(f"j{i}", demand, runtime, target, tie)
+                    for i, (demand, runtime, target, tie) in enumerate(raw)]
+            plan = map_time_slots(jobs, capacity)
+            segments, completions, overflowed = walk_every_queue(
+                jobs, capacity)
+            assert [tuple(seg) for seg in plan.segments] == segments
+            assert list(plan.completions.items()) == list(completions.items())
+            assert plan.overflowed == overflowed
+            seen["overflow"] |= bool(overflowed)
+            targets = [job.target_completion for job in jobs]
+            seen["shared"] |= len(set(targets)) < len(targets)
+
+        check()
+        assert seen == {"overflow": True, "shared": True}

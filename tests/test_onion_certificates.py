@@ -310,7 +310,11 @@ def test_slack_zero_falls_back_to_the_pass():
 
 
 def test_margin_certificate_answers_when_there_is_room():
-    """The same shape with room to spare: (B) carries the seed level."""
+    """The same shape with room to spare: (B) carries the seed level.
+
+    (B) answers the seed probe of the layer that starts a tied run; the
+    run asks ``_certify`` that layer's probes once, and
+    ``certified_probes`` still counts every replayed layer's."""
     jobs = ([OnionJob(f"t{k:02d}", 400.0, StepUtility(50.0 * (k + 1), 1.0))
              for k in range(40)]
             + [OnionJob("top", 10.0, StepUtility(4000.0, 2.0))])
@@ -319,7 +323,12 @@ def test_margin_certificate_answers_when_there_is_room():
     with abstaining():
         evaluated = solve_onion(jobs, 10, tolerance=0.01, horizon=4100)
     assert_same_solve(certified, evaluated)
-    assert [verdict for _, verdict in calls].count(True) >= 30
+    seed_answers = [args for args, verdict in calls if verdict is True]
+    assert seed_answers
+    assert all(args[2] is not None and args[0] == args[2][0]
+               for args in seed_answers)
+    # Far more probes counted than asked: 399 against 32 here.
+    assert certified.certified_probes > len(calls) + 30
 
 
 # ---------------------------------------------------------------------------

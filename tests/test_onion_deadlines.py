@@ -234,6 +234,32 @@ def test_the_copies_edges_now_agree(utility, level):
     assert got.tobytes() == stacked_deadline_for(jobs, level).tobytes()
 
 
+class CappedUtility(LinearUtility):
+    """A user subclass that inherits ``PARAMS`` and ``inverse`` but
+    overrides ``deadline_for``: it wants every job done by slot 5."""
+
+    def deadline_for(self, level: float) -> float:
+        return min(super().deadline_for(level), 5.0)
+
+
+def test_an_overriding_subclass_is_asked_through_its_override():
+    """The bank must not answer a subclass through the ``inverse`` it
+    inherited when it overrides ``deadline_for``: ``Capped`` at level 1
+    is 5, where the linear form says 20."""
+    jobs = [OnionJob("capped", 1.0, CappedUtility(10.0, 2.0, 0.1)),
+            OnionJob("plain", 1.0, LinearUtility(10.0, 2.0, 0.1))]
+    bank = _DeadlineBank(jobs, HORIZON)
+    assert bank.raw_deadlines(1.0).tolist() == [5.0, 20.0]
+    # Every level above the floor (the override's ``min(+inf, 5)`` at
+    # the floor breaks the ceiling rule, which the bank enforces).
+    top = jobs[0].utility.max_value()
+    for level in (1e-300, 0.5, 2.5, 2.9, top, math.nextafter(top, math.inf),
+                  top + 1.0):
+        with strict():
+            got = bank.raw_deadlines(level)
+        assert got.tobytes() == stacked_deadline_for(jobs, level).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the property
 

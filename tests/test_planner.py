@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.core.planner import PlannerJob, RushPlanner
+from repro.core.mapping import MappingJob, Segment, map_time_slots
+from repro.core.onion import JobTarget, OnionJob, solve_onion
+from repro.core.planner import JobPlan, PlannerJob, RushPlanner
 from repro.estimation import DemandEstimate, GaussianEstimator, MeanTimeEstimator, Pmf
 from repro.utility import ConstantUtility, LinearUtility, SigmoidUtility
 
@@ -167,3 +170,109 @@ class TestFeedbackCycleConsistency:
                 [PlannerJob("a", utility, de.estimate(pending))])
             targets.append(plan.jobs["a"].target_completion)
         assert targets == sorted(targets, reverse=True)
+
+
+def fleet(count: int) -> list:
+    """A mixed fleet, some jobs in flight, sharing a few targets."""
+    classes = [lambda k: SigmoidUtility(60.0 + 3 * k, 1.0 + k % 3, beta=0.1),
+               lambda k: LinearUtility(80.0 + k, 1.0 + k % 2),
+               lambda k: ConstantUtility(1.0 + k % 4)]
+    return [PlannerJob(f"j{k:03d}", classes[k % 3](k),
+                       estimate(20.0 + k % 17, 2.0 + k % 5,
+                                runtime=2.0 + k % 4),
+                       elapsed=float(k % 7), extra_demand=float(k % 3))
+            for k in range(count)]
+
+
+class TestColumnarRound:
+    """A round hands the onion and the mapping columns, not records."""
+
+    def test_a_round_builds_no_onion_or_mapping_job(self):
+        jobs = fleet(200)
+        calls = []
+        real = {cls: cls.__post_init__ for cls in (OnionJob, MappingJob)}
+
+        def counting(cls):
+            def post_init(record):
+                calls.append(cls.__name__)
+                real[cls](record)
+            return post_init
+
+        with mock.patch.object(OnionJob, "__post_init__",
+                               counting(OnionJob)), \
+                mock.patch.object(MappingJob, "__post_init__",
+                                  counting(MappingJob)):
+            plan = RushPlanner(16, tolerance=0.05).plan(jobs)
+            assert not calls
+            OnionJob("probe", 1.0, ConstantUtility(1.0))
+            assert calls == ["OnionJob"]
+        assert len(plan.jobs) == 200
+
+    def test_the_columns_equal_the_record_front_doors(self):
+        """The same round through ``OnionJob`` and ``MappingJob`` records,
+        tie-breaks computed for every job: the same targets and the same
+        container plan, segment for segment."""
+        jobs = fleet(120)
+        planner = RushPlanner(12, tolerance=0.05)
+        plan = planner.plan(jobs)
+        demands = {job_id: decided.robust_demand
+                   for job_id, decided in plan.jobs.items()}
+        onion = solve_onion(
+            [OnionJob(job.job_id, demands[job.job_id], job.utility,
+                      job.elapsed, job.estimate.container_runtime)
+             for job in jobs],
+            12, tolerance=0.05, horizon=plan.horizon)
+        mapping_jobs = []
+        for job in jobs:
+            target = onion.targets[job.job_id].target_completion
+            runtime = job.estimate.container_runtime
+            earlier = max(target - runtime, 0.0)
+            mapping_jobs.append(MappingJob(
+                job.job_id, demands[job.job_id], runtime, target,
+                job.utility.value(job.elapsed + earlier)
+                - job.utility.value(job.elapsed + target)))
+        mapped = map_time_slots(mapping_jobs, 12)
+        for job in jobs:
+            decided, target = plan.jobs[job.job_id], onion.targets[job.job_id]
+            assert (decided.target_completion, decided.predicted_utility,
+                    decided.layer, decided.achievable) == (
+                target.target_completion, target.utility_value,
+                target.layer, target.achievable)
+        assert plan.container_plan.segments == mapped.segments
+        assert list(plan.container_plan.completions.items()) == list(
+            mapped.completions.items())
+        assert plan.feasibility_checks == onion.feasibility_checks
+
+    @pytest.mark.parametrize("change, record", [
+        (dict(elapsed=-1.0), dict(elapsed=-1.0)),
+        (dict(extra_demand=math.nan), dict(demand=math.nan)),
+        (dict(extra_demand=math.inf), dict(demand=math.inf)),
+    ], ids=["elapsed", "nan-demand", "inf-demand"])
+    def test_bad_columns_raise_the_record_message(self, change, record):
+        jobs = fleet(5)
+        jobs[3] = jobs[3]._replace(**change)
+        jobs[4] = jobs[4]._replace(elapsed=-2.0)
+        fields = dict(job_id=jobs[3].job_id, demand=1.0,
+                      utility=jobs[3].utility)
+        fields.update(record)
+        with pytest.raises(ConfigurationError) as expected:
+            OnionJob(**fields)
+        with pytest.raises(ConfigurationError) as got:
+            RushPlanner(4).plan(jobs)
+        assert str(got.value) == str(expected.value)
+
+    def test_records_keep_the_dataclass_reprs(self):
+        assert repr(JobTarget("a", 3, 0.5, 2, True)) == (
+            "JobTarget(job_id='a', target_completion=3, utility_value=0.5, "
+            "layer=2, achievable=True)")
+        assert repr(Segment("a", 1, 0.0, 2, 1.5)) == (
+            "Segment(job_id='a', queue=1, start=0.0, tasks=2, runtime=1.5)")
+        assert Segment("a", 1, 0.5, 2, 1.5).end == 3.5
+        assert repr(JobPlan("a", 1.0, 2.0, 3, 4.0, 0.5, True, 1, 7)) == (
+            "JobPlan(job_id='a', robust_demand=1.0, reference_demand=2.0, "
+            "target_completion=3, planned_completion=4.0, "
+            "predicted_utility=0.5, achievable=True, layer=1, "
+            "wcde_iterations=7)")
+        job = PlannerJob("a", ConstantUtility(1.0), estimate(5, 1))
+        assert (job.elapsed, job.delta, job.extra_demand) == (0.0, None, 0.0)
+        assert repr(job).startswith("PlannerJob(job_id='a', utility=")

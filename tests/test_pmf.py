@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import repro.estimation.pmf as pmf_module
 from repro.errors import DistributionError
-from repro.estimation.pmf import Pmf, kl_divergence
+from repro.estimation.pmf import Pmf, gaussian_pmf, kl_divergence
 
 
 def pmf_vectors(max_size: int = 40):
@@ -143,6 +143,51 @@ class TestGaussian:
             Pmf.from_gaussian(-1.0, 5.0)
         with pytest.raises(DistributionError):
             Pmf.from_gaussian(5.0, -1.0)
+
+
+GAUSSIANS_MEMO = dict(mean=st.floats(min_value=0.0, max_value=300.0),
+                      std=st.floats(min_value=0.0, max_value=60.0))
+
+
+class TestGaussianMemo:
+    """The Gaussian DE classes read ``gaussian_pmf``: one bounded LRU in
+    front of ``Pmf.from_gaussian``, keyed on its exact arguments."""
+
+    @given(mean=GAUSSIANS_MEMO["mean"], std=GAUSSIANS_MEMO["std"],
+           extra=st.integers(min_value=0, max_value=50))
+    @settings(max_examples=100, deadline=None)
+    def test_memo_equals_a_fresh_build_byte_for_byte(self, mean, std, extra):
+        # The support the estimators ask for: six sigmas, and then some.
+        tau_max = max(1, math.ceil(mean + 6.0 * std)) + extra
+        fresh = Pmf.from_gaussian(mean, std, tau_max=tau_max)
+        first = gaussian_pmf(mean, std, tau_max)
+        again = gaussian_pmf(mean, std, tau_max)
+        assert again is first
+        assert first.probs.tobytes() == fresh.probs.tobytes()
+        assert first.cdf().tobytes() == fresh.cdf().tobytes()
+        assert first.fingerprint() == fresh.fingerprint()
+
+    def test_memo_never_grows_past_its_bound(self):
+        bound = gaussian_pmf.cache_info().maxsize
+        assert bound == 128
+        for k in range(3 * bound):
+            gaussian_pmf(10.0 + k, 2.0, 40 + k)
+            assert gaussian_pmf.cache_info().currsize <= bound
+        assert gaussian_pmf.cache_info().currsize == bound
+
+    def test_the_estimators_read_the_memo(self):
+        from repro.estimation import EmpiricalEstimator, GaussianEstimator
+
+        gaussian = GaussianEstimator(prior_mean=5.0)
+        empirical = EmpiricalEstimator(prior_runtime=5.0,
+                                       convolution_limit=1)
+        empirical.observe_many([4.0, 5.0, 7.0])
+        for estimator in (gaussian, empirical):
+            before = gaussian_pmf.cache_info()
+            first = estimator.estimate(20).pmf
+            assert estimator.estimate(20).pmf is first
+            after = gaussian_pmf.cache_info()
+            assert after.hits + after.misses == before.hits + before.misses + 2
 
 
 def _gaussian_erf(mean: float, std: float, tau_max: Optional[int]):
