@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro import state as st
 from repro.errors import ConfigurationError
 from repro.cluster.task import Task, TaskState
 from repro.utility.base import UtilityFunction
@@ -246,3 +247,93 @@ class SimJob:
     def running_attempts(self) -> List[Task]:
         """Currently running attempts, in ``self.tasks`` order."""
         return [t for t in self.tasks if t.state is TaskState.RUNNING]
+
+    def attempt_index(self, task: Task) -> int:
+        """Where the running attempt ``task`` sits in ``self.tasks``."""
+        tasks = self.tasks
+        for index in range(self._first_running, len(tasks)):
+            if tasks[index] is task:
+                return index
+        raise ValueError(f"{task.task_id!r} is not a running attempt of "
+                         f"job {self.job_id!r}")
+
+    # -- state ---------------------------------------------------------------
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Execution state as JSON values, without the spec.
+
+        Attempts launch in ``self.tasks`` order and retries are appended
+        after the spec's tasks, so ``tasks`` is: the launched originals
+        (a prefix), the originals nobody touched yet, then the retries.
+        Only the first and last parts are written — an untouched task is
+        implied by the spec — so the state grows with launched attempts,
+        not with the job's size.
+        """
+        tasks = self.tasks
+        n = len(self.spec.task_durations)
+        launched = min(self._next_pending, n)
+        while launched < n and tasks[launched].state is not TaskState.PENDING:
+            launched += 1
+        return {
+            "launched": [_attempt_row(t) for t in tasks[:launched]],
+            "retries": [[t.logical_id] + _attempt_row(t) for t in tasks[n:]],
+            "cursors": [self._next_pending, self._first_running],
+            "counts": [self._pending, self._running, self._failed,
+                       self._completed],
+            "completion_time": self.completion_time,
+        }
+
+    @classmethod
+    def from_state(cls, spec: JobSpec, state: Dict[str, Any]) -> "SimJob":
+        """The job :meth:`state_dict` described; raises ``TypeError``,
+        ``ValueError`` or ``KeyError`` on a malformed state."""
+        job = cls(spec)
+        tasks = job.tasks
+        launched = st.array(state["launched"])
+        if len(launched) > len(tasks):
+            raise ValueError(f"job {spec.job_id!r}: {len(launched)} launched "
+                             f"attempts of {len(tasks)} tasks")
+        for k, row in enumerate(launched):
+            _load_attempt(tasks[k], row)
+        for row in st.array(state["retries"]):
+            row = st.array(row)
+            logical_id = st.string(row[0])
+            attempt = st.integer(row[8])
+            task = Task(task_id=f"{logical_id}#{attempt}", job_id=spec.job_id,
+                        duration=1, attempt=attempt, logical_id=logical_id)
+            _load_attempt(task, row[1:])
+            tasks.append(task)
+        job._next_pending, job._first_running = st.row(
+            state["cursors"], st.integer, st.integer)
+        job._pending, job._running, job._failed, job._completed = st.row(
+            state["counts"], st.integer, st.integer, st.integer, st.integer)
+        job.completion_time = _OPTIONAL_INT(state["completion_time"])
+        return job
+
+
+#: ``TaskState`` members in the order their index is written.
+_STATES = tuple(TaskState)
+
+
+def _attempt_row(task: Task) -> List[Any]:
+    return [_STATES.index(task.state), task.duration, task.base_duration,
+            task.remaining, task.start_time, task.finish_time,
+            task.fail_after, task.attempt, task.observed_duration]
+
+
+_OPTIONAL_INT = st.optional(st.integer)
+#: One reader per :func:`_attempt_row` field.
+_ROW_READERS = (st.integer, st.integer, st.integer, st.integer,
+                _OPTIONAL_INT, _OPTIONAL_INT, _OPTIONAL_INT, st.integer,
+                st.optional(st.number))
+
+
+def _load_attempt(task: Task, row: Any) -> None:
+    (state, task.duration, task.base_duration, task.remaining,
+     task.start_time, task.finish_time, task.fail_after, attempt,
+     task.observed_duration) = st.row(row, *_ROW_READERS)
+    if not 0 <= state < len(_STATES):
+        raise ValueError(f"attempt {task.task_id!r}: no task state {state}")
+    task.state = _STATES[state]
+    if attempt != task.attempt:
+        raise ValueError(f"attempt {task.task_id!r} is numbered {attempt}")

@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Protocol, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Dict, List, Protocol, Sequence, Tuple,
+                    Union)
+
+from repro import state as st
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.cluster.job import JobSpec
@@ -134,3 +137,32 @@ class QueueEventSource:
         while self._heap and self._heap[0][0] <= slot:
             drained.append(heapq.heappop(self._heap)[2])
         return drained
+
+    def state_dict(self) -> Dict[str, Any]:
+        """The queued events, in heap order, as JSON values."""
+        from repro.workload.trace import spec_to_dict
+
+        return {"seq": self._seq, "heap": [
+            [due, seq, "submit", spec_to_dict(event.spec)]
+            if isinstance(event, SubmitEvent)
+            else [due, seq, "cancel", event.job_id]
+            for due, seq, event in self._heap]}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Take back :meth:`state_dict`'s output on an empty queue."""
+        from repro.workload.trace import spec_from_dict
+
+        heap: List[Tuple[int, int, ClusterEvent]] = []
+        for item in st.array(state["heap"]):
+            due, seq, kind, payload = st.row(item, st.integer, st.integer,
+                                             st.string, lambda v: v)
+            if kind == "submit":
+                event: ClusterEvent = SubmitEvent(
+                    spec_from_dict(st.mapping(payload)))
+            elif kind == "cancel":
+                event = CancelEvent(st.string(payload))
+            else:
+                raise ValueError(f"unknown queued event kind {kind!r}")
+            heap.append((due, seq, event))
+        self._heap = heap
+        self._seq = st.integer(state["seq"])

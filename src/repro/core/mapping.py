@@ -145,6 +145,24 @@ class ContainerPlan:
     _queue_segments: List[List[Segment]] = field(default_factory=list, repr=False)
     _queue_starts: List[List[float]] = field(default_factory=list, repr=False)
 
+    @classmethod
+    def from_segments(cls, capacity: int, segments: List[Segment],
+                      completions: Dict[str, float],
+                      overflowed: Set[str]) -> "ContainerPlan":
+        """The plan whose segments, in order, are ``segments`` — the
+        per-queue index rebuilt as :func:`map_time_slots` fills it."""
+        plan = cls(capacity=capacity, segments=segments,
+                   completions=completions, overflowed=overflowed)
+        plan._queue_segments = [[] for _ in range(capacity)]
+        plan._queue_starts = [[] for _ in range(capacity)]
+        for seg in segments:
+            if not 0 <= seg.queue < capacity:
+                raise ValueError(f"segment on queue {seg.queue} of "
+                                 f"{capacity}")
+            plan._queue_segments[seg.queue].append(seg)
+            plan._queue_starts[seg.queue].append(seg.start)
+        return plan
+
     def completion(self, job_id: str) -> float:
         """The planned completion-time of a job (slots from now)."""
         return self.completions[job_id]

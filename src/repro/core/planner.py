@@ -40,12 +40,14 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from repro import obs
+from repro import state as st
 from repro.errors import ConfigurationError
-from repro.core.mapping import ContainerPlan, MappingColumns, map_time_slots
+from repro.core.mapping import (ContainerPlan, MappingColumns, Segment,
+                                map_time_slots)
 from repro.core.onion import OnionColumns, solve_onion
 from repro.core.wcde import WcdeCache, WcdeResult, solve_wcde_batch
 from repro.estimation.base import DemandEstimate
@@ -139,6 +141,16 @@ class PlanStats:
     #: :meth:`~repro.schedulers.rush.RushScheduler._current_plan`).
     fallback: str = ""
 
+    @classmethod
+    def from_state(cls, state: Any) -> "PlanStats":
+        """The counters ``dataclasses.asdict`` wrote."""
+        counters: Dict[str, Any] = dict(st.mapping(state))
+        if set(counters) != {f.name for f in fields(cls)}:
+            raise ValueError(f"plan stats fields {sorted(counters)}")
+        for name, value in counters.items():
+            (st.string if name == "fallback" else st.number)(value)
+        return cls(**counters)
+
     def add(self, other: "PlanStats") -> None:
         """Accumulate another round's counts and stage seconds."""
         self.wcde_presolved += other.wcde_presolved
@@ -186,6 +198,52 @@ class SchedulePlan:
     def utility_vector(self) -> List[float]:
         """Predicted utilities sorted non-decreasingly."""
         return sorted(plan.predicted_utility for plan in self.jobs.values())
+
+    def state_dict(self) -> Dict[str, Any]:
+        """The whole plan as JSON values, exact (unlike :meth:`to_dict`)."""
+        cplan = self.container_plan
+        return {
+            "jobs": [list(plan) for plan in self.jobs.values()],
+            "capacity": cplan.capacity,
+            "segments": [list(seg) for seg in cplan.segments],
+            "completions": [[job_id, value]
+                            for job_id, value in cplan.completions.items()],
+            "overflowed": sorted(cplan.overflowed),
+            "theta": self.theta,
+            "horizon": self.horizon,
+            "solve_seconds": self.solve_seconds,
+            "stats": asdict(self.stats),
+            "order": list(self._order),
+        }
+
+    @classmethod
+    def from_state(cls, state: Dict[str, Any]) -> "SchedulePlan":
+        """The plan :meth:`state_dict` wrote; ``TypeError`` /
+        ``ValueError`` / ``KeyError`` on a malformed one."""
+        jobs: Dict[str, JobPlan] = {}
+        for row in st.array(state["jobs"]):
+            plan = JobPlan(*st.row(row, st.string, st.number, st.number,
+                                   st.integer, st.number, st.number,
+                                   st.boolean, st.integer, st.integer))
+            jobs[plan.job_id] = plan
+        segments = [Segment(*st.row(row, st.string, st.integer, st.number,
+                                    st.integer, st.number))
+                    for row in st.array(state["segments"])]
+        completions = {job_id: value for job_id, value in (
+            st.row(item, st.string, st.number)
+            for item in st.array(state["completions"]))}
+        container_plan = ContainerPlan.from_segments(
+            st.integer(state["capacity"]), segments, completions,
+            {st.string(job_id) for job_id in st.array(state["overflowed"])})
+        order = [st.string(job_id) for job_id in st.array(state["order"])]
+        if set(order) != set(jobs):
+            raise ValueError("the plan's order does not list its jobs")
+        return cls(jobs=jobs, container_plan=container_plan,
+                   theta=st.number(state["theta"]),
+                   horizon=st.integer(state["horizon"]),
+                   solve_seconds=st.number(state["solve_seconds"]),
+                   stats=PlanStats.from_state(state["stats"]),
+                   _order=order)
 
     def to_dict(self) -> dict:
         """JSON-compatible dump of the plan (schema-stable export).

@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Any, Dict, Iterable, List
 
+from repro import state as st
 from repro.errors import ConfigurationError, EstimationError
 from repro.estimation.pmf import Pmf
 
@@ -115,6 +116,15 @@ class DistributionEstimator(ABC):
     def samples(self) -> List[float]:
         """A copy of the recorded runtime samples."""
         return list(self._samples)
+
+    def state_dict(self) -> Dict[str, Any]:
+        """What this unit learned, as JSON values: its samples.  The
+        constructor's priors are the factory's, rebuilt from the spec."""
+        return {"samples": list(self._samples)}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Take back what :meth:`state_dict` wrote."""
+        self._samples = [st.number(s) for s in st.array(state["samples"])]
 
     def estimate(self, pending_tasks: int) -> DemandEstimate:
         """Report the remaining-demand distribution for ``pending_tasks``."""

@@ -24,8 +24,9 @@ distribution — and therefore the WCDE worst case — scales consistently.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Any, Dict, List
 
+from repro import state as st
 from repro.errors import EstimationError
 from repro.estimation.base import DemandEstimate, DistributionEstimator
 
@@ -81,6 +82,17 @@ class FailureAwareEstimator(DistributionEstimator):
                 f"wasted_runtime must be finite and >= 0, got {wasted_runtime}")
         self._failures += 1
         self._wasted.append(float(wasted_runtime))
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {**super().state_dict(), "failures": self._failures,
+                "wasted": list(self._wasted),
+                "base": self._base.state_dict()}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        super().load_state(state)
+        self._failures = st.integer(state["failures"])
+        self._wasted = [st.number(w) for w in st.array(state["wasted"])]
+        self._base.load_state(st.mapping(state["base"]))
 
     # -- learned failure model -----------------------------------------------
 

@@ -33,11 +33,12 @@ is what makes degradation curves comparable across intensities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
 from repro import obs
+from repro import state as st
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.container import Container
@@ -118,6 +119,17 @@ class FaultLog:
     def to_dicts(self) -> List[Dict[str, object]]:
         return [e.to_dict() for e in self._events]
 
+    def load_state(self, events: List[Any]) -> None:
+        """Become the log whose :meth:`to_dicts` is ``events``."""
+        self._events = [FaultEvent(slot=st.integer(event["slot"]),
+                                   kind=st.string(event["kind"]),
+                                   target=st.string(event["target"]),
+                                   detail=st.mapping(event["detail"]))
+                        for event in map(st.mapping, st.array(events))]
+        self.last_degradation = next(
+            (event for event in reversed(self._events)
+             if event.kind.startswith("degradation:")), None)
+
 
 class FaultContext:
     """What an injector may see and touch during one hook call.
@@ -196,6 +208,25 @@ class FaultInjector:
 
     def reset(self) -> None:
         """Drop per-run state (called when a plan is bound to a new sim)."""
+
+    # -- state ---------------------------------------------------------------
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Both generators' states plus any per-run fields, as JSON
+        values (a PCG64 state is a pair of Python ints, exact in JSON)."""
+        # rushlint: disable=RL004 (the stream's state is read, not drawn)
+        decide = self._decide
+        assert decide is not None, "injector used before bind_rng()"
+        return {"decide": decide.bit_generator.state,
+                "vary": self.vary.bit_generator.state}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Take back :meth:`state_dict`'s output after ``bind_rng``."""
+        # rushlint: disable=RL004 (the stream's state is set, not drawn)
+        decide = self._decide
+        assert decide is not None, "injector used before bind_rng()"
+        decide.bit_generator.state = st.mapping(state["decide"])
+        self.vary.bit_generator.state = st.mapping(state["vary"])
 
     # -- shared helpers ----------------------------------------------------
 

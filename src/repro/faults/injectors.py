@@ -26,8 +26,9 @@ All injectors follow the decision/variation stream contract of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Set, Type
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Set, Type
 
+from repro import state as st
 from repro.core.degradation import check_fault_depth
 from repro.errors import ConfigurationError
 from repro.faults.base import FaultContext, FaultInjector
@@ -135,6 +136,14 @@ class StragglerInjector(FaultInjector):
     def reset(self) -> None:
         self._struck = set()
 
+    def state_dict(self) -> Dict[str, Any]:
+        return {**super().state_dict(), "struck": sorted(self._struck)}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        super().load_state(state)
+        self._struck = {st.string(task_id)
+                        for task_id in st.array(state["struck"])}
+
     def on_slot(self, ctx: FaultContext) -> None:
         for container in ctx.containers:
             task = container.task
@@ -181,6 +190,13 @@ class DemandBurstInjector(FaultInjector):
 
     def reset(self) -> None:
         self._burst_until = -1
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {**super().state_dict(), "burst_until": self._burst_until}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        super().load_state(state)
+        self._burst_until = st.integer(state["burst_until"])
 
     @property
     def bursting(self) -> bool:

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from repro import state as st
 from repro.errors import ConfigurationError
 from repro.faults.base import FaultContext, FaultInjector, FaultLog
 from repro.faults.injectors import SpecFailureInjector, injector_from_spec
@@ -103,6 +104,24 @@ class FaultPlan:
     @property
     def bound(self) -> bool:
         return self._ctx is not None
+
+    # -- state ----------------------------------------------------------------
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Every injector's streams and fields, plus the log."""
+        return {"injectors": [i.state_dict() for i in self.injectors],
+                "log": self.log.to_dicts()}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Take back :meth:`state_dict`'s output on a plan built from the
+        same spec and bound to its simulator."""
+        injectors = st.array(state["injectors"])
+        if len(injectors) != len(self.injectors):
+            raise ValueError(f"{len(injectors)} injector states for "
+                             f"{len(self.injectors)} injectors")
+        for injector, injector_state in zip(self.injectors, injectors):
+            injector.load_state(st.mapping(injector_state))
+        self.log.load_state(state["log"])
 
     # -- hook fan-out ---------------------------------------------------------
 

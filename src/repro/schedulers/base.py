@@ -13,7 +13,7 @@ this slot; the policies here are work-conserving and never do.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
 
 from repro.errors import SimulationError
 
@@ -64,6 +64,21 @@ class Scheduler(ABC):
         """
         raise SimulationError(
             f"{type(self).__name__} has no solver to sabotage")
+
+    # -- state ----------------------------------------------------------------
+
+    def state_dict(self) -> Dict[str, Any]:
+        """What the policy carries from one event to the next, as JSON
+        values.  The baselines re-read the cluster at every event and
+        carry nothing; their options come from the configuration."""
+        return {}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Take back what :meth:`state_dict` wrote, on a policy built
+        with the same options and already bound to its simulator."""
+        if state:
+            raise ValueError(f"{type(self).__name__} keeps no state, got "
+                             f"{sorted(state)}")
 
     # -- the decision ---------------------------------------------------------
 

@@ -15,8 +15,9 @@ here through the :class:`~repro.core.clock.Clock` /
 * :mod:`~repro.service.journal` — the write-ahead journal behind
   ``rush serve --journal-dir``, the one way the service survives a
   restart: every event is fsynced before it is applied, and recovery
-  replays the log (from its :mod:`~repro.service.snapshot`-encoded
-  anchor) verified against the decision-stream digest;
+  loads the engine state its :mod:`~repro.service.snapshot`-encoded
+  anchor holds, then replays the records after it, verified against
+  the decision-stream digest;
 * :class:`~repro.service.client.ServiceClient` and
   :mod:`~repro.service.smoke` — the test/CI side of the same wire
   protocol.

@@ -15,8 +15,9 @@ job outcomes) is a pure function of (config, journal).  Every external
 input lands in the journal *with the slot it becomes due*, external
 events only enter the simulator through the event source at slot
 boundaries, and the scheduler stack below is the already-pinned
-deterministic core.  The journal's anchor = config + journal + slot;
-recovery = replay.  See :mod:`repro.service.journal`.
+deterministic core.  The journal's anchor is the config plus
+:meth:`ServiceEngine.state_dict`; recovery is :meth:`ServiceEngine.from_state`
+plus a replay of the records after it.  See :mod:`repro.service.journal`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
+from repro import state as st
 from repro.cluster.job import SimJob
 from repro.cluster.metrics import SimulationResult
 from repro.cluster.simulator import ClusterSimulator
@@ -138,10 +140,6 @@ class ServiceEngine:
             config.capacity, self.scheduler, seed=config.seed,
             faults=faults, clock=clock, events=self.events,
             record_decisions=True)
-        #: Every applied entry except ticks, in order (what the WAL's
-        #: ``anchor.json`` freezes at compaction; ticks are implied by
-        #: the entries' ``due`` slots).
-        self.journal: List[Dict[str, Any]] = []
         #: Optional write-ahead log (duck-typed: ``append``,
         #: ``note_applied``, ``close``; see :mod:`repro.service.journal`).
         self.wal: Optional[Any] = None
@@ -183,11 +181,11 @@ class ServiceEngine:
         """THE state transition: act on one journal entry, unvalidated.
 
         The entry was validated when first accepted, and the live path,
-        :func:`~repro.service.snapshot.restore_engine` and
-        :func:`~repro.service.journal.recover_engine` all call this with
-        the clock at the entry's ``due`` slot, so a replay reproduces
-        the accepted sequence verbatim (specs carry their final ids and
-        arrival slots).
+        :func:`~repro.service.journal.recover_engine` (and the replay of
+        an older, input-freezing anchor) all call this with the clock at
+        the entry's ``due`` slot, so a replay reproduces the accepted
+        sequence verbatim (specs carry their final ids and arrival
+        slots).
         """
         kind = entry.get("kind")
         if kind == "tick":
@@ -220,17 +218,15 @@ class ServiceEngine:
             self.scheduler.inject_solver_fault(entry.get("depth"))
         else:
             raise ServiceError(f"unknown journal entry kind {kind!r}")
-        self.journal.append(dict(entry))
 
     def _release_finished(self) -> None:
         """Release the jobs that left the cluster during the last slot."""
-        completed = self.sim.completed_jobs
-        cancelled = self.sim.cancelled_jobs
-        for job in (completed[self._released_completed:]
-                    + cancelled[self._released_cancelled:]):
+        completed = self.sim.completed_since(self._released_completed)
+        cancelled = self.sim.cancelled_since(self._released_cancelled)
+        for job in completed + cancelled:
             self.registry.release(job.job_id)
-        self._released_completed = len(completed)
-        self._released_cancelled = len(cancelled)
+        self._released_completed += len(completed)
+        self._released_cancelled += len(cancelled)
 
     # -- time -----------------------------------------------------------
 
@@ -453,6 +449,51 @@ class ServiceEngine:
     def records_digest(self) -> str:
         """Digest of completed-job outcomes (simulator-path comparable)."""
         return records_digest(self.result().records)
+
+    # -- state -----------------------------------------------------------
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Everything the next event depends on, as JSON values.
+
+        The simulator (with its scheduler and fault plan), the tenant
+        registry, the queued events and the engine's own fields: the
+        auto-id counter, the idempotency keys in admission order, the
+        queued cancels and how far the registry has been released.
+        With the config, :meth:`from_state` rebuilds the engine.
+        """
+        return {
+            "sim": self.sim.state_dict(),
+            "registry": self.registry.state_dict(),
+            "events": self.events.state_dict(),
+            "auto_seq": self._auto_seq,
+            "idempotency": [[key, job_id]
+                            for key, job_id in self._idempotency.items()],
+            "cancelling": sorted(self._cancelling),
+            "released": [self._released_completed, self._released_cancelled],
+        }
+
+    @classmethod
+    def from_state(cls, config: ServiceConfig, state: Mapping[str, Any], *,
+                   clock: Optional[Clock] = None) -> "ServiceEngine":
+        """The engine :meth:`state_dict` described, under ``config``.
+
+        A malformed state raises ``TypeError``, ``ValueError``,
+        ``KeyError``, ``IndexError`` or a :class:`~repro.errors.ReproError`
+        before anything is returned; the half-built engine is dropped.
+        """
+        engine = cls(config, clock=clock)
+        engine.sim.load_state(st.mapping(state["sim"]))
+        engine.registry.load_state(st.mapping(state["registry"]))
+        engine.events.load_state(st.mapping(state["events"]))
+        engine._auto_seq = st.integer(state["auto_seq"])
+        engine._idempotency = {key: job_id for key, job_id in (
+            st.row(pair, st.string, st.string)
+            for pair in st.array(state["idempotency"]))}
+        engine._cancelling = {st.string(job_id)
+                              for job_id in st.array(state["cancelling"])}
+        engine._released_completed, engine._released_cancelled = st.row(
+            state["released"], st.integer, st.integer)
+        return engine
 
     # -- lifecycle -------------------------------------------------------
 

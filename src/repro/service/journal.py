@@ -5,13 +5,13 @@ the daemon crash-safe by construction.  Every externally-visible event
 — ``submit``, ``cancel``, ``solver_fault``, each ``tick`` slot — is
 framed, appended and fsynced to a segment file *before* the engine
 applies it, so an accepted request is durable by the time its HTTP
-response leaves the socket.  Recovery replays the log through the one
+response leaves the socket.  Recovery rebuilds the engine from the
+anchor's state and replays the records after it through the one
 :meth:`~repro.service.engine.ServiceEngine.apply` the live path calls:
 the engine's behaviour is a pure function of (config, journal), so
-scanning the log and re-applying it through a fresh engine re-derives
-the exact pre-crash decision stream — and periodic checkpoint records
-carrying the decision-stream digest let recovery *verify* that instead
-of assuming it.
+re-applying the suffix re-derives the exact pre-crash decision stream —
+and periodic checkpoint records carrying the decision-stream digest let
+recovery *verify* that instead of assuming it.
 
 On-disk layout (one directory)::
 
@@ -32,11 +32,13 @@ digest the replay cannot reproduce — raises
 resuming from a silently wrong log is worse than not resuming.
 
 Compaction is snapshot-anchored: when a segment fills, the writer
-rotates, writes a fresh anchor (config + in-memory journal + slot +
+rotates, writes a fresh anchor (the engine's state, digest and
 ``journal_seq``) via an atomic write-then-rename, and deletes the
-segments the anchor now covers.  Recovery restores the anchor through
-:func:`repro.service.snapshot.restore_engine` and replays only the
-records with ``seq`` greater than the anchor's.
+segments the anchor now covers.  Recovery rebuilds the engine from the
+anchor through :func:`repro.service.snapshot.restore_engine` and
+replays only the records with ``seq`` greater than the anchor's — at
+most one segment's worth plus the one being written, however long the
+daemon has been up.
 
 All file I/O goes through an injectable
 :class:`~repro.faults.disk.JournalFileOps` layer so the disk-fault
@@ -438,7 +440,8 @@ class JournalWriter:
     def compact(self, engine: ServiceEngine) -> None:
         """Anchor the journal at the engine's state; drop covered segments.
 
-        The anchor is a standard service snapshot plus ``journal_seq``,
+        The anchor is the engine's version-4 state snapshot plus
+        ``journal_seq``,
         written atomically; every segment other than the one currently
         being written holds only records at or below that seq, so they
         are deleted.  A crash anywhere in this sequence is safe: before
@@ -481,14 +484,15 @@ def recover_engine(directory: Union[str, Path], *,
     """Rebuild an engine from a journal directory, digest-verified.
 
     Restores the anchor snapshot (itself digest-verified by
-    :func:`~repro.service.snapshot.restore_engine`), then replays every
-    WAL record past the anchor's ``journal_seq`` in sequence order:
+    :func:`~repro.service.snapshot.restore_engine`), then replays only
+    the WAL records past the anchor's ``journal_seq``, in sequence order:
     every engine event — ``tick`` included — goes through
     :meth:`ServiceEngine.apply`, the same transition the live path and
     the anchor replay use, and each ``checkpoint`` record must match
     the rebuilt decision digest exactly.  Returns the engine
-    plus recovery stats (``last_seq``, ``applied``, ``deduped``,
-    ``truncated_bytes``, ``segments``, ``checkpoints``, ``anchor_version``).
+    plus recovery stats (``anchor_seq``, ``last_seq``, ``applied``,
+    ``deduped``, ``skipped``, ``truncated_bytes``, ``segments``,
+    ``checkpoints``, ``slot``, ``anchor_version``).
     """
     dirpath = Path(directory)
     ops = file_ops if file_ops is not None else RealFileOps()
@@ -550,6 +554,7 @@ def recover_engine(directory: Union[str, Path], *,
         if truncated:
             obs.count("rush_journal_recovery_truncated_bytes", truncated)
         stats = {
+            "anchor_seq": anchor_seq,
             "last_seq": prev_seq,
             "applied": applied,
             "deduped": deduped,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
+from repro import state as st
 from repro.cluster.job import JobSpec
 from repro.errors import (BadRequestError, ConfigurationError,
                           TenantQuotaError)
@@ -155,6 +156,32 @@ class TenantRegistry:
         name = self._owner.get(job_id)
         if name is not None:
             self._live[name].discard(job_id)
+
+    # -- state ----------------------------------------------------------
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Owners in admission order, live sets and submit counts; the
+        tenant specs come from the configuration."""
+        return {"owner": [[job_id, name] for job_id, name
+                          in self._owner.items()],
+                "live": {name: sorted(live)
+                         for name, live in self._live.items()},
+                "submitted": dict(self._submitted)}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Take back :meth:`state_dict`'s output on a registry built from
+        the same tenant specs."""
+        owner = {job_id: name for job_id, name in (
+            st.row(pair, st.string, st.string)
+            for pair in st.array(state["owner"]))}
+        live = {name: {st.string(job_id) for job_id in st.array(ids)}
+                for name, ids in st.mapping(state["live"]).items()}
+        submitted = {name: st.integer(count) for name, count
+                     in st.mapping(state["submitted"]).items()}
+        if not set(live) == set(submitted) == set(self._tenants) \
+                or not set(owner.values()) <= set(self._tenants):
+            raise ValueError("the state names tenants the config does not")
+        self._owner, self._live, self._submitted = owner, live, submitted
 
     # -- scheduler integration -----------------------------------------
 

@@ -291,7 +291,10 @@ class TestIncrementalEquivalence:
 # ---------------------------------------------------------------------------
 
 class _FakeSpec:
-    def __init__(self, prior_runtime=8.0):
+    def __init__(self, job_id="", utility=None, prior_runtime=8.0):
+        self.job_id = job_id
+        self.utility = utility
+        self.arrival = 0
         self.prior_runtime = prior_runtime
         self.deadline = math.inf
 
@@ -306,8 +309,8 @@ class _FakeTask:
 class _FakeJob:
     def __init__(self, job_id, pending=10, budget=300.0):
         self.job_id = job_id
-        self.spec = _FakeSpec()
         self.utility = LinearUtility(budget, 1.0)
+        self.spec = _FakeSpec(job_id, self.utility)
         self.arrival = 0
         self.pending_count = pending
         self.running_count = 0

@@ -441,7 +441,8 @@ def test_anchor_without_a_digest_fails_as_a_digest_mismatch_does(tmp_path):
     engine.close()
     anchor_path = Path(tmp_path) / "anchor.json"
     anchor = json.loads(anchor_path.read_text())
-    assert anchor["journal"], "the anchor must hold events to replay"
+    assert anchor["state"]["sim"]["decisions"], \
+        "the anchor must hold grants to verify"
 
     errors = []
     for digest in ("0" * 64, None):

@@ -10,8 +10,8 @@ that buys; this file checks the seam itself:
   queue, the idempotency map and ``sim.step`` are touched only inside
   ``apply``;
 * full-state equality — a live engine, its recovery from the WAL and
-  its restore from a snapshot agree field for field, and so does every
-  journal-derived ``rush_*`` series on the metrics registry;
+  its restore from a snapshot agree field for field, and the recovery
+  also on every journal-derived ``rush_*`` series it replayed;
 * the ``solver_fault`` event kind — an injected fault is a journaled
   event like any other, so a chaos-driven daemon recovers;
 * format compatibility — a journal directory written by an earlier
@@ -41,6 +41,8 @@ from repro.service import (JournalCorruptError, ServiceConfig, ServiceEngine,
                            recover_engine, restore_engine, take_snapshot)
 from repro.service.journal import ANCHOR_NAME
 from repro.service.snapshot import SNAPSHOT_VERSION
+
+from .engine_state import comparable, inputs_snapshot, record_inputs
 
 GOLDEN_JOURNAL = Path(__file__).parent / "golden" / "journal_parent"
 GOLDEN_CHAOS_JOURNAL = Path(__file__).parent / "golden" / "journal_parent_chaos"
@@ -121,7 +123,7 @@ def _scripted_run(engine: ServiceEngine) -> None:
 
 
 def _full_state(engine: ServiceEngine):
-    return (take_snapshot(engine), engine.registry.status(),
+    return (comparable(take_snapshot(engine)), engine.registry.status(),
             engine.list_jobs(), engine.cluster_status())
 
 
@@ -141,6 +143,7 @@ def _journal_derived(metrics):
 def test_live_recovered_and_restored_engines_are_equal(tmp_path):
     live_metrics = _metrics_on()
     live, _writer = open_journal(tmp_path, RUSH, checkpoint_every=3)
+    entries = record_inputs(live)
     _scripted_run(live)
     expected = _full_state(live)
     series = _journal_derived(live_metrics)
@@ -149,9 +152,9 @@ def test_live_recovered_and_restored_engines_are_equal(tmp_path):
     assert series["rush_service_jobs_cancelled_total"] == [[["web"], 2.0]]
     assert "rush_journal_appends_total" in live_metrics.snapshot()
     assert "rush_journal_appends_total" not in series
-    kinds = [entry["kind"] for entry in live.journal]
+    kinds = [entry["kind"] for entry in entries]
     assert kinds.count("solver_fault") == 2 and "cancel" in kinds
-    assert expected[0]["auto_seq"] == 3
+    assert expected[0]["state"]["auto_seq"] == 3
     live.close()
 
     recovered_metrics = _metrics_on()
@@ -160,10 +163,13 @@ def test_live_recovered_and_restored_engines_are_equal(tmp_path):
     assert _full_state(recovered) == expected
     assert _journal_derived(recovered_metrics) == series
 
+    # The snapshot carries state, not history: a restored engine replays
+    # nothing, so /metrics counts only what this process applies.
     restored_metrics = _metrics_on()
-    restored = restore_engine(json.loads(json.dumps(expected[0])))
+    restored = restore_engine(json.loads(json.dumps(take_snapshot(live))))
     assert _full_state(restored) == expected
-    assert _journal_derived(restored_metrics) == series
+    assert "rush_service_jobs_submitted_total" not in \
+        _journal_derived(restored_metrics)
     obs.reset()
 
     # ... and they stay equal: the armed-but-unfired fault, the queued
@@ -223,10 +229,11 @@ def test_a_malformed_fault_depth_on_replay_is_a_typed_error(tmp_path, depth):
     ``ValueError`` and never a silent replay."""
     config = ServiceConfig(capacity=2, policy="rush")
     engine = ServiceEngine(config)
+    entries = record_inputs(engine)
     engine.submit({"task_durations": [2, 3], "job_id": "j"})
     engine.inject_solver_fault(1)
     engine.tick(2)
-    snapshot = take_snapshot(engine)
+    snapshot = inputs_snapshot(engine, entries)
     (fault,) = [e for e in snapshot["journal"] if e["kind"] == "solver_fault"]
     fault.pop("depth")
     fault.update(depth)
@@ -247,10 +254,11 @@ def test_a_solver_fault_the_anchor_policy_cannot_take_is_a_snapshot_error():
     with the replay's typed error, as the live path answers 400, never
     with the simulator's raw "no solver to sabotage"."""
     engine = ServiceEngine(BASELINE)
+    entries = record_inputs(engine)
     engine.submit({"task_durations": [2, 3], "job_id": "j",
                    "tenant": "batch"})
     engine.tick(2)
-    snapshot = take_snapshot(engine)
+    snapshot = inputs_snapshot(engine, entries)
     snapshot["journal"].append(
         {"kind": "solver_fault", "due": engine.slot, "depth": 1})
     with pytest.raises(SnapshotError, match="'edf' has no solver"):
@@ -276,17 +284,19 @@ def test_a_v1_snapshot_loads_unless_it_could_carry_a_fault_depth():
     counted on the four-rung ladder is refused, and so is any pre-v3
     file of the RUSH policy, whose floor-level sacrifice rule is gone."""
     engine = ServiceEngine(RUSH)
+    entries = record_inputs(engine)
     _scripted_run(engine)
-    faulted = dict(take_snapshot(engine), version=1)
+    faulted = inputs_snapshot(engine, entries, version=1)
     with pytest.raises(SnapshotError, match="version-1"):
         restore_engine(faulted)
 
     for config in (BASELINE, RUSH):
         clean = ServiceEngine(config)
+        entries = record_inputs(clean)
         clean.submit({"task_durations": [3, 2], "tenant": "batch"})
         clean.tick(4)
         for version in (1, 2):
-            old = dict(take_snapshot(clean), version=version)
+            old = inputs_snapshot(clean, entries, version=version)
             if config.policy == "rush":
                 with pytest.raises(SnapshotError,
                                    match=f"version-{version} .*floor "
@@ -298,10 +308,10 @@ def test_a_v1_snapshot_loads_unless_it_could_carry_a_fault_depth():
 
     chaos = ServiceConfig(capacity=2, policy="rush", fault_spec={
         "seed": 0, "injectors": [{"kind": "solver_budget", "rate": 0.1}]})
-    budgeted = dict(take_snapshot(ServiceEngine(chaos)), version=1)
+    budgeted = inputs_snapshot(ServiceEngine(chaos), [], version=1)
     with pytest.raises(SnapshotError, match="version-1"):
         restore_engine(budgeted)
-    assert restore_engine(dict(budgeted, version=SNAPSHOT_VERSION)).slot == 0
+    assert restore_engine(dict(budgeted, version=3)).slot == 0
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +345,11 @@ def test_journal_written_before_the_refactor_recovers_to_its_digest(tmp_path):
 
 
 def _anchor_at(directory: Path, version: int) -> None:
-    """Rewrite the anchor's version: versions 2 and 3 share the format,
-    so this is the directory a version-2 release would have written."""
+    """Rewrite a version-3 anchor's version: versions 2 and 3 share the
+    format, so this is the directory a version-2 release would have
+    written."""
     anchor = json.loads((directory / ANCHOR_NAME).read_text())
+    assert anchor["version"] == 3
     (directory / ANCHOR_NAME).write_text(json.dumps(dict(anchor,
                                                          version=version)))
 
@@ -348,6 +360,7 @@ def test_baseline_journal_before_the_bump_is_re_anchored(tmp_path):
     version before it appends."""
     engine, writer = open_journal(tmp_path, BASELINE, segment_max_bytes=1024,
                                   checkpoint_every=4)
+    entries = record_inputs(engine)
     job = {"task_durations": [3, 2, 2], "budget": 20.0}
     for slot in range(8):
         engine.submit(dict(job, tenant=("batch", "web")[slot % 2]))
@@ -356,7 +369,9 @@ def test_baseline_journal_before_the_bump_is_re_anchored(tmp_path):
         engine.tick()
     digest, last_seq = engine.decisions_digest(), writer.seq
     engine.close()
-    _anchor_at(tmp_path, 2)
+    # The anchor a version-2 release writes when it compacts last.
+    (tmp_path / ANCHOR_NAME).write_text(json.dumps(dict(
+        inputs_snapshot(engine, entries, version=2), journal_seq=last_seq)))
 
     recovered, stats = recover_engine(tmp_path)
     assert stats["anchor_version"] == 2

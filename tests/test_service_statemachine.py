@@ -22,7 +22,9 @@ After every step:
 * a repeated idempotency key answers with the first job id and
   ``deduplicated: true``;
 * across a recovery every accepted id still answers ``job_status`` in
-  the state it was last seen in, and ``decisions_digest()`` is unchanged.
+  the state it was last seen in, and ``decisions_digest()`` is unchanged;
+  the recovery loaded the version-4 state anchor the last ``compact``
+  wrote and applied exactly the records past its ``journal_seq``.
 
 An accepted job is a binding commitment in the online model of Babaioff
 et al. (PAPERS.md); this suite is the check that none is ever dropped,
@@ -31,8 +33,10 @@ duplicated or double-counted.
 
 from __future__ import annotations
 
+import json
 import shutil
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -44,8 +48,9 @@ from repro.core.degradation import LADDER
 from repro.errors import JobStateError, TenantQuotaError
 from repro.faults import FaultyFileOps
 from repro.service import (JournalWriteError, ServiceConfig, TenantSpec,
-                           open_journal)
-from repro.service.journal import RealFileOps
+                           open_journal, recover_engine)
+from repro.service.journal import ANCHOR_NAME, RealFileOps
+from repro.service.snapshot import SNAPSHOT_VERSION
 
 CAPPED_QUOTA = 2
 CONFIG = ServiceConfig(  # rush: the one policy with a solver to sabotage
@@ -88,6 +93,9 @@ class ServiceLifecycle(RuleBasedStateMachine):
         # round (0: none), and the fallback counts when last looked.
         self.armed = 0
         self.fallbacks = {}
+        #: The seq the anchor was last written at (a fresh journal is
+        #: anchored at 0).
+        self.anchored_at = 0
 
     def _open(self) -> None:
         self.ops = FaultyFileOps(RealFileOps(), species="enospc",
@@ -210,7 +218,15 @@ class ServiceLifecycle(RuleBasedStateMachine):
         the process here loses nothing: recovery must rebuild the same
         engine from the directory alone."""
         digest = self.engine.decisions_digest()
+        last_seq = self.writer.seq
         self.engine.close()
+        anchor = json.loads((Path(self.directory) / ANCHOR_NAME).read_text())
+        recovered, stats = recover_engine(self.directory)
+        assert anchor["version"] == stats["anchor_version"] == SNAPSHOT_VERSION
+        assert anchor["journal_seq"] == stats["anchor_seq"] == self.anchored_at
+        assert stats["applied"] == last_seq - self.anchored_at
+        assert stats["last_seq"] == last_seq
+        assert recovered.decisions_digest() == digest
         self._open()
         assert self.engine.decisions_digest() == digest
         for job_id, state in self.seen.items():
@@ -220,6 +236,7 @@ class ServiceLifecycle(RuleBasedStateMachine):
     def compact(self):
         self.writer.rotate()
         self.writer.compact(self.engine)
+        self.anchored_at = self.writer.seq
 
     # -- the invariant, checked after every step -------------------------
 
