@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Union
 
-from repro.cluster.job import JobSpec
+from repro import state as st
+from repro.cluster.job import JobSpec, SimJob
 from repro.faults.base import FaultEvent
 
-__all__ = ["JobRecord", "SimulationResult", "lexicographic_compare",
-           "scrub_nonfinite"]
+__all__ = ["JobRecord", "RetiredJob", "SimulationResult",
+           "lexicographic_compare", "scrub_nonfinite"]
 
 
 def scrub_nonfinite(value: object) -> object:
@@ -71,14 +72,91 @@ class JobRecord:
         else:
             runtime = float(max(horizon - spec.arrival, 0))
             completed = False
-        latency = runtime - spec.budget if math.isfinite(spec.budget) else math.nan
-        return cls(job_id=spec.job_id, template=spec.template,
-                   sensitivity=spec.sensitivity, priority=spec.priority,
-                   arrival=spec.arrival, budget=spec.budget,
-                   benchmark_runtime=spec.benchmark_runtime,
+        return cls.of(spec, runtime, spec.utility.value(runtime), completed)
+
+    @classmethod
+    def of(cls, job: Union[JobSpec, "RetiredJob"], runtime: float,
+           utility_value: float, completed: bool) -> "JobRecord":
+        """The record of ``job`` (a spec, or the row it retired to: both
+        carry the identity fields) at ``runtime``."""
+        latency = runtime - job.budget if math.isfinite(job.budget) else math.nan
+        return cls(job_id=job.job_id, template=job.template,
+                   sensitivity=job.sensitivity, priority=job.priority,
+                   arrival=job.arrival, budget=job.budget,
+                   benchmark_runtime=job.benchmark_runtime,
                    runtime=runtime, latency=latency,
-                   utility_value=spec.utility.value(runtime),
-                   completed=completed)
+                   utility_value=utility_value, completed=completed)
+
+
+_OPTIONAL_NUMBER = st.optional(st.number)
+_OPTIONAL_INT = st.optional(st.integer)
+
+
+class RetiredJob(NamedTuple):
+    """What a completed or cancelled job still answers once the simulator
+    has dropped its :class:`~repro.cluster.job.SimJob`.
+
+    The identity fields of its :class:`JobRecord`, the completion slot and
+    the utility it earned — both ``None`` for a cancelled job, which never
+    has a record — and the task counts a job status reports.  A row is a
+    few hundred bytes, however many tasks and attempts the job ran.
+    """
+
+    job_id: str
+    template: str
+    sensitivity: str
+    priority: float
+    arrival: int
+    budget: float
+    benchmark_runtime: float
+    completion: Optional[int]
+    utility_value: Optional[float]
+    tasks: int
+    pending_tasks: int
+    completed_tasks: int
+    failed_attempts: int
+
+    @classmethod
+    def of(cls, job: SimJob) -> "RetiredJob":
+        """The row ``job`` retires to, as it stands."""
+        spec = job.spec
+        completion = job.completion_time
+        value = (None if completion is None
+                 else spec.utility.value(float(completion - spec.arrival)))
+        return cls(spec.job_id, spec.template, spec.sensitivity,
+                   spec.priority, spec.arrival, spec.budget,
+                   spec.benchmark_runtime, completion, value,
+                   len(spec.task_durations), job.pending_count,
+                   job.completed_count, job.failed_count)
+
+    def record(self) -> JobRecord:
+        """The run's record of this completed job (a cancelled one has
+        none)."""
+        return JobRecord.of(self, float(self.completion - self.arrival),
+                            self.utility_value, True)
+
+    def to_row(self) -> List[Any]:
+        """The row as JSON values (an unbounded budget and an unknown
+        benchmark runtime are written ``None``, as a spec writes them)."""
+        return [*self[:5],
+                self.budget if math.isfinite(self.budget) else None,
+                (None if math.isnan(self.benchmark_runtime)
+                 else self.benchmark_runtime), *self[7:]]
+
+    @classmethod
+    def from_row(cls, row: Any) -> "RetiredJob":
+        """The row :meth:`to_row` wrote; raises ``TypeError`` or
+        ``ValueError`` on a malformed one."""
+        (job_id, template, sensitivity, priority, arrival, budget,
+         benchmark, completion, value, *counts) = st.row(
+            row, st.name, st.name, st.name, st.number, st.integer,
+            _OPTIONAL_NUMBER, _OPTIONAL_NUMBER, _OPTIONAL_INT,
+            _OPTIONAL_NUMBER, st.integer, st.integer, st.integer,
+            st.integer)
+        return cls(job_id, template, sensitivity, priority, arrival,
+                   math.inf if budget is None else budget,
+                   math.nan if benchmark is None else benchmark,
+                   completion, value, *counts)
 
 
 @dataclass

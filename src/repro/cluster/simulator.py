@@ -14,13 +14,18 @@ second per slot).  Within a slot the simulator
    tasks finished and forwarding the runtime samples to the scheduler
    (feeding the DE units).
 
+A job that completes or is cancelled is *retired*: the simulator drops its
+:class:`~repro.cluster.job.SimJob` — spec, utility and every attempt —
+and keeps one :class:`~repro.cluster.metrics.RetiredJob` outcome row, so
+what a long run holds per finished job does not grow with its tasks.
+
 Tasks hold their container continuously until completion — the continuity
 constraint of Section III-C is structural here, not merely modeled.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro import state as st
@@ -30,7 +35,7 @@ from repro.errors import SimulationError, SimulationTimeoutError
 from repro.cluster.container import Container
 from repro.cluster.job import JobSpec, SimJob
 from repro.cluster.task import Task, TaskState
-from repro.cluster.metrics import JobRecord, SimulationResult
+from repro.cluster.metrics import JobRecord, RetiredJob, SimulationResult
 from repro.faults.plan import FaultPlan
 from repro.schedulers.base import Scheduler
 
@@ -73,12 +78,14 @@ class ClusterSimulator:
         #: or drops an entry — the service engine's rolling digest
         #: folds each decision once and relies on that.
         self.decisions: List[Tuple[int, str, str]] = []
+        #: Live jobs: waiting for their arrival slot or active.
         self._jobs: Dict[str, SimJob] = {}
         self._pending_arrivals: List[SimJob] = []
         self._active: List[SimJob] = []
-        self._completed: List[SimJob] = []
-        self._cancelled: List[SimJob] = []  # in cancellation order
-        self._cancelled_ids: Set[str] = set()
+        #: Every completed or cancelled job's row, by id.
+        self._retired: Dict[str, RetiredJob] = {}
+        self._completed: List[RetiredJob] = []  # in completion order
+        self._cancelled: List[RetiredJob] = []  # in cancellation order
         self.faults = faults if faults is not None else FaultPlan.default()
         self.faults.bind(self, fallback_seed=seed)
         self.fault_log = self.faults.log
@@ -106,7 +113,12 @@ class ClusterSimulator:
         return list(self._active)
 
     def job(self, job_id: str) -> SimJob:
+        """The live job ``job_id``; ``KeyError`` once it has retired."""
         return self._jobs[job_id]
+
+    def retired(self, job_id: str) -> Optional[RetiredJob]:
+        """The outcome row of a completed or cancelled job, else ``None``."""
+        return self._retired.get(job_id)
 
     @property
     def free_container_count(self) -> int:
@@ -117,7 +129,7 @@ class ClusterSimulator:
 
     def submit(self, spec: JobSpec) -> None:
         """Register a job for arrival at ``spec.arrival``."""
-        if spec.job_id in self._jobs:
+        if self.has_job(spec.job_id):
             raise SimulationError(f"duplicate job id {spec.job_id!r}")
         if spec.arrival < self.now:
             raise SimulationError(
@@ -144,12 +156,10 @@ class ClusterSimulator:
         if job is None:
             if missing_ok:
                 return False
-            raise SimulationError(f"cannot cancel unknown job {job_id!r}")
-        # A job is complete exactly when it sits in ``_completed``.
-        if job.is_complete or job_id in self._cancelled_ids:
-            if missing_ok:
-                return False
-            state = "completed" if job.is_complete else "cancelled"
+            retired = self._retired.get(job_id)
+            if retired is None:
+                raise SimulationError(f"cannot cancel unknown job {job_id!r}")
+            state = "cancelled" if retired.completion is None else "completed"
             raise SimulationError(
                 f"cannot cancel job {job_id!r}: already {state}")
         for container in self.containers:
@@ -163,38 +173,50 @@ class ClusterSimulator:
         else:
             self._pending_arrivals = [
                 j for j in self._pending_arrivals if j.job_id != job_id]
-        self._cancelled.append(job)
-        self._cancelled_ids.add(job_id)
+        self._retire(job, self._cancelled)
         self.scheduler.on_job_cancelled(job)
         return True
 
+    def _retire(self, job: SimJob, into: List[RetiredJob]) -> None:
+        """Drop a finished job, keeping its outcome row in ``into``."""
+        row = RetiredJob.of(job)
+        del self._jobs[row.job_id]
+        self._retired[row.job_id] = row
+        into.append(row)
+
     @property
-    def cancelled_jobs(self) -> List[SimJob]:
+    def cancelled_jobs(self) -> List[RetiredJob]:
         """Jobs withdrawn by :meth:`cancel_job`, in cancellation order."""
         return list(self._cancelled)
 
-    def cancelled_since(self, start: int) -> List[SimJob]:
+    @property
+    def cancelled_count(self) -> int:
+        """``len(cancelled_jobs)``, without the copy."""
+        return len(self._cancelled)
+
+    def cancelled_since(self, start: int) -> List[RetiredJob]:
         """:attr:`cancelled_jobs` from index ``start`` on, without a copy
         of the rest."""
         return self._cancelled[start:]
 
-    def is_cancelled(self, job_id: str) -> bool:
-        """Whether :meth:`cancel_job` has withdrawn this job."""
-        return job_id in self._cancelled_ids
-
     @property
-    def completed_jobs(self) -> List[SimJob]:
+    def completed_jobs(self) -> List[RetiredJob]:
         """Jobs that finished every logical task, in completion order."""
         return list(self._completed)
 
-    def completed_since(self, start: int) -> List[SimJob]:
+    @property
+    def completed_count(self) -> int:
+        """``len(completed_jobs)``, without the copy."""
+        return len(self._completed)
+
+    def completed_since(self, start: int) -> List[RetiredJob]:
         """:attr:`completed_jobs` from index ``start`` on, without a copy
         of the rest."""
         return self._completed[start:]
 
     def has_job(self, job_id: str) -> bool:
         """Whether a job with this id was ever submitted to the cluster."""
-        return job_id in self._jobs
+        return job_id in self._jobs or job_id in self._retired
 
     # -- the slot loop --------------------------------------------------------
 
@@ -292,7 +314,7 @@ class ClusterSimulator:
             self.scheduler.on_task_complete(job, finished)
             if job.is_complete:
                 self._active.remove(job)
-                self._completed.append(job)
+                self._retire(job, self._completed)
                 completion = job.completion_time
                 obs.get_ledger().realize(
                     job.job_id,
@@ -310,11 +332,10 @@ class ClusterSimulator:
         obs.count("rush_sim_tasks_completed_total", completed_tasks)
 
     def _result(self) -> SimulationResult:
-        records = [
+        records = [row.record() for row in self._completed]
+        records.extend(
             JobRecord.from_spec(job.spec, job.completion_time, self.now)
-            for job_id, job in self._jobs.items()
-            if job_id not in self._cancelled_ids
-        ]
+            for job in self._jobs.values())
         records.sort(key=lambda r: (r.arrival, r.job_id))
         fallbacks = self.scheduler.degradation_counts
         registry = obs.get_metrics()
@@ -338,11 +359,13 @@ class ClusterSimulator:
     def state_dict(self) -> Dict[str, Any]:
         """Everything the next slot depends on, as JSON values.
 
-        Each job is its spec plus :meth:`SimJob.state_dict`; a container
-        names the attempt it runs by (job id, index in ``job.tasks``),
-        so the restored container and job share one attempt object, as
-        they did.  The bound scheduler's and fault plan's state ride
-        along.  :meth:`load_state` reads it back.
+        Each live job is its spec plus :meth:`SimJob.state_dict`; a
+        retired one is its flat :meth:`RetiredJob.to_row`, listed under
+        ``completed`` or ``cancelled`` in that order.  A container names
+        the attempt it runs by (job id, index in ``job.tasks``), so the
+        restored container and job share one attempt object, as they
+        did.  The bound scheduler's and fault plan's state ride along.
+        :meth:`load_state` reads it back.
         """
         from repro.workload.trace import spec_to_dict
 
@@ -357,8 +380,8 @@ class ClusterSimulator:
                      for job in self._jobs.values()],
             "pending_arrivals": [j.job_id for j in self._pending_arrivals],
             "active": [j.job_id for j in self._active],
-            "completed": [j.job_id for j in self._completed],
-            "cancelled": [j.job_id for j in self._cancelled],
+            "completed": [row.to_row() for row in self._completed],
+            "cancelled": [row.to_row() for row in self._cancelled],
             "containers": [[held(c.task), c.offline_until]
                            for c in self.containers],
             "decisions": [list(row) for row in self.decisions],
@@ -375,9 +398,14 @@ class ClusterSimulator:
         (capacity, scheduler and fault plan alike), before its first
         step; the clock is advanced to the recorded slot.  A malformed
         state raises ``TypeError``, ``ValueError`` or ``KeyError`` —
-        a container naming an attempt that is not running, or a running
-        attempt that no container or two containers hold, say — and
-        leaves this simulator unusable, so build another.
+        a container naming an attempt that is not running, a running
+        attempt that no container or two containers hold, or a retired
+        job listed twice or also live, say — and leaves this simulator
+        unusable, so build another.
+
+        A state written before jobs retired lists every job under
+        ``jobs`` and names the finished ones under ``completed`` and
+        ``cancelled``; each named job is retired as it is read.
         """
         from repro.workload.trace import spec_from_dict
 
@@ -401,11 +429,34 @@ class ClusterSimulator:
             return [jobs[st.string(job_id)]
                     for job_id in st.array(state[key])]
 
+        def retired(key: str, completed: bool) -> List[RetiredJob]:
+            rows = []
+            for item in st.array(state[key]):
+                row = (RetiredJob.of(jobs.pop(item)) if isinstance(item, str)
+                       else RetiredJob.from_row(item))
+                if row.job_id in self._retired:
+                    raise ValueError(f"job {row.job_id!r} is retired twice")
+                if row.job_id in jobs:
+                    raise ValueError(
+                        f"retired job {row.job_id!r} is also live")
+                if completed != (row.completion is not None) \
+                        or completed != (row.utility_value is not None):
+                    raise ValueError(
+                        f"{key} job {row.job_id!r} has "
+                        + ("no completion slot" if completed
+                           else "a completion record"))
+                self._retired[row.job_id] = row
+                rows.append(row)
+            return rows
+
+        self._completed = retired("completed", True)
+        self._cancelled = retired("cancelled", False)
         self._pending_arrivals = listed("pending_arrivals")
         self._active = listed("active")
-        self._completed = listed("completed")
-        self._cancelled = listed("cancelled")
-        self._cancelled_ids = {job.job_id for job in self._cancelled}
+        live = [j.job_id for j in self._pending_arrivals + self._active]
+        if len(live) != len(jobs) or set(live) != jobs.keys():
+            raise ValueError("the live jobs are not exactly the pending "
+                             "and the active ones")
         containers = st.array(state["containers"])
         if len(containers) != self.capacity:
             raise ValueError(f"{len(containers)} containers for capacity "
@@ -446,7 +497,7 @@ class ClusterSimulator:
                         f"attempt {index} of job {job.job_id!r} is running "
                         "in no container")
         self.decisions = [(slot, kind, job_id) for slot, kind, job_id in (
-            st.row(row, st.integer, st.string, st.string)
+            st.row(row, st.integer, st.name, st.name)
             for row in st.array(state["decisions"]))]
         (self.timed_out, self.busy_container_slots, self.scheduling_decisions,
          self.task_failures) = st.row(state["counters"], st.boolean,

@@ -60,6 +60,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro import state as st
 from repro.errors import BadRequestError, ServiceError
 from repro.obs import get_metrics
 from repro.service.clock import RealTimeClock
@@ -82,6 +83,26 @@ _DRAIN_SECONDS = 5.0  # how long stop() waits for in-flight requests
 _IDLE_SECONDS = 5.0
 _JSON = "application/json"
 _NDJSON = "application/x-ndjson"
+
+
+def _json_body(payload: Any) -> List[bytes]:
+    """A response body in pieces: the payload's JSON (sorted keys), then
+    a newline.
+
+    A payload holding a list of thousands of items — ``GET /jobs`` on a
+    long history — is encoded in :func:`repro.state.json_pieces`, so the
+    answer never holds a small string per field of every job, nor its
+    whole text beside its bytes; any other is one ``json.dumps``, which
+    is cheaper for small ones.
+    """
+    if isinstance(payload, dict) and any(
+            isinstance(value, list) and len(value) > st.PIECE_ITEMS
+            for value in payload.values()):
+        body = [piece.encode() for piece in st.json_pieces(payload)]
+    else:
+        body = [json.dumps(payload, sort_keys=True).encode()]
+    body.append(b"\n")
+    return body
 
 
 class ServiceDaemon:
@@ -322,18 +343,18 @@ class ServiceDaemon:
                        payload: Any, *, content_type: str = _JSON,
                        keep_alive: bool) -> None:
         if content_type == _JSON:
-            blob = (json.dumps(payload, sort_keys=True) + "\n").encode()
+            body = _json_body(payload)
         else:
-            blob = str(payload).encode("utf-8")
+            body = [str(payload).encode("utf-8")]
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   405: "Method Not Allowed", 409: "Conflict",
                   429: "Too Many Requests"}.get(status, "Error")
-        writer.write((
+        writer.write(b"".join([(
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(blob)}\r\n"
+            f"Content-Length: {sum(map(len, body))}\r\n"
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
-        ).encode("latin-1") + blob)
+        ).encode("latin-1"), *body]))
         await writer.drain()
 
     # -- routing ---------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro import obs
 from repro import state as st
 from repro.cluster.job import SimJob
-from repro.cluster.metrics import SimulationResult
+from repro.cluster.metrics import RetiredJob, SimulationResult
 from repro.cluster.simulator import ClusterSimulator
 from repro.core.clock import (CancelEvent, Clock, QueueEventSource,
                               SubmitEvent)
@@ -319,17 +319,24 @@ class ServiceEngine:
 
     # -- queries ---------------------------------------------------------
 
-    def _sim_job(self, job_id: str) -> Optional[SimJob]:
-        if not self.sim.has_job(job_id):
-            return None
-        return self.sim.job(job_id)
+    def _find(self, job_id: str
+              ) -> Tuple[Optional[SimJob], Optional[RetiredJob]]:
+        """The live job ``job_id`` or the row it retired to (or neither,
+        while its submit waits for the next tick)."""
+        retired = self.sim.retired(job_id)
+        if retired is not None or not self.sim.has_job(job_id):
+            return None, retired
+        return self.sim.job(job_id), None
 
     def _job_state(self, job_id: str) -> str:
-        job = self._sim_job(job_id)
-        if job is not None and job.is_complete:
+        return self._state_of(job_id, *self._find(job_id))
+
+    def _state_of(self, job_id: str, job: Optional[SimJob],
+                  retired: Optional[RetiredJob]) -> str:
+        if retired is not None:
+            return "cancelled" if retired.completion is None else "completed"
+        if job is not None and job.is_complete:  # only inside a step
             return "completed"
-        if self.sim.is_cancelled(job_id):
-            return "cancelled"
         if job_id in self._cancelling:
             return "cancelling"
         if job is None:
@@ -349,33 +356,31 @@ class ServiceEngine:
         tenant = self.registry.tenant_of(job_id)
         if tenant is None:
             raise UnknownJobError(job_id)
-        state = self._job_state(job_id)
-        job = self._sim_job(job_id)
+        job, retired = self._find(job_id)
         status: Dict[str, Any] = {
             "job_id": job_id,
             "tenant": tenant,
-            "state": state,
+            "state": self._state_of(job_id, job, retired),
             "slot": self.slot,
         }
-        if job is not None:
-            spec = job.spec
-            completion = job.completion_time
+        # A live job answers what it would retire to as it stands, so
+        # its answer and its row's cannot drift apart.
+        row = RetiredJob.of(job) if job is not None else retired
+        if row is not None:
             status.update({
-                "arrival": spec.arrival,
-                "tasks": len(spec.task_durations),
-                "pending_tasks": job.pending_count,
-                "running_tasks": job.running_count,
-                "completed_tasks": job.completed_count,
-                "failed_attempts": job.failed_count,
-                "budget": (spec.budget if math.isfinite(spec.budget)
-                           else None),
-                "sensitivity": spec.sensitivity,
-                "completion": completion,
+                "arrival": row.arrival,
+                "tasks": row.tasks,
+                "pending_tasks": row.pending_tasks,
+                "running_tasks": 0 if job is None else job.running_count,
+                "completed_tasks": row.completed_tasks,
+                "failed_attempts": row.failed_attempts,
+                "budget": row.budget if math.isfinite(row.budget) else None,
+                "sensitivity": row.sensitivity,
+                "completion": row.completion,
             })
-            if completion is not None:
-                runtime = float(completion - spec.arrival)
-                status["runtime"] = runtime
-                status["utility_value"] = spec.utility.value(runtime)
+            if row.completion is not None:
+                status["runtime"] = float(row.completion - row.arrival)
+                status["utility_value"] = row.utility_value
         status["degradation"] = degradation
         return status
 
@@ -407,8 +412,8 @@ class ServiceEngine:
             "active_jobs": len(active),
             "queued_tasks": sum(j.pending_count for j in active),
             "running_tasks": sum(j.running_count for j in active),
-            "completed_jobs": len(self.sim.completed_jobs),
-            "cancelled_jobs": len(self.sim.cancelled_jobs),
+            "completed_jobs": self.sim.completed_count,
+            "cancelled_jobs": self.sim.cancelled_count,
             "scheduling_decisions": self.sim.scheduling_decisions,
             "task_failures": self.sim.task_failures,
             "tenants": self.registry.status(),

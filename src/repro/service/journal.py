@@ -58,6 +58,7 @@ from pathlib import Path
 from typing import IO, Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro import obs
+from repro import state as st
 from repro.errors import ConfigurationError, ServiceError
 from repro.service.engine import ServiceConfig, ServiceEngine
 from repro.service.snapshot import (SNAPSHOT_VERSION, V1_FAULT_DEPTHS,
@@ -440,7 +441,7 @@ class JournalWriter:
     def compact(self, engine: ServiceEngine) -> None:
         """Anchor the journal at the engine's state; drop covered segments.
 
-        The anchor is the engine's version-4 state snapshot plus
+        The anchor is the engine's version-5 state snapshot plus
         ``journal_seq``,
         written atomically; every segment other than the one currently
         being written holds only records at or below that seq, so they
@@ -452,7 +453,7 @@ class JournalWriter:
         snapshot["journal_seq"] = self._seq
         # No indent: an indented dump runs json's pure-Python encoder,
         # twice as slow on a long history's anchor.
-        blob = json.dumps(snapshot, sort_keys=True) + "\n"
+        blob = "".join([*st.json_pieces(snapshot), "\n"])
         atomic_write_text(self.directory / ANCHOR_NAME, blob,
                           file_ops=self.ops)
         for path in _segment_paths(self.directory):

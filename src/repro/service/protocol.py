@@ -24,6 +24,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 from repro.cluster.job import JobSpec
 from repro.cluster.metrics import scrub_nonfinite
 from repro.errors import BadRequestError, ConfigurationError, ServiceError
+from repro.state import PIECE_ITEMS
 from repro.utility.config import utility_from_config
 from repro.workload.trace import spec_to_dict
 
@@ -246,14 +247,16 @@ class RollingDigest:
         self.items = 0
 
     def extend(self, items: Sequence[Any]) -> None:
-        """Fold the next ``items`` of the list, in order."""
-        if not items:
-            return
-        blob = _canonical_json(list(items))[1:-1]
-        if self.items:
-            blob = "," + blob
-        self._sha.update(blob.encode("utf-8"))
-        self.items += len(items)
+        """Fold the next ``items`` of the list, in order — a slice of
+        at most :data:`~repro.state.PIECE_ITEMS` per JSON dump, so a
+        restored history's rows are never dumped at once."""
+        for start in range(0, len(items), PIECE_ITEMS):
+            batch = list(items[start:start + PIECE_ITEMS])
+            blob = _canonical_json(batch)[1:-1]
+            if self.items:
+                blob = "," + blob
+            self._sha.update(blob.encode("utf-8"))
+            self.items += len(batch)
 
     def hexdigest(self) -> str:
         """The digest of everything folded so far."""

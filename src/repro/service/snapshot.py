@@ -9,16 +9,19 @@ the state of everything the service config builds — and
 records written after the anchor: recovery costs the suffix, not the
 uptime.  Format (JSON; the journal adds ``"journal_seq": N``)::
 
-    {"format": "rush-service-snapshot", "version": 4,
+    {"format": "rush-service-snapshot", "version": 5,
      "config": {...},        # ServiceConfig.to_dict()
      "slot": 42,             # the slot the engine had reached
      "decisions_digest": "<sha256 of the decision stream>",
      "state": {...},         # ServiceEngine.state_dict()
      "state_digest": "<sha256 of the state's canonical JSON>"}
 
-What is written is what the next event depends on: jobs (a job's
-untouched tasks are implied by its spec, so the state grows with
-launched attempts, not with tasks), containers, the decision rows, the
+What is written is what the next event depends on: the live jobs (a
+job's untouched tasks are implied by its spec, so the state grows with
+launched attempts, not with tasks), one flat row per completed or
+cancelled job (the simulator keeps only that row once a job retires:
+its record's fields and the task counts its status reports), the
+containers, the decision rows, the
 scheduler's DE units, counters and last good plan, the fault injectors'
 generator states and log, the tenant registry, the queued events and
 the engine's idempotency keys and cursors.  Pure memos — the WCDE
@@ -33,15 +36,20 @@ the seal is refused before anything is built.  A sealed state is still
 checked for shape: a field of the wrong type, a container running an
 attempt its job does not have, a running attempt no container holds, a
 RUSH estimator for a job that is not active (or an active job without
-one), or rows that digest to anything but the recorded digest is
+one), a retired job that is also live or retired twice, a completed
+row without a completion slot, a cancelled one with a completion
+record, or rows that digest to anything but the recorded digest is
 refused with :class:`SnapshotError` before an engine is returned —
 never half-loaded.
 
-Versions 1 to 3 froze the engine's *inputs* (config, every accepted
-entry, slot) and are still read, by replaying those entries through a
-fresh engine; that path exists only for journals an older release
-wrote, and :func:`~repro.service.journal.open_journal` re-anchors them
-at version 4 before it appends.  A version-1 file that could carry a
+A version-4 anchor is engine state written before jobs retired: it
+lists every job in full and names the finished ones by id, and the
+same loader retires each of those as it reads it.  Versions 1 to 3
+froze the engine's *inputs* (config, every accepted entry, slot) and
+are still read, by replaying those entries through a fresh engine.
+Both paths exist only for journals an older release wrote, and
+:func:`~repro.service.journal.open_journal` re-anchors them at version 5
+before it appends.  A version-1 file that could carry a
 solver-fault depth (four ladder rungs) is refused, and so is a
 version-1 or -2 file of the ``rush`` policy, whose planner chose the
 jobs left at the utility floor by a rule since retired.
@@ -63,7 +71,10 @@ __all__ = ["SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "take_snapshot",
            "restore_engine", "load_snapshot", "state_digest"]
 
 SNAPSHOT_FORMAT = "rush-service-snapshot"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
+
+#: Versions whose anchor is engine state, read by :func:`_load_state`.
+STATE_VERSIONS = (4, SNAPSHOT_VERSION)
 
 
 class SnapshotError(ServiceError):
@@ -98,14 +109,17 @@ def state_digest(state: Mapping[str, Any]) -> str:
 
     A state is JSON values with string keys, and a float's repr
     round-trips, so the digest of a state read back from its file equals
-    the digest of the state that was written.
+    the digest of the state that was written.  The JSON is hashed in
+    :func:`~repro.state.json_pieces`, never held whole.
     """
-    return hashlib.sha256(
-        json.dumps(state, sort_keys=True).encode("utf-8")).hexdigest()
+    sha = hashlib.sha256()
+    for piece in st.json_pieces(state):
+        sha.update(piece.encode("utf-8"))
+    return sha.hexdigest()
 
 
 def take_snapshot(engine: ServiceEngine) -> Dict[str, Any]:
-    """The engine's state as a version-4 snapshot; read-only, any time."""
+    """The engine's state as a version-5 snapshot; read-only, any time."""
     state = engine.state_dict()
     return {
         "format": SNAPSHOT_FORMAT,
@@ -122,7 +136,7 @@ def restore_engine(snapshot: Mapping[str, Any], *,
                    clock: Optional[Clock] = None) -> ServiceEngine:
     """Rebuild an engine from a snapshot, digest-verified.
 
-    A version-4 snapshot is loaded through
+    A version-4 or -5 snapshot is loaded through
     :meth:`~repro.service.engine.ServiceEngine.from_state`; an older one
     is replayed from its inputs.  Either way the rebuilt decision stream
     must digest to the snapshot's ``decisions_digest``; a mismatch, a
@@ -140,7 +154,7 @@ def restore_engine(snapshot: Mapping[str, Any], *,
         raise SnapshotError(
             f"not a service snapshot (format {snapshot.get('format')!r})")
     version = snapshot.get("version")
-    if version not in (1, 2, 3, SNAPSHOT_VERSION):
+    if version not in (1, 2, 3, *STATE_VERSIONS):
         raise SnapshotError(f"unsupported snapshot version {version!r}")
     # Every snapshot and anchor ever written carries the digest; one
     # without it could only be loaded unverified, so it is refused.
@@ -149,8 +163,8 @@ def restore_engine(snapshot: Mapping[str, Any], *,
         raise SnapshotError(
             "snapshot has no decisions_digest to verify its state "
             f"against (got {type(expected).__name__})")
-    if version == SNAPSHOT_VERSION:
-        engine = _load_state(snapshot, clock)
+    if version in STATE_VERSIONS:
+        engine = _load_state(snapshot, version, clock)
     else:
         engine = _replay_inputs(snapshot, version, clock)
     actual = engine.decisions_digest()
@@ -161,21 +175,21 @@ def restore_engine(snapshot: Mapping[str, Any], *,
     return engine
 
 
-def _load_state(snapshot: Mapping[str, Any],
+def _load_state(snapshot: Mapping[str, Any], version: int,
                 clock: Optional[Clock]) -> ServiceEngine:
-    """A version-4 snapshot's engine; any malformation is a
+    """A version-4 or -5 snapshot's engine; any malformation is a
     :class:`SnapshotError`, raised before the engine escapes."""
     sealed = snapshot.get("state_digest")
     if not isinstance(sealed, str):
         raise SnapshotError(
-            "version-4 snapshot has no state_digest to verify its state "
-            f"against (got {type(sealed).__name__})")
+            f"version-{version} snapshot has no state_digest to verify its "
+            f"state against (got {type(sealed).__name__})")
     state = snapshot.get("state")
     try:
         actual = state_digest(st.mapping(state))
     except (TypeError, ValueError) as exc:
         raise SnapshotError(
-            f"malformed version-{SNAPSHOT_VERSION} snapshot state: "
+            f"malformed version-{version} snapshot state: "
             f"{type(exc).__name__}: {exc}") from None
     if actual != sealed:
         raise SnapshotError(
@@ -188,7 +202,7 @@ def _load_state(snapshot: Mapping[str, Any],
     except (KeyError, TypeError, ValueError, IndexError, AttributeError,
             ReproError) as exc:
         raise SnapshotError(
-            f"malformed version-{SNAPSHOT_VERSION} snapshot state: "
+            f"malformed version-{version} snapshot state: "
             f"{type(exc).__name__}: {exc}") from None
     if engine.slot != slot:
         raise SnapshotError(f"snapshot slot {slot} but its state is at "

@@ -172,9 +172,9 @@ class TenantRegistry:
         """Take back :meth:`state_dict`'s output on a registry built from
         the same tenant specs."""
         owner = {job_id: name for job_id, name in (
-            st.row(pair, st.string, st.string)
+            st.row(pair, st.name, st.name)
             for pair in st.array(state["owner"]))}
-        live = {name: {st.string(job_id) for job_id in st.array(ids)}
+        live = {name: {st.name(job_id) for job_id in st.array(ids)}
                 for name, ids in st.mapping(state["live"]).items()}
         submitted = {name: st.integer(count) for name, count
                      in st.mapping(state["submitted"]).items()}

@@ -9,17 +9,51 @@ stays an int, ``2.0`` a float, and a float's repr round-trips exactly),
 so a reader checks the type rather than coercing it: a state whose
 field has the wrong type raises :class:`TypeError`, which the service's
 anchor codec reports as a malformed snapshot instead of resuming from a
-silently different engine.
+silently different engine.  :func:`json_pieces` writes such a state
+(or any large JSON value) as its canonical text, in bounded pieces.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, TypeVar
+import json
+import sys
+from typing import Any, Callable, Dict, Iterator, List, Optional, TypeVar
 
-__all__ = ["integer", "number", "string", "boolean", "array", "mapping",
-           "optional", "row"]
+__all__ = ["integer", "number", "string", "name", "boolean", "array",
+           "mapping", "optional", "row", "json_pieces"]
 
 T = TypeVar("T")
+
+#: List items encoded per call by :func:`json_pieces`.
+PIECE_ITEMS = 256
+
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def json_pieces(value: Any) -> Iterator[str]:
+    """``json.dumps(value, sort_keys=True)``, in pieces that join to it.
+
+    A state's rows number in the thousands, and one ``json.dumps`` call
+    holds a small string per number and name it writes until it joins
+    them — several times the size of its output.  Here a dict is opened
+    key by key (its keys must be strings, as a state's are) and a list
+    of more than :data:`PIECE_ITEMS` items is encoded that many items at
+    a time, so no call holds more than one such slice.
+    """
+    if isinstance(value, dict):
+        yield "{"
+        for k, key in enumerate(sorted(value)):
+            yield f"{', ' if k else ''}{_ENCODE(key)}: "
+            yield from json_pieces(value[key])
+        yield "}"
+    elif isinstance(value, list) and len(value) > PIECE_ITEMS:
+        yield "["
+        for start in range(0, len(value), PIECE_ITEMS):
+            piece = _ENCODE(value[start:start + PIECE_ITEMS])[1:-1]
+            yield f", {piece}" if start else piece
+        yield "]"
+    else:
+        yield _ENCODE(value)
 
 
 def _refuse(value: Any, expected: str) -> TypeError:
@@ -45,6 +79,13 @@ def string(value: Any) -> str:
     if not isinstance(value, str):
         raise _refuse(value, "a string")
     return value
+
+
+def name(value: Any) -> str:
+    """A string that many rows repeat — a job id, a tenant, a decision
+    kind — interned, so that the rows read back share one object for it
+    as the rows of a live run do, rather than one copy per row."""
+    return sys.intern(string(value))
 
 
 def boolean(value: Any) -> bool:

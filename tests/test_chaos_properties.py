@@ -43,6 +43,8 @@ from repro.schedulers import FifoScheduler, RushScheduler
 from repro.utility import LinearUtility
 from repro.workload.scenarios import SCENARIOS, build_scenario_workload
 
+from .retiring import hold_retired
+
 # The chaos battery runs hundreds of seeded fault-injected simulations;
 # the fast CI lane deselects it (-m "not slow"), the full lane runs it.
 pytestmark = pytest.mark.slow
@@ -122,9 +124,10 @@ class TestNoLostOrDuplicatedTasks:
         sim = ClusterSimulator(2, FifoScheduler(), faults=plan)
         for s in specs:
             sim.submit(s)
+        finished = hold_retired(sim)
         result = sim.run(max_slots=4000)
         for s in specs:
-            job = sim.job(s.job_id)
+            job = finished.get(s.job_id) or sim.job(s.job_id)
             completed = [t for t in job.tasks
                          if t.state is TaskState.COMPLETED]
             by_logical = {}
@@ -251,7 +254,9 @@ class TestStoredCompletionSlot:
         failures and crashes force retries, every 100th slot withdraws a
         live job — and after every slot every job's stored completion
         slot is what a scan over its attempts finds, with one live
-        attempt per logical task."""
+        attempt per logical task.  A job is checked on every slot while
+        it is live, and once more as it retires: the simulator drops a
+        finished job then, so nothing about it changes afterwards."""
         scenario = SCENARIOS[name]
         specs = build_scenario_workload(scenario, seed=0, fast=True)[:20]
         scheduler = FifoScheduler() if policy == "fifo" else RushScheduler()
@@ -260,6 +265,12 @@ class TestStoredCompletionSlot:
             faults=default_chaos_plan(seed=7, intensity=3.0))
         for job_spec in specs:
             sim.submit(job_spec)
+
+        def check(job):
+            assert job.completion_time == scanned_completion(job)
+            assert_one_live_attempt_per_logical_task(sim, job)
+
+        retired = hold_retired(sim, check)
         slots = 0
         while (sim.active_jobs or sim.now <= specs[-1].arrival) \
                 and slots < 4000:
@@ -267,9 +278,8 @@ class TestStoredCompletionSlot:
             slots += 1
             if slots % 100 == 0 and sim.active_jobs:
                 sim.cancel_job(sim.active_jobs[-1].job_id)
-            for job in (sim.completed_jobs + sim.active_jobs
-                        + sim.cancelled_jobs):
-                assert job.completion_time == scanned_completion(job)
-                assert_one_live_attempt_per_logical_task(sim, job)
+            for job in sim.active_jobs:
+                check(job)
         assert sim.completed_jobs and sim.cancelled_jobs
+        assert len(retired) == sim.completed_count + sim.cancelled_count
         assert sim.task_failures > 0

@@ -72,6 +72,19 @@ def test_any_batching_gives_the_canonical_digest_of_every_prefix(items, cuts):
             separators=(",", ":")).encode()).hexdigest()
 
 
+def test_a_batch_longer_than_a_piece_is_folded_in_pieces():
+    """A restored history's rows arrive in one batch of thousands."""
+    items = [(slot, "grant", f"job-{slot % 97}") for slot in range(1300)]
+    for cuts in ([1300], [3, 700, 1300], [256, 512, 513, 1300]):
+        digest, folded = RollingDigest(), 0
+        for cut in cuts:
+            digest.extend(items[folded:cut])
+            folded = cut
+        assert digest.items == len(items)
+        assert digest.hexdigest() == canonical_digest(
+            [list(row) for row in items])
+
+
 # ---------------------------------------------------------------------------
 # A chaos-driven engine: every read equals the whole-stream digest
 

@@ -1,4 +1,4 @@
-"""The ``state_dict()`` / ``load_state()`` contract and the version-4 anchor.
+"""The ``state_dict()`` / ``load_state()`` contract and the state anchor.
 
 The property that makes a state anchor trustworthy: cut a run at any
 slot, write everything down as JSON, read it back into freshly built
@@ -9,14 +9,18 @@ checked twice: on the simulator (a scenario-library workload under the
 all-injector chaos plan) and on the service engine (tenants, keyed
 submits, queued cancels and armed solver faults as well).
 
-Then the anchor itself: a version-4 anchor whose state was edited after
+Then the anchor itself: a state anchor whose state was edited after
 it was written is refused by its ``state_digest`` seal, and one forged
 with a matching seal by its shape — a field of the wrong type, a
 container running an attempt its job does not have, a running attempt
 no container holds or two hold, an active job without a DE unit,
-decision rows that do not digest to the recorded digest — each with
-the typed :class:`SnapshotError`, never half-loaded; the golden
-version-3 journal still recovers and is re-anchored at version 4.
+decision rows that do not digest to the recorded digest, a retired job
+that is also live or retired twice, a completed row without its
+completion slot, a cancelled one with a completion record — each with
+the typed :class:`SnapshotError`, never half-loaded.  The golden
+version-3 and version-4 journals still recover to the digests and
+answers their release recorded, and are re-anchored at version 5, which
+holds a full entry only for each live job.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from repro.workload.scenarios import (build_scenario_workload,
 from .engine_state import comparable
 
 GOLDEN_JOURNAL = Path(__file__).parent / "golden" / "journal_parent"
+GOLDEN_V4_JOURNAL = Path(__file__).parent / "golden" / "journal_v4"
 
 # ---------------------------------------------------------------------------
 # The simulator, cut and restored
@@ -211,16 +216,20 @@ def test_a_cut_and_restored_engine_continues_identically(policy, cut):
 
 
 # ---------------------------------------------------------------------------
-# The version-4 anchor: refused when tampered, never half-loaded
+# The state anchor: refused when tampered, never half-loaded
 # ---------------------------------------------------------------------------
 
 def _busy_snapshot():
+    """18 slots in: busy and idle containers, active jobs with DE units,
+    and retired rows of both kinds."""
     engine = ServiceEngine(_config("rush"))
-    for slot in range(12):
+    for slot in range(18):
         _requests(engine, slot)
         engine.tick()
     snapshot = json.loads(json.dumps(take_snapshot(engine)))
-    assert snapshot["version"] == SNAPSHOT_VERSION == 4
+    assert snapshot["version"] == SNAPSHOT_VERSION == 5
+    sim = snapshot["state"]["sim"]
+    assert sim["completed"] and sim["cancelled"] and sim["active"]
     return engine, snapshot
 
 
@@ -276,6 +285,26 @@ def _rows_off_digest(snapshot):
     rows[0], rows[-1] = rows[-1], rows[0]
 
 
+def _retired_and_live(snapshot):
+    """A retired row under the id of a job that is still live."""
+    sim = snapshot["state"]["sim"]
+    sim["completed"][0][0] = sim["active"][0]
+
+
+def _retired_twice(snapshot):
+    sim = snapshot["state"]["sim"]
+    sim["cancelled"].append(list(sim["completed"][0]))
+
+
+def _completed_without_slot(snapshot):
+    snapshot["state"]["sim"]["completed"][0][7] = None  # completion
+
+
+def _cancelled_with_record(snapshot):
+    row = snapshot["state"]["sim"]["cancelled"][0]
+    row[7], row[8] = row[4] + 5, 0.5  # completion, utility_value
+
+
 #: Forged states, each resealed with its own ``state_digest`` so that the
 #: check under test is the one that must refuse it.
 TAMPERINGS = {
@@ -289,6 +318,12 @@ TAMPERINGS = {
     "job-without-unit": (_job_without_a_unit,
                          "DE units do not match the active jobs"),
     "digest": (_rows_off_digest, "decision digest"),
+    "retired-and-live": (_retired_and_live, "is also live"),
+    "retired-twice": (_retired_twice, "retired twice"),
+    "completed-without-slot": (_completed_without_slot,
+                               "completed job .* has no completion slot"),
+    "cancelled-with-record": (_cancelled_with_record,
+                              "cancelled job .* has a completion record"),
 }
 
 
@@ -353,10 +388,11 @@ def test_restore_round_trips_the_whole_state():
 
 
 # ---------------------------------------------------------------------------
-# An older journal: still recovers, re-anchored at version 4
+# Older journals: still recover, re-anchored at version 5
 # ---------------------------------------------------------------------------
 
-def test_the_golden_v3_journal_is_re_anchored_at_v4(tmp_path):
+def test_the_golden_v3_journal_is_re_anchored_at_the_current_version(
+        tmp_path):
     expected = json.loads((GOLDEN_JOURNAL / "expected.json").read_text())
     directory = tmp_path / "wal"
     shutil.copytree(GOLDEN_JOURNAL, directory)
@@ -379,3 +415,86 @@ def test_the_golden_v3_journal_is_re_anchored_at_v4(tmp_path):
     assert reopened.decisions_digest() == \
         expected["continued"]["decisions_digest"]
     assert reopened.records_digest() == expected["continued"]["records_digest"]
+
+
+def _answers(engine):
+    """Every job's ``GET /jobs/{id}`` answer without its slot and the
+    ladder's health, as ``expected.json`` records them."""
+    return {status["job_id"]: {key: value for key, value in status.items()
+                               if key not in ("job_id", "slot",
+                                              "degradation")}
+            for status in engine.list_jobs()}
+
+
+def test_the_golden_v4_journal_recovers_and_is_re_anchored(tmp_path):
+    expected = json.loads((GOLDEN_V4_JOURNAL / "expected.json").read_text())
+    directory = tmp_path / "wal"
+    shutil.copytree(GOLDEN_V4_JOURNAL, directory)
+    (directory / "expected.json").unlink()
+    (directory / "README.md").unlink()
+    v4 = json.loads((directory / ANCHOR_NAME).read_text())
+    assert v4["version"] == 4
+    assert v4["state"]["sim"]["completed"] and v4["state"]["sim"]["cancelled"]
+
+    engine, stats = recover_engine(directory)
+    assert (stats["anchor_version"], stats["anchor_seq"], stats["last_seq"]) \
+        == (4, expected["anchor_seq"], expected["last_seq"])
+    assert engine.slot == expected["slot"]
+    assert engine.decisions_digest() == expected["decisions_digest"]
+    assert engine.records_digest() == expected["records_digest"]
+    assert _answers(engine) == expected["jobs"]
+
+    engine, writer = open_journal(directory)
+    anchor = json.loads((directory / ANCHOR_NAME).read_text())
+    assert anchor["version"] == SNAPSHOT_VERSION
+    assert anchor["journal_seq"] == writer.seq == expected["last_seq"]
+    sim = anchor["state"]["sim"]
+    assert sorted(spec["job_id"] for spec, _ in sim["jobs"]) \
+        == sorted(sim["pending_arrivals"] + sim["active"])
+    assert len(sim["completed"]) + len(sim["cancelled"]) == sum(
+        status["state"] in ("completed", "cancelled")
+        for status in expected["jobs"].values())
+    engine.close()
+
+    reopened, stats = recover_engine(directory)
+    assert (stats["anchor_version"], stats["applied"]) == (SNAPSHOT_VERSION, 0)
+    assert reopened.decisions_digest() == expected["decisions_digest"]
+    assert _answers(reopened) == expected["jobs"]
+    continued = expected["continued"]
+    reopened.tick(continued["slot"] - reopened.slot)
+    assert reopened.decisions_digest() == continued["decisions_digest"]
+    assert reopened.records_digest() == continued["records_digest"]
+    assert _answers(reopened) == continued["jobs"]
+
+
+# ---------------------------------------------------------------------------
+# The seal and the anchor text, written in pieces
+# ---------------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=json_values, repeat=st.integers(0, 600))
+def test_json_pieces_join_to_one_dump(value, repeat):
+    """Lists long enough to be cut into pieces, nested in dicts and
+    lists, non-ASCII keys and non-finite floats included."""
+    from repro.state import json_pieces
+
+    for item in (value, [value] * repeat, {"rows": [value] * repeat,
+                                          "é": {"x": [value] * repeat}}):
+        assert "".join(json_pieces(item)) == json.dumps(item, sort_keys=True)
+
+
+def test_the_seal_is_the_digest_of_one_dump():
+    import hashlib
+
+    _, snapshot = _busy_snapshot()
+    state = snapshot["state"]
+    assert state_digest(state) == snapshot["state_digest"] == hashlib.sha256(
+        json.dumps(state, sort_keys=True).encode("utf-8")).hexdigest()

@@ -33,6 +33,8 @@ from repro.faults import (
 from repro.schedulers import FifoScheduler, RushScheduler
 from repro.utility import LinearUtility
 
+from .retiring import hold_retired
+
 
 def spec(job_id="j", durations=(3, 3), failure_prob=0.0, arrival=0,
          budget=100.0):
@@ -226,9 +228,10 @@ class TestSampleCorruptionInjector:
         sim = make_sim([spec(durations=(3, 3))],
                        plan=plan_of(SampleCorruptionInjector(
                            rate=1.0, low=3.0, high=3.0)))
+        finished = hold_retired(sim)
         while sim._active or sim._pending_arrivals:
             sim.step()
-        done = [t for t in sim.job("j").tasks
+        done = [t for t in finished["j"].tasks
                 if t.state is TaskState.COMPLETED]
         assert done
         for task in done:

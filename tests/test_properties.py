@@ -40,6 +40,8 @@ from repro.core.feasibility import staircase_feasible
 from repro.cluster.task import TaskState
 from repro.estimation import DemandEstimate, Pmf
 
+from .retiring import hold_retired
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -218,9 +220,10 @@ class TestSimulatorInvariants:
         sim = ClusterSimulator(capacity, FifoScheduler())
         for spec in specs:
             sim.submit(spec)
+        finished = hold_retired(sim)
         sim.run(max_slots=20_000)
         for spec in specs:
-            job = sim.job(spec.job_id)
+            job = finished.get(spec.job_id) or sim.job(spec.job_id)
             for task in job.tasks:
                 if task.state is TaskState.COMPLETED:
                     assert task.finish_time - task.start_time == task.duration

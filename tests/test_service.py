@@ -550,6 +550,20 @@ def test_list_jobs_equals_per_job_status_in_every_state():
     assert listing[0]["degradation"] == engine.cluster_status()["degradation"]
 
 
+@pytest.mark.parametrize("jobs", [0, 3, 256, 257, 700])
+def test_a_response_body_is_its_payloads_json_at_any_length(jobs):
+    """A listing longer than a piece is encoded piece by piece; the
+    bytes are still exactly one ``json.dumps`` of the payload."""
+    from repro.service.daemon import _json_body
+
+    status = {"job_id": "j", "state": "completed", "budget": None,
+              "utility_value": 0.25, "degradation": {"fallbacks": {}},
+              "sensitivity": "sensitivé"}
+    payload = {"jobs": [dict(status, job_id=f"j{k}") for k in range(jobs)]}
+    assert b"".join(_json_body(payload)) == \
+        (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
 def test_each_finished_job_is_released_exactly_once(monkeypatch):
     """A tick releases the jobs that left the cluster during it — not
     the whole history of finished jobs again."""
